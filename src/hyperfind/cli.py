@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 no bug up to the bound, 1 bug found, 2 inconclusive,
-3 usage or parse error.
+Exit codes: 0 no bug up to the bound, 1 bug found, 2 inconclusive (also
+when the solver fails or a counterexample does not replay), 3 usage or
+parse error.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def _print_text_report(result: driver.SearchResult) -> None:
               f"(combinations={stats.combinations}, sat_calls={stats.sat_calls}, "
               f"wall={stats.wall_ms:.1f} ms)")
     else:
-        print(f"inconclusive ({verdict.reason}) "
-              f"(wall={stats.wall_ms:.1f} ms)")
+        reason = f"{verdict.reason}: {verdict.detail}" if verdict.detail else verdict.reason
+        print(f"inconclusive ({reason}) (wall={stats.wall_ms:.1f} ms)")
 
 
 def _run_bench(args) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import logic
-from .graph import Assign, Havoc, ProgramGraph, Skip
+from .graph import Assign, Havoc, ProgramGraph, Skip, default_step_budget
 
 Memory = Dict[str, int]
 # Hashable snapshot of a state: (location, sorted memory items).
@@ -58,10 +58,6 @@ class Enumeration:
     complete: bool
     # one full trace per observed projection, for replay-style checks
     witnesses: Dict[ObservedTrace, Tuple[StateKey, ...]]
-
-
-def default_step_budget(graph: ProgramGraph, k: int) -> int:
-    return 10 * max(k, 1) * max(len(graph.locations), 1)
 
 
 def enumerate_observed(graph: ProgramGraph, observed: FrozenSet[int], k: int,

@@ -114,7 +114,10 @@ class NoBugUpTo:
 
 @dataclass
 class Inconclusive:
-    reason: str  # "budget" | "solver-unknown" | "not-encodable"
+    # "budget" | "solver-unknown" | "solver-error" (the solver failed twice
+    # in a row) | "replay-failed" (a model did not replay on the program)
+    reason: str
+    detail: str = ""
 
 
 Verdict = Union[BugFound, NoBugUpTo, Inconclusive]
@@ -145,44 +148,6 @@ class SearchOptions:
     domain: Optional[Tuple[int, int]] = None  # embed finite-domain constraints
 
 
-class _QuerySolver:
-    """Persistent solver process; state is reset before every query."""
-
-    def __init__(self, opts: SearchOptions):
-        self.opts = opts
-        self.session: Optional[smt.SolverSession] = None
-
-    def _fresh(self) -> smt.SolverSession:
-        return smt.SolverSession(self.opts.solver_argv,
-                                 timeout_ms=self.opts.query_timeout_ms)
-
-    def check(self, formula: Formula, wanted: Sequence[str]) -> smt.SatResult:
-        if self.session is None:
-            self.session = self._fresh()
-        else:
-            try:
-                self.session.reset()
-            except smt.SolverError:
-                self.session.close()
-                self.session = self._fresh()
-        try:
-            return self._run(formula, wanted)
-        except smt.SolverError:
-            self.session.close()
-            self.session = self._fresh()
-            return self._run(formula, wanted)
-
-    def _run(self, formula: Formula, wanted: Sequence[str]) -> smt.SatResult:
-        self.session.declare(logic.free_vars(formula) | set(wanted))
-        self.session.assert_formula(formula)
-        return self.session.check(wanted)
-
-    def close(self):
-        if self.session is not None:
-            self.session.close()
-            self.session = None
-
-
 def _emit_query(opts: SearchOptions, name: str, formula: Formula,
                 wanted: Sequence[str]) -> None:
     if not opts.emit_smt_dir:
@@ -194,138 +159,137 @@ def _emit_query(opts: SearchOptions, name: str, formula: Formula,
 
 
 def _materialize(side: QuantSide, k: int, supply: FreshSupply, feas: Feasibility,
-                 opts: SearchOptions, stats: SearchStats):
+                 opts: SearchOptions):
     stream = symexec.observe(side.graph, side.observed, k, supply, feas,
                              opts.step_budget, opts.node_budget)
-    traces = list(stream)
-    stats.feasibility_calls += stream.stats.sat_calls
-    return traces, stream.incomplete
+    return list(stream), stream.incomplete
+
+
+def _run(search, gen: GeneralizedSpec, n: int,
+         opts: Optional[SearchOptions]) -> SearchResult:
+    """Give `search` one solver, time it, and end a failed solver in a verdict."""
+    opts = opts or SearchOptions()
+    stats = SearchStats()
+    started = time.perf_counter()
+    solver = smt.Solver(opts.solver_argv, opts.query_timeout_ms)
+    feas = Feasibility(solver, opts.feas_timeout_ms)
+    try:
+        verdict = search(gen, n, opts, solver, feas, stats)
+    except smt.SolverError as exc:
+        verdict = Inconclusive("solver-error", str(exc))
+    finally:
+        stats.wall_ms = (time.perf_counter() - started) * 1000.0
+        solver.close()
+    stats.feasibility_calls = feas.solver_calls
+    return SearchResult(verdict, stats)
 
 
 def lazy_search(gen: GeneralizedSpec, n: int,
                 opts: Optional[SearchOptions] = None) -> SearchResult:
-    opts = opts or SearchOptions()
-    stats = SearchStats()
-    started = time.perf_counter()
-    supply = FreshSupply()
-    solver = _QuerySolver(opts)
-    feas = Feasibility(opts.solver_argv, opts.feas_timeout_ms)
-    budget_seen = False
-    unknown_seen = False
-    try:
-        for k in range(1, n + 1):
-            etraces: List[SymTrace] = []
-            if gen.existential is not None:
-                etraces, incomplete = _materialize(gen.existential, k, supply, feas,
-                                                   opts, stats)
-                if incomplete:
-                    # The "no matching trace" side must be complete for any
-                    # query at this or any larger bound to be trustworthy.
-                    return _finish(Inconclusive("budget"), stats, started)
-
-            stream = symexec.observe(gen.universal.graph, gen.universal.observed,
-                                     k, supply, feas, opts.step_budget,
-                                     opts.node_budget)
-            index = 0
-            for trace in stream:
-                index += 1
-                query = encode.lazy_query(
-                    trace, gen.universal.trace_var,
-                    gen.existential.trace_var if gen.existential else None,
-                    etraces, gen.body, k, domain=opts.domain,
-                    provenance=f"k={k} universal-trace={index}")
-                _emit_query(opts, f"query_k{k}_{index:04d}.smt2",
-                            query.formula, query.free_vars)
-                stats.sat_calls += 1
-                stats.combinations += max(1, len(etraces)) if gen.existential else 1
-                result = solver.check(query.formula, query.free_vars)
-                if isinstance(result, smt.Sat):
-                    cex = _build_counterexample(gen, k, trace, result.model, query)
-                    stats.feasibility_calls += stream.stats.sat_calls
-                    return _finish(BugFound(k, cex), stats, started)
-                if isinstance(result, smt.Unknown):
-                    unknown_seen = True
-            stats.feasibility_calls += stream.stats.sat_calls
-            if stream.incomplete:
-                budget_seen = True
-        if budget_seen:
-            return _finish(Inconclusive("budget"), stats, started)
-        if unknown_seen:
-            return _finish(Inconclusive("solver-unknown"), stats, started)
-        return _finish(NoBugUpTo(n), stats, started)
-    finally:
-        solver.close()
-        feas.close()
+    return _run(_lazy, gen, n, opts)
 
 
 def naive_search(gen: GeneralizedSpec, n: int,
                  opts: Optional[SearchOptions] = None) -> SearchResult:
-    opts = opts or SearchOptions()
-    stats = SearchStats()
-    started = time.perf_counter()
+    return _run(_naive, gen, n, opts)
+
+
+def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
+          feas: Feasibility, stats: SearchStats) -> Verdict:
     supply = FreshSupply()
-    solver = _QuerySolver(opts)
-    feas = Feasibility(opts.solver_argv, opts.feas_timeout_ms)
+    budget_seen = False
     unknown_seen = False
-    try:
-        for k in range(1, n + 1):
-            utraces, u_incomplete = _materialize(gen.universal, k, supply, feas,
-                                                 opts, stats)
-            if u_incomplete:
-                return _finish(Inconclusive("budget"), stats, started)
-            quantified = [encode.QuantifiedTraces("forall", gen.universal.trace_var,
-                                                  tuple(utraces))]
-            if gen.existential is not None:
-                etraces, e_incomplete = _materialize(gen.existential, k, supply,
-                                                     feas, opts, stats)
-                if e_incomplete:
-                    return _finish(Inconclusive("budget"), stats, started)
-                quantified.append(encode.QuantifiedTraces(
-                    "exists", gen.existential.trace_var, tuple(etraces)))
-            encoding = encode.encode(quantified, gen.body, k, domain=opts.domain)
-            negated = logic.negate(encoding)
-            _emit_query(opts, f"naive_k{k}.smt2", negated, ())
+    for k in range(1, n + 1):
+        etraces: List[SymTrace] = []
+        if gen.existential is not None:
+            etraces, incomplete = _materialize(gen.existential, k, supply, feas, opts)
+            if incomplete:
+                # The "no matching trace" side must be complete for any
+                # query at this or any larger bound to be trustworthy.
+                return Inconclusive("budget")
+
+        stream = symexec.observe(gen.universal.graph, gen.universal.observed,
+                                 k, supply, feas, opts.step_budget,
+                                 opts.node_budget)
+        index = 0
+        for trace in stream:
+            index += 1
+            query = encode.lazy_query(
+                trace, gen.universal.trace_var,
+                gen.existential.trace_var if gen.existential else None,
+                etraces, gen.body, k, domain=opts.domain,
+                provenance=f"k={k} universal-trace={index}")
+            _emit_query(opts, f"query_k{k}_{index:04d}.smt2",
+                        query.formula, query.free_vars)
             stats.sat_calls += 1
-            stats.combinations += 1
-            result = solver.check(negated, ())
+            stats.combinations += max(1, len(etraces)) if gen.existential else 1
+            result = solver.check(query.formula, query.free_vars)
             if isinstance(result, smt.Sat):
-                # The encoding is closed, so there is no model to report.
-                return _finish(BugFound(k, None), stats, started)
+                return _counterexample_verdict(gen, k, trace, result.model, query)
             if isinstance(result, smt.Unknown):
                 unknown_seen = True
-        if unknown_seen:
-            return _finish(Inconclusive("solver-unknown"), stats, started)
-        return _finish(NoBugUpTo(n), stats, started)
-    finally:
-        solver.close()
-        feas.close()
+        if stream.incomplete:
+            budget_seen = True
+    if budget_seen:
+        return Inconclusive("budget")
+    if unknown_seen:
+        return Inconclusive("solver-unknown")
+    return NoBugUpTo(n)
 
 
-def _finish(verdict: Verdict, stats: SearchStats, started: float) -> SearchResult:
-    stats.wall_ms = (time.perf_counter() - started) * 1000.0
-    return SearchResult(verdict, stats)
+def _naive(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
+           feas: Feasibility, stats: SearchStats) -> Verdict:
+    supply = FreshSupply()
+    unknown_seen = False
+    for k in range(1, n + 1):
+        utraces, u_incomplete = _materialize(gen.universal, k, supply, feas, opts)
+        if u_incomplete:
+            return Inconclusive("budget")
+        quantified = [encode.QuantifiedTraces("forall", gen.universal.trace_var,
+                                              tuple(utraces))]
+        if gen.existential is not None:
+            etraces, e_incomplete = _materialize(gen.existential, k, supply, feas, opts)
+            if e_incomplete:
+                return Inconclusive("budget")
+            quantified.append(encode.QuantifiedTraces(
+                "exists", gen.existential.trace_var, tuple(etraces)))
+        encoding = encode.encode(quantified, gen.body, k, domain=opts.domain)
+        negated = logic.negate(encoding)
+        _emit_query(opts, f"naive_k{k}.smt2", negated, ())
+        stats.sat_calls += 1
+        stats.combinations += 1
+        result = solver.check(negated)
+        if isinstance(result, smt.Sat):
+            # The encoding is closed, so there is no model to report.
+            return BugFound(k, None)
+        if isinstance(result, smt.Unknown):
+            unknown_seen = True
+    if unknown_seen:
+        return Inconclusive("solver-unknown")
+    return NoBugUpTo(n)
 
 
-def _build_counterexample(gen: GeneralizedSpec, k: int, trace: SymTrace,
-                          model: Dict[str, int],
-                          query: encode.EncodedQuery) -> Counterexample:
+def _counterexample_verdict(gen: GeneralizedSpec, k: int, trace: SymTrace,
+                            model: Dict[str, int],
+                            query: encode.EncodedQuery) -> Verdict:
+    """BugFound with the model's concrete trace, if that trace replays."""
     rho = dict(model)
     for name in query.free_vars:
         rho.setdefault(name, 0)
-    full = symexec.concretize(trace, rho)
-    observed = symexec.concretize_observed(trace, rho)
+    full = symexec.concretize(trace.states, rho)
+    observed = symexec.concretize(trace.observed, rho)
     replayed = concrete.replay(gen.universal.graph, gen.universal.observed,
                                full, observed)
     if not replayed.ok:
-        raise RuntimeError(f"counterexample failed replay validation: {replayed.reason}")
-    return Counterexample(
+        return Inconclusive("replay-failed", replayed.reason)
+    return BugFound(k, Counterexample(
         k=k,
         universal_trace=trace,
         model={name: rho[name] for name in query.free_vars},
         concrete_full=full,
         concrete_observed=observed,
         explanation=query.explanation,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +356,8 @@ def report_dict(result: SearchResult) -> dict:
     else:
         out["verdict"] = "inconclusive"
         out["reason"] = verdict.reason
+        if verdict.detail:
+            out["detail"] = verdict.detail
     return out
 
 

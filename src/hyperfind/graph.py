@@ -126,31 +126,9 @@ def rename_vars(graph: ProgramGraph, prefix: str) -> ProgramGraph:
     )
 
 
-def reentry_transform(graph: ProgramGraph, obs: FrozenSet[int]) -> ProgramGraph:
-    """Split every observed location into (observed, re-entry) pairs.
-
-    The observed location keeps its incoming edges and hands its outgoing
-    edges to a fresh re-entry location; a skip edge links the two, so the
-    transformed graph behaves exactly like the original (the product
-    construction replaces those skip links with jumps into the other
-    graph). Re-entry locations are numbered after the originals in sorted
-    observation order.
-    """
-    reentry = {}
-    next_id = max(graph.locations) + 1
-    for o in sorted(obs):
-        reentry[o] = next_id
-        next_id += 1
-    edges = [Edge(reentry.get(e.src, e.src), e.dst, e.guard, e.effect)
-             for e in graph.edges]
-    edges += [Edge(o, r, logic.TRUE, SKIP) for o, r in sorted(reentry.items())]
-    return ProgramGraph(
-        name=graph.name,
-        locations=graph.locations + tuple(sorted(reentry.values())),
-        edges=tuple(edges),
-        initial=graph.initial,
-        variables=graph.variables,
-    )
+def default_step_budget(graph: ProgramGraph, k: int) -> int:
+    """Transition-depth budget for exploring the traces with k observations."""
+    return 10 * max(k, 1) * max(len(graph.locations), 1)
 
 
 @dataclass

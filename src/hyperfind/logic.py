@@ -92,20 +92,14 @@ def mul(left: Term, right: Term) -> Term:
     return BinTerm("*", left, right)
 
 
-def _euclid_div(a: int, b: int) -> int:
-    # SMT-LIB div/mod are Euclidean; for b > 0 they match Python's // and %.
-    return a // b
-
-
-def _euclid_mod(a: int, b: int) -> int:
-    return a % b
-
+# SMT-LIB div/mod are Euclidean; for the positive literal divisors that
+# `div` and `mod` admit they match Python's // and %.
 
 def div(num: Term, den: Term) -> Term:
     if not isinstance(den, IntLit) or den.value <= 0:
         raise ValueError("division requires a positive literal divisor")
     if isinstance(num, IntLit):
-        return IntLit(_euclid_div(num.value, den.value))
+        return IntLit(num.value // den.value)
     if den.value == 1:
         return num
     return BinTerm("div", num, den)
@@ -115,7 +109,7 @@ def mod(num: Term, den: Term) -> Term:
     if not isinstance(den, IntLit) or den.value <= 0:
         raise ValueError("modulo requires a positive literal divisor")
     if isinstance(num, IntLit):
-        return IntLit(_euclid_mod(num.value, den.value))
+        return IntLit(num.value % den.value)
     if den.value == 1:
         return IntLit(0)
     return BinTerm("mod", num, den)
@@ -304,9 +298,9 @@ def eval_term(term: Term, rho: Mapping[str, int]) -> int:
     if term.op == "*":
         return left * right
     if term.op == "div":
-        return _euclid_div(left, right)
+        return left // right
     if term.op == "mod":
-        return _euclid_mod(left, right)
+        return left % right
     raise EvalError(f"unknown term operator {term.op!r}")
 
 

@@ -589,7 +589,7 @@ def solve_single(node, var: str) -> Optional[int]:
         if tag in ("le", "eq", "ne"):
             c = n[1].coeff(var)
             if c:
-                bounds.append(-n[1].const / c)
+                bounds.append(-n[1].const // c)  # exact floor of the boundary
         elif tag in ("dvd", "ndvd"):
             if n[2].coeff(var):
                 moduli.append(n[1])
@@ -600,9 +600,7 @@ def solve_single(node, var: str) -> Optional[int]:
     scan(node)
     delta = math.lcm(*moduli) if moduli else 1
     candidates = set()
-    windows = [0.0] + bounds
-    for b in windows:
-        center = math.floor(b)
+    for center in [0] + bounds:
         for off in range(-delta - 2, delta + 3):
             candidates.add(center + off)
     best = None
@@ -734,10 +732,18 @@ class Translator:
                 if not (isinstance(binder, list) and len(binder) == 2 and binder[1] == "Int"):
                     raise SolverInputError("only Int binders are supported")
                 names.append(binder[0])
-                self.declared[binder[0]] = "Int"
-            body = self.to_formula(args[1])
-            for name in names:
-                del self.declared[name]
+            # A binder may shadow a declared constant; the declaration must
+            # survive the quantifier's scope.
+            outer = {name: self.declared.get(name) for name in names}
+            self.declared.update((name, "Int") for name in names)
+            try:
+                body = self.to_formula(args[1])
+            finally:
+                for name, sort in outer.items():
+                    if sort is None:
+                        del self.declared[name]
+                    else:
+                        self.declared[name] = sort
             return (head, names, body)
         raise SolverInputError(f"unknown operator {head!r}")
 
@@ -762,6 +768,7 @@ class Session:
         if self.timeout_ms is not None:
             deadline = time.monotonic() + self.timeout_ms / 1000.0
         elim = Eliminator(deadline)
+        self.model = {}  # a failed check must not leave an older model behind
         try:
             phi = f_and(self.assertions())
             phi = elim.qe(phi)
@@ -770,7 +777,6 @@ class Session:
             for v in reversed(free):
                 chain.append(elim.eliminate(v, chain[-1]))
             if not eval_ground(chain[-1]):
-                self.model = {}
                 return "unsat"
             model: Dict[str, int] = {}
             for idx, v in enumerate(free):
@@ -785,7 +791,6 @@ class Session:
             self.model = model
             return "sat"
         except Timeout:
-            self.model = {}
             return "unknown"
 
     def get_value(self, names: Sequence[str]) -> str:

@@ -5,6 +5,10 @@ The bridge is solver-agnostic: it writes `(set-logic ...)`,
 `(push 1)`, `(pop 1)`, `(reset)` and reads `sat`/`unsat`/`unknown` plus
 value lists. Integer literals are decimal, negatives as `(- n)`.
 
+`Solver` is what a search talks to: one lazily started `SolverSession`
+whose every check is a scoped push/assert/check/pop over level-0
+declarations, restarted once on a transport failure.
+
 `resolve_solver` picks yices-smt2, z3, or cvc5 from PATH and falls back to
 the bundled reference solver (`python -m hyperfind.refsolver`) so the tool
 works on machines without a mainstream solver installed.
@@ -26,7 +30,7 @@ from .logic import And, BinTerm, BoolLit, Cmp, Formula, Implies, IntLit, Not, Or
 
 DEFAULT_FEASIBILITY_TIMEOUT_MS = 5000
 DEFAULT_QUERY_TIMEOUT_MS = 60000
-DEFAULT_LOGIC = "LIA"
+LOGIC = "LIA"
 
 
 class SolverError(Exception):
@@ -91,11 +95,10 @@ def formula_to_smt(formula: Formula) -> str:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def query_script(formula: Formula, wanted: Sequence[str] = (),
-                 logic_name: str = DEFAULT_LOGIC) -> str:
+def query_script(formula: Formula, wanted: Sequence[str] = ()) -> str:
     """Complete standalone SMT-LIB2 script for one query (for --emit-smt)."""
     names = sorted(logic.free_vars(formula) | set(wanted))
-    lines = [f"(set-logic {logic_name})"]
+    lines = [f"(set-logic {LOGIC})"]
     lines += [f"(declare-const {v} Int)" for v in names]
     lines.append(f"(assert {formula_to_smt(formula)})")
     lines.append("(check-sat)")
@@ -150,10 +153,8 @@ class SolverSession:
     """One solver process with an incremental assertion stack."""
 
     def __init__(self, argv: Optional[Sequence[str]] = None,
-                 logic_name: str = DEFAULT_LOGIC,
                  timeout_ms: int = DEFAULT_QUERY_TIMEOUT_MS):
         self.argv = list(argv) if argv else resolve_solver()
-        self.logic_name = logic_name
         self.timeout_ms = timeout_ms
         self.depth = 0
         self.declared: Set[str] = set()
@@ -165,10 +166,14 @@ class SolverSession:
                 stderr=subprocess.DEVNULL, env=env)
         except OSError as exc:
             raise SolverError(f"cannot start solver {self.argv}: {exc}") from None
-        self._configure()
+        try:
+            self._configure()
+        except SolverError:
+            self.close()
+            raise
 
     def _configure(self):
-        self._send(f"(set-logic {self.logic_name})")
+        self._send(f"(set-logic {LOGIC})")
         # Only z3 and the bundled solver take :timeout (milliseconds); other
         # solvers would answer with an error line and desynchronize the pipe.
         # The Python-side deadline in check() is the real enforcement.
@@ -217,6 +222,7 @@ class SolverSession:
             self.proc.kill()
         except OSError:
             pass
+        self.proc.wait()
 
     def close(self):
         if self.proc.poll() is None:
@@ -229,6 +235,11 @@ class SolverSession:
                 self.proc.wait(timeout=1)
             except subprocess.TimeoutExpired:
                 self._kill()
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass  # unflushed bytes into a dead process; the fd is closed anyway
 
     def __enter__(self):
         return self
@@ -359,12 +370,47 @@ def _parse_int(value) -> int:
     raise SolverError(f"non-integer model value {value!r}")
 
 
-def check_sat(formula: Formula, wanted: Sequence[str] = (),
-              timeout_ms: int = DEFAULT_QUERY_TIMEOUT_MS,
-              argv: Optional[Sequence[str]] = None,
-              logic_name: str = DEFAULT_LOGIC) -> SatResult:
-    """One-shot satisfiability check in a fresh solver process."""
-    with SolverSession(argv, logic_name, timeout_ms) as session:
-        session.declare(logic.free_vars(formula) | set(wanted))
-        session.assert_formula(formula)
-        return session.check(wanted)
+class Solver:
+    """The one solver of a search.
+
+    The session starts on the first check. Every check goes through
+    `SolverSession.check_formula`, so declarations accumulate at level 0
+    and each formula lives in its own push/pop scope: path-feasibility
+    checks and per-trace queries share one process. A transport failure
+    closes the session and retries the check once on a fresh one; a second
+    failure is raised. A timed-out check leaves a killed process behind, so
+    the session is dropped and the next check starts a new one.
+    """
+
+    def __init__(self, argv: Optional[Sequence[str]] = None,
+                 timeout_ms: int = DEFAULT_QUERY_TIMEOUT_MS):
+        self.argv = argv
+        self.timeout_ms = timeout_ms
+        self.session: Optional[SolverSession] = None
+
+    def check(self, formula: Formula, wanted: Sequence[str] = (),
+              timeout_ms: Optional[int] = None) -> SatResult:
+        try:
+            result = self._session().check_formula(formula, wanted, timeout_ms)
+        except SolverError:
+            self.close()
+            result = self._session().check_formula(formula, wanted, timeout_ms)
+        if result == Unknown("timeout"):
+            self.close()
+        return result
+
+    def _session(self) -> SolverSession:
+        if self.session is None:
+            self.session = SolverSession(self.argv, self.timeout_ms)
+        return self.session
+
+    def close(self):
+        if self.session is not None:
+            self.session.close()
+            self.session = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()

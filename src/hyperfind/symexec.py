@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from . import logic, smt
-from .graph import Assign, Havoc, ProgramGraph
+from .graph import Assign, Havoc, ProgramGraph, default_step_budget
 from .logic import Formula, Term, Var
 
 
@@ -80,7 +80,6 @@ class SymTrace:
 @dataclass
 class ExploreStats:
     traces_yielded: int = 0
-    sat_calls: int = 0
     max_depth: int = 0
 
 
@@ -121,42 +120,25 @@ def _trivially_sat(formula: Formula) -> bool:
 
 
 class Feasibility:
-    """Path feasibility via a persistent solver session.
+    """Path feasibility on the search's solver.
 
     Trivially satisfiable paths (see `_trivially_sat`) are admitted without
-    a solver round trip; everything else is checked on one long-lived
-    process with push/pop around each query.
+    a solver round trip; everything else is one scoped check, cut off after
+    `timeout_ms` by the session's deadline. `solver_calls` counts the checks
+    that reached the solver.
     """
 
-    def __init__(self, argv: Optional[Sequence[str]] = None,
-                 timeout_ms: int = smt.DEFAULT_FEASIBILITY_TIMEOUT_MS,
-                 logic_name: str = smt.DEFAULT_LOGIC):
-        self.argv = argv
+    def __init__(self, solver: smt.Solver,
+                 timeout_ms: int = smt.DEFAULT_FEASIBILITY_TIMEOUT_MS):
+        self.solver = solver
         self.timeout_ms = timeout_ms
-        self.logic_name = logic_name
-        self.session: Optional[smt.SolverSession] = None
-        self.stats: Optional[ExploreStats] = None
+        self.solver_calls = 0
 
     def check(self, formula: Formula) -> smt.SatResult:
         if _trivially_sat(formula):
             return smt.Sat({})
-        if self.session is None:
-            self.session = smt.SolverSession(self.argv, self.logic_name, self.timeout_ms)
-        if self.stats is not None:
-            self.stats.sat_calls += 1
-        try:
-            return self.session.check_formula(formula)
-        except smt.SolverError:
-            # One retry on a fresh process; a dead session must not silently
-            # prune feasible paths.
-            self.session.close()
-            self.session = smt.SolverSession(self.argv, self.logic_name, self.timeout_ms)
-            return self.session.check_formula(formula)
-
-    def close(self):
-        if self.session is not None:
-            self.session.close()
-            self.session = None
+        self.solver_calls += 1
+        return self.solver.check(formula, timeout_ms=self.timeout_ms)
 
 
 def extend(graph: ProgramGraph, states: Tuple[SymState, ...], supply: FreshSupply,
@@ -217,14 +199,12 @@ class ObserveStream:
         self.supply = supply
         self.feasibility = feasibility
         self.step_budget = step_budget if step_budget is not None \
-            else 10 * n * max(len(graph.locations), 1)
+            else default_step_budget(graph, n)
         self.node_budget = node_budget
         self.incomplete = False
         self.stats = ExploreStats()
-        self._done = False
 
     def __iter__(self) -> Iterator[SymTrace]:
-        self.feasibility.stats = self.stats
         init = initial_state(self.graph)
         start_obs: Tuple[SymState, ...] = (init,) if init.loc in self.observed else ()
         queue = deque([((init,), start_obs)])
@@ -247,10 +227,6 @@ class ObserveStream:
                 new_state = ext[-1]
                 new_obs = obs + (new_state,) if new_state.loc in self.observed else obs
                 queue.append((ext, new_obs))
-        self._done = True
-
-    def collect(self) -> List[SymTrace]:
-        return list(self)
 
 
 def observe(graph: ProgramGraph, observed: FrozenSet[int], n: int,
@@ -261,18 +237,8 @@ def observe(graph: ProgramGraph, observed: FrozenSet[int], n: int,
                          step_budget, node_budget)
 
 
-def concretize(trace: SymTrace, rho: Dict[str, int]) -> List[Tuple[int, Dict[str, int]]]:
-    """Instantiate every symbolic memory of the full trace under rho."""
-    out = []
-    for state in trace.states:
-        mem = {var: logic.eval_term(term, rho) for var, term in state.mem}
-        out.append((state.loc, mem))
-    return out
-
-
-def concretize_observed(trace: SymTrace, rho: Dict[str, int]) -> List[Tuple[int, Dict[str, int]]]:
-    out = []
-    for state in trace.observed:
-        mem = {var: logic.eval_term(term, rho) for var, term in state.mem}
-        out.append((state.loc, mem))
-    return out
+def concretize(states: Sequence[SymState],
+               rho: Dict[str, int]) -> List[Tuple[int, Dict[str, int]]]:
+    """Instantiate the symbolic memory of every state under rho."""
+    return [(state.loc, {var: logic.eval_term(term, rho) for var, term in state.mem})
+            for state in states]

@@ -34,6 +34,21 @@ def solver_argv():
     return smt.resolve_solver()
 
 
+@pytest.fixture
+def sessions(monkeypatch):
+    """Every SolverSession started while the test runs, in order."""
+    from hyperfind import smt
+    started = []
+
+    class Recorded(smt.SolverSession):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(smt, "SolverSession", Recorded)
+    return started
+
+
 def input_sign_graph() -> ProgramGraph:
     """Reactive loop: havoc an input, output its sign, repeat.
 

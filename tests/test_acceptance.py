@@ -102,10 +102,10 @@ def test_acceptance_bounded_semantics_fidelity(opts, solver_argv):
     # Direct encoding at k=2: no observed traces, the conjunction is empty,
     # the bound-2 judgment is vacuously valid...
     graph = set_zero_graph()
-    feas = Feasibility(solver_argv)
+    feas = Feasibility(smt.Solver(solver_argv))
     stream = observe(graph, frozenset({1}), 2, FreshSupply(), feas)
     traces = list(stream)
-    feas.close()
+    feas.solver.close()
     assert traces == [] and not stream.incomplete
     body = Cmp(">", Var("x@p"), IntLit(0))
     encoding = encode.encode([QuantifiedTraces("forall", "p", ())], body, 2)
@@ -175,7 +175,7 @@ def _timed(fn):
 def test_acceptance_property_symbolic_concrete_equivalence(solver_argv):
     def body():
         rng = random.Random(101)
-        feas = Feasibility(solver_argv)
+        feas = Feasibility(smt.Solver(solver_argv))
         done = attempts = 0
         while done < 200 and attempts < 600:
             attempts += 1
@@ -184,7 +184,7 @@ def test_acceptance_property_symbolic_concrete_equivalence(solver_argv):
             k = rng.randint(1, 3)
             if equivalence_check(graph, obs, k, feas, solver_probe=2) is not None:
                 done += 1
-        feas.close()
+        feas.solver.close()
         assert done == 200
         return done
 

@@ -142,6 +142,38 @@ def test_combinations_count_pairs(opts):
     assert result.stats.sat_calls == sum(2 ** k for k in (1, 2, 3, 4))
 
 
+def test_search_runs_feasibility_and_queries_on_one_solver_process(opts, sessions):
+    source = """
+    prog p {
+      loop {
+        input x;
+        if (x > 0) {
+          if (x < 3) { out := x; } else { out := 0; }
+        } else {
+          out := 0;
+        }
+        observe step;
+      }
+    }
+    forall p1 in p obs {step} .
+    exists p2 in p obs {step} .
+    always (out@p1 == out@p2)
+    """
+    result = analyze_source(source, n=2, opts=opts)
+    assert isinstance(result.verdict, NoBugUpTo)
+    assert result.stats.feasibility_calls > 0 and result.stats.sat_calls > 0
+    assert len(sessions) == 1
+
+
+def test_failed_replay_is_inconclusive(opts, monkeypatch):
+    monkeypatch.setattr(concrete, "replay",
+                        lambda *args, **kwargs: concrete.ReplayResult(False, "forced"))
+    result = run_fixture("voting_buggy.hyp", 4, opts)
+    assert result.verdict == Inconclusive("replay-failed", "forced")
+    report = driver.report_dict(result)
+    assert (report["verdict"], report["reason"]) == ("inconclusive", "replay-failed")
+
+
 def test_report_dict_schema(opts):
     result = run_fixture("voting_buggy.hyp", 4, opts)
     report = driver.report_dict(result)
@@ -305,3 +337,16 @@ def test_cli_console_script_runs():
         capture_output=True, text=True)
     assert result.returncode == 1
     assert "bug found at k=1" in result.stdout
+
+
+@pytest.mark.parametrize("solver", ["/bin/false", "/nonexistent/solver-binary"])
+def test_cli_solver_failure_is_inconclusive(solver):
+    result = subprocess.run(
+        [sys.executable, "-m", "hyperfind.cli", fixture_path("gni.hyp"),
+         "--solver", solver],
+        capture_output=True, text=True)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    report = json.loads(result.stdout)
+    assert (report["verdict"], report["reason"]) == ("inconclusive", "solver-error")
+    assert report["detail"]

@@ -33,9 +33,9 @@ def test_encode_invariant_unbound_trace_variable():
 def test_encode_invariant_voting_k2(solver_argv):
     loaded = frontend.load(bench_source("voting_buggy.hyp"))
     prog = loaded.programs["buggy"]
-    feas = Feasibility(solver_argv)
+    feas = Feasibility(smt.Solver(solver_argv))
     traces = list(observe(prog.graph, prog.labels["head"], 2, FreshSupply(), feas))
-    feas.close()
+    feas.solver.close()
     body = loaded.spec.body
     inv = encode_invariant(body, 2, {"p1": traces[0], "p2": traces[0]})
     # p1 = p2 = the B,B trace with tallies (0,1),(0,1): countA=0 must equal
@@ -44,10 +44,10 @@ def test_encode_invariant_voting_k2(solver_argv):
 
 
 def setzero_traces(solver_argv, k):
-    feas = Feasibility(solver_argv)
+    feas = Feasibility(smt.Solver(solver_argv))
     stream = observe(set_zero_graph(), frozenset({1}), k, FreshSupply(), feas)
     traces = list(stream)
-    feas.close()
+    feas.solver.close()
     assert not stream.incomplete
     return traces
 
@@ -73,7 +73,7 @@ def materialized(source, k, solver_argv):
     loaded = frontend.load(bench_source(source))
     gen = driver.generalize(loaded)
     supply = FreshSupply()
-    feas = Feasibility(solver_argv)
+    feas = Feasibility(smt.Solver(solver_argv))
     sides = []
     for side, kind in ((gen.universal, "forall"), (gen.existential, "exists")):
         if side is None:
@@ -82,7 +82,7 @@ def materialized(source, k, solver_argv):
         traces = list(stream)
         assert not stream.incomplete
         sides.append((QuantifiedTraces(kind, side.trace_var, tuple(traces)), side))
-    feas.close()
+    feas.solver.close()
     return gen, sides
 
 
@@ -115,15 +115,15 @@ def test_lazy_and_naive_agree_per_bound(solver_argv):
             gen, sides = materialized(source, k, solver_argv)
             (univ, _), (exist, _) = sides
             encoding = encode.encode([q for q, _ in sides], gen.body, k)
-            naive_sat = isinstance(
-                smt.check_sat(logic.negate(encoding), argv=solver_argv), smt.Sat)
-            lazy_sat = False
-            for trace in univ.traces:
-                query = lazy_query(trace, univ.trace_var, exist.trace_var,
-                                   exist.traces, gen.body, k)
-                if isinstance(smt.check_sat(query.formula, argv=solver_argv), smt.Sat):
-                    lazy_sat = True
-                    break
+            with smt.Solver(solver_argv) as solver:
+                naive_sat = isinstance(solver.check(logic.negate(encoding)), smt.Sat)
+                lazy_sat = False
+                for trace in univ.traces:
+                    query = lazy_query(trace, univ.trace_var, exist.trace_var,
+                                       exist.traces, gen.body, k)
+                    if isinstance(solver.check(query.formula), smt.Sat):
+                        lazy_sat = True
+                        break
             assert naive_sat == lazy_sat, (source, k)
 
 
@@ -132,16 +132,16 @@ def oracle_validity(source, k, solver_argv):
     loaded = frontend.load(bench_source(source))
     gen = driver.generalize(loaded)
     supply = FreshSupply()
-    feas = Feasibility(solver_argv)
-    quantified = []
-    for side, kind in ((gen.universal, "forall"), (gen.existential, "exists")):
-        if side is None:
-            continue
-        traces = list(observe(side.graph, side.observed, k, supply, feas))
-        quantified.append(QuantifiedTraces(kind, side.trace_var, tuple(traces)))
-    feas.close()
-    encoding = encode.encode(quantified, gen.body, k, domain=(0, 1))
-    negated = smt.check_sat(logic.negate(encoding), argv=solver_argv)
+    with smt.Solver(solver_argv) as solver:
+        feas = Feasibility(solver)
+        quantified = []
+        for side, kind in ((gen.universal, "forall"), (gen.existential, "exists")):
+            if side is None:
+                continue
+            traces = list(observe(side.graph, side.observed, k, supply, feas))
+            quantified.append(QuantifiedTraces(kind, side.trace_var, tuple(traces)))
+        encoding = encode.encode(quantified, gen.body, k, domain=(0, 1))
+        negated = solver.check(logic.negate(encoding))
     valid = isinstance(negated, smt.Unsat)
 
     oracle = concrete.check_at(driver.oracle_quantifiers(loaded), loaded.spec.body,

@@ -5,7 +5,7 @@ import pytest
 from hyperfind import concrete, logic
 from hyperfind.graph import (
     Assign, Edge, Havoc, ProgramGraph, SKIP, Skip,
-    async_product, dump, reentry_transform, rename_vars, validate,
+    async_product, dump, rename_vars, validate,
 )
 from hyperfind.logic import Cmp, IntLit, Var
 
@@ -92,25 +92,6 @@ def test_rename_vars_prefixes_everything():
         if isinstance(e.effect, (Assign, Havoc)):
             assert e.effect.target.startswith("p1.")
     assert guard_vars <= {"p1.x", "p1.output"}
-
-
-def observed_memories(graph, obs, k, domain, budget=None):
-    enum = concrete.enumerate_observed(graph, obs, k, domain, budget)
-    assert enum.complete
-    return {tuple(mem for _, mem in trace) for trace in enum.observed}
-
-
-def test_reentry_transform_preserves_observed_traces():
-    rng = random.Random(41)
-    for i in range(25):
-        graph = random_graph(rng, f"g{i}", ("a", "b"))
-        obs = random_observed(rng, graph)
-        transformed = reentry_transform(graph, obs)
-        assert validate(transformed) == []
-        for k in (1, 2):
-            original = observed_memories(graph, obs, k, [0, 1], budget=40)
-            lifted = observed_memories(transformed, obs, k, [0, 1], budget=80)
-            assert original == lifted
 
 
 def split_product_trace(product, trace):

@@ -6,7 +6,7 @@ import pytest
 from hyperfind import refsolver
 from hyperfind.refsolver import (
     Eliminator, Lin, Session, atom_dvd, atom_eq, atom_le, atom_ne,
-    eval_ground, f_and, f_or, negate, parse_sexprs, run, subst_value,
+    eval_ground, f_and, f_or, negate, parse_sexprs, run, subst_value, subst_var,
 )
 
 
@@ -176,17 +176,25 @@ def test_classic_quantified_judgments():
 # Cooper elimination equivalence against brute force
 # ---------------------------------------------------------------------------
 
-def random_lin(rng, names):
+BIG = 2 ** 53  # the first integer gap of a float
+HUGE = 2 ** 70
+
+
+def random_lin(rng, names, wide=False):
+    """Coefficients in [-3, 3] and constants in [-6, 6]; `wide` draws
+    coefficients from [-9, 9] and constants of up to HUGE in magnitude."""
     coeffs = {}
     for name in names:
         if rng.random() < 0.7:
-            coeffs[name] = rng.choice([-3, -2, -1, 1, 2, 3])
-    return Lin(coeffs, rng.randint(-6, 6))
+            coeffs[name] = rng.choice([c for c in range(-9, 10) if c]) if wide \
+                else rng.choice([-3, -2, -1, 1, 2, 3])
+    const = rng.randint(-HUGE, HUGE) if wide else rng.randint(-6, 6)
+    return Lin(coeffs, const)
 
 
-def random_node(rng, names, depth=2):
+def random_node(rng, names, depth=2, wide=False):
     if depth == 0 or rng.random() < 0.45:
-        lin = random_lin(rng, names)
+        lin = random_lin(rng, names, wide)
         kind = rng.random()
         if kind < 0.45:
             return atom_le(lin)
@@ -195,7 +203,7 @@ def random_node(rng, names, depth=2):
         if kind < 0.8:
             return atom_ne(lin)
         return atom_dvd(rng.choice([2, 3, 4]), lin)
-    parts = [random_node(rng, names, depth - 1) for _ in range(rng.randint(2, 3))]
+    parts = [random_node(rng, names, depth - 1, wide) for _ in range(rng.randint(2, 3))]
     if rng.random() < 0.2:
         parts = [negate(p) for p in parts]
     return f_and(parts) if rng.random() < 0.5 else f_or(parts)
@@ -287,3 +295,80 @@ def test_timeout_returns_unknown():
         ("exists", ["y"], f_and([atom_le(Lin({"x": 97, "y": -89}, 1)),
                                  atom_dvd(64, Lin({"x": 7, "y": 3}, 1))])))
     assert session.check_sat() == "unknown"
+
+
+def session_verdict(node, names):
+    session = Session()
+    session.timeout_ms = 5000
+    session.declared = {name: "Int" for name in names}
+    session.stack[-1].append(node)
+    return session.check_sat(), session.model
+
+
+def test_session_models_are_exact_on_wide_values():
+    rng = random.Random(54)
+    sats = unknowns = 0
+    for _ in range(60):
+        node = random_node(rng, ["x", "y"], wide=True)
+        verdict, model = session_verdict(node, ["x", "y"])
+        if verdict == "sat":
+            sats += 1
+            assert eval_at(node, {"x": model.get("x", 0), "y": model.get("y", 0)})
+        elif verdict == "unknown":
+            unknowns += 1
+    assert sats >= 20
+    assert unknowns <= 3
+
+
+def test_shifting_solutions_past_float_precision_keeps_the_verdict():
+    # psi(x, y) = phi(x - s, y - t) has the solutions of phi moved by
+    # |s|, |t| in [BIG, HUGE]: the same verdict, and models far from zero.
+    rng = random.Random(55)
+    for _ in range(60):
+        node = random_node(rng, ["x", "y"])
+        s, t = rng.randint(BIG, HUGE), -rng.randint(BIG, HUGE)
+        shifted = subst_var(subst_var(node, "x", Lin({"x": 1}, -s)), "y", Lin({"y": 1}, -t))
+        verdict, _ = session_verdict(node, ["x", "y"])
+        shifted_verdict, model = session_verdict(shifted, ["x", "y"])
+        assert shifted_verdict == verdict, node
+        if verdict == "sat":
+            assert eval_at(shifted, {"x": model.get("x", 0), "y": model.get("y", 0)})
+            assert eval_at(node, {"x": model.get("x", 0) - s, "y": model.get("y", 0) - t})
+
+
+def test_literal_beyond_float_precision():
+    out = drive("""
+(declare-const x Int)
+(assert (= x 12345678901234567891))
+(check-sat)
+(get-value (x))
+(exit)
+""")
+    assert out.splitlines() == ["sat", "((x 12345678901234567891))"]
+
+
+def test_failed_check_leaves_no_stale_model(monkeypatch):
+    session = Session()
+    session.declared = {"x": "Int"}
+    session.stack[-1].append(atom_eq(Lin({"x": 1}, -4)))
+    assert session.check_sat() == "sat"
+    assert session.get_value(["x"]) == "((x 4))"
+    monkeypatch.setattr(refsolver, "solve_single", lambda node, var: None)
+    with pytest.raises(refsolver.SolverInputError, match="model construction"):
+        session.check_sat()
+    assert session.get_value(["x"]) == "((x 0))"
+
+
+def test_binder_does_not_undeclare_a_shadowed_constant():
+    out = drive("""
+(declare-const x Int)
+(push 1)
+(assert (forall ((x Int)) (or (< x 0) (>= x 0))))
+(check-sat)
+(pop 1)
+(assert (= x 3))
+(check-sat)
+(get-value (x))
+(exit)
+""")
+    assert out.splitlines() == ["sat", "sat", "((x 3))"]

@@ -1,13 +1,15 @@
 import random
+import sys
 
 import pytest
 
 from hyperfind import logic, smt
 from hyperfind.logic import And, BoolLit, Cmp, Implies, IntLit, Not, Or, Quant, Var
 from hyperfind.smt import (
-    Sat, SolverContractError, SolverSession, Unknown, Unsat,
-    check_sat, formula_to_smt, term_to_smt,
+    Sat, Solver, SolverContractError, SolverError, SolverSession, Unknown, Unsat,
+    formula_to_smt, term_to_smt,
 )
+from hyperfind.symexec import Feasibility
 
 from conftest import random_formula
 
@@ -121,21 +123,21 @@ def test_negative_literals_serialized_with_minus():
 
 def test_check_sat_examples(solver_argv):
     v0 = Var("v!0")
-    result = check_sat(logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(2))]),
-                       wanted=["v!0"], argv=solver_argv)
-    assert result == Sat({"v!0": 1})
+    with Solver(solver_argv) as solver:
+        result = solver.check(
+            logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(2))]), wanted=["v!0"])
+        assert result == Sat({"v!0": 1})
 
-    result = check_sat(logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(1))]),
-                       argv=solver_argv)
-    assert isinstance(result, Unsat)
+        result = solver.check(logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(1))]))
+        assert isinstance(result, Unsat)
 
-    quantified = Quant("forall", ("v!1",), Not(Cmp("=", Var("v!1"), v0)))
-    assert isinstance(check_sat(quantified, wanted=["v!0"], argv=solver_argv), Unsat)
+        quantified = Quant("forall", ("v!1",), Not(Cmp("=", Var("v!1"), v0)))
+        assert isinstance(solver.check(quantified, wanted=["v!0"]), Unsat)
 
 
 def test_model_completion_defaults_to_zero(solver_argv):
-    result = check_sat(Cmp(">", Var("v!0"), IntLit(5)),
-                       wanted=["v!0", "v!9"], argv=solver_argv)
+    with Solver(solver_argv) as solver:
+        result = solver.check(Cmp(">", Var("v!0"), IntLit(5)), wanted=["v!0", "v!9"])
     assert isinstance(result, Sat)
     assert result.model["v!9"] == 0
     assert result.model["v!0"] > 5
@@ -216,3 +218,60 @@ def test_resolve_solver_falls_back_to_bundled():
     assert argv  # some solver is always available
     joined = " ".join(argv)
     assert any(s in joined for s in ("yices", "z3", "cvc5", "refsolver"))
+
+
+# ---------------------------------------------------------------------------
+# Solver: one lazily started session, one restart
+# ---------------------------------------------------------------------------
+
+POSITIVE = Cmp(">", Var("v!0"), IntLit(0))
+
+
+def test_solver_starts_no_process_before_the_first_check(solver_argv, sessions):
+    with Solver(solver_argv) as solver:
+        assert solver.session is None and sessions == []
+        assert isinstance(solver.check(POSITIVE), Sat)
+        assert len(sessions) == 1
+    assert solver.session is None
+    assert sessions[0].proc.poll() is not None
+
+
+def test_solver_restarts_a_killed_session_once(solver_argv, sessions):
+    with Solver(solver_argv) as solver:
+        solver.check(POSITIVE)
+        sessions[0].proc.kill()
+        result = solver.check(Cmp("=", Var("v!0"), IntLit(7)), wanted=["v!0"])
+        assert result == Sat({"v!0": 7})
+        assert len(sessions) == 2 and solver.session is sessions[1]
+
+
+def test_solver_raises_after_two_failures_in_a_row(sessions):
+    exits_at_once = [sys.executable, "-c", "pass"]
+    with Solver(exits_at_once) as solver:
+        with pytest.raises(SolverError):
+            solver.check(POSITIVE)
+    assert len(sessions) == 2
+
+
+def test_solver_replaces_a_timed_out_session(solver_argv, sessions):
+    with Solver(solver_argv) as solver:
+        assert solver.check(POSITIVE, timeout_ms=0) == Unknown("timeout")
+        assert solver.session is None
+        assert isinstance(solver.check(POSITIVE), Sat)
+        assert len(sessions) == 2
+
+
+def test_feasibility_and_queries_share_one_session(solver_argv, sessions):
+    v0 = Var("v!0")
+    with Solver(solver_argv) as solver:
+        feas = Feasibility(solver)
+        narrow = logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(3))])
+        assert isinstance(feas.check(narrow), Sat)
+        # The query's binder shadows the constant v!0 that the feasibility
+        # check declared; the declaration must outlive the query.
+        query = Quant("forall", ("v!0",), Cmp("!=", v0, Var("v!1")))
+        assert isinstance(solver.check(query, wanted=["v!1"]), Unsat)
+        empty = logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(1))])
+        assert isinstance(feas.check(empty), Unsat)
+        assert feas.solver_calls == 2
+    assert len(sessions) == 1

@@ -6,8 +6,7 @@ import pytest
 from hyperfind import concrete, frontend, logic, smt, symexec
 from hyperfind.logic import BoolLit, Cmp, IntLit, Var
 from hyperfind.symexec import (
-    Feasibility, FreshSupply, concretize, concretize_observed, extend,
-    initial_state, observe,
+    Feasibility, FreshSupply, concretize, extend, initial_state, observe,
 )
 
 from conftest import (
@@ -18,9 +17,8 @@ from conftest import (
 
 @pytest.fixture(scope="module")
 def feas(solver_argv):
-    handle = Feasibility(solver_argv)
-    yield handle
-    handle.close()
+    with smt.Solver(solver_argv) as solver:
+        yield Feasibility(solver)
 
 
 def test_extend_single_havoc_edge(feas):
@@ -138,14 +136,14 @@ def test_concretize_io_trace(feas):
     traces = list(stream)
     positive = [t for t in traces if t.path == Cmp(">", Var("v!0"), IntLit(0))]
     assert len(positive) == 1
-    concrete_trace = concretize(positive[0], {"v!0": 1})
+    concrete_trace = concretize(positive[0].states, {"v!0": 1})
     assert concrete_trace[-1] == (0, {"x": 1, "output": 1})
 
 
 def test_concretize_initial_identity(feas):
     graph = input_sign_graph()
     trace = symexec.SymTrace((initial_state(graph),), (initial_state(graph),))
-    assert concretize(trace, {}) == [(0, {"x": 0, "output": 0})]
+    assert concretize(trace.states, {}) == [(0, {"x": 0, "output": 0})]
 
 
 def test_concretize_unbound_fresh_variable_errors(feas):
@@ -154,7 +152,7 @@ def test_concretize_unbound_fresh_variable_errors(feas):
     stream = observe(graph, frozenset({0}), 2, supply, feas)
     trace = list(stream)[0]  # past one havoc, so the memory mentions v!0
     with pytest.raises(logic.EvalError):
-        concretize(trace, {})
+        concretize(trace.states, {})
 
 
 def test_trivially_sat_filter_is_conservative():
@@ -175,7 +173,7 @@ def symbolic_concretization_set(trace, domain):
     out = set()
     for rho in all_assignments(names, domain):
         if logic.eval_formula(trace.path, rho):
-            observed = concretize_observed(trace, rho)
+            observed = concretize(trace.observed, rho)
             out.add(tuple((loc, tuple(sorted(mem.items()))) for loc, mem in observed))
     return out
 
