@@ -26,8 +26,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-observations", type=int, default=10, metavar="N")
     parser.add_argument("--step-budget", type=int, default=None, metavar="N")
     parser.add_argument("--solver", default=None, metavar="PATH",
-                        help="SMT solver binary (default: yices-smt2/z3/cvc5 from "
-                             "PATH, else the bundled reference solver)")
+                        help="SMT solver binary, run as a child process that a "
+                             "timeout kills (default: yices-smt2/z3/cvc5 from PATH, "
+                             "else the bundled reference solver in this process, "
+                             "with a cooperative timeout; "
+                             "--solver $(command -v hyperfind-smt) runs it as a child)")
     parser.add_argument("--timeout-ms", type=int, default=smt.DEFAULT_QUERY_TIMEOUT_MS,
                         metavar="N", help="per-query solver timeout")
     parser.add_argument("--feas-timeout-ms", type=int,

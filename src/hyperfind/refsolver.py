@@ -2,9 +2,14 @@
 
 A self-contained decision procedure (Cooper-style quantifier elimination
 with a unit-coefficient equality fast path) wrapped in an SMT-LIB2 command
-loop, meant to run as a subprocess: `python -m hyperfind.refsolver`. It
-understands the command and term subset the solver bridge emits plus a few
-conveniences (push/pop with counts, reset, set-option :timeout).
+loop. By default the solver bridge (`smt.InProcessSession`) runs it in the
+caller's process, feeding each command through `parse_sexprs` and
+`dispatch`; its `:timeout` is then cooperative, checked by
+`Eliminator.tick`. As a stand-alone process (`hyperfind-smt`, or
+`python -m hyperfind.refsolver`) it reads commands on stdin, and the bridge
+can kill it like any other solver. It understands the command and term
+subset the solver bridge emits plus a few conveniences (push/pop with
+counts, reset, set-option :timeout).
 
 It is deliberately independent of the rest of the package: terms are kept
 in a linear normal form of its own, so the bridge's serializer is exercised

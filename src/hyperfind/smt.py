@@ -1,17 +1,23 @@
-"""Bridge to an external SMT solver process over the SMT-LIB2 wire format.
+"""Bridge to an SMT solver over the SMT-LIB2 wire format.
 
 The bridge is solver-agnostic: it writes `(set-logic ...)`,
 `(declare-const v Int)`, `(assert ...)`, `(check-sat)`, `(get-value (...))`,
 `(push 1)`, `(pop 1)`, `(reset)` and reads `sat`/`unsat`/`unknown` plus
 value lists. Integer literals are decimal, negatives as `(- n)`.
 
-`Solver` is what a search talks to: one lazily started `SolverSession`
-whose every check is a scoped push/assert/check/pop over level-0
-declarations, restarted once on a transport failure.
+`Solver` is what a search talks to: one lazily started session whose every
+check is a scoped push/assert/check/pop over level-0 declarations,
+restarted once on a failure.
 
 `resolve_solver` picks yices-smt2, z3, or cvc5 from PATH and falls back to
-the bundled reference solver (`python -m hyperfind.refsolver`) so the tool
-works on machines without a mainstream solver installed.
+the bundled reference solver (`hyperfind.refsolver`) so the tool works on
+machines without a mainstream solver installed. The bundled solver runs in
+this process (`InProcessSession`): the same SMT-LIB text goes to its command
+loop without a pipe, and its timeout is cooperative, checked between
+elimination steps. Every other solver is a child process on a pipe
+(`SolverSession`) that a deadline hard-kills. To run the bundled solver as
+an isolated, killable process, name it as the solver:
+`--solver $(command -v hyperfind-smt)`.
 """
 
 from __future__ import annotations
@@ -122,27 +128,21 @@ def _argv_for(path: str) -> List[str]:
     return [path]
 
 
+# The fallback argv. `Solver` runs it in-process; spelled any other way (for
+# example as the `hyperfind-smt` script) the bundled solver is a child.
+BUNDLED_SOLVER = (sys.executable, "-m", "hyperfind.refsolver")
+
+
 def resolve_solver(path: Optional[str] = None) -> List[str]:
-    """Argument vector for the solver subprocess."""
+    """Argument vector of the solver: the given path, else the first of
+    yices-smt2/z3/cvc5 on PATH, else `BUNDLED_SOLVER`."""
     if path:
         return _argv_for(path)
     for candidate in ("yices-smt2", "z3", "cvc5"):
         found = shutil.which(candidate)
         if found:
             return _argv_for(found)
-    return [sys.executable, "-m", "hyperfind.refsolver"]
-
-
-def _bundled_solver_env() -> Dict[str, str]:
-    """Environment for the bundled solver: make this package importable by
-    the child interpreter even when running from an uninstalled checkout."""
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if package_root not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (package_root + os.pathsep + existing) if existing \
-            else package_root
-    return env
+    return list(BUNDLED_SOLVER)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def _bundled_solver_env() -> Dict[str, str]:
 # ---------------------------------------------------------------------------
 
 class SolverSession:
-    """One solver process with an incremental assertion stack."""
+    """One solver child process with an incremental assertion stack."""
 
     def __init__(self, argv: Optional[Sequence[str]] = None,
                  timeout_ms: int = DEFAULT_QUERY_TIMEOUT_MS):
@@ -159,11 +159,10 @@ class SolverSession:
         self.depth = 0
         self.declared: Set[str] = set()
         self._buffer = b""
-        env = _bundled_solver_env() if "hyperfind.refsolver" in " ".join(self.argv) else None
         try:
             self.proc = subprocess.Popen(
                 self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL, env=env)
+                stderr=subprocess.DEVNULL)
         except OSError as exc:
             raise SolverError(f"cannot start solver {self.argv}: {exc}") from None
         try:
@@ -370,23 +369,80 @@ def _parse_int(value) -> int:
     raise SolverError(f"non-integer model value {value!r}")
 
 
+class InProcessSession:
+    """The bundled solver in this process, behind `SolverSession.check_formula`.
+
+    Each check sends the same SMT-LIB text a pipe would carry, command by
+    command, through `refsolver.parse_sexprs` and `refsolver.dispatch`, so
+    the serializer is still read by the solver's own reader. The check's
+    timeout becomes the solver's cooperative deadline, and its `unknown`
+    (the only one it gives) is a timeout. Any exception the solver raises is
+    a `SolverError`, as a crashed child would be.
+    """
+
+    def __init__(self, timeout_ms: int = DEFAULT_QUERY_TIMEOUT_MS):
+        # Imported here, on the first check, so that importing this module
+        # does not pay for the solver.
+        from . import refsolver
+        self._refsolver = refsolver
+        self.session = refsolver.Session()
+        self.timeout_ms = timeout_ms
+        self.declared: Set[str] = set()
+
+    def _send(self, command: str) -> Optional[str]:
+        refsolver = self._refsolver
+        try:
+            (parsed,) = refsolver.parse_sexprs(command)
+            return refsolver.dispatch(self.session, parsed)
+        except Exception as exc:  # solver bug or resource limit: fail the check, not the search
+            raise SolverError(f"bundled solver failed: {type(exc).__name__}: {exc}") from None
+
+    def check_formula(self, formula: Formula, wanted: Sequence[str] = (),
+                      timeout_ms: Optional[int] = None) -> SatResult:
+        """push; declare+assert formula; check; pop."""
+        wanted = sorted(set(wanted))
+        for name in sorted((logic.free_vars(formula) | set(wanted)) - self.declared):
+            self._send(f"(declare-const {name} Int)")
+            self.declared.add(name)
+        self.session.timeout_ms = timeout_ms if timeout_ms is not None else self.timeout_ms
+        self._send("(push 1)")
+        try:
+            self._send(f"(assert {formula_to_smt(formula)})")
+            answer = self._send("(check-sat)")
+            if answer == "unsat":
+                return Unsat()
+            if answer == "unknown":
+                return Unknown("timeout")
+            model = _parse_values(self._send("(get-value (" + " ".join(wanted) + "))")) \
+                if wanted else {}
+            for name in wanted:
+                model.setdefault(name, 0)
+            return Sat(model)
+        finally:
+            self._send("(pop 1)")
+
+    def close(self):
+        """Nothing to release: the solver's state is dropped with this object."""
+
+
 class Solver:
     """The one solver of a search.
 
-    The session starts on the first check. Every check goes through
-    `SolverSession.check_formula`, so declarations accumulate at level 0
-    and each formula lives in its own push/pop scope: path-feasibility
-    checks and per-trace queries share one process. A transport failure
-    closes the session and retries the check once on a fresh one; a second
-    failure is raised. A timed-out check leaves a killed process behind, so
-    the session is dropped and the next check starts a new one.
+    The session starts on the first check: an `InProcessSession` when the
+    solver is `BUNDLED_SOLVER`, else a `SolverSession` child process. Every
+    check goes through the session's `check_formula`, so declarations
+    accumulate at level 0 and each formula lives in its own push/pop scope:
+    path-feasibility checks and per-trace queries share one session. A
+    failure closes the session and retries the check once on a fresh one; a
+    second failure is raised. A timed-out check drops the session (a child
+    has been killed by then), and the next check starts a new one.
     """
 
     def __init__(self, argv: Optional[Sequence[str]] = None,
                  timeout_ms: int = DEFAULT_QUERY_TIMEOUT_MS):
         self.argv = argv
         self.timeout_ms = timeout_ms
-        self.session: Optional[SolverSession] = None
+        self.session: Optional[Union[SolverSession, InProcessSession]] = None
 
     def check(self, formula: Formula, wanted: Sequence[str] = (),
               timeout_ms: Optional[int] = None) -> SatResult:
@@ -399,9 +455,13 @@ class Solver:
             self.close()
         return result
 
-    def _session(self) -> SolverSession:
+    def _session(self) -> Union[SolverSession, InProcessSession]:
         if self.session is None:
-            self.session = SolverSession(self.argv, self.timeout_ms)
+            argv = list(self.argv) if self.argv else resolve_solver()
+            if argv == list(BUNDLED_SOLVER):
+                self.session = InProcessSession(self.timeout_ms)
+            else:
+                self.session = SolverSession(argv, self.timeout_ms)
         return self.session
 
     def close(self):

@@ -11,8 +11,8 @@ import pytest
 
 _SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, _SRC)
-# Subprocesses (the bundled solver, CLI invocations under test) must also
-# see the package when running from an uninstalled checkout.
+# Subprocesses (a bundled solver started as a child, CLI invocations under
+# test) must also see the package when running from an uninstalled checkout.
 if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
     os.environ["PYTHONPATH"] = _SRC + os.pathsep + os.environ.get("PYTHONPATH", "")
 
@@ -32,6 +32,14 @@ def bench_source(name: str) -> str:
 def solver_argv():
     from hyperfind import smt
     return smt.resolve_solver()
+
+
+@pytest.fixture(scope="session")
+def process_argv():
+    """The bundled solver spelled so that `smt.Solver` starts it as a child
+    process, as it does any external solver, instead of in-process."""
+    return [sys.executable, "-c",
+            "import sys; from hyperfind.refsolver import main; sys.exit(main())"]
 
 
 @pytest.fixture

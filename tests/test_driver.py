@@ -142,8 +142,7 @@ def test_combinations_count_pairs(opts):
     assert result.stats.sat_calls == sum(2 ** k for k in (1, 2, 3, 4))
 
 
-def test_search_runs_feasibility_and_queries_on_one_solver_process(opts, sessions):
-    source = """
+ONE_LOOP = """
     prog p {
       loop {
         input x;
@@ -159,10 +158,61 @@ def test_search_runs_feasibility_and_queries_on_one_solver_process(opts, session
     exists p2 in p obs {step} .
     always (out@p1 == out@p2)
     """
-    result = analyze_source(source, n=2, opts=opts)
+
+
+def test_search_runs_feasibility_and_queries_on_one_solver_process(process_argv, sessions):
+    result = analyze_source(ONE_LOOP, n=2, opts=SearchOptions(solver_argv=process_argv))
     assert isinstance(result.verdict, NoBugUpTo)
     assert result.stats.feasibility_calls > 0 and result.stats.sat_calls > 0
     assert len(sessions) == 1
+
+
+@pytest.fixture
+def no_solver_on_path(monkeypatch):
+    """Make `smt.resolve_solver` fall back to the bundled solver."""
+    monkeypatch.setattr(smt.shutil, "which", lambda name: None)
+
+
+def test_default_search_starts_no_process(no_solver_on_path, sessions):
+    result = analyze_source(ONE_LOOP, n=2)
+    assert isinstance(result.verdict, NoBugUpTo)
+    assert result.stats.feasibility_calls > 0 and result.stats.sat_calls > 0
+    assert sessions == []
+
+
+def test_in_process_and_child_solver_agree_on_the_manifest(process_argv, sessions):
+    with open(os.path.join(BENCH_DIR, "manifest.json")) as handle:
+        manifest = json.load(handle)
+    backends = {"in-process": SearchOptions(solver_argv=smt.BUNDLED_SOLVER),
+                "child": SearchOptions(solver_argv=process_argv)}
+    for entry in manifest:
+        runs = {}
+        for backend, backend_opts in backends.items():
+            result = run_fixture(entry["file"], entry["max_observations"], backend_opts)
+            stats = result.stats
+            # Verdicts compare in full: k, and the counterexample's trace,
+            # model, concrete runs and explanation.
+            runs[backend] = (result.verdict, stats.combinations, stats.sat_calls,
+                             stats.feasibility_calls)
+        assert runs["in-process"] == runs["child"], entry["name"]
+    assert len(sessions) == len(manifest)
+
+
+@pytest.mark.parametrize("error", [RecursionError, ZeroDivisionError, KeyError])
+def test_cli_in_process_solver_exception_is_inconclusive(
+        no_solver_on_path, monkeypatch, capsys, error):
+    from hyperfind import refsolver
+
+    def fail(self):
+        raise error("injected")
+    monkeypatch.setattr(refsolver.Session, "check_sat", fail)
+    code = cli_main([fixture_path("gni.hyp")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert (report["verdict"], report["reason"]) == ("inconclusive", "solver-error")
+    assert error.__name__ in report["detail"]
 
 
 def test_failed_replay_is_inconclusive(opts, monkeypatch):

@@ -1,5 +1,7 @@
 import random
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -227,8 +229,8 @@ def test_resolve_solver_falls_back_to_bundled():
 POSITIVE = Cmp(">", Var("v!0"), IntLit(0))
 
 
-def test_solver_starts_no_process_before_the_first_check(solver_argv, sessions):
-    with Solver(solver_argv) as solver:
+def test_solver_starts_no_process_before_the_first_check(process_argv, sessions):
+    with Solver(process_argv) as solver:
         assert solver.session is None and sessions == []
         assert isinstance(solver.check(POSITIVE), Sat)
         assert len(sessions) == 1
@@ -236,8 +238,8 @@ def test_solver_starts_no_process_before_the_first_check(solver_argv, sessions):
     assert sessions[0].proc.poll() is not None
 
 
-def test_solver_restarts_a_killed_session_once(solver_argv, sessions):
-    with Solver(solver_argv) as solver:
+def test_solver_restarts_a_killed_session_once(process_argv, sessions):
+    with Solver(process_argv) as solver:
         solver.check(POSITIVE)
         sessions[0].proc.kill()
         result = solver.check(Cmp("=", Var("v!0"), IntLit(7)), wanted=["v!0"])
@@ -253,25 +255,75 @@ def test_solver_raises_after_two_failures_in_a_row(sessions):
     assert len(sessions) == 2
 
 
-def test_solver_replaces_a_timed_out_session(solver_argv, sessions):
-    with Solver(solver_argv) as solver:
+def test_solver_replaces_a_timed_out_session(process_argv, sessions):
+    with Solver(process_argv) as solver:
         assert solver.check(POSITIVE, timeout_ms=0) == Unknown("timeout")
         assert solver.session is None
         assert isinstance(solver.check(POSITIVE), Sat)
         assert len(sessions) == 2
 
 
-def test_feasibility_and_queries_share_one_session(solver_argv, sessions):
+def feasibility_then_query(solver):
+    """Feasibility checks around a query on one solver; returns the
+    `Feasibility` so that the caller can read its counter."""
     v0 = Var("v!0")
-    with Solver(solver_argv) as solver:
-        feas = Feasibility(solver)
-        narrow = logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(3))])
-        assert isinstance(feas.check(narrow), Sat)
-        # The query's binder shadows the constant v!0 that the feasibility
-        # check declared; the declaration must outlive the query.
-        query = Quant("forall", ("v!0",), Cmp("!=", v0, Var("v!1")))
-        assert isinstance(solver.check(query, wanted=["v!1"]), Unsat)
-        empty = logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(1))])
-        assert isinstance(feas.check(empty), Unsat)
-        assert feas.solver_calls == 2
+    feas = Feasibility(solver)
+    narrow = logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(3))])
+    assert isinstance(feas.check(narrow), Sat)
+    # The query's binder shadows the constant v!0 that the feasibility
+    # check declared; the declaration must outlive the query.
+    query = Quant("forall", ("v!0",), Cmp("!=", v0, Var("v!1")))
+    assert isinstance(solver.check(query, wanted=["v!1"]), Unsat)
+    empty = logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(1))])
+    assert isinstance(feas.check(empty), Unsat)
+    return feas
+
+
+def test_feasibility_and_queries_share_one_session(process_argv, sessions):
+    with Solver(process_argv) as solver:
+        assert feasibility_then_query(solver).solver_calls == 2
     assert len(sessions) == 1
+
+
+# ---------------------------------------------------------------------------
+# The bundled solver in-process
+# ---------------------------------------------------------------------------
+
+def test_bundled_solver_runs_in_process(sessions):
+    with Solver(smt.BUNDLED_SOLVER) as solver:
+        first = solver._session()
+        assert isinstance(first, smt.InProcessSession)
+        assert feasibility_then_query(solver).solver_calls == 2
+        assert solver.session is first
+    assert solver.session is None
+    assert sessions == []
+
+
+def test_importing_the_bridge_does_not_import_the_bundled_solver():
+    code = ("import sys; from hyperfind import driver, smt; smt.resolve_solver(); "
+            "sys.exit('hyperfind.refsolver' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+# 9007199254740993 = 2^53 + 1: Cooper's elimination of y enumerates that
+# many disjuncts, so the check runs until its deadline (x = 2^53 + 1, y = 2
+# is a model).
+BIG = IntLit(9007199254740993)
+SLOW = logic.conj([
+    Cmp("<=", logic.mul(BIG, Var("y")), logic.mul(IntLit(2), Var("x"))),
+    Cmp(">", logic.mul(BIG, Var("y")), logic.sub(logic.mul(IntLit(2), Var("x")), IntLit(3))),
+    Cmp(">", Var("x"), IntLit(5)),
+])
+
+
+@pytest.mark.parametrize("timeout_ms", [0, 200])
+def test_in_process_timeout_answers_unknown(timeout_ms):
+    with Solver(smt.BUNDLED_SOLVER) as solver:
+        started = time.monotonic()
+        result = solver.check(SLOW, wanted=["x", "y"], timeout_ms=timeout_ms)
+        elapsed_ms = 1000.0 * (time.monotonic() - started)
+        assert result == Unknown("timeout")
+        assert solver.session is None
+    # The deadline is cooperative: it is checked between elimination steps.
+    assert elapsed_ms < timeout_ms + 100
+    assert elapsed_ms >= timeout_ms
