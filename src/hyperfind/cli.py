@@ -37,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=smt.DEFAULT_FEASIBILITY_TIMEOUT_MS, metavar="N",
                         help="per-feasibility-check solver timeout")
     parser.add_argument("--emit-smt", default=None, metavar="DIR",
-                        help="dump every solver query into DIR before solving")
+                        help="dump every solver query into DIR before solving, "
+                             "its provenance in a leading comment")
     parser.add_argument("--oracle", action="store_true",
                         help="run the finite-domain concrete oracle instead of "
                              "the symbolic search")

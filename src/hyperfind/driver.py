@@ -149,13 +149,15 @@ class SearchOptions:
 
 
 def _emit_query(opts: SearchOptions, name: str, formula: Formula,
-                wanted: Sequence[str]) -> None:
+                wanted: Sequence[str], provenance: str) -> None:
+    """Write the query as a standalone script, its provenance in a leading
+    comment line."""
     if not opts.emit_smt_dir:
         return
     os.makedirs(opts.emit_smt_dir, exist_ok=True)
     path = os.path.join(opts.emit_smt_dir, name)
     with open(path, "w") as handle:
-        handle.write(smt.query_script(formula, wanted))
+        handle.write(f"; {provenance}\n" + smt.query_script(formula, wanted))
 
 
 def _materialize(side: QuantSide, k: int, supply: FreshSupply, feas: Feasibility,
@@ -201,12 +203,15 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
     unknown_seen = False
     for k in range(1, n + 1):
         etraces: List[SymTrace] = []
+        existential = None
         if gen.existential is not None:
             etraces, incomplete = _materialize(gen.existential, k, supply, feas, opts)
             if incomplete:
                 # The "no matching trace" side must be complete for any
                 # query at this or any larger bound to be trustworthy.
                 return Inconclusive("budget")
+            existential = encode.prepare_existential(
+                gen.existential.trace_var, etraces, gen.body, k, opts.domain)
 
         stream = symexec.observe(gen.universal.graph, gen.universal.observed,
                                  k, supply, feas, opts.step_budget,
@@ -215,12 +220,10 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
         for trace in stream:
             index += 1
             query = encode.lazy_query(
-                trace, gen.universal.trace_var,
-                gen.existential.trace_var if gen.existential else None,
-                etraces, gen.body, k, domain=opts.domain,
-                provenance=f"k={k} universal-trace={index}")
+                trace, gen.universal.trace_var, existential, gen.body, k,
+                domain=opts.domain, provenance=f"k={k} universal-trace={index}")
             _emit_query(opts, f"query_k{k}_{index:04d}.smt2",
-                        query.formula, query.free_vars)
+                        query.formula, query.free_vars, query.provenance)
             stats.sat_calls += 1
             stats.combinations += max(1, len(etraces)) if gen.existential else 1
             result = solver.check(query.formula, query.free_vars)
@@ -255,7 +258,7 @@ def _naive(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver
                 "exists", gen.existential.trace_var, tuple(etraces)))
         encoding = encode.encode(quantified, gen.body, k, domain=opts.domain)
         negated = logic.negate(encoding)
-        _emit_query(opts, f"naive_k{k}.smt2", negated, ())
+        _emit_query(opts, f"naive_k{k}.smt2", negated, (), f"naive k={k}")
         stats.sat_calls += 1
         stats.combinations += 1
         result = solver.check(negated)
@@ -332,6 +335,7 @@ def report_dict(result: SearchResult) -> dict:
         "stats": {
             "combinations": result.stats.combinations,
             "sat_calls": result.stats.sat_calls,
+            "feasibility_calls": result.stats.feasibility_calls,
             "wall_ms": round(result.stats.wall_ms, 3),
         },
     }

@@ -11,15 +11,27 @@ trace's symbolic memory term for `x`.
 universal path constraint conjoined with "no existential trace matches";
 its free variables are exactly the universal trace's fresh variables, so a
 model concretizes directly into a counterexample trace.
+
+Everything in that query that depends on one existential trace alone is
+prepared once per bound k by `prepare_existential`: the trace's fresh
+variables, its path conjoined with the domain constraint, and the terms
+its memories give the body's existential variables; the checks that the
+trace can be bound in the body run there too. Per observation index,
+existential traces whose memories give those variables equal terms share
+one instantiation of the body. A query then substitutes the universal
+trace's memory into the body once per index and the existential memories
+once per such class, not once per (trace, index) pair. A trace with an
+instantiation that folds to false has a block that folds to true, so the
+query never builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import logic
-from .logic import Formula
+from .logic import Formula, Term
 from .symexec import SymTrace
 
 
@@ -38,6 +50,18 @@ def _body_slots(body: Formula) -> List[Tuple[str, str, str]]:
     return slots
 
 
+def _image(trace: SymTrace, trace_var: str, var: str, i: int) -> Term:
+    """The term that `trace`, bound to `trace_var`, gives `var` at observation i."""
+    if len(trace.observed) <= i:
+        raise EncodingError(
+            f"trace bound to {trace_var!r} has fewer than {i + 1} observations")
+    memory = trace.observed[i].memory()
+    if var not in memory:
+        raise EncodingError(
+            f"program bound to {trace_var!r} has no variable {var!r}")
+    return memory[var]
+
+
 def encode_invariant(body: Formula, k: int, binding: Dict[str, SymTrace]) -> Formula:
     """Conjunction over observation indices 0..k-1 of the instantiated body."""
     slots = _body_slots(body)
@@ -47,15 +71,7 @@ def encode_invariant(body: Formula, k: int, binding: Dict[str, SymTrace]) -> For
         for name, var, trace_var in slots:
             if trace_var not in binding:
                 raise EncodingError(f"trace variable {trace_var!r} is not bound")
-            trace = binding[trace_var]
-            if len(trace.observed) <= i:
-                raise EncodingError(
-                    f"trace bound to {trace_var!r} has fewer than {i + 1} observations")
-            memory = trace.observed[i].memory()
-            if var not in memory:
-                raise EncodingError(
-                    f"program bound to {trace_var!r} has no variable {var!r}")
-            sigma[name] = memory[var]
+            sigma[name] = _image(binding[trace_var], trace_var, var, i)
         conjuncts.append(logic.substitute(body, sigma))
     return logic.conj(conjuncts)
 
@@ -113,9 +129,90 @@ class EncodedQuery:
     explanation: Formula  # the "no matching trace" part
 
 
+class ExistentialSide(NamedTuple):
+    """The existential traces of one bound, prepared for every lazy query
+    with the same body, bound k and domain.
+
+    Per trace, `blocks` holds its fresh variables, its scope (path and
+    domain constraint) and, per observation index i, the class of its
+    memory there: `sigmas[i][c]` maps the body's existential variables to
+    the terms that every trace of class c gives them at index i, and
+    `members[i][c]` has bit t set for each trace t of that class.
+    """
+    trace_var: str
+    body: Formula
+    k: int
+    domain: Optional[Tuple[int, int]]
+    blocks: Tuple[Tuple[Tuple[str, ...], Formula, Tuple[int, ...]], ...]
+    sigmas: Tuple[Tuple[Dict[str, Term], ...], ...]
+    members: Tuple[Tuple[int, ...], ...]
+
+
+def prepare_existential(trace_var: str, traces: Sequence[SymTrace],
+                        body: Formula, k: int,
+                        domain: Optional[Tuple[int, int]] = None) -> ExistentialSide:
+    """The part of every bound-k lazy query that depends on the existential
+    traces alone: built once per bound from the complete trace list."""
+    blocks = []
+    classes: List[Dict[Tuple[Term, ...], int]] = [{} for _ in range(k)]
+    sigmas: List[List[Dict[str, Term]]] = [[] for _ in range(k)]
+    members: List[List[int]] = [[] for _ in range(k)]
+    # With no trace there is no pair to encode and nothing to check.
+    own = ([(name, var) for name, var, tv in _body_slots(body) if tv == trace_var]
+           if traces else [])
+    for t, trace in enumerate(traces):
+        trace_classes = []
+        for i in range(k):
+            sigma = {name: _image(trace, trace_var, var, i) for name, var in own}
+            c = classes[i].setdefault(tuple(sigma.values()), len(sigmas[i]))
+            if c == len(sigmas[i]):
+                sigmas[i].append(sigma)
+                members[i].append(0)
+            members[i][c] |= 1 << t
+            trace_classes.append(c)
+        fv2 = trace.free_vars()
+        scope = logic.conj([trace.path, _domain_constraint(fv2, domain)])
+        blocks.append((fv2, scope, tuple(trace_classes)))
+    return ExistentialSide(trace_var, body, k, domain, tuple(blocks),
+                           tuple(map(tuple, sigmas)), tuple(map(tuple, members)))
+
+
+def _no_match(universal: SymTrace, universal_var: str,
+              side: ExistentialSide) -> Formula:
+    """The part "no existential trace matches `universal`": one block per
+    trace, forall fv2. not(scope and body_0 and ... and body_{k-1})."""
+    if not side.blocks:  # no pair to encode, nothing to check
+        return logic.TRUE
+    own = []
+    for name, var, trace_var in _body_slots(side.body):
+        if trace_var == universal_var:
+            own.append((name, var))
+        elif trace_var != side.trace_var:
+            raise EncodingError(f"trace variable {trace_var!r} is not bound")
+    # instances[i][c]: the body at index i under the universal memory and
+    # the existential memory of class c. Substituting the two sides one
+    # after the other gives the simultaneous substitution's formula: their
+    # images share no variable with the other side's names.
+    instances = []
+    folded = 0  # traces with a false part: their blocks fold to true
+    for i in range(side.k):
+        body_i = logic.substitute(
+            side.body, {name: _image(universal, universal_var, var, i)
+                        for name, var in own})
+        instances.append([logic.substitute(body_i, sigma) for sigma in side.sigmas[i]])
+        for c, instance in enumerate(instances[i]):
+            if instance == logic.FALSE:
+                folded |= side.members[i][c]
+    # A true block drops out of the conjunction, so it is never built.
+    return logic.conj(
+        logic.forall(fv2, logic.negate(logic.conj(
+            [scope, *map(list.__getitem__, instances, trace_classes)])))
+        for t, (fv2, scope, trace_classes) in enumerate(side.blocks)
+        if not folded >> t & 1)
+
+
 def lazy_query(universal: SymTrace, universal_var: str,
-               existential_var: Optional[str],
-               existential_traces: Sequence[SymTrace],
+               existential: Optional[ExistentialSide],
                body: Formula, k: int,
                domain: Optional[Tuple[int, int]] = None,
                provenance: str = "") -> EncodedQuery:
@@ -123,25 +220,19 @@ def lazy_query(universal: SymTrace, universal_var: str,
 
     Satisfiable iff the universal trace has an instantiation that no
     existential trace can match; a model assigns the universal trace's
-    fresh variables. Specifications with no existential quantifier use the
-    plain negated invariant as the explanation part.
+    fresh variables. `existential` is None for specifications with no
+    existential quantifier, which use the plain negated invariant as the
+    explanation part; otherwise it is prepared for the same body, bound
+    and domain.
     """
     fv1 = universal.free_vars()
     c1 = logic.conj([universal.path, _domain_constraint(fv1, domain)])
-    if existential_var is None:
+    if existential is None:
         c2 = logic.negate(encode_invariant(body, k, {universal_var: universal}))
     else:
-        blocks = []
-        for trace in existential_traces:
-            fv2 = trace.free_vars()
-            matched = logic.conj([
-                trace.path,
-                _domain_constraint(fv2, domain),
-                encode_invariant(body, k, {universal_var: universal,
-                                           existential_var: trace}),
-            ])
-            blocks.append(logic.forall(fv2, logic.negate(matched)))
-        c2 = logic.conj(blocks)
+        if (existential.body, existential.k, existential.domain) != (body, k, domain):
+            raise ValueError("existential side prepared for another body, bound or domain")
+        c2 = _no_match(universal, universal_var, existential)
     return EncodedQuery(
         formula=logic.conj([c1, c2]),
         free_vars=fv1,

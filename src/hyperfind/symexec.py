@@ -71,9 +71,11 @@ class SymTrace:
 
     def free_vars(self) -> Tuple[str, ...]:
         seen = set(logic.free_vars(self.path))
-        for state in self.states:
-            for _, term in state.mem:
-                seen |= logic.free_vars(term)
+        # A term a step leaves unchanged is the same object in the next
+        # state, so walk each term object once.
+        terms = {id(term): term for state in self.states for _, term in state.mem}
+        for term in terms.values():
+            seen |= logic.free_vars(term)
         return tuple(sorted(seen, key=fresh_var_index))
 
 

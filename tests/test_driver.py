@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from hyperfind import concrete, driver, frontend, logic, smt
+from hyperfind import concrete, driver, frontend, logic, refsolver, smt
 from hyperfind.cli import main as cli_main
 from hyperfind.driver import (
     BugFound, Inconclusive, NoBugUpTo, SearchOptions, analyze_source,
@@ -235,7 +236,8 @@ def test_report_dict_schema(opts):
     tallies = [(e["memory"]["countA"], e["memory"]["countB"])
                for e in cex["observed_trace"]]
     assert tallies == [(0, 1), (0, 1)]
-    assert set(report["stats"]) == {"combinations", "sat_calls", "wall_ms"}
+    assert set(report["stats"]) == {"combinations", "sat_calls",
+                                     "feasibility_calls", "wall_ms"}
     json.dumps(report)  # must be serializable
 
 
@@ -304,6 +306,18 @@ def test_cli_emit_smt(tmp_path, capsys):
     assert files and files[0].startswith("query_k1_")
     text = (tmp_path / "queries" / files[0]).read_text()
     assert "(set-logic" in text and "(check-sat)" in text
+    assert text.startswith("; k=1 universal-trace=1\n")
+    # The bundled solver skips the comment and answers the query.
+    out = io.StringIO()
+    refsolver.run(io.StringIO(text), out)
+    assert out.getvalue().splitlines()[0] == "sat"
+
+    code = cli_main([fixture_path("simple_nonrefinement.hyp"), "--algorithm",
+                     "naive", "--emit-smt", str(tmp_path / "naive")])
+    capsys.readouterr()
+    assert code == 1
+    text = (tmp_path / "naive" / "naive_k1.smt2").read_text()
+    assert text.startswith("; naive k=1\n")
 
 
 def test_bench_harness_records_errors(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import pytest
 
 from hyperfind import concrete, driver, encode, frontend, logic, smt, symexec
-from hyperfind.encode import EncodingError, QuantifiedTraces, encode_invariant, lazy_query
+from hyperfind.encode import (EncodingError, QuantifiedTraces, encode_invariant,
+                              lazy_query, prepare_existential)
 from hyperfind.logic import BoolLit, Cmp, IntLit, Var
 from hyperfind.symexec import Feasibility, FreshSupply, SymTrace, make_state, observe
 
@@ -98,8 +99,9 @@ def test_lazy_query_free_vars_are_universal_trace_vars(solver_argv):
     gen, sides = materialized("voting_buggy.hyp", 2, solver_argv)
     (univ, _), (exist, _) = sides
     for trace in univ.traces:
-        query = lazy_query(trace, univ.trace_var, exist.trace_var,
-                           exist.traces, gen.body, 2)
+        query = lazy_query(trace, univ.trace_var,
+                           prepare_existential(exist.trace_var, exist.traces, gen.body, 2),
+                           gen.body, 2)
         assert query.free_vars == trace.free_vars()
         assert logic.free_vars(query.formula) <= set(query.free_vars)
 
@@ -118,13 +120,93 @@ def test_lazy_and_naive_agree_per_bound(solver_argv):
             with smt.Solver(solver_argv) as solver:
                 naive_sat = isinstance(solver.check(logic.negate(encoding)), smt.Sat)
                 lazy_sat = False
+                side = prepare_existential(exist.trace_var, exist.traces, gen.body, k)
                 for trace in univ.traces:
-                    query = lazy_query(trace, univ.trace_var, exist.trace_var,
-                                       exist.traces, gen.body, k)
+                    query = lazy_query(trace, univ.trace_var, side, gen.body, k)
                     if isinstance(solver.check(query.formula), smt.Sat):
                         lazy_sat = True
                         break
             assert naive_sat == lazy_sat, (source, k)
+
+
+def per_pair_query(universal, universal_var, existential_var, traces, body, k,
+                   domain):
+    """Reference: the lazy query encoded pair by pair, each existential
+    trace instantiating the whole body with both memories at once."""
+    fv1 = universal.free_vars()
+    c1 = logic.conj([universal.path, encode._domain_constraint(fv1, domain)])
+    blocks = []
+    for trace in traces:
+        fv2 = trace.free_vars()
+        matched = logic.conj([
+            trace.path,
+            encode._domain_constraint(fv2, domain),
+            encode_invariant(body, k, {universal_var: universal,
+                                       existential_var: trace}),
+        ])
+        blocks.append(logic.forall(fv2, logic.negate(matched)))
+    c2 = logic.conj(blocks)
+    return logic.conj([c1, c2]), c2, fv1
+
+
+@pytest.mark.parametrize("domain", [None, (0, 1)])
+@pytest.mark.parametrize("source, bounds", [
+    ("voting_correct.hyp", (1, 2, 3, 4)),
+    ("voting_buggy.hyp", (1, 2, 3)),
+    ("min_flip.hyp", (1, 2, 3)),
+    ("flip_min.hyp", (1, 2)),
+    ("escalating_m0.hyp", (1, 2, 3, 4)),
+    ("conditional_nonrefinement.hyp", (1, 2)),
+])
+def test_prepared_side_matches_per_pair_encoding(source, bounds, domain, solver_argv):
+    for k in bounds:
+        gen, sides = materialized(source, k, solver_argv)
+        (univ, _), (exist, _) = sides
+        side = prepare_existential(exist.trace_var, exist.traces, gen.body, k, domain)
+        for trace in univ.traces:
+            query = lazy_query(trace, univ.trace_var, side, gen.body, k, domain)
+            formula, explanation, free_vars = per_pair_query(
+                trace, univ.trace_var, exist.trace_var, exist.traces, gen.body,
+                k, domain)
+            assert query.formula == formula, (source, k)
+            assert query.explanation == explanation, (source, k)
+            assert query.free_vars == free_vars, (source, k)
+
+
+def observed_trace(*outs):
+    states = tuple(make_state(0, logic.TRUE, {"out": out}) for out in outs)
+    return SymTrace(states, states)
+
+
+def test_prepared_side_for_another_bound_or_domain():
+    body = Cmp("=", Var("out@p1"), Var("out@p2"))
+    universal = observed_trace(Var("v!0"), Var("v!1"))
+    side = prepare_existential("p2", [observed_trace(Var("v!2"), Var("v!3"))], body, 2)
+    for k, domain in [(1, None), (2, (0, 1))]:
+        with pytest.raises(ValueError, match="another body, bound or domain"):
+            lazy_query(universal, "p1", side, body, k, domain)
+
+
+def test_prepared_side_unbound_trace_variable():
+    body = logic.conj([Cmp("=", Var("out@p1"), Var("out@p2")),
+                       Cmp("=", Var("out@p3"), IntLit(0))])
+    with pytest.raises(EncodingError, match="^trace variable 'p3' is not bound$"):
+        side = prepare_existential("p2", [observed_trace(Var("v!1"))], body, 1)
+        lazy_query(observed_trace(Var("v!0")), "p1", side, body, 1)
+
+
+def test_prepared_side_existential_trace_too_short():
+    body = Cmp("=", Var("out@p1"), Var("out@p2"))
+    with pytest.raises(EncodingError,
+                       match="^trace bound to 'p2' has fewer than 2 observations$"):
+        prepare_existential("p2", [observed_trace(Var("v!2"))], body, 2)
+
+
+def test_prepared_side_existential_program_lacks_variable():
+    body = Cmp("=", Var("out@p1"), Var("y@p2"))
+    with pytest.raises(EncodingError,
+                       match="^program bound to 'p2' has no variable 'y'$"):
+        prepare_existential("p2", [observed_trace(Var("v!1"))], body, 1)
 
 
 def oracle_validity(source, k, solver_argv):
