@@ -15,6 +15,17 @@ from typing import List, Optional
 from . import concrete, driver, frontend, graph as graphs, smt
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperfind",
@@ -23,17 +34,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("file", help="input file (program definitions + specification), "
                                      "or a JSON manifest with --bench")
     parser.add_argument("--algorithm", choices=("lazy", "naive"), default="lazy")
-    parser.add_argument("--max-observations", type=int, default=10, metavar="N")
-    parser.add_argument("--step-budget", type=int, default=None, metavar="N")
+    parser.add_argument("--max-observations", type=_int_at_least(1), default=10, metavar="N")
+    parser.add_argument("--step-budget", type=_int_at_least(1), default=None, metavar="N")
     parser.add_argument("--solver", default=None, metavar="PATH",
                         help="SMT solver binary, run as a child process that a "
                              "timeout kills (default: yices-smt2/z3/cvc5 from PATH, "
                              "else the bundled reference solver in this process, "
                              "with a cooperative timeout; "
                              "--solver $(command -v hyperfind-smt) runs it as a child)")
-    parser.add_argument("--timeout-ms", type=int, default=smt.DEFAULT_QUERY_TIMEOUT_MS,
+    parser.add_argument("--timeout-ms", type=_int_at_least(0),
+                        default=smt.DEFAULT_QUERY_TIMEOUT_MS,
                         metavar="N", help="per-query solver timeout")
-    parser.add_argument("--feas-timeout-ms", type=int,
+    parser.add_argument("--feas-timeout-ms", type=_int_at_least(0),
                         default=smt.DEFAULT_FEASIBILITY_TIMEOUT_MS, metavar="N",
                         help="per-feasibility-check solver timeout")
     parser.add_argument("--emit-smt", default=None, metavar="DIR",
@@ -49,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the lowered program graphs and exit")
     parser.add_argument("--bench", action="store_true",
                         help="treat FILE as a benchmark manifest and run the harness")
-    parser.add_argument("--repetitions", type=int, default=10, metavar="R",
+    parser.add_argument("--repetitions", type=_int_at_least(1), default=10, metavar="R",
                         help="repetitions per --bench instance")
     return parser
 
@@ -76,10 +88,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_bench(args)
 
     try:
-        with open(args.file) as handle:
+        with open(args.file, encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 3
 
     try:
@@ -172,8 +187,11 @@ def _run_bench(args) -> int:
     )
     try:
         rows = driver.bench(args.file, opts, default_repetitions=args.repetitions)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # not UTF-8, not JSON, or not a list of objects
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 3
     if args.report == "json":
         print(json.dumps([row.__dict__ for row in rows], indent=2))

@@ -381,8 +381,10 @@ class BenchRow:
 
 def bench(manifest_path: str, opts: Optional[SearchOptions] = None,
           default_repetitions: int = 10) -> List[BenchRow]:
-    with open(manifest_path) as handle:
+    with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
+    if not (isinstance(manifest, list) and all(isinstance(entry, dict) for entry in manifest)):
+        raise ValueError("a manifest is a JSON list of objects")
     base = os.path.dirname(os.path.abspath(manifest_path))
     rows: List[BenchRow] = []
     for entry in manifest:
@@ -391,7 +393,7 @@ def bench(manifest_path: str, opts: Optional[SearchOptions] = None,
             path = entry["file"]
             if not os.path.isabs(path):
                 path = os.path.join(base, path)
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 source = handle.read()
             n = int(entry.get("max_observations", 10))
             reps = int(entry.get("repetitions", default_repetitions))

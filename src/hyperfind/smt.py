@@ -5,17 +5,17 @@ The bridge is solver-agnostic: it writes `(set-logic ...)`,
 `(push 1)`, `(pop 1)`, `(reset)` and reads `sat`/`unsat`/`unknown` plus
 value lists. Integer literals are decimal, negatives as `(- n)`.
 
-`Solver` is what a search talks to: one lazily started session whose every
-check is a scoped push/assert/check/pop over level-0 declarations,
-restarted once on a failure.
+`SolverSession` is the one session protocol (level-0 declarations, then
+push, assert, check-sat, get-value, model completion, pop) over one of two
+transports: a pipe to a child process, which a check's deadline kills, or
+(`InProcessSession`) the bundled solver's command loop in this process,
+whose deadline is cooperative. `Solver` is what a search talks to: one
+lazily started session, restarted once on a failure.
 
 `resolve_solver` picks yices-smt2, z3, or cvc5 from PATH and falls back to
 the bundled reference solver (`hyperfind.refsolver`) so the tool works on
 machines without a mainstream solver installed. The bundled solver runs in
-this process (`InProcessSession`): the same SMT-LIB text goes to its command
-loop without a pipe, and its timeout is cooperative, checked between
-elimination steps. Every other solver is a child process on a pipe
-(`SolverSession`) that a deadline hard-kills. To run the bundled solver as
+this process; every other solver is a child. To run the bundled solver as
 an isolated, killable process, name it as the solver:
 `--solver $(command -v hyperfind-smt)`.
 """
@@ -28,8 +28,9 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import AbstractSet, Deque, Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from . import logic
 from .logic import And, BinTerm, BoolLit, Cmp, Formula, Implies, IntLit, Not, Or, Quant, Term, Var
@@ -150,7 +151,9 @@ def resolve_solver(path: Optional[str] = None) -> List[str]:
 # ---------------------------------------------------------------------------
 
 class SolverSession:
-    """One solver child process with an incremental assertion stack."""
+    """The SMT-LIB2 session protocol over a pipe to a child process. A subclass
+    changes the transport by replacing `_start`, `_send`, `_read_line`,
+    `_alive` and `close`."""
 
     def __init__(self, argv: Optional[Sequence[str]] = None,
                  timeout_ms: int = DEFAULT_QUERY_TIMEOUT_MS):
@@ -158,13 +161,7 @@ class SolverSession:
         self.timeout_ms = timeout_ms
         self.depth = 0
         self.declared: Set[str] = set()
-        self._buffer = b""
-        try:
-            self.proc = subprocess.Popen(
-                self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL)
-        except OSError as exc:
-            raise SolverError(f"cannot start solver {self.argv}: {exc}") from None
+        self._start()
         try:
             self._configure()
         except SolverError:
@@ -180,10 +177,22 @@ class SolverSession:
         if self.timeout_ms and ("z3" in os.path.basename(self.argv[0]) or "refsolver" in joined):
             self._send(f"(set-option :timeout {self.timeout_ms})")
 
-    # -- plumbing ----------------------------------------------------------
+    # -- transport: a pipe to a child process --------------------------------
+
+    def _start(self):
+        self._buffer = b""
+        try:
+            self.proc = subprocess.Popen(
+                self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL)
+        except OSError as exc:
+            raise SolverError(f"cannot start solver {self.argv}: {exc}") from None
+
+    def _alive(self) -> bool:
+        return self.proc.poll() is None
 
     def _send(self, line: str):
-        if self.proc.poll() is not None:
+        if not self._alive():
             raise SolverError("solver process has exited")
         try:
             self.proc.stdin.write((line + "\n").encode())
@@ -200,7 +209,7 @@ class SolverSession:
                 raise TimeoutError()
             ready, _, _ = select.select([fd], [], [], min(remaining, 0.25))
             if not ready:
-                if self.proc.poll() is not None:
+                if not self._alive():
                     raise SolverError("solver process exited unexpectedly")
                 continue
             chunk = os.read(fd, 65536)
@@ -210,12 +219,6 @@ class SolverSession:
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line.decode().strip()
 
-    def _read_sexpr(self, deadline: float) -> str:
-        text = self._read_line(deadline)
-        while text.count("(") > text.count(")"):
-            text += " " + self._read_line(deadline)
-        return text
-
     def _kill(self):
         try:
             self.proc.kill()
@@ -224,7 +227,7 @@ class SolverSession:
         self.proc.wait()
 
     def close(self):
-        if self.proc.poll() is None:
+        if self._alive():
             try:
                 self.proc.stdin.write(b"(exit)\n")
                 self.proc.stdin.flush()
@@ -246,15 +249,17 @@ class SolverSession:
     def __exit__(self, *exc):
         self.close()
 
-    # -- SMT-LIB2 surface ----------------------------------------------------
+    # -- SMT-LIB2 protocol ---------------------------------------------------
 
     def declare(self, names: Iterable[str]):
         for name in sorted(set(names) - self.declared):
             self._send(f"(declare-const {name} Int)")
             self.declared.add(name)
 
-    def assert_formula(self, formula: Formula):
-        missing = logic.free_vars(formula) - self.declared
+    def assert_formula(self, formula: Formula, free_vars: Optional[AbstractSet[str]] = None):
+        if free_vars is None:  # the caller may have computed them already
+            free_vars = logic.free_vars(formula)
+        missing = free_vars - self.declared
         if missing:
             raise SolverContractError(
                 f"assert references undeclared variables: {sorted(missing)}")
@@ -302,7 +307,9 @@ class SolverSession:
                     f"get-value on undeclared variables: {sorted(missing)}")
             self._send("(get-value (" + " ".join(wanted) + "))")
             try:
-                text = self._read_sexpr(deadline)
+                text = self._read_line(deadline)
+                while text.count("(") > text.count(")"):
+                    text += " " + self._read_line(deadline)
             except TimeoutError:
                 return Unknown("timeout")
             model = _parse_values(text)
@@ -314,13 +321,14 @@ class SolverSession:
     def check_formula(self, formula: Formula, wanted: Sequence[str] = (),
                       timeout_ms: Optional[int] = None) -> SatResult:
         """push; declare+assert formula; check; pop."""
-        self.declare(logic.free_vars(formula) | set(wanted))
+        free_vars = logic.free_vars(formula)
+        self.declare(free_vars | set(wanted))
         self.push()
         try:
-            self.assert_formula(formula)
+            self.assert_formula(formula, free_vars)
             return self.check(wanted, timeout_ms)
         finally:
-            if self.proc.poll() is None:
+            if self._alive():
                 self.pop()
             else:
                 self.depth = max(0, self.depth - 1)
@@ -369,80 +377,72 @@ def _parse_int(value) -> int:
     raise SolverError(f"non-integer model value {value!r}")
 
 
-class InProcessSession:
-    """The bundled solver in this process, behind `SolverSession.check_formula`.
+class InProcessSession(SolverSession):
+    """`SolverSession` over the bundled solver's command loop in this process.
 
-    Each check sends the same SMT-LIB text a pipe would carry, command by
-    command, through `refsolver.parse_sexprs` and `refsolver.dispatch`, so
-    the serializer is still read by the solver's own reader. The check's
-    timeout becomes the solver's cooperative deadline, and its `unknown`
-    (the only one it gives) is a timeout. Any exception the solver raises is
-    a `SolverError`, as a crashed child would be.
-    """
+    Sent commands queue as in a pipe and run, as SMT-LIB text through
+    `refsolver.parse_sexprs` and `refsolver.dispatch`, when an answer is read.
+    The time left to the read's deadline is the solver's cooperative timeout,
+    and its only `unknown` is that timeout. An exception out of the solver is a
+    `SolverError`. A timeout, a failure or `close` drops the solver, as a
+    kill ends a child."""
 
-    def __init__(self, timeout_ms: int = DEFAULT_QUERY_TIMEOUT_MS):
-        # Imported here, on the first check, so that importing this module
-        # does not pay for the solver.
+    def _start(self):
+        # Imported here so that importing this module does not pay for the solver.
         from . import refsolver
         self._refsolver = refsolver
-        self.session = refsolver.Session()
-        self.timeout_ms = timeout_ms
-        self.declared: Set[str] = set()
+        self._solver: Optional[refsolver.Session] = refsolver.Session()
+        self._commands: Deque[str] = deque()
 
-    def _send(self, command: str) -> Optional[str]:
-        refsolver = self._refsolver
-        try:
-            (parsed,) = refsolver.parse_sexprs(command)
-            return refsolver.dispatch(self.session, parsed)
-        except Exception as exc:  # solver bug or resource limit: fail the check, not the search
-            raise SolverError(f"bundled solver failed: {type(exc).__name__}: {exc}") from None
+    def _alive(self) -> bool:
+        return self._solver is not None
 
-    def check_formula(self, formula: Formula, wanted: Sequence[str] = (),
-                      timeout_ms: Optional[int] = None) -> SatResult:
-        """push; declare+assert formula; check; pop."""
-        wanted = sorted(set(wanted))
-        for name in sorted((logic.free_vars(formula) | set(wanted)) - self.declared):
-            self._send(f"(declare-const {name} Int)")
-            self.declared.add(name)
-        self.session.timeout_ms = timeout_ms if timeout_ms is not None else self.timeout_ms
-        self._send("(push 1)")
-        try:
-            self._send(f"(assert {formula_to_smt(formula)})")
-            answer = self._send("(check-sat)")
-            if answer == "unsat":
-                return Unsat()
+    def _send(self, line: str):
+        if not self._alive():
+            raise SolverError("bundled solver has stopped")
+        self._commands.append(line)
+
+    def _read_line(self, deadline: float) -> str:
+        while self._commands:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self.close()
+                raise TimeoutError()
+            self._solver.timeout_ms = 1000.0 * remaining
+            try:
+                (parsed,) = self._refsolver.parse_sexprs(self._commands.popleft())
+                answer = self._refsolver.dispatch(self._solver, parsed)
+            except Exception as exc:  # solver bug or resource limit: fail the check, not the search
+                self.close()
+                raise SolverError(f"bundled solver failed: {type(exc).__name__}: {exc}") from None
             if answer == "unknown":
-                return Unknown("timeout")
-            model = _parse_values(self._send("(get-value (" + " ".join(wanted) + "))")) \
-                if wanted else {}
-            for name in wanted:
-                model.setdefault(name, 0)
-            return Sat(model)
-        finally:
-            self._send("(pop 1)")
+                self.close()
+                raise TimeoutError()
+            if answer is not None:
+                return answer
+        raise SolverError("no command awaits an answer")
 
     def close(self):
-        """Nothing to release: the solver's state is dropped with this object."""
+        self._solver = None
+        self._commands.clear()
 
 
 class Solver:
     """The one solver of a search.
 
     The session starts on the first check: an `InProcessSession` when the
-    solver is `BUNDLED_SOLVER`, else a `SolverSession` child process. Every
-    check goes through the session's `check_formula`, so declarations
-    accumulate at level 0 and each formula lives in its own push/pop scope:
-    path-feasibility checks and per-trace queries share one session. A
-    failure closes the session and retries the check once on a fresh one; a
-    second failure is raised. A timed-out check drops the session (a child
-    has been killed by then), and the next check starts a new one.
+    solver is `BUNDLED_SOLVER`, else a `SolverSession` on a child process.
+    Path-feasibility checks and per-trace queries share it through
+    `check_formula`. A failure closes the session and retries the check once
+    on a fresh one; a second failure is raised. A timed-out check drops the
+    session, and the next check starts a new one.
     """
 
     def __init__(self, argv: Optional[Sequence[str]] = None,
                  timeout_ms: int = DEFAULT_QUERY_TIMEOUT_MS):
         self.argv = argv
         self.timeout_ms = timeout_ms
-        self.session: Optional[Union[SolverSession, InProcessSession]] = None
+        self.session: Optional[SolverSession] = None
 
     def check(self, formula: Formula, wanted: Sequence[str] = (),
               timeout_ms: Optional[int] = None) -> SatResult:
@@ -455,13 +455,11 @@ class Solver:
             self.close()
         return result
 
-    def _session(self) -> Union[SolverSession, InProcessSession]:
+    def _session(self) -> SolverSession:
         if self.session is None:
             argv = list(self.argv) if self.argv else resolve_solver()
-            if argv == list(BUNDLED_SOLVER):
-                self.session = InProcessSession(self.timeout_ms)
-            else:
-                self.session = SolverSession(argv, self.timeout_ms)
+            transport = InProcessSession if argv == list(BUNDLED_SOLVER) else SolverSession
+            self.session = transport(argv, self.timeout_ms)
         return self.session
 
     def close(self):

@@ -79,12 +79,6 @@ class SymTrace:
         return tuple(sorted(seen, key=fresh_var_index))
 
 
-@dataclass
-class ExploreStats:
-    traces_yielded: int = 0
-    max_depth: int = 0
-
-
 def _trivially_sat(formula: Formula) -> bool:
     """Syntactic satisfiability for the common path shapes.
 
@@ -183,10 +177,9 @@ class ObserveStream:
 
     Iterate to consume; after exhaustion, `incomplete` tells whether a
     budget cut off unexplored extensions (the non-finitely-observable
-    case) and `stats` carries exploration counters. `step_budget` bounds
-    trace length; `node_budget` bounds total explored prefixes, a safety
-    valve against graphs whose breadth explodes long before the depth
-    budget bites.
+    case). `step_budget` bounds trace length; `node_budget` bounds total
+    explored prefixes, a safety valve against graphs whose breadth explodes
+    long before the depth budget bites.
     """
 
     def __init__(self, graph: ProgramGraph, observed: FrozenSet[int], n: int,
@@ -204,7 +197,6 @@ class ObserveStream:
             else default_step_budget(graph, n)
         self.node_budget = node_budget
         self.incomplete = False
-        self.stats = ExploreStats()
 
     def __iter__(self) -> Iterator[SymTrace]:
         init = initial_state(self.graph)
@@ -217,9 +209,7 @@ class ObserveStream:
             if self.node_budget is not None and popped > self.node_budget:
                 self.incomplete = True
                 break
-            self.stats.max_depth = max(self.stats.max_depth, len(states) - 1)
             if len(obs) == self.n:
-                self.stats.traces_yielded += 1
                 yield SymTrace(states, obs)
                 continue
             if len(states) - 1 >= self.step_budget:

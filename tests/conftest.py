@@ -44,7 +44,8 @@ def process_argv():
 
 @pytest.fixture
 def sessions(monkeypatch):
-    """Every SolverSession started while the test runs, in order."""
+    """Every child-process session that `smt.Solver` starts while the test
+    runs, in order (an `InProcessSession` is not recorded)."""
     from hyperfind import smt
     started = []
 

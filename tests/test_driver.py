@@ -260,6 +260,43 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [
+    "--max-observations 0", "--max-observations -1", "--oracle --max-observations -1",
+    "--step-budget 0", "--oracle --step-budget 0", "--bench --repetitions 0",
+    "--timeout-ms -1", "--feas-timeout-ms -1", "--max-observations x",
+])
+def test_cli_rejects_out_of_range_numbers(args, capsys):
+    assert cli_main([fixture_path("gni.hyp"), *args.split()]) == 3
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err
+
+
+def test_cli_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.hyp"
+    path.write_bytes("// caf\xe9\n".encode("latin-1"))
+    assert cli_main([str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec")
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe[]",                                     # not UTF-8
+    b'{"name": "gni", "file": "gni.hyp"}',              # an object, not a list
+    b'["gni.hyp"]',                                      # a list of strings
+])
+def test_cli_bench_on_a_malformed_manifest_is_a_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(content)
+    assert cli_main([str(path), "--bench"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_bench_rejects_a_manifest_that_is_not_a_list_of_objects(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"name": "gni", "file": fixture_path("gni.hyp")}))
+    with pytest.raises(ValueError, match="a manifest is a JSON list of objects"):
+        driver.bench(str(path))
+
+
 def test_cli_json_report_is_default(capsys):
     code = cli_main([fixture_path("voting_buggy.hyp"), "--max-observations", "4"])
     out = capsys.readouterr().out

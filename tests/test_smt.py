@@ -145,11 +145,20 @@ def test_model_completion_defaults_to_zero(solver_argv):
     assert result.model["v!0"] > 5
 
 
-def test_model_soundness_on_quantifier_free(solver_argv):
+@pytest.fixture(params=["child", "in-process"])
+def open_session(request, solver_argv):
+    """Starts a `SolverSession` on each transport: a pipe to a child process
+    running the resolved solver, and the bundled solver in this process."""
+    if request.param == "child":
+        return lambda **kwargs: SolverSession(solver_argv, **kwargs)
+    return lambda **kwargs: smt.InProcessSession(smt.BUNDLED_SOLVER, **kwargs)
+
+
+def test_model_soundness_on_quantifier_free(open_session):
     rng = random.Random(32)
     names = ["a", "b", "c"]
     sats = 0
-    with SolverSession(solver_argv) as session:
+    with open_session() as session:
         for _ in range(120):
             phi = random_formula(rng, names)
             result = session.check_formula(phi, wanted=names)
@@ -159,8 +168,8 @@ def test_model_soundness_on_quantifier_free(solver_argv):
     assert sats >= 40
 
 
-def test_incremental_push_pop(solver_argv):
-    with SolverSession(solver_argv) as session:
+def test_incremental_push_pop(open_session):
+    with open_session() as session:
         session.declare(["v!0"])
         session.push()
         session.assert_formula(Cmp(">", Var("v!0"), IntLit(0)))
@@ -172,28 +181,28 @@ def test_incremental_push_pop(solver_argv):
         session.pop()
 
 
-def test_push_push_pop_depth(solver_argv):
-    with SolverSession(solver_argv) as session:
+def test_push_push_pop_depth(open_session):
+    with open_session() as session:
         session.push()
         session.push()
         session.pop()
         assert session.depth == 1
 
 
-def test_pop_at_depth_zero_is_contract_error(solver_argv):
-    with SolverSession(solver_argv) as session:
+def test_pop_at_depth_zero_is_contract_error(open_session):
+    with open_session() as session:
         with pytest.raises(SolverContractError):
             session.pop()
 
 
-def test_assert_undeclared_is_contract_error(solver_argv):
-    with SolverSession(solver_argv) as session:
+def test_assert_undeclared_is_contract_error(open_session):
+    with open_session() as session:
         with pytest.raises(SolverContractError, match="undeclared"):
             session.assert_formula(Cmp("=", Var("ghost"), IntLit(0)))
 
 
-def test_timeout_yields_unknown(solver_argv):
-    with SolverSession(solver_argv, timeout_ms=1000) as session:
+def test_timeout_yields_unknown(open_session):
+    with open_session(timeout_ms=1000) as session:
         session.declare(["v!0"])
         session.assert_formula(Cmp(">", Var("v!0"), IntLit(0)))
         result = session.check(timeout_ms=0)
@@ -201,8 +210,8 @@ def test_timeout_yields_unknown(solver_argv):
         assert result.reason == "timeout"
 
 
-def test_reset_clears_declarations_and_stack(solver_argv):
-    with SolverSession(solver_argv) as session:
+def test_reset_clears_declarations_and_stack(open_session):
+    with open_session() as session:
         session.declare(["v!0"])
         session.push()
         session.assert_formula(Cmp("=", Var("v!0"), IntLit(3)))
@@ -283,6 +292,24 @@ def test_feasibility_and_queries_share_one_session(process_argv, sessions):
     with Solver(process_argv) as solver:
         assert feasibility_then_query(solver).solver_calls == 2
     assert len(sessions) == 1
+
+
+def test_both_transports_receive_the_same_commands(process_argv, monkeypatch):
+    received = {SolverSession: [], smt.InProcessSession: []}
+    for transport, lines in received.items():
+        def send(self, line, send=transport._send, lines=lines):
+            lines.append(line)
+            send(self, line)
+        monkeypatch.setattr(transport, "_send", send)
+    for argv in (process_argv, smt.BUNDLED_SOLVER):
+        with Solver(argv) as solver:
+            feasibility_then_query(solver)
+
+    def after_start_up(lines):
+        return lines[next(i for i, line in enumerate(lines) if not line.startswith("(set-")):]
+    child = after_start_up(received[SolverSession])
+    assert child == after_start_up(received[smt.InProcessSession])
+    assert child.count("(check-sat)") == 3 and child[-1] == "(pop 1)"
 
 
 # ---------------------------------------------------------------------------
