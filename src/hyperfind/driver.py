@@ -8,11 +8,6 @@ and asks, per trace, whether some instantiation admits no matching
 existential trace; the first satisfiable query yields a concrete,
 replay-validated counterexample. `naive_search` checks the negation of
 the full closed encoding instead and therefore produces no witness.
-
-The searches are single-threaded, but the per-trace queries of the inner
-loop are mutually independent and all shared data (graphs, traces,
-formulas) is immutable, so the loop could be distributed across solver
-processes without redesign.
 """
 
 from __future__ import annotations
@@ -170,6 +165,8 @@ def _materialize(side: QuantSide, k: int, supply: FreshSupply, feas: Feasibility
 def _run(search, gen: GeneralizedSpec, n: int,
          opts: Optional[SearchOptions]) -> SearchResult:
     """Give `search` one solver, time it, and end a failed solver in a verdict."""
+    if n < 1:
+        raise ValueError(f"the bound on observations must be at least 1, got {n}")
     opts = opts or SearchOptions()
     stats = SearchStats()
     started = time.perf_counter()
@@ -397,9 +394,12 @@ def bench(manifest_path: str, opts: Optional[SearchOptions] = None,
                 source = handle.read()
             n = int(entry.get("max_observations", 10))
             reps = int(entry.get("repetitions", default_repetitions))
+            for field, value in (("max_observations", n), ("repetitions", reps)):
+                if value < 1:
+                    raise ValueError(f"{field} must be at least 1, got {value}")
             walls = []
             last: Optional[SearchResult] = None
-            for _ in range(max(reps, 1)):
+            for _ in range(reps):
                 last = analyze_source(source, n=n, opts=opts)
                 walls.append(last.stats.wall_ms)
             verdict = last.verdict

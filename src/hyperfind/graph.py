@@ -71,37 +71,6 @@ class ProgramGraph:
         return self._out.get(loc, ())
 
 
-def validate(graph: ProgramGraph) -> List[str]:
-    """Return a list of well-formedness errors; empty means the graph is ok."""
-    errors = []
-    locs = set(graph.locations)
-    varset = set(graph.variables)
-    if graph.initial not in locs:
-        errors.append(f"initial location {graph.initial} is not a declared location")
-    for i, e in enumerate(graph.edges):
-        if e.src not in locs:
-            errors.append(f"edge {i}: dangling source location {e.src}")
-        if e.dst not in locs:
-            errors.append(f"edge {i}: dangling target location {e.dst}")
-        if not logic.is_quantifier_free(e.guard):
-            errors.append(f"edge {i}: guard is not quantifier-free")
-        for v in sorted(logic.free_vars(e.guard)):
-            if v not in varset:
-                errors.append(f"edge {i}: guard references unknown variable {v!r}")
-        if isinstance(e.effect, Assign):
-            if e.effect.target not in varset:
-                errors.append(f"edge {i}: assignment to unknown variable {e.effect.target!r}")
-            for v in sorted(logic.free_vars(e.effect.expr)):
-                if v not in varset:
-                    errors.append(f"edge {i}: assignment references unknown variable {v!r}")
-        elif isinstance(e.effect, Havoc):
-            if e.effect.target not in varset:
-                errors.append(f"edge {i}: havoc of unknown variable {e.effect.target!r}")
-        elif not isinstance(e.effect, Skip):
-            errors.append(f"edge {i}: unknown effect {e.effect!r}")
-    return errors
-
-
 def rename_vars(graph: ProgramGraph, prefix: str) -> ProgramGraph:
     """Prefix every program variable with `prefix.`; locations unchanged."""
     mapping = {v: Var(f"{prefix}.{v}") for v in graph.variables}

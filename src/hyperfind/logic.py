@@ -349,18 +349,6 @@ def free_vars(node) -> frozenset:
     raise TypeError(f"not a term or formula: {node!r}")
 
 
-def is_quantifier_free(formula: Formula) -> bool:
-    if isinstance(formula, Quant):
-        return False
-    if isinstance(formula, Not):
-        return is_quantifier_free(formula.arg)
-    if isinstance(formula, (And, Or)):
-        return all(is_quantifier_free(a) for a in formula.args)
-    if isinstance(formula, Implies):
-        return is_quantifier_free(formula.left) and is_quantifier_free(formula.right)
-    return True
-
-
 def _rename_away(name: str, taken: set) -> str:
     i = 1
     while f"{name}!{i}" in taken:

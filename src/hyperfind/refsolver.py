@@ -7,9 +7,16 @@ caller's process, feeding each command through `parse_sexprs` and
 `dispatch`; its `:timeout` is then cooperative, checked by
 `Eliminator.tick`. As a stand-alone process (`hyperfind-smt`, or
 `python -m hyperfind.refsolver`) it reads commands on stdin, and the bridge
-can kill it like any other solver. It understands the command and term
-subset the solver bridge emits plus a few conveniences (push/pop with
-counts, reset, set-option :timeout).
+can kill it like any other solver.
+
+The loop accepts exactly these commands: `set-logic` (ignored),
+`set-option` (only `:timeout` in milliseconds takes effect),
+`declare-const` of sort Int, `assert`, `push` and `pop` with an optional
+count, `check-sat`, `get-value`, `reset` and `exit`. Terms are Int
+constants and literals, `+`, `-`, `*` by a literal, `div`/`mod` by a
+positive literal, the comparisons `< <= > >= = distinct`, `true`,
+`false`, `and`, `or`, `not`, `=>`, and `exists`/`forall` over Int
+binders.
 
 It is deliberately independent of the rest of the package: terms are kept
 in a linear normal form of its own, so the bridge's serializer is exercised
@@ -18,6 +25,7 @@ through a genuinely separate reader.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
@@ -137,14 +145,6 @@ class Lin:
             return self
         return self.drop(var).add(image.scale(c))
 
-    def subst_value(self, var: str, value: int) -> "Lin":
-        c = self.coeff(var)
-        if c == 0:
-            return self
-        out = self.drop(var)
-        out.const += c * value
-        return out
-
     def __repr__(self):
         return f"Lin({self.coeffs}, {self.const})"
 
@@ -158,67 +158,52 @@ class Lin:
 #   ("ndvd", d, lin)   d does not divide lin
 #   ("and", [nodes]) / ("or", [nodes])
 #   ("exists", [vars], node) / ("forall", [vars], node)
+# An atom's term is node[-1], and node[1:-1] holds its modulus, if any, so
+# `atom(tag, node[-1], *node[1:-1])` rebuilds it.
 
 TRUE = ("true",)
 FALSE = ("false",)
 
+# Each atom tag and the tag of its negation.
+_NEGATED = {"le": "le", "eq": "ne", "ne": "eq", "dvd": "ndvd", "ndvd": "dvd"}
+_ATOMS = frozenset(_NEGATED)
+_DIVISIBILITY = ("dvd", "ndvd")
+# Per junction: the constant that decides it and the constant it drops.
+_JUNCTIONS = {"and": (FALSE, TRUE), "or": (TRUE, FALSE)}
 
-def f_and(items) -> tuple:
+
+def _junction(tag: str, items) -> tuple:
+    """The `and`/`or` of `items`: flattened, deduplicated, constants folded."""
+    decisive, neutral = _JUNCTIONS[tag]
     flat = []
     seen = set()
     for x in items:
-        if x[0] == "false":
-            return FALSE
-        if x[0] == "true":
+        if x[0] == decisive[0]:
+            return decisive
+        if x[0] == neutral[0]:
             continue
-        if x[0] == "and":
-            sub = x[1]
-        else:
-            sub = [x]
-        for y in sub:
+        for y in (x[1] if x[0] == tag else (x,)):
             k = node_key(y)
             if k not in seen:
                 seen.add(k)
                 flat.append(y)
     if not flat:
-        return TRUE
+        return neutral
     if len(flat) == 1:
         return flat[0]
-    return ("and", flat)
+    return (tag, flat)
 
 
-def f_or(items) -> tuple:
-    flat = []
-    seen = set()
-    for x in items:
-        if x[0] == "true":
-            return TRUE
-        if x[0] == "false":
-            continue
-        if x[0] == "or":
-            sub = x[1]
-        else:
-            sub = [x]
-        for y in sub:
-            k = node_key(y)
-            if k not in seen:
-                seen.add(k)
-                flat.append(y)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return ("or", flat)
+f_and = functools.partial(_junction, "and")
+f_or = functools.partial(_junction, "or")
 
 
 def node_key(node) -> tuple:
     tag = node[0]
+    if tag in _ATOMS:
+        return node[:-1] + (node[-1].key(),)
     if tag in ("true", "false"):
         return (tag,)
-    if tag in ("le", "eq", "ne"):
-        return (tag, node[1].key())
-    if tag in ("dvd", "ndvd"):
-        return (tag, node[1], node[2].key())
     if tag in ("and", "or"):
         return (tag, tuple(node_key(x) for x in node[1]))
     if tag in ("exists", "forall"):
@@ -226,113 +211,72 @@ def node_key(node) -> tuple:
     raise SolverInputError(f"bad node {node!r}")
 
 
-def _coeff_gcd(lin: Lin) -> int:
-    return math.gcd(*(abs(c) for c in lin.coeffs.values()))
+def atom(tag: str, lin: Lin, d: int = 0) -> tuple:
+    """The normal form of the atom `tag` over `lin` (modulus `d` for dvd/ndvd).
 
-
-def atom_le(lin: Lin) -> tuple:
-    if lin.is_const():
-        return TRUE if lin.const <= 0 else FALSE
-    g = _coeff_gcd(lin)
-    if g > 1:
-        # g*t + c <= 0  <=>  t <= floor(-c/g)  <=>  t + ceil(c/g) <= 0
-        lin = Lin({v: c // g for v, c in lin.coeffs.items()}, -((-lin.const) // g))
-    return ("le", lin)
-
-
-def atom_eq(lin: Lin) -> tuple:
-    if lin.is_const():
-        return TRUE if lin.const == 0 else FALSE
-    g = _coeff_gcd(lin)
-    if g > 1:
-        if lin.const % g != 0:
-            return FALSE
-        lin = Lin({v: c // g for v, c in lin.coeffs.items()}, lin.const // g)
-    return ("eq", lin)
-
-
-def atom_ne(lin: Lin) -> tuple:
-    if lin.is_const():
-        return TRUE if lin.const != 0 else FALSE
-    g = _coeff_gcd(lin)
-    if g > 1:
-        if lin.const % g != 0:
-            return TRUE
-        lin = Lin({v: c // g for v, c in lin.coeffs.items()}, lin.const // g)
-    return ("ne", lin)
-
-
-def atom_dvd(d: int, lin: Lin) -> tuple:
-    d = abs(d)
-    if d == 0:
-        raise SolverInputError("divisibility by zero")
-    if d == 1:
-        return TRUE
-    if lin.is_const():
-        return TRUE if lin.const % d == 0 else FALSE
-    g = math.gcd(_coeff_gcd(lin), d)
-    if g > 1:
-        if lin.const % g != 0:
-            return FALSE
-        lin = Lin({v: c // g for v, c in lin.coeffs.items()}, lin.const // g)
-        d //= g
+    A ground atom folds to TRUE or FALSE. Otherwise the coefficients are
+    divided by their gcd (with `d`'s for divisibility), which rounds the
+    constant of `le` and decides `eq`/`ne`/`dvd`/`ndvd` outright when the
+    gcd does not divide it.
+    """
+    if tag in _DIVISIBILITY:
+        d = abs(d)
+        if d == 0:
+            raise SolverInputError("divisibility by zero")
         if d == 1:
-            return TRUE
-    return ("dvd", d, lin)
-
-
-def atom_ndvd(d: int, lin: Lin) -> tuple:
-    d = abs(d)
-    if d == 1:
-        return FALSE
-    if lin.is_const():
-        return TRUE if lin.const % d != 0 else FALSE
-    g = math.gcd(_coeff_gcd(lin), d)
+            return TRUE if tag == "dvd" else FALSE
+    coeffs, const = lin.coeffs, lin.const
+    if not coeffs:
+        if tag == "le":
+            holds = const <= 0
+        elif tag == "eq":
+            holds = const == 0
+        elif tag == "ne":
+            holds = const != 0
+        else:
+            holds = (const % d == 0) == (tag == "dvd")
+        return TRUE if holds else FALSE
+    g = math.gcd(*coeffs.values())
+    if d:
+        g = math.gcd(g, d)
     if g > 1:
-        if lin.const % g != 0:
-            return TRUE
-        lin = Lin({v: c // g for v, c in lin.coeffs.items()}, lin.const // g)
-        d //= g
-        if d == 1:
-            return FALSE
-    return ("ndvd", d, lin)
+        if tag == "le":
+            # g*t + c <= 0  <=>  t <= floor(-c/g)  <=>  t + ceil(c/g) <= 0
+            return ("le", Lin({v: c // g for v, c in coeffs.items()}, -((-const) // g)))
+        if const % g != 0:
+            return FALSE if tag in ("eq", "dvd") else TRUE
+        lin = Lin({v: c // g for v, c in coeffs.items()}, const // g)
+        if d:
+            d //= g
+            if d == 1:
+                return TRUE if tag == "dvd" else FALSE
+    return (tag, d, lin) if d else (tag, lin)
 
 
 def negate(node) -> tuple:
     tag = node[0]
+    if tag in _ATOMS:
+        lin = node[-1]
+        if tag == "le":  # not (lin <= 0)  <=>  -lin + 1 <= 0
+            lin = lin.scale(-1).add(Lin({}, 1))
+        return atom(_NEGATED[tag], lin, *node[1:-1])
     if tag == "true":
         return FALSE
     if tag == "false":
         return TRUE
-    if tag == "le":  # not (lin <= 0)  <=>  -lin + 1 <= 0
-        return atom_le(node[1].scale(-1).add(Lin({}, 1)))
-    if tag == "eq":
-        return atom_ne(node[1])
-    if tag == "ne":
-        return atom_eq(node[1])
-    if tag == "dvd":
-        return atom_ndvd(node[1], node[2])
-    if tag == "ndvd":
-        return atom_dvd(node[1], node[2])
-    if tag == "and":
-        return f_or([negate(x) for x in node[1]])
-    if tag == "or":
-        return f_and([negate(x) for x in node[1]])
-    if tag == "exists":
-        return ("forall", node[1], negate(node[2]))
-    if tag == "forall":
-        return ("exists", node[1], negate(node[2]))
+    if tag in ("and", "or"):
+        return _junction("or" if tag == "and" else "and", [negate(x) for x in node[1]])
+    if tag in ("exists", "forall"):
+        return ("forall" if tag == "exists" else "exists", node[1], negate(node[2]))
     raise SolverInputError(f"bad node {node!r}")
 
 
 def node_vars(node) -> set:
     tag = node[0]
+    if tag in _ATOMS:
+        return set(node[-1].coeffs)
     if tag in ("true", "false"):
         return set()
-    if tag in ("le", "eq", "ne"):
-        return set(node[1].coeffs)
-    if tag in ("dvd", "ndvd"):
-        return set(node[2].coeffs)
     if tag in ("and", "or"):
         out: set = set()
         for x in node[1]:
@@ -345,22 +289,12 @@ def node_vars(node) -> set:
 
 def subst_var(node, var: str, image: Lin) -> tuple:
     tag = node[0]
+    if tag in _ATOMS:
+        return atom(tag, node[-1].subst(var, image), *node[1:-1])
     if tag in ("true", "false"):
         return node
-    if tag == "le":
-        return atom_le(node[1].subst(var, image))
-    if tag == "eq":
-        return atom_eq(node[1].subst(var, image))
-    if tag == "ne":
-        return atom_ne(node[1].subst(var, image))
-    if tag == "dvd":
-        return atom_dvd(node[1], node[2].subst(var, image))
-    if tag == "ndvd":
-        return atom_ndvd(node[1], node[2].subst(var, image))
-    if tag == "and":
-        return f_and([subst_var(x, var, image) for x in node[1]])
-    if tag == "or":
-        return f_or([subst_var(x, var, image) for x in node[1]])
+    if tag in ("and", "or"):
+        return _junction(tag, [subst_var(x, var, image) for x in node[1]])
     if tag in ("exists", "forall"):
         if var in node[1]:
             return node
@@ -370,6 +304,20 @@ def subst_var(node, var: str, image: Lin) -> tuple:
 
 def subst_value(node, var: str, value: int) -> tuple:
     return subst_var(node, var, Lin({}, value))
+
+
+def _atoms(node):
+    """The atoms of a quantifier-free node, left to right."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        tag = node[0]
+        if tag in _ATOMS:
+            yield node
+        elif tag in ("and", "or"):
+            todo.extend(reversed(node[1]))
+        elif tag in ("exists", "forall"):
+            raise SolverInputError("quantifier encountered during elimination")
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +337,15 @@ class Eliminator:
         self.tick()
         tag = node[0]
         if tag in ("and", "or"):
-            items = [self.qe(x) for x in node[1]]
-            return f_and(items) if tag == "and" else f_or(items)
-        if tag == "exists":
+            return _junction(tag, [self.qe(x) for x in node[1]])
+        if tag in ("exists", "forall"):
+            # forall vs. body  <=>  not exists vs. not body
             body = self.qe(node[2])
+            if tag == "forall":
+                body = negate(body)
             for v in reversed(node[1]):
                 body = self.eliminate(v, body)
-            return body
-        if tag == "forall":
-            body = self.qe(node[2])
-            body = negate(body)
-            for v in reversed(node[1]):
-                body = self.eliminate(v, body)
-            return negate(body)
+            return negate(body) if tag == "forall" else body
         return node
 
     def eliminate(self, var: str, node) -> tuple:
@@ -425,67 +369,32 @@ class Eliminator:
 
     def _cooper(self, var: str, node) -> tuple:
         self.tick()
-        coeffs = set()
-
-        def collect(n):
-            tag = n[0]
-            if tag in ("le", "eq", "ne"):
-                c = n[1].coeff(var)
-                if c:
-                    coeffs.add(abs(c))
-            elif tag in ("dvd", "ndvd"):
-                c = n[2].coeff(var)
-                if c:
-                    coeffs.add(abs(c))
-            elif tag in ("and", "or"):
-                for x in n[1]:
-                    collect(x)
-            elif tag in ("exists", "forall"):
-                raise SolverInputError("quantifier encountered during elimination")
-
-        collect(node)
+        coeffs = {abs(c) for a in _atoms(node) if (c := a[-1].coeff(var))}
         if not coeffs:
             return node
         m = math.lcm(*coeffs)
 
         # Normalize the coefficient of var to +-1 (in units of y = m*var) and
-        # record divisors, boundary terms, and the -infinity approximation.
+        # record the divisors; then collect the boundary terms and build the
+        # -infinity approximation.
         deltas = [m]
-        lowers: List[Lin] = []
 
         def norm(n):
             tag = n[0]
-            if tag in ("true", "false"):
-                return n
-            if tag in ("le", "eq", "ne"):
-                lin = n[1]
-                c = lin.coeff(var)
-                if c == 0:
-                    return n
-                s = m // abs(c)
-                scaled = lin.scale(s)  # coefficient of var is now +-m
-                rest = scaled.drop(var)
-                sign = 1 if c > 0 else -1
-                ylin = Lin({var: sign}).add(rest)
-                if tag == "le":
-                    return ("le", ylin)
-                return (tag, ylin)
-            if tag in ("dvd", "ndvd"):
-                d, lin = n[1], n[2]
-                c = lin.coeff(var)
-                if c == 0:
-                    return n
-                s = m // abs(c)
-                scaled = lin.scale(s)
-                rest = scaled.drop(var)
-                sign = 1 if c > 0 else -1
-                ylin = Lin({var: sign}).add(rest)
-                deltas.append(d * s)
-                return (tag, d * s, ylin)
             if tag in ("and", "or"):
-                items = [norm(x) for x in n[1]]
-                return (tag, items)
-            raise SolverInputError(f"bad node {n!r}")
+                return (tag, [norm(x) for x in n[1]])
+            if tag not in _ATOMS:
+                return n
+            lin = n[-1]
+            c = lin.coeff(var)
+            if c == 0:
+                return n
+            s = m // abs(c)  # scaled by s, the coefficient of var is +-m
+            ylin = Lin({var: 1 if c > 0 else -1}).add(lin.scale(s).drop(var))
+            if tag in _DIVISIBILITY:
+                deltas.append(n[1] * s)
+                return (tag, n[1] * s, ylin)
+            return (tag, ylin)
 
         normed = norm(node)
         if m > 1:
@@ -493,50 +402,31 @@ class Eliminator:
             deltas.append(m)
         delta = math.lcm(*deltas)
 
-        def boundaries(n):
-            tag = n[0]
-            if tag in ("le", "eq", "ne"):
-                lin = n[1]
-                c = lin.coeff(var)
-                if c == 0:
-                    return
-                rest = lin.drop(var)
-                if tag == "le":
-                    if c < 0:  # -y + r <= 0  <=>  y >= r: lower bound r-1 < y
-                        lowers.append(rest.add(Lin({}, -1)))
-                elif tag == "eq":
-                    # y = -r (c=1) or y = r (c=-1); boundary just below it
-                    lowers.append(rest.scale(-c).add(Lin({}, -1)))
-                else:  # ne: y != t; least solution above t needs b = t
-                    lowers.append(rest.scale(-c))
-            elif tag in ("dvd", "ndvd"):
-                return
-            elif tag in ("and", "or"):
-                for x in n[1]:
-                    boundaries(x)
-
-        boundaries(normed)
+        lowers: List[Lin] = []
+        for a in _atoms(normed):
+            tag, lin = a[0], a[-1]
+            c = lin.coeff(var)
+            if c == 0 or tag in _DIVISIBILITY:
+                continue
+            rest = lin.drop(var)
+            if tag == "le":
+                if c < 0:  # -y + r <= 0  <=>  y >= r: lower bound r-1 < y
+                    lowers.append(rest.add(Lin({}, -1)))
+            elif tag == "eq":
+                # y = -r (c=1) or y = r (c=-1); boundary just below it
+                lowers.append(rest.scale(-c).add(Lin({}, -1)))
+            else:  # ne: y != t; least solution above t needs b = t
+                lowers.append(rest.scale(-c))
 
         def minus_inf(n):
             tag = n[0]
-            if tag in ("true", "false"):
-                return n
-            if tag == "le":
+            if tag in ("and", "or"):
+                return _junction(tag, [minus_inf(x) for x in n[1]])
+            if tag in ("le", "eq", "ne"):
                 c = n[1].coeff(var)
-                if c == 0:
-                    return n
-                return TRUE if c > 0 else FALSE  # y <= t true at -inf; y >= t false
-            if tag == "eq":
-                return FALSE if n[1].coeff(var) else n
-            if tag == "ne":
-                return TRUE if n[1].coeff(var) else n
-            if tag in ("dvd", "ndvd"):
-                return n
-            if tag == "and":
-                return f_and([minus_inf(x) for x in n[1]])
-            if tag == "or":
-                return f_or([minus_inf(x) for x in n[1]])
-            raise SolverInputError(f"bad node {n!r}")
+                if c:  # at -inf, y <= t and y != t hold; y >= t and y = t fail
+                    return TRUE if tag == "ne" or (tag == "le" and c > 0) else FALSE
+            return n
 
         low_part = minus_inf(normed)
         disjuncts = []
@@ -557,30 +447,14 @@ class Eliminator:
 
 def eval_ground(node) -> bool:
     tag = node[0]
-    if tag == "true":
-        return True
-    if tag == "false":
-        return False
-    if tag == "le":
-        if not node[1].is_const():
-            raise SolverInputError(f"formula is not ground: {node!r}")
-        return node[1].const <= 0
-    if tag == "eq":
-        return node[1].const == 0 if node[1].is_const() else _bad_ground(node)
-    if tag == "ne":
-        return node[1].const != 0 if node[1].is_const() else _bad_ground(node)
-    if tag == "dvd":
-        return node[2].const % node[1] == 0 if node[2].is_const() else _bad_ground(node)
-    if tag == "ndvd":
-        return node[2].const % node[1] != 0 if node[2].is_const() else _bad_ground(node)
     if tag == "and":
         return all(eval_ground(x) for x in node[1])
     if tag == "or":
         return any(eval_ground(x) for x in node[1])
-    raise SolverInputError(f"formula is not ground: {node!r}")
-
-
-def _bad_ground(node):
+    if tag in _ATOMS:
+        node = atom(tag, node[-1], *node[1:-1])
+    if node[0] in ("true", "false"):
+        return node[0] == "true"
     raise SolverInputError(f"formula is not ground: {node!r}")
 
 
@@ -588,21 +462,15 @@ def solve_single(node, var: str) -> Optional[int]:
     """A satisfying value for the only variable of a one-variable formula."""
     moduli = []
     bounds = []
-
-    def scan(n):
-        tag = n[0]
-        if tag in ("le", "eq", "ne"):
-            c = n[1].coeff(var)
-            if c:
-                bounds.append(-n[1].const // c)  # exact floor of the boundary
-        elif tag in ("dvd", "ndvd"):
-            if n[2].coeff(var):
-                moduli.append(n[1])
-        elif tag in ("and", "or"):
-            for x in n[1]:
-                scan(x)
-
-    scan(node)
+    for a in _atoms(node):
+        lin = a[-1]
+        c = lin.coeff(var)
+        if not c:
+            continue
+        if a[0] in _DIVISIBILITY:
+            moduli.append(a[1])
+        else:
+            bounds.append(-lin.const // c)  # exact floor of the boundary
     delta = math.lcm(*moduli) if moduli else 1
     candidates = set()
     for center in [0] + bounds:
@@ -619,6 +487,17 @@ def solve_single(node, var: str) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # SMT-LIB2 term translation
 # ---------------------------------------------------------------------------
+
+# Each comparison `l OP r` as the atom `tag` over `sign * (l - r) + offset`.
+_COMPARISONS = {
+    "<": ("le", 1, 1),
+    "<=": ("le", 1, 0),
+    ">": ("le", -1, 1),
+    ">=": ("le", -1, 0),
+    "=": ("eq", 1, 0),
+    "distinct": ("ne", 1, 0),
+}
+
 
 class Translator:
     """SMT-LIB2 terms -> linear normal form.
@@ -683,34 +562,35 @@ class Translator:
             aux.append(q)
             qlin = Lin({q: 1})
             rem = num.add(qlin.scale(-d))  # num - d*q
-            side.append(atom_le(rem.scale(-1)))               # rem >= 0
-            side.append(atom_le(rem.add(Lin({}, -(d - 1)))))  # rem <= d-1
+            side.append(atom("le", rem.scale(-1)))               # rem >= 0
+            side.append(atom("le", rem.add(Lin({}, -(d - 1)))))  # rem <= d-1
             return qlin if head == "div" else rem
         raise SolverInputError(f"unknown term operator {head!r}")
 
-    def atom(self, make, left, right) -> tuple:
+    def comparison(self, head: str, left, right) -> tuple:
+        tag, sign, offset = _COMPARISONS[head]
         side: List[tuple] = []
         aux: List[str] = []
         l = self.to_lin(left, side, aux)
         r = self.to_lin(right, side, aux)
-        core = make(l, r)
+        lin = l.add(r.scale(-1)) if sign > 0 else r.add(l.scale(-1))
+        lin.const += offset
+        core = atom(tag, lin)
         if not aux:
             return core
         return ("exists", aux, f_and(side + [core]))
 
     def to_formula(self, expr) -> tuple:
-        if isinstance(expr, str):
-            if expr == "true":
-                return TRUE
-            if expr == "false":
-                return FALSE
+        if expr == "true":
+            return TRUE
+        if expr == "false":
+            return FALSE
+        if isinstance(expr, str) or not expr or not isinstance(expr[0], str):
             raise SolverInputError(f"expected a boolean term, got {expr!r}")
         head = expr[0]
         args = expr[1:]
-        if head == "and":
-            return f_and([self.to_formula(a) for a in args])
-        if head == "or":
-            return f_or([self.to_formula(a) for a in args])
+        if head in ("and", "or"):
+            return _junction(head, [self.to_formula(a) for a in args])
         if head == "not":
             return negate(self.to_formula(args[0]))
         if head == "=>":
@@ -718,18 +598,10 @@ class Translator:
             for a in reversed(args[:-1]):
                 out = f_or([negate(self.to_formula(a)), out])
             return out
-        if head in ("<", "<=", ">", ">=", "=", "distinct"):
+        if head in _COMPARISONS:
             if len(args) != 2:
                 raise SolverInputError(f"{head} expects two arguments")
-            makers = {
-                "<": lambda l, r: atom_le(l.add(r.scale(-1)).add(Lin({}, 1))),
-                "<=": lambda l, r: atom_le(l.add(r.scale(-1))),
-                ">": lambda l, r: atom_le(r.add(l.scale(-1)).add(Lin({}, 1))),
-                ">=": lambda l, r: atom_le(r.add(l.scale(-1))),
-                "=": lambda l, r: atom_eq(l.add(r.scale(-1))),
-                "distinct": lambda l, r: atom_ne(l.add(r.scale(-1))),
-            }
-            return self.atom(makers[head], args[0], args[1])
+            return self.comparison(head, args[0], args[1])
         if head in ("forall", "exists"):
             binders = args[0]
             names = []
@@ -846,17 +718,15 @@ def dispatch(session: Session, cmd) -> Optional[str]:
     if not isinstance(cmd, list) or not cmd:
         raise SolverInputError(f"bad command {cmd!r}")
     head = cmd[0]
-    if head in ("set-logic", "set-info"):
+    if head == "set-logic":
         return None
     if head == "set-option":
         if len(cmd) == 3 and cmd[1] == ":timeout":
             session.timeout_ms = int(cmd[2])
         return None
-    if head in ("declare-const", "declare-fun"):
+    if head == "declare-const":
         name = cmd[1]
         sort = cmd[-1]
-        if head == "declare-fun" and cmd[2] != []:
-            raise SolverInputError("only constant declarations are supported")
         if sort != "Int":
             raise SolverInputError(f"unsupported sort {sort!r}")
         session.declared[name] = "Int"
@@ -895,8 +765,6 @@ def dispatch(session: Session, cmd) -> Optional[str]:
         session.decl_stack = [[]]
         session.model = {}
         return None
-    if head == "echo":
-        return cmd[1].strip('"') if len(cmd) > 1 else ""
     if head == "exit":
         return "#exit"
     raise SolverInputError(f"unknown command {head!r}")

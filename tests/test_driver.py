@@ -376,6 +376,28 @@ def test_bench_harness_records_errors(tmp_path, capsys):
     assert "ok" in out and "error" in out
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_observations", 0), ("max_observations", -1), ("repetitions", 0), ("repetitions", -1),
+])
+def test_bench_reports_a_bound_below_one_as_an_error_row(tmp_path, field, value):
+    entry = {"name": "gni", "file": fixture_path("gni.hyp"),
+             "max_observations": 2, "repetitions": 1}
+    entry[field] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([entry]))
+    (row,) = driver.bench(str(path))
+    assert (row.name, row.verdict, row.k, row.combinations) == ("gni", "error", None, None)
+    assert row.error == f"{field} must be at least 1, got {value}"
+
+
+@pytest.mark.parametrize("search", [lazy_search, naive_search])
+@pytest.mark.parametrize("n", [0, -1])
+def test_search_rejects_a_bound_below_one(search, n):
+    gen = generalize(frontend.load(bench_source("gni.hyp")))
+    with pytest.raises(ValueError, match=f"must be at least 1, got {n}"):
+        search(gen, n)
+
+
 def test_bench_escalating_detection_depths(tmp_path, opts):
     manifest = [
         {"name": "easy", "file": fixture_path("escalating_m0.hyp"),
