@@ -5,7 +5,10 @@ by a literal, div/mod by a positive literal). Formulas are boolean
 combinations of comparisons plus quantifier blocks. Everything is
 immutable and hashable; the smart constructors below perform constant
 folding, which keeps symbolic memories small and lets fully determined
-guards collapse to boolean literals.
+guards collapse to boolean literals. `add` and `sub` also fold literal
+offsets: `(t + a) - b` is `t + (a - b)`, or just `t` when the offsets
+cancel, so a variable decremented k times is `v - k`, not k nested
+subtractions.
 """
 
 from __future__ import annotations
@@ -51,21 +54,45 @@ class BinTerm:
 Term = Union[IntLit, Var, BinTerm]
 
 
+def _offset(term: Term):
+    """`(t, a)` when `term` is `t + a` or `t - a` for a literal a, else None."""
+    if isinstance(term, BinTerm) and term.op in ("+", "-") and isinstance(term.right, IntLit):
+        return term.left, term.right.value if term.op == "+" else -term.right.value
+    return None
+
+
+def _shift(base: Term, offset: int) -> Term:
+    if offset == 0:
+        return base
+    if offset > 0:
+        return BinTerm("+", base, IntLit(offset))
+    return BinTerm("-", base, IntLit(-offset))
+
+
 def add(left: Term, right: Term) -> Term:
-    if isinstance(left, IntLit) and isinstance(right, IntLit):
-        return IntLit(left.value + right.value)
-    if isinstance(left, IntLit) and left.value == 0:
-        return right
-    if isinstance(right, IntLit) and right.value == 0:
-        return left
+    if isinstance(right, IntLit):
+        if isinstance(left, IntLit):
+            return IntLit(left.value + right.value)
+        if right.value == 0:
+            return left
+        if inner := _offset(left):
+            return _shift(inner[0], inner[1] + right.value)
+    elif isinstance(left, IntLit):
+        if left.value == 0:
+            return right
+        if inner := _offset(right):
+            return _shift(inner[0], inner[1] + left.value)
     return BinTerm("+", left, right)
 
 
 def sub(left: Term, right: Term) -> Term:
-    if isinstance(left, IntLit) and isinstance(right, IntLit):
-        return IntLit(left.value - right.value)
-    if isinstance(right, IntLit) and right.value == 0:
-        return left
+    if isinstance(right, IntLit):
+        if isinstance(left, IntLit):
+            return IntLit(left.value - right.value)
+        if right.value == 0:
+            return left
+        if inner := _offset(left):
+            return _shift(inner[0], inner[1] - right.value)
     return BinTerm("-", left, right)
 
 

@@ -2,7 +2,12 @@
 
 A self-contained decision procedure (Cooper-style quantifier elimination
 with a unit-coefficient equality fast path) wrapped in an SMT-LIB2 command
-loop. By default the solver bridge (`smt.InProcessSession`) runs it in the
+loop. `check-sat` eliminates every free constant but the first, and decides
+that one by evaluation (`solve_single`): it tests finitely many candidate
+values, least magnitude first, and none satisfying means unsat. Each later
+constant takes its least value given the earlier ones, which is the model.
+
+By default the solver bridge (`smt.InProcessSession`) runs it in the
 caller's process, feeding each command through `parse_sexprs` and
 `dispatch`; its `:timeout` is then cooperative, checked by
 `Eliminator.tick`. As a stand-alone process (`hyperfind-smt`, or
@@ -16,7 +21,8 @@ count, `check-sat`, `get-value`, `reset` and `exit`. Terms are Int
 constants and literals, `+`, `-`, `*` by a literal, `div`/`mod` by a
 positive literal, the comparisons `< <= > >= = distinct`, `true`,
 `false`, `and`, `or`, `not`, `=>`, and `exists`/`forall` over Int
-binders.
+binders. Any other command, or a malformed one, is answered with
+`(error "...")`, and the loop reads on.
 
 It is deliberately independent of the rest of the package: terms are kept
 in a linear normal form of its own, so the bridge's serializer is exercised
@@ -26,10 +32,11 @@ through a genuinely separate reader.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 
 class SolverInputError(Exception):
@@ -302,10 +309,6 @@ def subst_var(node, var: str, image: Lin) -> tuple:
     raise SolverInputError(f"bad node {node!r}")
 
 
-def subst_value(node, var: str, value: int) -> tuple:
-    return subst_var(node, var, Lin({}, value))
-
-
 def _atoms(node):
     """The atoms of a quantifier-free node, left to right."""
     todo = [node]
@@ -432,7 +435,7 @@ class Eliminator:
         disjuncts = []
         for j in range(1, delta + 1):
             self.tick()
-            disjuncts.append(subst_value(low_part, var, j))
+            disjuncts.append(subst_var(low_part, var, Lin({}, j)))
         seen = set()
         for b in lowers:
             k = b.key()
@@ -445,23 +448,55 @@ class Eliminator:
         return f_or(disjuncts)
 
 
-def eval_ground(node) -> bool:
+def holds(node, env: Dict[str, int]) -> bool:
+    """The truth of a quantifier-free node when `env` values its variables."""
     tag = node[0]
     if tag == "and":
-        return all(eval_ground(x) for x in node[1])
+        return all(holds(x, env) for x in node[1])
     if tag == "or":
-        return any(eval_ground(x) for x in node[1])
+        return any(holds(x, env) for x in node[1])
     if tag in _ATOMS:
-        node = atom(tag, node[-1], *node[1:-1])
-    if node[0] in ("true", "false"):
-        return node[0] == "true"
+        lin = node[-1]
+        value = lin.const
+        try:
+            for v, c in lin.coeffs.items():
+                value += c * env[v]
+        except KeyError:
+            raise SolverInputError(f"formula is not ground: {node!r}") from None
+        if tag == "le":
+            return value <= 0
+        if tag == "eq":
+            return value == 0
+        if tag == "ne":
+            return value != 0
+        return (value % node[1] == 0) == (tag == "dvd")
+    if tag in ("true", "false"):
+        return tag == "true"
     raise SolverInputError(f"formula is not ground: {node!r}")
 
 
-def solve_single(node, var: str) -> Optional[int]:
-    """A satisfying value for the only variable of a one-variable formula."""
+def eval_ground(node) -> bool:
+    return holds(node, {})
+
+
+def solve_single(node, var: str, env: Dict[str, int],
+                 tick: Callable[[], None]) -> Optional[int]:
+    """The least-|x| value of `var` (x >= 0 first) that satisfies `node`
+    under `env`, or None if none does; `env` values every other variable.
+
+    Complete: with the other variables fixed, each le/eq/ne atom
+    `c*var + r` changes its truth only next to b = floor(-r/c), and each
+    dvd/ndvd atom is periodic in var with a period dividing δ, the lcm of
+    their moduli. Let x be the least-|x| solution and suppose |x| > δ + 2.
+    Then x ∓ δ, one period closer to zero, is no solution, so some le/eq/ne
+    atom changes its truth between the two: its b lies within δ of x. Every
+    integer within δ + 2 of 0 or of a boundary is a candidate, so x is one;
+    tested by increasing |x|, the first that holds is x, and None means the
+    formula is unsatisfiable. `tick` is called per centre and per
+    candidate and may raise `Timeout`.
+    """
     moduli = []
-    bounds = []
+    centres = [0]
     for a in _atoms(node):
         lin = a[-1]
         c = lin.coeff(var)
@@ -470,18 +505,28 @@ def solve_single(node, var: str) -> Optional[int]:
         if a[0] in _DIVISIBILITY:
             moduli.append(a[1])
         else:
-            bounds.append(-lin.const // c)  # exact floor of the boundary
+            rest = lin.const + sum(k * env[v] for v, k in lin.coeffs.items() if v != var)
+            centres.append(-rest // c)  # exact floor of the boundary
     delta = math.lcm(*moduli) if moduli else 1
-    candidates = set()
-    for center in [0] + bounds:
-        for off in range(-delta - 2, delta + 3):
-            candidates.add(center + off)
-    best = None
-    for value in sorted(candidates, key=lambda x: (abs(x), 0 if x >= 0 else 1)):
-        if eval_ground(subst_value(node, var, value)):
-            best = value
-            break
-    return best
+    # The candidates as disjoint intervals in increasing order, then walked
+    # outwards from 0 on both sides at once.
+    spans: List[List[int]] = []
+    for b in sorted(set(centres)):
+        tick()
+        lo, hi = b - delta - 2, b + delta + 2
+        if spans and lo <= spans[-1][1] + 1:
+            spans[-1][1] = hi
+        else:
+            spans.append([lo, hi])
+    up = (x for lo, hi in spans if hi >= 0 for x in range(max(lo, 0), hi + 1))
+    down = (x for lo, hi in reversed(spans) if lo < 0 for x in range(min(hi, -1), lo - 1, -1))
+    point = dict(env)
+    for x in heapq.merge(up, down, key=abs):  # stable: x >= 0 wins a tie
+        tick()
+        point[var] = x
+        if holds(node, point):
+            return x
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +561,8 @@ class Translator:
 
     def to_lin(self, expr, side: List[tuple], aux: List[str]) -> Lin:
         if isinstance(expr, str):
-            if expr.lstrip("-").isdigit():
+            digits = expr[1:] if expr[:1] == "-" else expr
+            if digits.isascii() and digits.isdigit():
                 return Lin({}, int(expr))
             if expr in self.declared or expr.startswith(".q"):
                 return Lin({expr: 1})
@@ -531,6 +577,8 @@ class Translator:
                 out = out.add(self.to_lin(a, side, aux))
             return out
         if head == "-":
+            if not args:
+                raise SolverInputError("- expects arguments")
             if len(args) == 1:
                 return self.to_lin(args[0], side, aux).scale(-1)
             out = self.to_lin(args[0], side, aux)
@@ -592,8 +640,12 @@ class Translator:
         if head in ("and", "or"):
             return _junction(head, [self.to_formula(a) for a in args])
         if head == "not":
+            if len(args) != 1:
+                raise SolverInputError("not expects one argument")
             return negate(self.to_formula(args[0]))
         if head == "=>":
+            if not args:
+                raise SolverInputError("=> expects arguments")
             out = self.to_formula(args[-1])
             for a in reversed(args[:-1]):
                 out = f_or([negate(self.to_formula(a)), out])
@@ -603,10 +655,12 @@ class Translator:
                 raise SolverInputError(f"{head} expects two arguments")
             return self.comparison(head, args[0], args[1])
         if head in ("forall", "exists"):
-            binders = args[0]
+            if len(args) != 2 or not isinstance(args[0], list):
+                raise SolverInputError(f"{head} expects binders and a body")
             names = []
-            for binder in binders:
-                if not (isinstance(binder, list) and len(binder) == 2 and binder[1] == "Int"):
+            for binder in args[0]:
+                if not (isinstance(binder, list) and len(binder) == 2
+                        and isinstance(binder[0], str) and binder[1] == "Int"):
                     raise SolverInputError("only Int binders are supported")
                 names.append(binder[0])
             # A binder may shadow a declared constant; the declaration must
@@ -647,22 +701,21 @@ class Session:
         elim = Eliminator(deadline)
         self.model = {}  # a failed check must not leave an older model behind
         try:
-            phi = f_and(self.assertions())
-            phi = elim.qe(phi)
+            phi = elim.qe(f_and(self.assertions()))
             free = sorted(node_vars(phi))
+            if not free:
+                return "sat" if eval_ground(phi) else "unsat"
+            # chain[i] has free[i+1:] eliminated; free[0] is decided by
+            # solve_single, then each later variable given the earlier ones.
             chain = [phi]
-            for v in reversed(free):
+            for v in reversed(free[1:]):
                 chain.append(elim.eliminate(v, chain[-1]))
-            if not eval_ground(chain[-1]):
-                return "unsat"
             model: Dict[str, int] = {}
-            for idx, v in enumerate(free):
-                # chain[len(free)-1-idx] has vars free[idx+1:] eliminated
-                node = chain[len(free) - 1 - idx]
-                for w, value in model.items():
-                    node = subst_value(node, w, value)
-                value = solve_single(node, v)
+            for v, node in zip(free, reversed(chain)):
+                value = solve_single(node, v, model, elim.tick)
                 if value is None:
+                    if not model:
+                        return "unsat"
                     raise SolverInputError("model construction failed")
                 model[v] = value
             self.model = model
@@ -714,7 +767,14 @@ def run(instream=None, outstream=None) -> int:
                 reply(result)
 
 
+def _count(token) -> int:
+    if not (isinstance(token, str) and token.isascii() and token.isdigit()):
+        raise SolverInputError(f"expected a numeral, got {token!r}")
+    return int(token)
+
+
 def dispatch(session: Session, cmd) -> Optional[str]:
+    """Run one command; a malformed one raises `SolverInputError`."""
     if not isinstance(cmd, list) or not cmd:
         raise SolverInputError(f"bad command {cmd!r}")
     head = cmd[0]
@@ -722,15 +782,15 @@ def dispatch(session: Session, cmd) -> Optional[str]:
         return None
     if head == "set-option":
         if len(cmd) == 3 and cmd[1] == ":timeout":
-            session.timeout_ms = int(cmd[2])
+            session.timeout_ms = _count(cmd[2])
         return None
     if head == "declare-const":
-        name = cmd[1]
-        sort = cmd[-1]
-        if sort != "Int":
-            raise SolverInputError(f"unsupported sort {sort!r}")
-        session.declared[name] = "Int"
-        session.decl_stack[-1].append(name)
+        if len(cmd) != 3 or not isinstance(cmd[1], str):
+            raise SolverInputError("declare-const expects a name and a sort")
+        if cmd[2] != "Int":
+            raise SolverInputError(f"unsupported sort {cmd[2]!r}")
+        session.declared[cmd[1]] = "Int"
+        session.decl_stack[-1].append(cmd[1])
         return None
     if head == "assert":
         if len(cmd) != 2:
@@ -739,13 +799,13 @@ def dispatch(session: Session, cmd) -> Optional[str]:
         session.stack[-1].append(translator.to_formula(cmd[1]))
         return None
     if head == "push":
-        count = int(cmd[1]) if len(cmd) > 1 else 1
+        count = _count(cmd[1]) if len(cmd) > 1 else 1
         for _ in range(count):
             session.stack.append([])
             session.decl_stack.append([])
         return None
     if head == "pop":
-        count = int(cmd[1]) if len(cmd) > 1 else 1
+        count = _count(cmd[1]) if len(cmd) > 1 else 1
         if count >= len(session.stack):
             raise SolverInputError("pop below assertion stack level 0")
         for _ in range(count):
@@ -756,7 +816,8 @@ def dispatch(session: Session, cmd) -> Optional[str]:
     if head == "check-sat":
         return session.check_sat()
     if head == "get-value":
-        if len(cmd) != 2 or not isinstance(cmd[1], list):
+        if len(cmd) != 2 or not isinstance(cmd[1], list) \
+                or not all(isinstance(name, str) for name in cmd[1]):
             raise SolverInputError("get-value expects a list of constants")
         return session.get_value(cmd[1])
     if head == "reset":

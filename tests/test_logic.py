@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from hyperfind import logic
+from hyperfind import frontend, logic, smt
 from hyperfind.logic import (
-    And, BoolLit, Cmp, EvalError, IntLit, Not, Quant, Var,
+    And, BinTerm, BoolLit, Cmp, EvalError, IntLit, Not, Quant, Var,
     eval_formula, eval_term, free_vars, substitute,
 )
+from hyperfind.symexec import Feasibility, FreshSupply, observe
 
-from conftest import all_assignments, random_formula, random_term
+from conftest import all_assignments, bench_source, random_formula, random_term
 
 
 def test_eval_term_literal_arithmetic():
@@ -88,6 +89,61 @@ def test_constant_folding():
     assert logic.conj([logic.FALSE, Cmp("=", Var("x"), IntLit(0))]) == logic.FALSE
     assert logic.disj([]) == logic.FALSE
     assert logic.forall((), logic.FALSE) == logic.FALSE
+
+
+def test_literal_offsets_fold():
+    x = Var("x")
+    assert logic.sub(logic.sub(x, IntLit(1)), IntLit(1)) == logic.sub(x, IntLit(2))
+    assert logic.add(logic.sub(x, IntLit(3)), IntLit(3)) == x
+    assert logic.add(IntLit(5), logic.sub(x, IntLit(2))) == logic.add(x, IntLit(3))
+    assert logic.sub(logic.add(x, IntLit(1)), IntLit(4)) == logic.sub(x, IntLit(3))
+    # a literal on the left of `-`, or an offset that is not a literal, stays
+    assert logic.sub(IntLit(1), logic.sub(x, IntLit(1))) == \
+        BinTerm("-", IntLit(1), BinTerm("-", x, IntLit(1)))
+    assert logic.add(logic.add(x, Var("y")), IntLit(1)) == \
+        BinTerm("+", BinTerm("+", x, Var("y")), IntLit(1))
+
+
+def test_folded_offset_chains_keep_their_value():
+    # `k + t` folds only into a `t` that already ends in an offset; a chain
+    # of trailing offsets alone always folds to one.
+    rng = random.Random(10)
+    for _ in range(300):
+        base = logic.add(Var("x"), Var("y")) if rng.random() < 0.5 else Var("x")
+        raw = folded = base
+        trailing = rng.random() < 0.5
+        for _ in range(rng.randint(1, 8)):
+            k = IntLit(rng.randint(-5, 5))
+            op = rng.choice(["+", "-"] if trailing else ["+", "-", "k+"])
+            if op == "k+":
+                raw, folded = BinTerm("+", k, raw), logic.add(k, folded)
+            else:
+                raw = BinTerm(op, raw, k)
+                folded = (logic.add if op == "+" else logic.sub)(folded, k)
+        if trailing:
+            assert folded == base or folded.left == base
+        for x in range(-3, 4):
+            rho = {"x": x, "y": rng.randint(-9, 9)}
+            assert eval_term(folded, rho) == eval_term(raw, rho)
+
+
+def test_countdown_paths_stay_small(solver_argv):
+    # Each loop pass of factorial.hyp decrements n, so the path of the k-th
+    # pass holds k guards over n - 1, n - 2, ...: each is one subtraction.
+    prog = frontend.load(bench_source("factorial.hyp")).programs["factorial"]
+    sizes = []
+
+    class Recorded(Feasibility):
+        def check(self, formula):
+            sizes.append(len(smt.formula_to_smt(formula)))
+            return super().check(formula)
+
+    with smt.Solver(solver_argv) as solver:
+        stream = observe(prog.graph, prog.labels["end"], 1, FreshSupply(),
+                         Recorded(solver), step_budget=140)
+        list(stream)
+    assert stream.incomplete and len(sizes) > 60
+    assert max(sizes) < 1000
 
 
 def test_conj_flattens_nested():

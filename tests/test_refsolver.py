@@ -1,12 +1,14 @@
 import io
 import math
 import random
+import time
 
 import pytest
 
 from hyperfind import refsolver
 from hyperfind.refsolver import (
-    Eliminator, Lin, Session, atom, eval_ground, f_and, f_or, negate, run, subst_var,
+    Eliminator, Lin, Session, Timeout, atom, eval_ground, f_and, f_or, negate, run,
+    solve_single, subst_var,
 )
 
 
@@ -400,15 +402,20 @@ def test_literal_beyond_float_precision():
 
 
 def test_failed_check_leaves_no_stale_model(monkeypatch):
+    # x = 4 and y = x + 1; y is solved after x, so failing y alone fails
+    # the model construction after x already has a value.
     session = Session()
-    session.declared = {"x": "Int"}
-    session.stack[-1].append(atom("eq", Lin({"x": 1}, -4)))
+    session.declared = {"x": "Int", "y": "Int"}
+    session.stack[-1].append(f_and([atom("eq", Lin({"x": 1}, -4)),
+                                    atom("eq", Lin({"x": 1, "y": -1}, 1))]))
     assert session.check_sat() == "sat"
-    assert session.get_value(["x"]) == "((x 4))"
-    monkeypatch.setattr(refsolver, "solve_single", lambda node, var: None)
+    assert session.get_value(["x", "y"]) == "((x 4) (y 5))"
+    real = refsolver.solve_single
+    monkeypatch.setattr(refsolver, "solve_single",
+                        lambda node, var, *rest: None if var == "y" else real(node, var, *rest))
     with pytest.raises(refsolver.SolverInputError, match="model construction"):
         session.check_sat()
-    assert session.get_value(["x"]) == "((x 0))"
+    assert session.get_value(["x", "y"]) == "((x 0) (y 0))"
 
 
 def test_binder_does_not_undeclare_a_shadowed_constant():
@@ -424,3 +431,75 @@ def test_binder_does_not_undeclare_a_shadowed_constant():
 (exit)
 """)
     assert out.splitlines() == ["sat", "sat", "((x 3))"]
+
+
+# ---------------------------------------------------------------------------
+# Deciding the last variable by evaluation
+# ---------------------------------------------------------------------------
+
+def random_single(rng, depth=2):
+    """A one-variable formula over x: le/eq/ne/dvd/ndvd atoms with
+    coefficients in [-4, 4], constants in [-20, 20] and moduli up to 12,
+    under and/or (sometimes negated)."""
+    if depth == 0 or rng.random() < 0.4:
+        lin = Lin({"x": rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])}, rng.randint(-20, 20))
+        tag = rng.choice(["le", "le", "eq", "ne", "dvd", "ndvd"])
+        return atom(tag, lin, rng.randint(2, 12) if tag in ("dvd", "ndvd") else 0)
+    parts = [random_single(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    if rng.random() < 0.2:
+        parts = [negate(p) for p in parts]
+    return f_and(parts) if rng.random() < 0.5 else f_or(parts)
+
+
+def test_one_variable_decisions_match_the_least_solution():
+    # Every boundary floor(-r/c) has |b| <= 20, and the least-|x| solution,
+    # if any, lies within delta of 0 or of a boundary; scanning |x| up to
+    # 20 + delta + 3 therefore finds it, or shows that there is none.
+    rng = random.Random(56)
+    verdicts = set()
+    for _ in range(400):
+        node = random_single(rng)
+        moduli = [a[1] for a in refsolver._atoms(node) if a[0] in ("dvd", "ndvd")]
+        window = 20 + math.lcm(*moduli) + 3 if moduli else 24
+        brute = next((x for m in range(window + 1) for x in (m, -m)
+                      if eval_at(node, {"x": x})), None)
+        verdict, model = session_verdict(node, ["x"])
+        verdicts.add(verdict)
+        assert verdict == ("unsat" if brute is None else "sat"), node
+        if brute is not None:
+            assert model.get("x", 0) == brute, node
+    assert verdicts == {"sat", "unsat"}
+
+
+def test_one_variable_decision_checks_the_deadline():
+    # 10^12 candidates; the deadline ends the search, not the range.
+    node = atom("dvd", Lin({"x": 1}, 1), 10 ** 12)
+    with pytest.raises(Timeout):
+        solve_single(node, "x", {}, Eliminator(time.monotonic() - 1).tick)
+    session = Session()
+    session.timeout_ms = 50
+    session.declared = {"x": "Int"}
+    session.stack[-1].append(f_and([node, atom("le", Lin({"x": -1}, 1))]))  # x >= 1
+    started = time.monotonic()
+    assert session.check_sat() == "unknown"
+    assert time.monotonic() - started < 5
+
+
+@pytest.mark.parametrize("command", [
+    "(declare-const)",
+    "(assert (< (-) 1))",
+    "(push x)",
+    "(pop x)",
+    "(set-option :timeout x)",
+])
+def test_malformed_command_is_an_error_reply(command):
+    out = drive(f"""
+{command}
+(declare-const y Int)
+(assert (= y 1))
+(check-sat)
+(exit)
+""")
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("(error"), out
+    assert lines[1] == "sat"
