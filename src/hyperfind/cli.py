@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_domain(text: str) -> Optional[List[int]]:
+def _parse_domain(text: str) -> Optional[range]:
     try:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
@@ -74,7 +75,7 @@ def _parse_domain(text: str) -> Optional[List[int]]:
         return None
     if hi < lo:
         return None
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -130,6 +131,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                   + (f" at k={result.k}" if result.k is not None else ""))
         return {"holds": 0, "violated": 1, "inconclusive": 2}[result.verdict]
 
+    if args.emit_smt:
+        try:
+            os.makedirs(args.emit_smt, exist_ok=True)
+        except OSError as exc:
+            print(f"error: --emit-smt: {exc}", file=sys.stderr)
+            return 3
     opts = driver.SearchOptions(
         solver_argv=smt.resolve_solver(args.solver),
         step_budget=args.step_budget,

@@ -7,12 +7,16 @@ that one by evaluation (`solve_single`): it tests finitely many candidate
 values, least magnitude first, and none satisfying means unsat. Each later
 constant takes its least value given the earlier ones, which is the model.
 
-By default the solver bridge (`smt.InProcessSession`) runs it in the
-caller's process, feeding each command through `parse_sexprs` and
-`dispatch`; its `:timeout` is then cooperative, checked by
+Its commands are values (`dispatch`), such as `("assert", formula)` with a
+`logic` formula, which `Translator` turns into the solver's own linear
+normal form. The solver bridge (`smt.InProcessSession`) runs it in the
+caller's process by default and hands it those values, so no text is
+written or read; its `:timeout` is then cooperative, checked by
 `Eliminator.tick`. As a stand-alone process (`hyperfind-smt`, or
-`python -m hyperfind.refsolver`) it reads commands on stdin, and the bridge
-can kill it like any other solver.
+`python -m hyperfind.refsolver`) it reads SMT-LIB2 text on stdin, and
+`read_command` turns each parsed command into the same value: n-ary `+`,
+`-` and `=>` nest into binary nodes, and `(- t)` reads as `0 - t`. The
+bridge can kill it like any other solver.
 
 The loop accepts exactly these commands: `set-logic` (ignored),
 `set-option` (only `:timeout` in milliseconds takes effect),
@@ -20,13 +24,13 @@ The loop accepts exactly these commands: `set-logic` (ignored),
 count, `check-sat`, `get-value`, `reset` and `exit`. Terms are Int
 constants and literals, `+`, `-`, `*` by a literal, `div`/`mod` by a
 positive literal, the comparisons `< <= > >= = distinct`, `true`,
-`false`, `and`, `or`, `not`, `=>`, and `exists`/`forall` over Int
-binders. Any other command, or a malformed one, is answered with
+`false`, `and`, `or`, `not`, `=>`, and `exists`/`forall` over distinct
+Int binders. Any other command, or a malformed one, is answered with
 `(error "...")`, and the loop reads on.
 
-It is deliberately independent of the rest of the package: terms are kept
-in a linear normal form of its own, so the bridge's serializer is exercised
-through a genuinely separate reader.
+The stand-alone reader is independent of the bridge's printer
+(`smt.formula_to_smt`); the tests check that a printed formula, read back,
+translates to the same node as the formula itself.
 """
 
 from __future__ import annotations
@@ -34,9 +38,13 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import re
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence
+
+from . import logic
+from .logic import And, BinTerm, BoolLit, Cmp, Implies, IntLit, Not, Or, Quant, Var
 
 
 class SolverInputError(Exception):
@@ -51,65 +59,35 @@ class Timeout(Exception):
 # S-expression reader
 # ---------------------------------------------------------------------------
 
+# Whitespace, a comment, or a token: a parenthesis, a |quoted| symbol, a
+# "string" (to the end of the text if unterminated), or any other run. Kept
+# as text, so that `re` compiles it on first use: the in-process route,
+# which reads no text, never does.
+_TOKEN = r'\s+|;[^\n]*|([()]|\|[^|]*\||"[^"]*"?|[^\s();]+)'
+
+
 def tokenize_sexpr(text: str) -> List[str]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append(c)
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SolverInputError("unterminated quoted symbol")
-            tokens.append(text[i:j + 1])
-            i = j + 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            tokens.append(text[i:j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    tokens = [token for token in re.findall(_TOKEN, text) if token]
+    if any(token[0] == "|" and token.count("|") == 1 for token in tokens):
+        raise SolverInputError("unterminated quoted symbol")
     return tokens
 
 
 def parse_sexprs(text: str) -> List[object]:
-    tokens = tokenize_sexpr(text)
-    pos = [0]
-
-    def read():
-        if pos[0] >= len(tokens):
-            raise SolverInputError("unexpected end of input")
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        if tok == "(":
-            items = []
-            while pos[0] < len(tokens) and tokens[pos[0]] != ")":
-                items.append(read())
-            if pos[0] >= len(tokens):
-                raise SolverInputError("unbalanced parentheses")
-            pos[0] += 1
-            return items
-        if tok == ")":
+    stack: List[list] = [[]]
+    for token in tokenize_sexpr(text):
+        if token == "(":
+            stack.append([])
+        elif token != ")":
+            stack[-1].append(token)
+        elif len(stack) > 1:
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
             raise SolverInputError("unexpected ')'")
-        return tok
-
-    out = []
-    while pos[0] < len(tokens):
-        out.append(read())
-    return out
+    if len(stack) > 1:
+        raise SolverInputError("unbalanced parentheses")
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +508,7 @@ def solve_single(node, var: str, env: Dict[str, int],
 
 
 # ---------------------------------------------------------------------------
-# SMT-LIB2 term translation
+# Translation of `logic` formulas
 # ---------------------------------------------------------------------------
 
 # Each comparison `l OP r` as the atom `tag` over `sign * (l - r) + offset`.
@@ -540,143 +518,118 @@ _COMPARISONS = {
     ">": ("le", -1, 1),
     ">=": ("le", -1, 0),
     "=": ("eq", 1, 0),
-    "distinct": ("ne", 1, 0),
+    "!=": ("ne", 1, 0),
 }
 
 
 class Translator:
-    """SMT-LIB2 terms -> linear normal form.
+    """`logic` terms and formulas -> linear normal form.
 
-    div/mod by a positive literal are exact: each occurrence introduces an
-    existentially quantified quotient pinned by side constraints.
+    Every constant must be declared or bound, `*` needs a constant side, and
+    `div`/`mod` a positive literal divisor; anything else raises
+    `SolverInputError`. div/mod are exact: each occurrence introduces an
+    existentially quantified quotient `.qN` pinned by side constraints.
     """
 
     def __init__(self, declared: Dict[str, str]):
         self.declared = declared
         self.aux_counter = 0
+        # The quotients of the comparison being translated, and the side
+        # constraints that pin them.
+        self.aux: List[str] = []
+        self.side: List[tuple] = []
 
-    def fresh_aux(self) -> str:
+    def to_lin(self, term) -> Lin:
+        coeffs: Dict[str, int] = {}
+        const = self._add(term, 1, coeffs)
+        return Lin(coeffs, const)
+
+    def _add(self, term, scale: int, coeffs: Dict[str, int]) -> int:
+        """Adds `scale * term` into `coeffs`; returns its constant part."""
+        kind = type(term)
+        if kind is IntLit:
+            return scale * term.value
+        if kind is Var:
+            if term.name not in self.declared:
+                raise SolverInputError(f"undeclared constant {term.name!r}")
+            coeffs[term.name] = coeffs.get(term.name, 0) + scale
+            return 0
+        op, left, right = term.op, term.left, term.right
+        if op in ("+", "-"):
+            const = self._add(left, scale, coeffs)
+            return const + self._add(right, scale if op == "+" else -scale, coeffs)
+        if op == "*":
+            if type(left) is IntLit:
+                return self._add(right, scale * left.value, coeffs)
+            if type(right) is IntLit:
+                return self._add(left, scale * right.value, coeffs)
+            lin, other = self.to_lin(left), self.to_lin(right)
+            if lin.is_const():
+                lin, other = other, lin
+            if not other.is_const():
+                raise SolverInputError("nonlinear multiplication")
+            lin = lin.scale(other.const)
+        elif op in ("div", "mod"):
+            lin = self._quotient(op, self.to_lin(left), self.to_lin(right))
+        else:
+            raise SolverInputError(f"unknown term operator {op!r}")
+        for v, c in lin.coeffs.items():
+            coeffs[v] = coeffs.get(v, 0) + scale * c
+        return scale * lin.const
+
+    def _quotient(self, op: str, num: Lin, den: Lin) -> Lin:
+        if not den.is_const() or den.const <= 0:
+            raise SolverInputError(f"{op} requires a positive literal divisor")
+        d = den.const
+        if num.is_const():
+            return Lin({}, num.const // d if op == "div" else num.const % d)
         self.aux_counter += 1
-        return f".q{self.aux_counter}"
+        q = f".q{self.aux_counter}"
+        self.aux.append(q)
+        rem = num.add(Lin({q: -d}))  # num - d*q
+        self.side.append(atom("le", rem.scale(-1)))               # rem >= 0
+        self.side.append(atom("le", rem.add(Lin({}, -(d - 1)))))  # rem <= d-1
+        return Lin({q: 1}) if op == "div" else rem
 
-    def to_lin(self, expr, side: List[tuple], aux: List[str]) -> Lin:
-        if isinstance(expr, str):
-            digits = expr[1:] if expr[:1] == "-" else expr
-            if digits.isascii() and digits.isdigit():
-                return Lin({}, int(expr))
-            if expr in self.declared or expr.startswith(".q"):
-                return Lin({expr: 1})
-            raise SolverInputError(f"undeclared constant {expr!r}")
-        if not expr:
-            raise SolverInputError("empty term")
-        head = expr[0]
-        args = expr[1:]
-        if head == "+":
-            out = Lin()
-            for a in args:
-                out = out.add(self.to_lin(a, side, aux))
-            return out
-        if head == "-":
-            if not args:
-                raise SolverInputError("- expects arguments")
-            if len(args) == 1:
-                return self.to_lin(args[0], side, aux).scale(-1)
-            out = self.to_lin(args[0], side, aux)
-            for a in args[1:]:
-                out = out.add(self.to_lin(a, side, aux).scale(-1))
-            return out
-        if head == "*":
-            if len(args) != 2:
-                raise SolverInputError("* expects two arguments")
-            left = self.to_lin(args[0], side, aux)
-            right = self.to_lin(args[1], side, aux)
-            if left.is_const():
-                return right.scale(left.const)
-            if right.is_const():
-                return left.scale(right.const)
-            raise SolverInputError("nonlinear multiplication")
-        if head in ("div", "mod"):
-            if len(args) != 2:
-                raise SolverInputError(f"{head} expects two arguments")
-            num = self.to_lin(args[0], side, aux)
-            den = self.to_lin(args[1], side, aux)
-            if not den.is_const() or den.const <= 0:
-                raise SolverInputError(f"{head} requires a positive literal divisor")
-            d = den.const
-            if num.is_const():
-                value = num.const // d if head == "div" else num.const % d
-                return Lin({}, value)
-            q = self.fresh_aux()
-            aux.append(q)
-            qlin = Lin({q: 1})
-            rem = num.add(qlin.scale(-d))  # num - d*q
-            side.append(atom("le", rem.scale(-1)))               # rem >= 0
-            side.append(atom("le", rem.add(Lin({}, -(d - 1)))))  # rem <= d-1
-            return qlin if head == "div" else rem
-        raise SolverInputError(f"unknown term operator {head!r}")
-
-    def comparison(self, head: str, left, right) -> tuple:
-        tag, sign, offset = _COMPARISONS[head]
-        side: List[tuple] = []
-        aux: List[str] = []
-        l = self.to_lin(left, side, aux)
-        r = self.to_lin(right, side, aux)
-        lin = l.add(r.scale(-1)) if sign > 0 else r.add(l.scale(-1))
-        lin.const += offset
-        core = atom(tag, lin)
-        if not aux:
+    def comparison(self, formula: Cmp) -> tuple:
+        tag, sign, offset = _COMPARISONS[formula.op]
+        self.aux, self.side = [], []
+        coeffs: Dict[str, int] = {}
+        const = self._add(formula.left, sign, coeffs) + self._add(formula.right, -sign, coeffs)
+        core = atom(tag, Lin(coeffs, const + offset))
+        if not self.aux:
             return core
-        return ("exists", aux, f_and(side + [core]))
+        return ("exists", self.aux, f_and(self.side + [core]))
 
-    def to_formula(self, expr) -> tuple:
-        if expr == "true":
-            return TRUE
-        if expr == "false":
-            return FALSE
-        if isinstance(expr, str) or not expr or not isinstance(expr[0], str):
-            raise SolverInputError(f"expected a boolean term, got {expr!r}")
-        head = expr[0]
-        args = expr[1:]
-        if head in ("and", "or"):
-            return _junction(head, [self.to_formula(a) for a in args])
-        if head == "not":
-            if len(args) != 1:
-                raise SolverInputError("not expects one argument")
-            return negate(self.to_formula(args[0]))
-        if head == "=>":
-            if not args:
-                raise SolverInputError("=> expects arguments")
-            out = self.to_formula(args[-1])
-            for a in reversed(args[:-1]):
-                out = f_or([negate(self.to_formula(a)), out])
-            return out
-        if head in _COMPARISONS:
-            if len(args) != 2:
-                raise SolverInputError(f"{head} expects two arguments")
-            return self.comparison(head, args[0], args[1])
-        if head in ("forall", "exists"):
-            if len(args) != 2 or not isinstance(args[0], list):
-                raise SolverInputError(f"{head} expects binders and a body")
-            names = []
-            for binder in args[0]:
-                if not (isinstance(binder, list) and len(binder) == 2
-                        and isinstance(binder[0], str) and binder[1] == "Int"):
-                    raise SolverInputError("only Int binders are supported")
-                names.append(binder[0])
+    def to_formula(self, formula) -> tuple:
+        kind = type(formula)
+        if kind is Cmp:
+            return self.comparison(formula)
+        if kind is And or kind is Or:
+            return _junction("and" if kind is And else "or",
+                             [self.to_formula(a) for a in formula.args])
+        if kind is Not:
+            return negate(self.to_formula(formula.arg))
+        if kind is BoolLit:
+            return TRUE if formula.value else FALSE
+        if kind is Implies:
+            right = self.to_formula(formula.right)
+            return f_or([negate(self.to_formula(formula.left)), right])
+        if kind is Quant:
             # A binder may shadow a declared constant; the declaration must
             # survive the quantifier's scope.
-            outer = {name: self.declared.get(name) for name in names}
-            self.declared.update((name, "Int") for name in names)
+            outer = {name: self.declared.get(name) for name in formula.vars}
+            self.declared.update((name, "Int") for name in formula.vars)
             try:
-                body = self.to_formula(args[1])
+                body = self.to_formula(formula.body)
             finally:
                 for name, sort in outer.items():
                     if sort is None:
                         del self.declared[name]
                     else:
                         self.declared[name] = sort
-            return (head, names, body)
-        raise SolverInputError(f"unknown operator {head!r}")
+            return (formula.kind, list(formula.vars), body)
+        raise SolverInputError(f"expected a formula, got {formula!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -723,16 +676,12 @@ class Session:
         except Timeout:
             return "unknown"
 
-    def get_value(self, names: Sequence[str]) -> str:
-        parts = []
-        for name in names:
-            value = self.model.get(name, 0)
-            text = str(value) if value >= 0 else f"(- {-value})"
-            parts.append(f"({name} {text})")
-        return "(" + " ".join(parts) + ")"
+    def get_value(self, names: Sequence[str]) -> Dict[str, int]:
+        return {name: self.model.get(name, 0) for name in names}
 
 
 def run(instream=None, outstream=None) -> int:
+    """The stand-alone loop: SMT-LIB2 text in, one reply line per answer."""
     instream = instream or sys.stdin
     outstream = outstream or sys.stdout
     session = Session()
@@ -751,20 +700,30 @@ def run(instream=None, outstream=None) -> int:
             continue
         text, buffer = buffer, ""
         try:
-            commands = parse_sexprs(text)
+            trees = parse_sexprs(text)
         except SolverInputError as exc:
             reply(f'(error "{exc}")')
             continue
-        for cmd in commands:
+        for tree in trees:
             try:
-                result = dispatch(session, cmd)
+                result = dispatch(session, read_command(tree))
             except SolverInputError as exc:
                 reply(f'(error "{exc}")')
                 continue
             if result == "#exit":
                 return 0
-            if result is not None:
+            if isinstance(result, dict):
+                reply("(" + " ".join(f"({name} {value})" if value >= 0 else f"({name} (- {-value}))"
+                                     for name, value in result.items()) + ")")
+            elif result is not None:
                 reply(result)
+
+
+# ---------------------------------------------------------------------------
+# Reading SMT-LIB2 trees into command values (the stand-alone loop's reader)
+# ---------------------------------------------------------------------------
+
+_READ_COMPARISONS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=", "distinct": "!="}
 
 
 def _count(token) -> int:
@@ -773,62 +732,107 @@ def _count(token) -> int:
     return int(token)
 
 
-def dispatch(session: Session, cmd) -> Optional[str]:
-    """Run one command; a malformed one raises `SolverInputError`."""
-    if not isinstance(cmd, list) or not cmd:
-        raise SolverInputError(f"bad command {cmd!r}")
-    head = cmd[0]
-    if head == "set-logic":
-        return None
-    if head == "set-option":
-        if len(cmd) == 3 and cmd[1] == ":timeout":
-            session.timeout_ms = _count(cmd[2])
-        return None
-    if head == "declare-const":
-        if len(cmd) != 3 or not isinstance(cmd[1], str):
-            raise SolverInputError("declare-const expects a name and a sort")
-        if cmd[2] != "Int":
-            raise SolverInputError(f"unsupported sort {cmd[2]!r}")
-        session.declared[cmd[1]] = "Int"
-        session.decl_stack[-1].append(cmd[1])
-        return None
+def read_term(tree):
+    """A `logic` term: n-ary `+`/`-` nest to the left, and `(- t)` is `0 - t`."""
+    if isinstance(tree, str):
+        digits = tree[1:] if tree[:1] == "-" else tree
+        return IntLit(int(tree)) if digits.isascii() and digits.isdigit() else Var(tree)
+    head, args = (tree[0], [read_term(a) for a in tree[1:]]) if tree else (None, [])
+    if head == "+":
+        return functools.reduce(logic.add, args, IntLit(0))
+    if head == "-" and args:
+        return functools.reduce(logic.sub, args[1:], args[0]) if args[1:] else logic.neg(args[0])
+    if head in ("*", "div", "mod") and len(args) == 2:
+        return BinTerm(head, *args)
+    raise SolverInputError(f"malformed term {tree!r}")
+
+
+def read_formula(tree):
+    """A `logic` formula: n-ary `=>` nests to the right."""
+    if tree in ("true", "false"):
+        return BoolLit(tree == "true")
+    if isinstance(tree, str) or not tree or not isinstance(tree[0], str):
+        raise SolverInputError(f"expected a boolean term, got {tree!r}")
+    head, args = tree[0], tree[1:]
+    if head in _READ_COMPARISONS and len(args) == 2:
+        return Cmp(_READ_COMPARISONS[head], read_term(args[0]), read_term(args[1]))
+    if head in ("forall", "exists") and len(args) == 2 and isinstance(args[0], list):
+        names = tuple(b[0] for b in args[0]
+                      if isinstance(b, list) and b[1:] == ["Int"] and isinstance(b[0], str))
+        if len(set(names)) != len(args[0]):
+            raise SolverInputError(f"{head} expects distinct Int binders")
+        return Quant(head, names, read_formula(args[1]))
+    parts = [read_formula(a) for a in args]
+    if head in ("and", "or"):
+        return (And if head == "and" else Or)(tuple(parts))
+    if head == "not" and len(parts) == 1:
+        return Not(parts[0])
+    if head == "=>" and parts:
+        return functools.reduce(lambda right, left: Implies(left, right), reversed(parts))
+    raise SolverInputError(f"malformed formula {tree!r}")
+
+
+def read_command(tree) -> tuple:
+    """The command value of one parsed command, as `dispatch` takes it."""
+    head, args = (tree[0], tree[1:]) if isinstance(tree, list) and tree else (None, [])
+    if head == "assert" and len(args) == 1:
+        return (head, read_formula(args[0]))
+    if head == "declare-const" and args[1:] == ["Int"] and isinstance(args[0], str):
+        return (head, args[0])
+    if head in ("push", "pop"):
+        return (head, _count(args[0]) if args else 1)
+    if head == "set-option" and args[:1] == [":timeout"] and len(args) == 2:
+        return (head, ":timeout", _count(args[1]))
+    if head == "get-value" and len(args) == 1 and isinstance(args[0], list) \
+            and all(isinstance(name, str) for name in args[0]):
+        return (head, args[0])
+    if head in ("set-option", "set-logic", "check-sat", "reset", "exit"):
+        return (head,)
+    raise SolverInputError(f"malformed command {tree!r}")
+
+
+# ---------------------------------------------------------------------------
+# Commands
+# ---------------------------------------------------------------------------
+
+def dispatch(session: Session, command: tuple):
+    """Run one command value. Returns its reply: None, an answer string, the
+    model of `get-value` as a dict, or "#exit". Raises `SolverInputError` on
+    a formula it cannot translate or a pop below level 0."""
+    head = command[0]
     if head == "assert":
-        if len(cmd) != 2:
-            raise SolverInputError("assert expects one argument")
-        translator = Translator(session.declared)
-        session.stack[-1].append(translator.to_formula(cmd[1]))
-        return None
-    if head == "push":
-        count = _count(cmd[1]) if len(cmd) > 1 else 1
-        for _ in range(count):
+        session.stack[-1].append(Translator(session.declared).to_formula(command[1]))
+    elif head == "declare-const":
+        session.declared[command[1]] = "Int"
+        session.decl_stack[-1].append(command[1])
+    elif head == "push":
+        for _ in range(command[1]):
             session.stack.append([])
             session.decl_stack.append([])
-        return None
-    if head == "pop":
-        count = _count(cmd[1]) if len(cmd) > 1 else 1
-        if count >= len(session.stack):
+    elif head == "pop":
+        if command[1] >= len(session.stack):
             raise SolverInputError("pop below assertion stack level 0")
-        for _ in range(count):
+        for _ in range(command[1]):
             session.stack.pop()
             for name in session.decl_stack.pop():
                 session.declared.pop(name, None)
-        return None
-    if head == "check-sat":
+    elif head == "check-sat":
         return session.check_sat()
-    if head == "get-value":
-        if len(cmd) != 2 or not isinstance(cmd[1], list) \
-                or not all(isinstance(name, str) for name in cmd[1]):
-            raise SolverInputError("get-value expects a list of constants")
-        return session.get_value(cmd[1])
-    if head == "reset":
+    elif head == "get-value":
+        return session.get_value(command[1])
+    elif head == "set-option":
+        if command[1:2] == (":timeout",):
+            session.timeout_ms = command[2]
+    elif head == "reset":
         session.declared.clear()
         session.stack = [[]]
         session.decl_stack = [[]]
         session.model = {}
-        return None
-    if head == "exit":
+    elif head == "exit":
         return "#exit"
-    raise SolverInputError(f"unknown command {head!r}")
+    elif head != "set-logic":
+        raise SolverInputError(f"unknown command {head!r}")
+    return None
 
 
 def main() -> int:

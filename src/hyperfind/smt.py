@@ -1,16 +1,18 @@
-"""Bridge to an SMT solver over the SMT-LIB2 wire format.
-
-The bridge is solver-agnostic: it writes `(set-logic ...)`,
-`(declare-const v Int)`, `(assert ...)`, `(check-sat)`, `(get-value (...))`,
-`(push 1)`, `(pop 1)`, `(reset)` and reads `sat`/`unsat`/`unknown` plus
-value lists. Integer literals are decimal, negatives as `(- n)`.
+"""Bridge to an SMT solver: SMT-LIB2 commands as values.
 
 `SolverSession` is the one session protocol (level-0 declarations, then
-push, assert, check-sat, get-value, model completion, pop) over one of two
-transports: a pipe to a child process, which a check's deadline kills, or
-(`InProcessSession`) the bundled solver's command loop in this process,
-whose deadline is cooperative. `Solver` is what a search talks to: one
-lazily started session, restarted once on a failure.
+push, assert, check-sat, get-value, model completion, pop). It builds each
+command once, as a tuple that carries `logic` nodes: `("set-logic", name)`,
+`("set-option", ":timeout", ms)`, `("declare-const", name)`,
+`("assert", formula)`, `("push", 1)`, `("pop", 1)`, `("check-sat",)`,
+`("get-value", names)` and `("reset",)`. A transport takes the values. The
+pipe to a child process prints each one (`command_to_smt`) and reads back
+`sat`/`unsat`/`unknown` and value lists; a check's deadline kills the
+child. `InProcessSession` hands them to the bundled solver's `dispatch` in
+this process, so no text is written or read, and its deadline is
+cooperative. Integer literals print in decimal, negatives as `(- n)`.
+`query_script` prints the same commands for `--emit-smt`. `Solver` is what
+a search talks to: one lazily started session, restarted once on a failure.
 
 `resolve_solver` picks yices-smt2, z3, or cvc5 from PATH and falls back to
 the bundled reference solver (`hyperfind.refsolver`) so the tool works on
@@ -102,16 +104,26 @@ def formula_to_smt(formula: Formula) -> str:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def command_to_smt(command: tuple) -> str:
+    """The SMT-LIB2 text of a command value."""
+    head = command[0]
+    if head == "assert":
+        return f"(assert {formula_to_smt(command[1])})"
+    if head == "declare-const":
+        return f"(declare-const {command[1]} Int)"
+    if head == "get-value":
+        return "(get-value (" + " ".join(command[1]) + "))"
+    return "(" + " ".join(map(str, command)) + ")"
+
+
 def query_script(formula: Formula, wanted: Sequence[str] = ()) -> str:
     """Complete standalone SMT-LIB2 script for one query (for --emit-smt)."""
     names = sorted(logic.free_vars(formula) | set(wanted))
-    lines = [f"(set-logic {LOGIC})"]
-    lines += [f"(declare-const {v} Int)" for v in names]
-    lines.append(f"(assert {formula_to_smt(formula)})")
-    lines.append("(check-sat)")
+    commands = [("set-logic", LOGIC), *(("declare-const", v) for v in names),
+                ("assert", formula), ("check-sat",)]
     if wanted:
-        lines.append("(get-value (" + " ".join(sorted(wanted)) + "))")
-    return "\n".join(lines) + "\n"
+        commands.append(("get-value", sorted(wanted)))
+    return "".join(command_to_smt(command) + "\n" for command in commands)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +165,7 @@ def resolve_solver(path: Optional[str] = None) -> List[str]:
 class SolverSession:
     """The SMT-LIB2 session protocol over a pipe to a child process. A subclass
     changes the transport by replacing `_start`, `_send`, `_read_line`,
-    `_alive` and `close`."""
+    `_read_values`, `_alive` and `close`."""
 
     def __init__(self, argv: Optional[Sequence[str]] = None,
                  timeout_ms: int = DEFAULT_QUERY_TIMEOUT_MS):
@@ -169,13 +181,13 @@ class SolverSession:
             raise
 
     def _configure(self):
-        self._send(f"(set-logic {LOGIC})")
+        self._send(("set-logic", LOGIC))
         # Only z3 and the bundled solver take :timeout (milliseconds); other
         # solvers would answer with an error line and desynchronize the pipe.
         # The Python-side deadline in check() is the real enforcement.
         joined = " ".join(self.argv)
         if self.timeout_ms and ("z3" in os.path.basename(self.argv[0]) or "refsolver" in joined):
-            self._send(f"(set-option :timeout {self.timeout_ms})")
+            self._send(("set-option", ":timeout", self.timeout_ms))
 
     # -- transport: a pipe to a child process --------------------------------
 
@@ -191,11 +203,11 @@ class SolverSession:
     def _alive(self) -> bool:
         return self.proc.poll() is None
 
-    def _send(self, line: str):
+    def _send(self, command: tuple):
         if not self._alive():
             raise SolverError("solver process has exited")
         try:
-            self.proc.stdin.write((line + "\n").encode())
+            self.proc.stdin.write((command_to_smt(command) + "\n").encode())
             self.proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise SolverError(f"solver pipe broken: {exc}") from None
@@ -218,6 +230,12 @@ class SolverSession:
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line.decode().strip()
+
+    def _read_values(self, deadline: float) -> Dict[str, int]:
+        text = self._read_line(deadline)
+        while text.count("(") > text.count(")"):
+            text += " " + self._read_line(deadline)
+        return _parse_values(text)
 
     def _kill(self):
         try:
@@ -253,7 +271,7 @@ class SolverSession:
 
     def declare(self, names: Iterable[str]):
         for name in sorted(set(names) - self.declared):
-            self._send(f"(declare-const {name} Int)")
+            self._send(("declare-const", name))
             self.declared.add(name)
 
     def assert_formula(self, formula: Formula, free_vars: Optional[AbstractSet[str]] = None):
@@ -263,20 +281,20 @@ class SolverSession:
         if missing:
             raise SolverContractError(
                 f"assert references undeclared variables: {sorted(missing)}")
-        self._send(f"(assert {formula_to_smt(formula)})")
+        self._send(("assert", formula))
 
     def push(self):
-        self._send("(push 1)")
+        self._send(("push", 1))
         self.depth += 1
 
     def pop(self):
         if self.depth == 0:
             raise SolverContractError("pop at assertion-stack depth 0")
-        self._send("(pop 1)")
+        self._send(("pop", 1))
         self.depth -= 1
 
     def reset(self):
-        self._send("(reset)")
+        self._send(("reset",))
         self.depth = 0
         self.declared = set()
         self._configure()
@@ -285,7 +303,7 @@ class SolverSession:
               timeout_ms: Optional[int] = None) -> SatResult:
         timeout_ms = timeout_ms if timeout_ms is not None else self.timeout_ms
         deadline = time.monotonic() + timeout_ms / 1000.0
-        self._send("(check-sat)")
+        self._send(("check-sat",))
         try:
             answer = self._read_line(deadline)
         except TimeoutError:
@@ -305,14 +323,11 @@ class SolverSession:
             if missing:
                 raise SolverContractError(
                     f"get-value on undeclared variables: {sorted(missing)}")
-            self._send("(get-value (" + " ".join(wanted) + "))")
+            self._send(("get-value", wanted))
             try:
-                text = self._read_line(deadline)
-                while text.count("(") > text.count(")"):
-                    text += " " + self._read_line(deadline)
+                model = self._read_values(deadline)
             except TimeoutError:
                 return Unknown("timeout")
-            model = _parse_values(text)
         # Model completion: solvers may omit don't-cares; default them to 0.
         for name in wanted:
             model.setdefault(name, 0)
@@ -335,55 +350,26 @@ class SolverSession:
 
 
 def _parse_values(text: str) -> Dict[str, int]:
-    if text.startswith("(error"):
-        raise SolverError(f"solver error: {text}")
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = [0]
-
-    def read():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        if tok == "(":
-            items = []
-            while tokens[pos[0]] != ")":
-                items.append(read())
-            pos[0] += 1
-            return items
-        return tok
-
+    """The model in a child's get-value reply, such as `((x 5) (y (- 3)))`."""
+    from . import refsolver  # the package's one SMT-LIB2 reader
     try:
-        tree = read()
-    except IndexError:
+        (entries,) = refsolver.parse_sexprs(text)
+        model = {name: refsolver.read_term(value) for name, value in entries}
+    except (refsolver.SolverInputError, TypeError, ValueError):
         raise SolverError(f"malformed get-value response: {text!r}") from None
-    model: Dict[str, int] = {}
-    if not isinstance(tree, list):
-        raise SolverError(f"malformed get-value response: {text!r}")
-    for entry in tree:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise SolverError(f"malformed get-value entry: {entry!r}")
-        name, value = entry
-        model[name] = _parse_int(value)
-    return model
-
-
-def _parse_int(value) -> int:
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            raise SolverError(f"non-integer model value {value!r}") from None
-    if isinstance(value, list) and len(value) == 2 and value[0] == "-":
-        return -_parse_int(value[1])
-    raise SolverError(f"non-integer model value {value!r}")
+    if not all(isinstance(value, IntLit) for value in model.values()):
+        raise SolverError(f"non-integer model value in {text!r}")
+    return {name: value.value for name, value in model.items()}
 
 
 class InProcessSession(SolverSession):
     """`SolverSession` over the bundled solver's command loop in this process.
 
-    Sent commands queue as in a pipe and run, as SMT-LIB text through
-    `refsolver.parse_sexprs` and `refsolver.dispatch`, when an answer is read.
-    The time left to the read's deadline is the solver's cooperative timeout,
-    and its only `unknown` is that timeout. An exception out of the solver is a
+    Sent command values queue as in a pipe and run through
+    `refsolver.dispatch` when an answer is read; its replies are values too
+    (an answer string, or a model for `get-value`). The time left to the
+    read's deadline is the solver's cooperative timeout, and its only
+    `unknown` is that timeout. An exception out of the solver is a
     `SolverError`. A timeout, a failure or `close` drops the solver, as a
     kill ends a child."""
 
@@ -392,17 +378,17 @@ class InProcessSession(SolverSession):
         from . import refsolver
         self._refsolver = refsolver
         self._solver: Optional[refsolver.Session] = refsolver.Session()
-        self._commands: Deque[str] = deque()
+        self._commands: Deque[tuple] = deque()
 
     def _alive(self) -> bool:
         return self._solver is not None
 
-    def _send(self, line: str):
+    def _send(self, command: tuple):
         if not self._alive():
             raise SolverError("bundled solver has stopped")
-        self._commands.append(line)
+        self._commands.append(command)
 
-    def _read_line(self, deadline: float) -> str:
+    def _read_line(self, deadline: float):
         while self._commands:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -410,8 +396,7 @@ class InProcessSession(SolverSession):
                 raise TimeoutError()
             self._solver.timeout_ms = 1000.0 * remaining
             try:
-                (parsed,) = self._refsolver.parse_sexprs(self._commands.popleft())
-                answer = self._refsolver.dispatch(self._solver, parsed)
+                answer = self._refsolver.dispatch(self._solver, self._commands.popleft())
             except Exception as exc:  # solver bug or resource limit: fail the check, not the search
                 self.close()
                 raise SolverError(f"bundled solver failed: {type(exc).__name__}: {exc}") from None
@@ -421,6 +406,8 @@ class InProcessSession(SolverSession):
             if answer is not None:
                 return answer
         raise SolverError("no command awaits an answer")
+
+    _read_values = _read_line
 
     def close(self):
         self._solver = None

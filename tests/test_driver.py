@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from hyperfind import concrete, driver, frontend, logic, refsolver, smt
-from hyperfind.cli import main as cli_main
+from hyperfind.cli import _parse_domain, main as cli_main
 from hyperfind.driver import (
     BugFound, Inconclusive, NoBugUpTo, SearchOptions, analyze_source,
     generalize, lazy_search, naive_search,
@@ -355,6 +355,25 @@ def test_cli_emit_smt(tmp_path, capsys):
     assert code == 1
     text = (tmp_path / "naive" / "naive_k1.smt2").read_text()
     assert text.startswith("; naive k=1\n")
+
+
+@pytest.mark.parametrize("target", ["file", "file/queries"])
+def test_cli_emit_smt_to_an_unusable_path_is_a_usage_error(tmp_path, target):
+    (tmp_path / "file").write_text("")
+    result = subprocess.run(
+        [sys.executable, "-m", "hyperfind.cli", fixture_path("gni.hyp"),
+         "--emit-smt", str(tmp_path / target)],
+        capture_output=True, text=True)
+    assert result.returncode == 3
+    assert result.stderr.startswith("error: --emit-smt: ") and "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_cli_domain_is_not_materialized():
+    domain = _parse_domain("-5..999999999995")
+    assert len(domain) == 10 ** 12 + 1
+    assert (domain[0], domain[-1]) == (-5, 999999999995)
+    assert _parse_domain("3..2") is None
 
 
 def test_bench_harness_records_errors(tmp_path, capsys):

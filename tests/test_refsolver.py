@@ -5,11 +5,14 @@ import time
 
 import pytest
 
-from hyperfind import refsolver
+from hyperfind import logic, refsolver, smt
+from hyperfind.logic import BinTerm, Cmp, IntLit, Quant, Var
 from hyperfind.refsolver import (
-    Eliminator, Lin, Session, Timeout, atom, eval_ground, f_and, f_or, negate, run,
-    solve_single, subst_var,
+    Eliminator, Lin, Session, Timeout, Translator, atom, eval_ground, f_and, f_or, negate,
+    node_key, parse_sexprs, read_formula, run, solve_single, subst_var,
 )
+
+from conftest import random_formula
 
 
 def drive(script: str) -> str:
@@ -409,13 +412,13 @@ def test_failed_check_leaves_no_stale_model(monkeypatch):
     session.stack[-1].append(f_and([atom("eq", Lin({"x": 1}, -4)),
                                     atom("eq", Lin({"x": 1, "y": -1}, 1))]))
     assert session.check_sat() == "sat"
-    assert session.get_value(["x", "y"]) == "((x 4) (y 5))"
+    assert session.get_value(["x", "y"]) == {"x": 4, "y": 5}
     real = refsolver.solve_single
     monkeypatch.setattr(refsolver, "solve_single",
                         lambda node, var, *rest: None if var == "y" else real(node, var, *rest))
     with pytest.raises(refsolver.SolverInputError, match="model construction"):
         session.check_sat()
-    assert session.get_value(["x", "y"]) == "((x 0) (y 0))"
+    assert session.get_value(["x", "y"]) == {"x": 0, "y": 0}
 
 
 def test_binder_does_not_undeclare_a_shadowed_constant():
@@ -503,3 +506,79 @@ def test_malformed_command_is_an_error_reply(command):
     lines = out.splitlines()
     assert len(lines) == 2 and lines[0].startswith("(error"), out
     assert lines[1] == "sat"
+
+
+# ---------------------------------------------------------------------------
+# One translator: a formula and its printed text give the same node
+# ---------------------------------------------------------------------------
+
+DECLARED = {"a": "Int", "b": "Int", "c": "Int"}
+
+
+def by_value(formula):
+    declared = dict(DECLARED)
+    node = Translator(declared).to_formula(formula)
+    assert declared == DECLARED  # binders leave the declarations as they were
+    return node
+
+
+def by_text(formula):
+    """The stand-alone route: print, parse, read, translate."""
+    (tree,) = parse_sexprs(smt.formula_to_smt(formula))
+    return by_value(read_formula(tree))
+
+
+def random_query(rng):
+    """random_formula's comparisons (with div, mod, * by a literal and
+    negative literals) and implications, sometimes a literal beyond 2^53 of
+    either sign, sometimes under nested quantifiers whose outer binder
+    shadows the declared constant a."""
+    phi = random_formula(rng, ["a", "b", "c"])
+    if rng.random() < 0.3:
+        big = IntLit(rng.choice([1, -1]) * rng.randint(BIG, HUGE))
+        phi = logic.conj([phi, logic.cmp(rng.choice(["<", "=", ">="]),
+                                         logic.add(Var("b"), big), Var("c"))])
+    if rng.random() < 0.4:
+        inner = Quant("exists", ("z",), logic.implies(
+            Cmp("<", Var("z"), Var("a")), random_formula(rng, ["a", "z"])))
+        phi = Quant(rng.choice(["forall", "exists"]), ("a",), logic.conj([inner, phi]))
+    return phi
+
+
+def test_a_formula_and_its_text_translate_to_the_same_node():
+    rng = random.Random(57)
+    kinds = set()
+    for _ in range(300):
+        phi = random_query(rng)
+        kinds.add(type(phi).__name__)
+        assert node_key(by_value(phi)) == node_key(by_text(phi)), phi
+    assert {"Quant", "Implies", "And", "Or"} <= kinds
+
+
+A, B, C = Var("a"), Var("b"), Var("c")
+
+
+@pytest.mark.parametrize("text, formula", [
+    ("(= (- a b c) 0)", Cmp("=", BinTerm("-", BinTerm("-", A, B), C), IntLit(0))),
+    ("(= (+ a b c) (+))", Cmp("=", BinTerm("+", BinTerm("+", A, B), C), IntLit(0))),
+    ("(< (- a) (- 7))", Cmp("<", BinTerm("-", IntLit(0), Var("a")), IntLit(-7))),
+    ("(=> (< a 1) (< b 1) (< c 1))",
+     logic.Implies(Cmp("<", Var("a"), IntLit(1)),
+                   logic.Implies(Cmp("<", Var("b"), IntLit(1)), Cmp("<", Var("c"), IntLit(1))))),
+])
+def test_n_ary_text_reads_as_nested_binary_nodes(text, formula):
+    (tree,) = parse_sexprs(text)
+    assert node_key(by_value(read_formula(tree))) == node_key(by_value(formula))
+
+
+@pytest.mark.parametrize("term, message", [
+    (Var("ghost"), "undeclared constant 'ghost'"),
+    (BinTerm("*", Var("a"), BinTerm("+", Var("b"), IntLit(1))), "nonlinear multiplication"),
+    (BinTerm("div", Var("a"), IntLit(0)), "div requires a positive literal divisor"),
+    (BinTerm("mod", Var("a"), Var("b")), "mod requires a positive literal divisor"),
+])
+def test_both_routes_reject_the_same_terms(term, message):
+    phi = Cmp("<", term, IntLit(-3))
+    for route in (by_value, by_text):
+        with pytest.raises(refsolver.SolverInputError, match=message):
+            route(phi)

@@ -145,6 +145,19 @@ def test_model_completion_defaults_to_zero(solver_argv):
     assert result.model["v!0"] > 5
 
 
+def test_get_value_replies_are_read_exactly():
+    text = "((v!0 5) (v!1 (- 3)) (big 12345678901234567891))"
+    assert smt._parse_values(text) == {"v!0": 5, "v!1": -3, "big": 12345678901234567891}
+
+
+@pytest.mark.parametrize("text", [
+    '(error "boom")', "((x 5)", "sat", "", "((x y))", "((x 5 6))", "(((x) 5))", "((x (- y)))",
+])
+def test_a_malformed_get_value_reply_is_a_solver_error(text):
+    with pytest.raises(SolverError):
+        smt._parse_values(text)
+
+
 @pytest.fixture(params=["child", "in-process"])
 def open_session(request, solver_argv):
     """Starts a `SolverSession` on each transport: a pipe to a child process
@@ -295,11 +308,13 @@ def test_feasibility_and_queries_share_one_session(process_argv, sessions):
 
 
 def test_both_transports_receive_the_same_commands(process_argv, monkeypatch):
+    # Both transports receive command values; compare them as printed, which
+    # is the text a child solver reads.
     received = {SolverSession: [], smt.InProcessSession: []}
     for transport, lines in received.items():
-        def send(self, line, send=transport._send, lines=lines):
-            lines.append(line)
-            send(self, line)
+        def send(self, command, send=transport._send, lines=lines):
+            lines.append(smt.command_to_smt(command))
+            send(self, command)
         monkeypatch.setattr(transport, "_send", send)
     for argv in (process_argv, smt.BUNDLED_SOLVER):
         with Solver(argv) as solver:
