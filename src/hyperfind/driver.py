@@ -8,6 +8,11 @@ and asks, per trace, whether some instantiation admits no matching
 existential trace; the first satisfiable query yields a concrete,
 replay-validated counterexample. `naive_search` checks the negation of
 the full closed encoding instead and therefore produces no witness.
+
+Both searches raise the bound k = 1..n and take each bound's traces from
+one `symexec.Walk` per distinct side, made once per search; the
+existential side uses the universal side's walk when both range over the
+same program and observation set (see `_walks`).
 """
 
 from __future__ import annotations
@@ -155,10 +160,26 @@ def _emit_query(opts: SearchOptions, name: str, formula: Formula,
         handle.write(f"; {provenance}\n" + smt.query_script(formula, wanted))
 
 
-def _materialize(side: QuantSide, k: int, supply: FreshSupply, feas: Feasibility,
-                 opts: SearchOptions):
-    stream = symexec.observe(side.graph, side.observed, k, supply, feas,
-                             opts.step_budget, opts.node_budget)
+def _walks(gen: GeneralizedSpec, n: int, supply: FreshSupply, feas: Feasibility,
+           opts: SearchOptions):
+    """One walk per distinct side, for bounds 1..n: the existential side
+    shares the universal side's walk when both range over the same program
+    and observation set."""
+    def walk(side: QuantSide) -> symexec.Walk:
+        return symexec.Walk(side.graph, side.observed, n, supply, feas,
+                            opts.step_budget, opts.node_budget)
+
+    universal = walk(gen.universal)
+    existential = None
+    if gen.existential is not None:
+        same = ((gen.existential.graph, gen.existential.observed)
+                == (gen.universal.graph, gen.universal.observed))
+        existential = universal if same else walk(gen.existential)
+    return universal, existential
+
+
+def _materialize(walk: symexec.Walk, k: int):
+    stream = walk.stream(k)
     return list(stream), stream.incomplete
 
 
@@ -195,14 +216,14 @@ def naive_search(gen: GeneralizedSpec, n: int,
 
 def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
           feas: Feasibility, stats: SearchStats) -> Verdict:
-    supply = FreshSupply()
+    universal_walk, existential_walk = _walks(gen, n, FreshSupply(), feas, opts)
     budget_seen = False
     unknown_seen = False
     for k in range(1, n + 1):
         etraces: List[SymTrace] = []
         existential = None
-        if gen.existential is not None:
-            etraces, incomplete = _materialize(gen.existential, k, supply, feas, opts)
+        if existential_walk is not None:
+            etraces, incomplete = _materialize(existential_walk, k)
             if incomplete:
                 # The "no matching trace" side must be complete for any
                 # query at this or any larger bound to be trustworthy.
@@ -210,9 +231,7 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
             existential = encode.prepare_existential(
                 gen.existential.trace_var, etraces, gen.body, k, opts.domain)
 
-        stream = symexec.observe(gen.universal.graph, gen.universal.observed,
-                                 k, supply, feas, opts.step_budget,
-                                 opts.node_budget)
+        stream = universal_walk.stream(k)
         index = 0
         for trace in stream:
             index += 1
@@ -239,16 +258,16 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
 
 def _naive(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
            feas: Feasibility, stats: SearchStats) -> Verdict:
-    supply = FreshSupply()
+    universal_walk, existential_walk = _walks(gen, n, FreshSupply(), feas, opts)
     unknown_seen = False
     for k in range(1, n + 1):
-        utraces, u_incomplete = _materialize(gen.universal, k, supply, feas, opts)
+        utraces, u_incomplete = _materialize(universal_walk, k)
         if u_incomplete:
             return Inconclusive("budget")
         quantified = [encode.QuantifiedTraces("forall", gen.universal.trace_var,
                                               tuple(utraces))]
-        if gen.existential is not None:
-            etraces, e_incomplete = _materialize(gen.existential, k, supply, feas, opts)
+        if existential_walk is not None:
+            etraces, e_incomplete = _materialize(existential_walk, k)
             if e_incomplete:
                 return Inconclusive("budget")
             quantified.append(encode.QuantifiedTraces(

@@ -62,18 +62,58 @@ def _image(trace: SymTrace, trace_var: str, var: str, i: int) -> Term:
     return memory[var]
 
 
+def _images(trace: SymTrace, trace_var: str, own: Sequence[Tuple[str, str]], k: int,
+            rho: Optional[Dict[str, Term]] = None) -> List[Dict[str, Term]]:
+    """Per observation index i < k, the terms that `trace`, bound to
+    `trace_var`, gives the body variables `own` ((full name, program
+    variable) pairs), renamed by `rho` when it is given."""
+    images = []
+    for i in range(k):
+        sigma = {name: _image(trace, trace_var, var, i) for name, var in own}
+        if rho is not None:
+            sigma = {name: logic.substitute(term, rho) for name, term in sigma.items()}
+        images.append(sigma)
+    return images
+
+
+def _instantiate(body: Formula, k: int, slots: Sequence[Tuple[str, str, str]],
+                 bound: Dict[str, List[Dict[str, Term]]]) -> Formula:
+    """Conjunction over observation indices 0..k-1 of the body under the
+    images of the bound trace variables."""
+    if k > 0:
+        for _, _, trace_var in slots:
+            if trace_var not in bound:
+                raise EncodingError(f"trace variable {trace_var!r} is not bound")
+    return logic.conj(
+        logic.substitute(body, {name: term for images in bound.values()
+                                for name, term in images[i].items()})
+        for i in range(k))
+
+
+def _own(slots: Sequence[Tuple[str, str, str]], trace_var: str) -> List[Tuple[str, str]]:
+    return [(name, var) for name, var, tv in slots if tv == trace_var]
+
+
 def encode_invariant(body: Formula, k: int, binding: Dict[str, SymTrace]) -> Formula:
     """Conjunction over observation indices 0..k-1 of the instantiated body."""
     slots = _body_slots(body)
-    conjuncts = []
-    for i in range(k):
-        sigma = {}
-        for name, var, trace_var in slots:
-            if trace_var not in binding:
-                raise EncodingError(f"trace variable {trace_var!r} is not bound")
-            sigma[name] = _image(binding[trace_var], trace_var, var, i)
-        conjuncts.append(logic.substitute(body, sigma))
-    return logic.conj(conjuncts)
+    return _instantiate(body, k, slots, {
+        trace_var: _images(trace, trace_var, _own(slots, trace_var), k)
+        for trace_var, trace in binding.items()})
+
+
+def _apart(names: Sequence[str]) -> Tuple[Tuple[str, ...], Dict[str, Term]]:
+    """An existential trace's fresh variables renamed apart (`v!N` becomes
+    `ev!N`), and the renaming.
+
+    When both quantifiers range over the same program, the search walks
+    one tree for both sides, so a universal trace and an existential trace
+    can carry the same fresh names. Renamed, an existential binder never
+    captures a universal variable. The map is the same for every trace, so
+    equal terms stay equal.
+    """
+    renamed = tuple("e" + name for name in names)
+    return renamed, {name: logic.Var(new) for name, new in zip(names, renamed)}
 
 
 def _domain_constraint(names: Sequence[str],
@@ -101,17 +141,24 @@ def encode(quantifiers: Sequence[QuantifiedTraces], body: Formula, k: int,
     The optional domain interval constrains every fresh variable of every
     trace; it exists so desk-scale runs can be cross-checked against the
     finite-domain oracle, and is conjoined next to the path formulas, never
-    inside them.
+    inside them. Existential traces are renamed apart (see `_apart`), in
+    their path and in the terms the body takes from them.
     """
-    def rec(i: int, binding: Dict[str, SymTrace]) -> Formula:
+    slots = _body_slots(body)
+
+    def rec(i: int, bound: Dict[str, List[Dict[str, Term]]]) -> Formula:
         if i == len(quantifiers):
-            return encode_invariant(body, k, binding)
+            return _instantiate(body, k, slots, bound)
         q = quantifiers[i]
+        own = _own(slots, q.trace_var)
         parts = []
         for trace in q.traces:
-            fv = trace.free_vars()
-            scope = logic.conj([trace.path, _domain_constraint(fv, domain)])
-            inner = rec(i + 1, {**binding, q.trace_var: trace})
+            fv, path, rho = trace.free_vars(), trace.path, None
+            if q.kind == "exists":
+                fv, rho = _apart(fv)
+                path = logic.substitute(path, rho)
+            scope = logic.conj([path, _domain_constraint(fv, domain)])
+            inner = rec(i + 1, {**bound, q.trace_var: _images(trace, q.trace_var, own, k, rho)})
             if q.kind == "forall":
                 parts.append(logic.forall(fv, logic.implies(scope, inner)))
             else:
@@ -137,7 +184,8 @@ class ExistentialSide(NamedTuple):
     domain constraint) and, per observation index i, the class of its
     memory there: `sigmas[i][c]` maps the body's existential variables to
     the terms that every trace of class c gives them at index i, and
-    `members[i][c]` has bit t set for each trace t of that class.
+    `members[i][c]` has bit t set for each trace t of that class. Names and
+    terms are renamed apart (see `_apart`).
     """
     trace_var: str
     body: Formula
@@ -158,20 +206,30 @@ def prepare_existential(trace_var: str, traces: Sequence[SymTrace],
     sigmas: List[List[Dict[str, Term]]] = [[] for _ in range(k)]
     members: List[List[int]] = [[] for _ in range(k)]
     # With no trace there is no pair to encode and nothing to check.
-    own = ([(name, var) for name, var, tv in _body_slots(body) if tv == trace_var]
-           if traces else [])
+    own = _own(_body_slots(body), trace_var) if traces else []
+    # The renaming is one map for every trace, so classes are formed before
+    # it, and each path conjunct, which a path shares with the paths of its
+    # prefixes, is renamed once.
+    renamed: Dict[int, Formula] = {}
     for t, trace in enumerate(traces):
+        fv2, rho = _apart(trace.free_vars())
         trace_classes = []
         for i in range(k):
-            sigma = {name: _image(trace, trace_var, var, i) for name, var in own}
-            c = classes[i].setdefault(tuple(sigma.values()), len(sigmas[i]))
+            images = tuple([_image(trace, trace_var, var, i) for _, var in own])
+            c = classes[i].setdefault(images, len(sigmas[i]))
             if c == len(sigmas[i]):
-                sigmas[i].append(sigma)
+                sigmas[i].append({name: logic.substitute(term, rho)
+                                  for (name, _), term in zip(own, images)})
                 members[i].append(0)
             members[i][c] |= 1 << t
             trace_classes.append(c)
-        fv2 = trace.free_vars()
-        scope = logic.conj([trace.path, _domain_constraint(fv2, domain)])
+        path = trace.path
+        conjuncts = path.args if isinstance(path, logic.And) else (path,)
+        for conjunct in conjuncts:
+            if id(conjunct) not in renamed:
+                renamed[id(conjunct)] = logic.substitute(conjunct, rho)
+        scope = logic.conj([*(renamed[id(c)] for c in conjuncts),
+                            _domain_constraint(fv2, domain)])
         blocks.append((fv2, scope, tuple(trace_classes)))
     return ExistentialSide(trace_var, body, k, domain, tuple(blocks),
                            tuple(map(tuple, sigmas)), tuple(map(tuple, members)))

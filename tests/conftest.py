@@ -178,6 +178,42 @@ def random_observed(rng: random.Random, graph: ProgramGraph, limit: int = 2):
     return frozenset(rng.sample(list(graph.locations), count))
 
 
+# ---------------------------------------------------------------------------
+# Reference exploration
+# ---------------------------------------------------------------------------
+
+def fresh_bound_search(graph, observed, n, supply, feasibility,
+                       step_budget=None, node_budget=None):
+    """A fresh breadth-first search for the traces with n observations, as
+    a search restarted from the initial state at every bound makes it:
+    (traces as (states, observed) pairs, incomplete, extend calls)."""
+    from collections import deque
+    from hyperfind import symexec
+    from hyperfind.graph import default_step_budget
+
+    if step_budget is None:
+        step_budget = default_step_budget(graph, n)
+    init = symexec.initial_state(graph)
+    queue = deque([((init,), (init,) if init.loc in observed else ())])
+    traces, incomplete, popped, extends = [], False, 0, 0
+    while queue:
+        states, obs = queue.popleft()
+        popped += 1
+        if node_budget is not None and popped > node_budget:
+            incomplete = True
+            break
+        if len(obs) == n:
+            traces.append((states, obs))
+            continue
+        if len(states) - 1 >= step_budget:
+            incomplete = True
+            continue
+        extends += 1
+        for ext in symexec.extend(graph, states, supply, feasibility):
+            queue.append((ext, obs + (ext[-1],) if ext[-1].loc in observed else obs))
+    return traces, incomplete, extends
+
+
 def all_assignments(names, domain):
     """Every total assignment of domain values to the given names."""
     names = list(names)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hyperfind import concrete, driver, frontend, logic, refsolver, smt
+from hyperfind import concrete, driver, encode, frontend, logic, refsolver, smt
 from hyperfind.cli import _parse_domain, main as cli_main
 from hyperfind.driver import (
     BugFound, Inconclusive, NoBugUpTo, SearchOptions, analyze_source,
@@ -159,6 +159,53 @@ ONE_LOOP = """
     exists p2 in p obs {step} .
     always (out@p1 == out@p2)
     """
+
+
+def captured(node, scope):
+    """Names a quantifier in `node` binds while they are free around it
+    (`scope`) or bound by an enclosing quantifier."""
+    if isinstance(node, logic.Quant):
+        return (set(node.vars) & scope) | captured(node.body, scope | set(node.vars))
+    if isinstance(node, (logic.And, logic.Or)):
+        return set().union(*(captured(arg, scope) for arg in node.args))
+    if isinstance(node, logic.Not):
+        return captured(node.arg, scope)
+    if isinstance(node, logic.Implies):
+        return captured(node.left, scope) | captured(node.right, scope)
+    return set()
+
+
+@pytest.mark.parametrize("name", ["voting_correct.hyp", "voting_buggy.hyp"])
+def test_a_side_both_quantifiers_share_is_renamed_apart(opts, monkeypatch, name):
+    # Both quantifiers range over one program, so both sides come from one
+    # walk and carry the same fresh names: an existential binder must not
+    # capture a variable of the universal trace, in any lazy query or in
+    # the naive encoding.
+    queries, encodings = [], []
+
+    def recorded(fn, into):
+        def wrapper(*args, **kwargs):
+            into.append(fn(*args, **kwargs))
+            return into[-1]
+        return wrapper
+
+    monkeypatch.setattr(encode, "lazy_query", recorded(encode.lazy_query, queries))
+    monkeypatch.setattr(encode, "encode", recorded(encode.encode, encodings))
+    lazy = run_fixture(name, 3, opts)
+    naive = run_fixture(name, 3, opts, "naive")
+    assert queries and encodings
+    for query in queries:
+        assert not captured(query.formula, set(query.free_vars))
+    for encoding in encodings:
+        assert not captured(encoding, set())
+    if name == "voting_buggy.hyp":
+        assert isinstance(naive.verdict, BugFound) and naive.verdict.k == 2
+        cex = lazy.verdict.counterexample
+        assert lazy.verdict.k == 2
+        assert [(mem["countA"], mem["countB"]) for _, mem in cex.concrete_observed] \
+            == [(0, 1), (0, 1)]
+    else:
+        assert lazy.verdict == naive.verdict == NoBugUpTo(3)
 
 
 def test_search_runs_feasibility_and_queries_on_one_solver_process(process_argv, sessions):
@@ -325,6 +372,17 @@ def test_cli_oracle_mode(capsys):
     assert cli_main([fixture_path("voting_buggy.hyp"), "--oracle",
                      "--domain", "nonsense"]) == 3
     capsys.readouterr()
+
+
+def test_cli_oracle_rejects_a_domain_it_could_never_enumerate():
+    result = subprocess.run(
+        [sys.executable, "-m", "hyperfind.cli", fixture_path("voting_buggy.hyp"),
+         "--oracle", "--domain", "0..2000000000", "--max-observations", "2"],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 3
+    assert result.stderr.startswith("error: domain '0..2000000000' has 2000000001 values")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def test_cli_dump_graphs(capsys):

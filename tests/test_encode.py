@@ -132,7 +132,9 @@ def test_lazy_and_naive_agree_per_bound(solver_argv):
 def per_pair_query(universal, universal_var, existential_var, traces, body, k,
                    domain):
     """Reference: the lazy query encoded pair by pair, each existential
-    trace instantiating the whole body with both memories at once."""
+    trace instantiating the whole body with both memories at once, and its
+    block renamed apart as a whole (the two sides' names are disjoint
+    here)."""
     fv1 = universal.free_vars()
     c1 = logic.conj([universal.path, encode._domain_constraint(fv1, domain)])
     blocks = []
@@ -144,7 +146,8 @@ def per_pair_query(universal, universal_var, existential_var, traces, body, k,
             encode_invariant(body, k, {universal_var: universal,
                                        existential_var: trace}),
         ])
-        blocks.append(logic.forall(fv2, logic.negate(matched)))
+        renamed, rho = encode._apart(fv2)
+        blocks.append(logic.forall(renamed, logic.negate(logic.substitute(matched, rho))))
     c2 = logic.conj(blocks)
     return logic.conj([c1, c2]), c2, fv1
 

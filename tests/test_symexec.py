@@ -1,17 +1,20 @@
 import itertools
+import json
+import os
 import random
+import re
 
 import pytest
 
-from hyperfind import concrete, frontend, logic, smt, symexec
+from hyperfind import concrete, driver, frontend, logic, smt, symexec
 from hyperfind.logic import BoolLit, Cmp, IntLit, Var
 from hyperfind.symexec import (
-    Feasibility, FreshSupply, concretize, extend, initial_state, observe,
+    Feasibility, FreshSupply, Walk, concretize, extend, initial_state, observe,
 )
 
 from conftest import (
-    all_assignments, bench_source, input_sign_graph, random_graph,
-    random_observed, set_zero_graph,
+    BENCH_DIR, all_assignments, bench_source, fresh_bound_search,
+    input_sign_graph, random_graph, random_observed, set_zero_graph,
 )
 
 
@@ -126,6 +129,61 @@ def test_fresh_variables_never_collide_across_streams(feas):
     vars_first = set().union(*(set(t.free_vars()) for t in first))
     vars_second = set().union(*(set(t.free_vars()) for t in second))
     assert not (vars_first & vars_second)
+
+
+def walk_sides():
+    """(name, graph, observed) of every side of the manifest's searches,
+    plus `voting_correct`, `factorial` and `escalating`."""
+    with open(os.path.join(BENCH_DIR, "manifest.json")) as handle:
+        files = [entry["file"] for entry in json.load(handle)]
+    files += ["voting_correct.hyp", "factorial.hyp", "escalating.hyp"]
+    sides = {}
+    for name in files:
+        gen = driver.generalize(frontend.load(bench_source(name)))
+        for side in (gen.universal, gen.existential):
+            if side is not None:
+                sides.setdefault((name, side.trace_var), (side.graph, side.observed))
+    return [(f"{name}:{var}", *side) for (name, var), side in sides.items()]
+
+
+def canonical(traces):
+    """Location sequences, paths and observed memories of a trace list,
+    fresh names renamed by their first occurrence in the list."""
+    table = {}
+    text = repr([(tuple(s.loc for s in states), states[-1].path,
+                  [s.mem for s in obs]) for states, obs in traces])
+    return re.sub(r"v!\d+", lambda m: table.setdefault(m.group(0), f"x{len(table)}"),
+                  text)
+
+
+@pytest.mark.parametrize("step_budget, node_budget", [
+    (None, symexec.DEFAULT_NODE_BUDGET), (5, None), (20, None),
+    (None, 1), (None, 5), (None, 30),
+])
+def test_walk_matches_a_fresh_search_per_bound(feas, step_budget, node_budget):
+    # Bound j's view of one walk over bounds 1..4 must list the traces a
+    # search restarted at bound j lists, in its order, with its verdict on
+    # completeness.
+    for name, graph, observed in walk_sides():
+        walk = Walk(graph, observed, 4, FreshSupply(), feas, step_budget, node_budget)
+        for j in range(1, 5):
+            stream = walk.stream(j)
+            got = [(t.states, t.observed) for t in stream]
+            want, incomplete, _ = fresh_bound_search(
+                graph, observed, j, FreshSupply(), feas,
+                step_budget, node_budget)
+            assert len(got) == len(want), (name, j)
+            assert canonical(got) == canonical(want), (name, j)
+            assert stream.incomplete == incomplete, (name, j)
+
+
+def test_walk_releases_the_bounds_below_the_one_it_streams(feas):
+    graph = input_sign_graph()
+    walk = Walk(graph, frozenset({0}), 3, FreshSupply(), feas)
+    assert len(list(walk.stream(2))) == 2
+    assert walk.traces[1] is None
+    with pytest.raises(ValueError, match="bound 1 is not tracked"):
+        walk.stream(1)
 
 
 def test_concretize_io_trace(feas):
