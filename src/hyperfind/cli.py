@@ -35,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("file", help="input file (program definitions + specification), "
                                      "or a JSON manifest with --bench")
     parser.add_argument("--algorithm", choices=("lazy", "naive"), default="lazy")
-    parser.add_argument("--max-observations", type=_int_at_least(1), default=10, metavar="N")
+    parser.add_argument("--max-observations", type=_int_at_least(1),
+                        default=driver.DEFAULT_MAX_OBSERVATIONS, metavar="N")
     parser.add_argument("--step-budget", type=_int_at_least(1), default=None, metavar="N")
     parser.add_argument("--solver", default=None, metavar="PATH",
                         help="SMT solver binary, run as a child process that a "
@@ -63,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the lowered program graphs and exit")
     parser.add_argument("--bench", action="store_true",
                         help="treat FILE as a benchmark manifest and run the harness")
-    parser.add_argument("--repetitions", type=_int_at_least(1), default=10, metavar="R",
+    parser.add_argument("--repetitions", type=_int_at_least(1),
+                        default=driver.DEFAULT_REPETITIONS, metavar="R",
                         help="repetitions per --bench instance")
     return parser
 

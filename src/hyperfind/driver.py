@@ -10,9 +10,11 @@ replay-validated counterexample. `naive_search` checks the negation of
 the full closed encoding instead and therefore produces no witness.
 
 Both searches raise the bound k = 1..n and take each bound's traces from
-one `symexec.Walk` per distinct side, made once per search; the
-existential side uses the universal side's walk when both range over the
-same program and observation set (see `_walks`).
+one `symexec.Walk` per distinct side, made once per search: a memoized
+symbolic execution tree that each bound searches breadth-first afresh,
+extending only the nodes no earlier bound reached. The existential side
+uses the universal side's walk when both range over the same program and
+observation set (see `_walks`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,12 @@ from .frontend import LoadedSpec
 from .graph import ProgramGraph
 from .logic import Formula
 from .symexec import Feasibility, FreshSupply, SymTrace
+
+
+# The defaults of the CLI and the benchmark harness: the bound on
+# observations of a search, and the repetitions of a manifest instance.
+DEFAULT_MAX_OBSERVATIONS = 10
+DEFAULT_REPETITIONS = 10
 
 
 @dataclass
@@ -116,6 +124,7 @@ class NoBugUpTo:
 class Inconclusive:
     # "budget" | "solver-unknown" | "solver-error" (the solver failed twice
     # in a row) | "replay-failed" (a model did not replay on the program)
+    # | "recursion-limit" (a term nests deeper than Python's recursion limit)
     reason: str
     detail: str = ""
 
@@ -197,6 +206,10 @@ def _run(search, gen: GeneralizedSpec, n: int,
         verdict = search(gen, n, opts, solver, feas, stats)
     except smt.SolverError as exc:
         verdict = Inconclusive("solver-error", str(exc))
+    except RecursionError as exc:
+        # A term nested deeper than the recursion limit: the term walks
+        # recurse once per nesting level.
+        verdict = Inconclusive("recursion-limit", f"a term nests too deeply: {exc}")
     finally:
         stats.wall_ms = (time.perf_counter() - started) * 1000.0
         solver.close()
@@ -315,7 +328,8 @@ def _counterexample_verdict(gen: GeneralizedSpec, k: int, trace: SymTrace,
 # Whole-file entry points
 # ---------------------------------------------------------------------------
 
-def analyze_source(source: str, n: int = 10, algorithm: str = "lazy",
+def analyze_source(source: str, n: int = DEFAULT_MAX_OBSERVATIONS,
+                   algorithm: str = "lazy",
                    opts: Optional[SearchOptions] = None) -> SearchResult:
     loaded = frontend.load(source)
     gen = generalize(loaded)
@@ -396,7 +410,7 @@ class BenchRow:
 
 
 def bench(manifest_path: str, opts: Optional[SearchOptions] = None,
-          default_repetitions: int = 10) -> List[BenchRow]:
+          default_repetitions: int = DEFAULT_REPETITIONS) -> List[BenchRow]:
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
     if not (isinstance(manifest, list) and all(isinstance(entry, dict) for entry in manifest)):
@@ -411,7 +425,7 @@ def bench(manifest_path: str, opts: Optional[SearchOptions] = None,
                 path = os.path.join(base, path)
             with open(path, encoding="utf-8") as handle:
                 source = handle.read()
-            n = int(entry.get("max_observations", 10))
+            n = int(entry.get("max_observations", DEFAULT_MAX_OBSERVATIONS))
             reps = int(entry.get("repetitions", default_repetitions))
             for field, value in (("max_observations", n), ("repetitions", reps)):
                 if value < 1:

@@ -600,8 +600,13 @@ def parse(source: str) -> InputFile:
 
 
 def load(source: str) -> LoadedSpec:
-    parsed = parse(source)
-    programs = {p.name: lower(p) for p in parsed.programs}
+    try:
+        parsed = parse(source)
+        programs = {p.name: lower(p) for p in parsed.programs}
+    except RecursionError:
+        # The parser and the term walks recurse once per nesting level.
+        raise ParseError("input nests too deeply to load "
+                         "(Python's recursion limit was exceeded)") from None
     for quant in parsed.spec.quantifiers:
         available = programs[quant.program].labels
         for lab in quant.labels:

@@ -3,18 +3,17 @@ concretization.
 
 Exploration is breadth-first over transition depth with declaration-order
 tie-breaking, so shallow witnesses are found first and trace counts are
-reproducible. A search walks each side's tree once (`Walk`) and reads each
-bound's traces from that walk (`ObserveStream`), instead of restarting the
-exploration at every bound; both sides share one walk when they range over
-the same program and observation set. Per bound, the traces, their order
-and the budget verdicts are those of a fresh breadth-first search. Paths
-whose feasibility the solver cannot settle (unknown) are kept: dropping a
-possibly feasible path could mask a counterexample.
+reproducible. A search keeps each side's symbolic execution tree in one
+`Walk`, which extends each node at most once, and reads each bound's traces
+from it by a fresh breadth-first search over the cached tree
+(`ObserveStream`); both sides share one walk when they range over the same
+program and observation set. Paths whose feasibility the solver cannot
+settle (unknown) are kept: dropping a possibly feasible path could mask a
+counterexample.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -184,23 +183,13 @@ DEFAULT_NODE_BUDGET = 2_000_000
 
 
 class Walk:
-    """One breadth-first walk of a program's symbolic execution tree, shared
-    by the bounds 1..n of a search.
+    """A program's symbolic execution tree, shared by the bounds 1..n of a
+    search.
 
-    A node is a trace prefix with its observed states. Bound j's tree holds
-    the initial node and, within bound j's step budget, every child of a
-    tree node with fewer than j observations; a fresh bound-j search would
-    visit exactly that tree. The walk visits the union of these trees once,
-    level by level in edge order, so its creation order restricted to bound
-    j's tree is the fresh search's visiting order. Bound j's traces are its
-    tree nodes that end at their j-th observation, in creation order; they
-    are recorded when their node is created.
-
-    The budgets stay per bound: bound j counts its own tree nodes and is cut
-    (`incomplete[j]`) at node `node_budget + 1`, and a node with fewer than
-    j observations at bound j's depth limit makes bound j incomplete too.
-    Bound j is complete once no queued node still has to be extended for it.
-    The walk advances only when a stream asks for a trace it has not made.
+    The nodes are `SymTrace`s; the root is the initial state. `children`
+    extends a node once and keeps its children, so every bound's search
+    reads the part of the tree that an earlier bound built instead of
+    extending it again.
     """
 
     def __init__(self, graph: ProgramGraph, observed: FrozenSet[int], n: int,
@@ -212,93 +201,41 @@ class Walk:
         self.graph = graph
         self.observed = observed
         self.n = n
-        self.first = 1  # bounds below it are released
         self.supply = supply
         self.feasibility = feasibility
+        self.step_budget = step_budget
         self.node_budget = node_budget
-        # Nondecreasing in the bound, so the bounds whose tree holds a node,
-        # or extends it, are an interval.
-        self.step_budgets = [step_budget if step_budget is not None
-                             else default_step_budget(graph, j) for j in range(n + 1)]
-        self.traces: List[Optional[List[SymTrace]]] = [[] for _ in range(n + 1)]
-        # Trees nest, so bound j's node count is the number of nodes whose
-        # interval of bounds starts at or below j, and the node budget cuts
-        # the largest trees first: the bounds from `live` up are cut.
-        self.starts = [0] * (n + 2)
-        self.live = n + 1
-        self.top = 0  # nodes of bound live - 1's tree
-        self.pending = [0] * (n + 2)  # queued nodes, by the first bound that extends them
-        self.incomplete = [False] * (n + 1)
-        self.queue: deque = deque()
         init = initial_state(graph)
-        self._admit([((init,), (init,) if init.loc in observed else ())], 0, 0)
+        self.root = SymTrace((init,), (init,) if init.loc in observed else ())
+        self.tree: Dict[int, List[SymTrace]] = {}  # id(node) -> its children
 
-    def _admit(self, nodes: List[Tuple[Tuple[SymState, ...], Tuple[SymState, ...]]],
-               parent_obs: int, depth: int) -> None:
-        """Count new nodes, (states, observed) pairs at `depth` whose parent
-        has `parent_obs` observations, in the trees of the bounds that hold
-        them; record each as a trace or queue it for extension where those
-        bounds need it."""
-        # The bounds from `start` up hold these nodes; those from
-        # `extendable` up let a node at this depth be extended.
-        start = max(parent_obs + 1, self.first, bisect_left(self.step_budgets, depth))
-        extendable = bisect_right(self.step_budgets, depth)
-        for states, obs in nodes:
-            if start >= self.live:
-                return
-            self.starts[start] += 1
-            self.top += 1
-            while self.node_budget is not None and self.top > self.node_budget:
-                self.live -= 1  # bound live - 1 has one node too many: cut it
-                self.incomplete[self.live] = True
-                self.top = sum(self.starts[:self.live])
-            if start >= self.live:
-                return
-            count = len(obs)
-            if count == start:
-                self.traces[start].append(SymTrace(states, obs))
-            short = max(start, count + 1)  # first bound it has too few observations for
-            extended = max(short, extendable)
-            for j in range(short, min(extended, self.live)):
-                self.incomplete[j] = True  # the node is at bound j's depth limit
-            if extended < self.live:
-                self.pending[extended] += 1
-                self.queue.append((states, obs, extended))
-
-    def _advance(self) -> None:
-        """Extend the oldest queued node."""
-        states, obs, extended = self.queue.popleft()
-        self.pending[extended] -= 1
-        children = []
-        for ext in extend(self.graph, states, self.supply, self.feasibility):
-            new_state = ext[-1]
-            children.append((ext, obs + (new_state,) if new_state.loc in self.observed
-                             else obs))
-        self._admit(children, len(obs), len(states))
-
-    def complete(self, j: int) -> bool:
-        return j >= self.live or not any(self.pending[:j + 1])
+    def children(self, node: SymTrace) -> List[SymTrace]:
+        kids = self.tree.get(id(node))
+        if kids is None:
+            kids = self.tree[id(node)] = [
+                SymTrace(ext, node.observed + (ext[-1],) if ext[-1].loc in self.observed
+                         else node.observed)
+                for ext in extend(self.graph, node.states, self.supply, self.feasibility)]
+        return kids
 
     def stream(self, j: int) -> "ObserveStream":
-        """Bound j's traces. Bounds below j are released: a search asks for
-        its bounds in increasing order."""
-        if not self.first <= j <= self.n:
+        """Bound j's traces."""
+        if not 1 <= j <= self.n:
             raise ValueError(f"bound {j} is not tracked by this walk")
-        for lower in range(self.first, j):
-            self.traces[lower] = None
-        self.first = j
         return ObserveStream(self, j)
 
 
 class ObserveStream:
     """Streaming enumeration of the observed symbolic traces with n
-    observations, in breadth-first order: bound n's view of a `Walk`.
+    observations: a fresh breadth-first search over a `Walk`'s tree.
 
-    Iterate to consume; after exhaustion, `incomplete` tells whether a
-    budget cut off unexplored extensions (the non-finitely-observable
-    case). The walk's `step_budget` bounds trace length; its `node_budget`
-    bounds the explored prefixes of each bound, a safety valve against
-    graphs whose breadth explodes long before the depth budget bites.
+    A trace is yielded when its node is created, so a consumer that stops
+    early leaves its later siblings' subtrees unexplored. Iterate to
+    consume; after exhaustion, `incomplete` tells whether a budget cut off
+    unexplored extensions (the non-finitely-observable case). The step
+    budget (by default `default_step_budget(graph, n)`) bounds trace length;
+    the node budget bounds the nodes the search creates, a safety valve
+    against graphs whose breadth explodes long before the depth budget bites.
     """
 
     def __init__(self, walk: Walk, n: int):
@@ -308,16 +245,26 @@ class ObserveStream:
 
     def __iter__(self) -> Iterator[SymTrace]:
         walk, n = self.walk, self.n
-        traces = walk.traces[n]
-        index = 0
+        depth_limit = (walk.step_budget if walk.step_budget is not None
+                       else default_step_budget(walk.graph, n))
+        created = 0
+        queue: deque = deque()
+        nodes = [walk.root]
         while True:
-            while index < len(traces):
-                yield traces[index]
-                index += 1
-            if walk.complete(n):
-                break
-            walk._advance()
-        self.incomplete = walk.incomplete[n]
+            for node in nodes:
+                created += 1
+                if walk.node_budget is not None and created > walk.node_budget:
+                    self.incomplete = True
+                    return
+                if len(node.observed) == n:
+                    yield node
+                elif len(node.states) - 1 >= depth_limit:
+                    self.incomplete = True
+                else:
+                    queue.append(node)
+            if not queue:
+                return
+            nodes = walk.children(queue.popleft())
 
 
 def observe(graph: ProgramGraph, observed: FrozenSet[int], n: int,

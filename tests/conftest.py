@@ -58,6 +58,21 @@ def sessions(monkeypatch):
     return started
 
 
+@pytest.fixture
+def extend_calls(monkeypatch):
+    """A one-element list that counts the `symexec.extend` calls made while
+    the test runs."""
+    from hyperfind import symexec
+    calls = [0]
+    original = symexec.extend
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+    monkeypatch.setattr(symexec, "extend", counted)
+    return calls
+
+
 def input_sign_graph() -> ProgramGraph:
     """Reactive loop: havoc an input, output its sign, repeat.
 

@@ -491,6 +491,61 @@ def test_bench_escalating_detection_depths(tmp_path, opts):
     ]
 
 
+# The search work of every manifest instance at its bound: verdict, k,
+# combinations, sat_calls, feasibility_calls and `symexec.extend` calls.
+# A change to exploration, encoding or the search loops that is meant to
+# leave the searches alone must leave this table alone.
+MANIFEST_WORK = {
+    ("voting-buggy", "lazy"): ("bug-found", 2, 8, 3, 0, 28),
+    ("voting-buggy", "naive"): ("bug-found", 2, 2, 2, 0, 28),
+    ("voting-correct", "lazy"): ("no-bug", 4, 340, 30, 0, 136),
+    ("voting-correct", "naive"): ("no-bug", 4, 4, 4, 0, 136),
+    ("min-flip", "lazy"): ("no-bug", 3, 84, 14, 0, 138),
+    ("min-flip", "naive"): ("no-bug", 3, 3, 3, 0, 138),
+    ("flip-min", "lazy"): ("bug-found", 1, 2, 1, 0, 17),
+    ("flip-min", "naive"): ("bug-found", 1, 1, 1, 0, 18),
+    ("gni", "lazy"): ("no-bug", 2, 2, 2, 0, 36),
+    ("gni", "naive"): ("no-bug", 2, 2, 2, 0, 36),
+    ("echo-leak", "lazy"): ("bug-found", 1, 1, 1, 0, 19),
+    ("echo-leak", "naive"): ("bug-found", 1, 1, 1, 0, 19),
+    ("simple-nonrefinement", "lazy"): ("bug-found", 1, 1, 1, 0, 6),
+    ("simple-nonrefinement", "naive"): ("bug-found", 1, 1, 1, 0, 6),
+    ("simple-leak", "lazy"): ("bug-found", 1, 1, 1, 0, 13),
+    ("simple-leak", "naive"): ("bug-found", 1, 1, 1, 0, 13),
+    ("conditional-nonrefinement", "lazy"): ("bug-found", 1, 4, 2, 0, 16),
+    ("conditional-nonrefinement", "naive"): ("bug-found", 1, 1, 1, 0, 16),
+    ("escalating-m0", "lazy"): ("bug-found", 4, 45, 10, 0, 161),
+    ("escalating-m0", "naive"): ("bug-found", 4, 4, 4, 0, 166),
+    ("escalating-m1", "lazy"): ("bug-found", 4, 45, 10, 0, 161),
+    ("escalating-m1", "naive"): ("bug-found", 4, 4, 4, 0, 166),
+    ("escalating-m2", "lazy"): ("bug-found", 5, 133, 18, 0, 337),
+    ("escalating-m2", "naive"): ("bug-found", 5, 5, 5, 0, 350),
+    ("escalating-m5", "lazy"): ("bug-found", 5, 165, 20, 0, 339),
+    ("escalating-m5", "naive"): ("bug-found", 5, 5, 5, 0, 350),
+    ("escalating-m6", "lazy"): ("bug-found", 6, 501, 36, 0, 691),
+    ("escalating-m6", "naive"): ("bug-found", 6, 6, 6, 0, 718),
+    ("escalating", "lazy"): ("bug-found", 7, 1941, 72, 0, 1399),
+    ("escalating", "naive"): ("bug-found", 7, 7, 7, 0, 1454),
+}
+
+
+def manifest_entries():
+    with open(os.path.join(BENCH_DIR, "manifest.json")) as handle:
+        return [(entry, algorithm) for entry in json.load(handle)
+                for algorithm in ("lazy", "naive")]
+
+
+@pytest.mark.parametrize("entry, algorithm", manifest_entries(),
+                         ids=lambda value: value["name"] if isinstance(value, dict) else value)
+def test_manifest_search_work_is_pinned(opts, extend_calls, entry, algorithm):
+    result = analyze_source(bench_source(entry["file"]), n=entry["max_observations"],
+                            algorithm=algorithm, opts=opts)
+    report = driver.report_dict(result)
+    stats = report["stats"]
+    assert (report["verdict"], report["k"], stats["combinations"], stats["sat_calls"],
+            stats["feasibility_calls"], extend_calls[0]) == MANIFEST_WORK[entry["name"], algorithm]
+
+
 def test_naive_matches_oracle_on_random_specs(solver_argv):
     # The closed encoding goes through the solver with genuine quantifier
     # alternation; its verdicts must match the finite-domain oracle.
@@ -539,7 +594,34 @@ def test_cli_console_script_runs():
     assert "bug found at k=1" in result.stdout
 
 
-@pytest.mark.parametrize("solver", ["/bin/false", "/nonexistent/solver-binary"])
+def run_cli_on_assignment(tmp_path, expr):
+    """The CLI, as a user starts it, on a spec whose program assigns `expr`."""
+    path = tmp_path / "deep.hyp"
+    path.write_text(f"prog p {{ havoc y; x := {expr}; observe end; }}\n"
+                    "forall a in p obs {end} . exists b in p obs {end} .\n"
+                    "always (x@a == x@b)\n")
+    return subprocess.run([sys.executable, "-m", "hyperfind.cli", str(path)],
+                          capture_output=True, text=True)
+
+
+def test_cli_input_nested_too_deeply_to_load_is_a_parse_error(tmp_path):
+    result = run_cli_on_assignment(tmp_path, "(" * 500 + "1" + ")" * 500)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert "nests too deeply" in result.stderr
+
+
+def test_cli_term_nested_too_deeply_to_search_is_inconclusive(tmp_path):
+    # 600 summands load, but the search's term walks exceed the recursion limit.
+    result = run_cli_on_assignment(tmp_path, " + ".join(["y"] * 600))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    report = json.loads(result.stdout)
+    assert (report["verdict"], report["reason"]) == ("inconclusive", "recursion-limit")
+    assert "nests too deeply" in report["detail"]
+
+
+@pytest.mark.parametrize("solver",["/bin/false", "/nonexistent/solver-binary"])
 def test_cli_solver_failure_is_inconclusive(solver):
     result = subprocess.run(
         [sys.executable, "-m", "hyperfind.cli", fixture_path("gni.hyp"),

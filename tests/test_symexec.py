@@ -160,30 +160,47 @@ def canonical(traces):
     (None, symexec.DEFAULT_NODE_BUDGET), (5, None), (20, None),
     (None, 1), (None, 5), (None, 30),
 ])
-def test_walk_matches_a_fresh_search_per_bound(feas, step_budget, node_budget):
+def test_walk_matches_a_fresh_search_per_bound(feas, extend_calls, step_budget,
+                                               node_budget):
     # Bound j's view of one walk over bounds 1..4 must list the traces a
     # search restarted at bound j lists, in its order, with its verdict on
     # completeness.
     for name, graph, observed in walk_sides():
         walk = Walk(graph, observed, 4, FreshSupply(), feas, step_budget, node_budget)
+        walk_extends = 0
         for j in range(1, 5):
+            before = extend_calls[0]
             stream = walk.stream(j)
             got = [(t.states, t.observed) for t in stream]
-            want, incomplete, _ = fresh_bound_search(
+            walk_extends += extend_calls[0] - before
+            want, incomplete, fresh_extends = fresh_bound_search(
                 graph, observed, j, FreshSupply(), feas,
                 step_budget, node_budget)
             assert len(got) == len(want), (name, j)
             assert canonical(got) == canonical(want), (name, j)
             assert stream.incomplete == incomplete, (name, j)
+        if node_budget in (None, symexec.DEFAULT_NODE_BUDGET):
+            # Bound 4's tree holds the smaller bounds' trees, and the walk
+            # extends each of its nodes once.
+            assert walk_extends == fresh_extends, name
 
 
-def test_walk_releases_the_bounds_below_the_one_it_streams(feas):
+def test_walk_restreams_a_bound_from_its_tree(feas, extend_calls):
+    # Streaming a bound again, in any order, yields the first pass's trace
+    # objects without extending a node; bounds outside 1..n are rejected.
     graph = input_sign_graph()
     walk = Walk(graph, frozenset({0}), 3, FreshSupply(), feas)
-    assert len(list(walk.stream(2))) == 2
-    assert walk.traces[1] is None
-    with pytest.raises(ValueError, match="bound 1 is not tracked"):
-        walk.stream(1)
+    first = {j: list(walk.stream(j)) for j in (1, 2, 3)}
+    assert [len(first[j]) for j in (1, 2, 3)] == [1, 2, 4]
+    made = extend_calls[0]
+    for j in (3, 1, 2, 3):
+        again = list(walk.stream(j))
+        assert len(again) == len(first[j])
+        assert all(a is b for a, b in zip(again, first[j])), j
+    assert extend_calls[0] == made
+    for j in (0, 4):
+        with pytest.raises(ValueError, match=f"bound {j} is not tracked"):
+            walk.stream(j)
 
 
 def test_concretize_io_trace(feas):
