@@ -115,15 +115,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 3
 
     if args.dump_graphs:
-        for name, lowered in loaded.programs.items():
-            observed = frozenset().union(*lowered.labels.values()) if lowered.labels else frozenset()
-            print(graphs.dump(lowered.graph, observed))
-            print()
-        gen = driver.generalize(loaded)
-        for side in (gen.universal, gen.existential):
-            if side is not None and side.origin is not None:
-                print(graphs.dump(side.graph, side.observed))
+        try:
+            for name, lowered in loaded.programs.items():
+                observed = frozenset().union(*lowered.labels.values()) if lowered.labels else frozenset()
+                print(graphs.dump(lowered.graph, observed))
                 print()
+            gen = driver.generalize(loaded)
+            for side in (gen.universal, gen.existential):
+                if side is not None and side.origin is not None:
+                    print(graphs.dump(side.graph, side.observed))
+                    print()
+        except RecursionError:
+            # `graphs.dump` formats terms recursively, once per nesting level.
+            print("error: input nests too deeply to print "
+                  "(Python's recursion limit was exceeded)", file=sys.stderr)
+            return 3
         return 0
 
     if args.oracle:

@@ -6,8 +6,9 @@ variables get their trace variable as a prefix, and the invariant body is
 rewritten accordingly). `lazy_search` streams universal symbolic traces
 and asks, per trace, whether some instantiation admits no matching
 existential trace; the first satisfiable query yields a concrete,
-replay-validated counterexample. `naive_search` checks the negation of
-the full closed encoding instead and therefore produces no witness.
+replay-validated counterexample. `naive_search` checks, per bound, the
+negated closed encoding instead: the disjunction of every universal
+trace's lazy query under an exists, which has no witness to report.
 
 Both searches raise the bound k = 1..n and take each bound's traces from
 one `symexec.Walk` per distinct side, made once per search: a memoized
@@ -227,34 +228,39 @@ def naive_search(gen: GeneralizedSpec, n: int,
     return _run(_naive, gen, n, opts)
 
 
+def _existential_side(gen: GeneralizedSpec, walk: Optional[symexec.Walk], k: int,
+                      opts: SearchOptions) -> Optional[encode.ExistentialSide]:
+    """Bound k's existential side, prepared for its queries; None when a
+    budget cut its traces short. The "no matching trace" part must be
+    complete for any query at this or any larger bound to be trustworthy."""
+    if walk is None:
+        return encode.prepare_existential(None, [], gen.body, k, opts.domain)
+    etraces, incomplete = _materialize(walk, k)
+    if incomplete:
+        return None
+    return encode.prepare_existential(
+        gen.existential.trace_var, etraces, gen.body, k, opts.domain)
+
+
 def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
           feas: Feasibility, stats: SearchStats) -> Verdict:
     universal_walk, existential_walk = _walks(gen, n, FreshSupply(), feas, opts)
     budget_seen = False
     unknown_seen = False
     for k in range(1, n + 1):
-        etraces: List[SymTrace] = []
-        existential = None
-        if existential_walk is not None:
-            etraces, incomplete = _materialize(existential_walk, k)
-            if incomplete:
-                # The "no matching trace" side must be complete for any
-                # query at this or any larger bound to be trustworthy.
-                return Inconclusive("budget")
-            existential = encode.prepare_existential(
-                gen.existential.trace_var, etraces, gen.body, k, opts.domain)
-
+        existential = _existential_side(gen, existential_walk, k, opts)
+        if existential is None:
+            return Inconclusive("budget")
         stream = universal_walk.stream(k)
         index = 0
         for trace in stream:
             index += 1
-            query = encode.lazy_query(
-                trace, gen.universal.trace_var, existential, gen.body, k,
-                domain=opts.domain, provenance=f"k={k} universal-trace={index}")
+            query = encode.lazy_query(trace, gen.universal.trace_var, existential,
+                                      provenance=f"k={k} universal-trace={index}")
             _emit_query(opts, f"query_k{k}_{index:04d}.smt2",
                         query.formula, query.free_vars, query.provenance)
             stats.sat_calls += 1
-            stats.combinations += max(1, len(etraces)) if gen.existential else 1
+            stats.combinations += max(1, len(existential.blocks))
             result = solver.check(query.formula, query.free_vars)
             if isinstance(result, smt.Sat):
                 return _counterexample_verdict(gen, k, trace, result.model, query)
@@ -277,22 +283,22 @@ def _naive(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver
         utraces, u_incomplete = _materialize(universal_walk, k)
         if u_incomplete:
             return Inconclusive("budget")
-        quantified = [encode.QuantifiedTraces("forall", gen.universal.trace_var,
-                                              tuple(utraces))]
-        if existential_walk is not None:
-            etraces, e_incomplete = _materialize(existential_walk, k)
-            if e_incomplete:
-                return Inconclusive("budget")
-            quantified.append(encode.QuantifiedTraces(
-                "exists", gen.existential.trace_var, tuple(etraces)))
-        encoding = encode.encode(quantified, gen.body, k, domain=opts.domain)
-        negated = logic.negate(encoding)
-        _emit_query(opts, f"naive_k{k}.smt2", negated, (), f"naive k={k}")
+        existential = _existential_side(gen, existential_walk, k, opts)
+        if existential is None:
+            return Inconclusive("budget")
+        # The negated closed encoding: some universal trace has an
+        # instantiation that no existential trace matches.
+        query = logic.disj(
+            logic.exists(trace.free_vars(),
+                         encode.lazy_query(trace, gen.universal.trace_var,
+                                           existential).formula)
+            for trace in utraces)
+        _emit_query(opts, f"naive_k{k}.smt2", query, (), f"naive k={k}")
         stats.sat_calls += 1
         stats.combinations += 1
-        result = solver.check(negated)
+        result = solver.check(query)
         if isinstance(result, smt.Sat):
-            # The encoding is closed, so there is no model to report.
+            # The query is closed, so there is no model to report.
             return BugFound(k, None)
         if isinstance(result, smt.Unknown):
             unknown_seen = True

@@ -1,16 +1,18 @@
-"""First-order encodings of trace specifications over symbolic traces.
+"""First-order queries of trace specifications over symbolic traces.
 
-Universal trace quantification becomes a conjunction over the finite set of
-observed symbolic traces, each wrapped in a forall over its fresh
-variables; existential quantification dually becomes a disjunction of
-exists blocks. The invariant body is instantiated at every observation
-index by substituting each trace-indexed variable `x@pi` with the bound
-trace's symbolic memory term for `x`.
+The bound-k semantics over the observed symbolic traces is a conjunction
+over universal traces, each wrapped in a forall over its fresh variables,
+of a disjunction over existential traces, each an exists block. The
+invariant body is instantiated at every observation index by substituting
+each trace-indexed variable `x@pi` with the bound trace's symbolic memory
+term for `x`.
 
-`lazy_query` builds the per-universal-trace refutation query: the
-universal path constraint conjoined with "no existential trace matches";
-its free variables are exactly the universal trace's fresh variables, so a
-model concretizes directly into a counterexample trace.
+`lazy_query` builds the negation of that formula for one universal trace:
+the universal path constraint conjoined with "no existential trace
+matches". Its free variables are exactly the universal trace's fresh
+variables, so a model concretizes directly into a counterexample trace.
+The negation of the whole formula is the disjunction, over universal
+traces u, of `exists fv_u. lazy_query(u)`: the naive search's query.
 
 Everything in that query that depends on one existential trace alone is
 prepared once per bound k by `prepare_existential`: the trace's fresh
@@ -22,7 +24,8 @@ one instantiation of the body. A query then substitutes the universal
 trace's memory into the body once per index and the existential memories
 once per such class, not once per (trace, index) pair. A trace with an
 instantiation that folds to false has a block that folds to true, so the
-query never builds it.
+query never builds it. A specification with no existential quantifier
+gets one block that binds nothing, so "no match" is the negated invariant.
 """
 
 from __future__ import annotations
@@ -62,44 +65,8 @@ def _image(trace: SymTrace, trace_var: str, var: str, i: int) -> Term:
     return memory[var]
 
 
-def _images(trace: SymTrace, trace_var: str, own: Sequence[Tuple[str, str]], k: int,
-            rho: Optional[Dict[str, Term]] = None) -> List[Dict[str, Term]]:
-    """Per observation index i < k, the terms that `trace`, bound to
-    `trace_var`, gives the body variables `own` ((full name, program
-    variable) pairs), renamed by `rho` when it is given."""
-    images = []
-    for i in range(k):
-        sigma = {name: _image(trace, trace_var, var, i) for name, var in own}
-        if rho is not None:
-            sigma = {name: logic.substitute(term, rho) for name, term in sigma.items()}
-        images.append(sigma)
-    return images
-
-
-def _instantiate(body: Formula, k: int, slots: Sequence[Tuple[str, str, str]],
-                 bound: Dict[str, List[Dict[str, Term]]]) -> Formula:
-    """Conjunction over observation indices 0..k-1 of the body under the
-    images of the bound trace variables."""
-    if k > 0:
-        for _, _, trace_var in slots:
-            if trace_var not in bound:
-                raise EncodingError(f"trace variable {trace_var!r} is not bound")
-    return logic.conj(
-        logic.substitute(body, {name: term for images in bound.values()
-                                for name, term in images[i].items()})
-        for i in range(k))
-
-
 def _own(slots: Sequence[Tuple[str, str, str]], trace_var: str) -> List[Tuple[str, str]]:
     return [(name, var) for name, var, tv in slots if tv == trace_var]
-
-
-def encode_invariant(body: Formula, k: int, binding: Dict[str, SymTrace]) -> Formula:
-    """Conjunction over observation indices 0..k-1 of the instantiated body."""
-    slots = _body_slots(body)
-    return _instantiate(body, k, slots, {
-        trace_var: _images(trace, trace_var, _own(slots, trace_var), k)
-        for trace_var, trace in binding.items()})
 
 
 def _apart(names: Sequence[str]) -> Tuple[Tuple[str, ...], Dict[str, Term]]:
@@ -128,47 +95,6 @@ def _domain_constraint(names: Sequence[str],
 
 
 @dataclass(frozen=True)
-class QuantifiedTraces:
-    kind: str  # "forall" | "exists"
-    trace_var: str
-    traces: Tuple[SymTrace, ...]
-
-
-def encode(quantifiers: Sequence[QuantifiedTraces], body: Formula, k: int,
-           domain: Optional[Tuple[int, int]] = None) -> Formula:
-    """Closed encoding of the bound-k semantics over materialized trace sets.
-
-    The optional domain interval constrains every fresh variable of every
-    trace; it exists so desk-scale runs can be cross-checked against the
-    finite-domain oracle, and is conjoined next to the path formulas, never
-    inside them. Existential traces are renamed apart (see `_apart`), in
-    their path and in the terms the body takes from them.
-    """
-    slots = _body_slots(body)
-
-    def rec(i: int, bound: Dict[str, List[Dict[str, Term]]]) -> Formula:
-        if i == len(quantifiers):
-            return _instantiate(body, k, slots, bound)
-        q = quantifiers[i]
-        own = _own(slots, q.trace_var)
-        parts = []
-        for trace in q.traces:
-            fv, path, rho = trace.free_vars(), trace.path, None
-            if q.kind == "exists":
-                fv, rho = _apart(fv)
-                path = logic.substitute(path, rho)
-            scope = logic.conj([path, _domain_constraint(fv, domain)])
-            inner = rec(i + 1, {**bound, q.trace_var: _images(trace, q.trace_var, own, k, rho)})
-            if q.kind == "forall":
-                parts.append(logic.forall(fv, logic.implies(scope, inner)))
-            else:
-                parts.append(logic.exists(fv, logic.conj([scope, inner])))
-        return logic.conj(parts) if q.kind == "forall" else logic.disj(parts)
-
-    return rec(0, {})
-
-
-@dataclass(frozen=True)
 class EncodedQuery:
     formula: Formula
     free_vars: Tuple[str, ...]
@@ -177,8 +103,8 @@ class EncodedQuery:
 
 
 class ExistentialSide(NamedTuple):
-    """The existential traces of one bound, prepared for every lazy query
-    with the same body, bound k and domain.
+    """The existential traces of one bound, prepared for its lazy queries,
+    which read the body, the bound k and the domain from it.
 
     Per trace, `blocks` holds its fresh variables, its scope (path and
     domain constraint) and, per observation index i, the class of its
@@ -187,7 +113,7 @@ class ExistentialSide(NamedTuple):
     `members[i][c]` has bit t set for each trace t of that class. Names and
     terms are renamed apart (see `_apart`).
     """
-    trace_var: str
+    trace_var: Optional[str]  # None: the specification has no existential
     body: Formula
     k: int
     domain: Optional[Tuple[int, int]]
@@ -196,11 +122,19 @@ class ExistentialSide(NamedTuple):
     members: Tuple[Tuple[int, ...], ...]
 
 
-def prepare_existential(trace_var: str, traces: Sequence[SymTrace],
+def prepare_existential(trace_var: Optional[str], traces: Sequence[SymTrace],
                         body: Formula, k: int,
                         domain: Optional[Tuple[int, int]] = None) -> ExistentialSide:
     """The part of every bound-k lazy query that depends on the existential
-    traces alone: built once per bound from the complete trace list."""
+    traces alone: built once per bound from the complete trace list.
+
+    With no existential quantifier (`trace_var` None, no traces) the side
+    is one block with no variables, scope true and no existential term at
+    any index, so "no match" is the negated invariant.
+    """
+    if trace_var is None:
+        return ExistentialSide(None, body, k, domain, (((), logic.TRUE, (0,) * k),),
+                               (({},),) * k, ((1,),) * k)
     blocks = []
     classes: List[Dict[Tuple[Term, ...], int]] = [{} for _ in range(k)]
     sigmas: List[List[Dict[str, Term]]] = [[] for _ in range(k)]
@@ -270,27 +204,18 @@ def _no_match(universal: SymTrace, universal_var: str,
 
 
 def lazy_query(universal: SymTrace, universal_var: str,
-               existential: Optional[ExistentialSide],
-               body: Formula, k: int,
-               domain: Optional[Tuple[int, int]] = None,
+               existential: ExistentialSide,
                provenance: str = "") -> EncodedQuery:
     """Refutation query for one universal trace.
 
     Satisfiable iff the universal trace has an instantiation that no
     existential trace can match; a model assigns the universal trace's
-    fresh variables. `existential` is None for specifications with no
-    existential quantifier, which use the plain negated invariant as the
-    explanation part; otherwise it is prepared for the same body, bound
-    and domain.
+    fresh variables. The body, bound and domain are the existential
+    side's.
     """
     fv1 = universal.free_vars()
-    c1 = logic.conj([universal.path, _domain_constraint(fv1, domain)])
-    if existential is None:
-        c2 = logic.negate(encode_invariant(body, k, {universal_var: universal}))
-    else:
-        if (existential.body, existential.k, existential.domain) != (body, k, domain):
-            raise ValueError("existential side prepared for another body, bound or domain")
-        c2 = _no_match(universal, universal_var, existential)
+    c1 = logic.conj([universal.path, _domain_constraint(fv1, existential.domain)])
+    c2 = _no_match(universal, universal_var, existential)
     return EncodedQuery(
         formula=logic.conj([c1, c2]),
         free_vars=fv1,

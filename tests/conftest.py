@@ -1,4 +1,5 @@
-"""Shared fixtures: hand-built reference graphs, random generators, solver."""
+"""Shared fixtures: hand-built reference graphs, random generators, solver,
+and the closed encoding that the tests take as the reference."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import itertools
 import os
 import random
 import sys
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -17,8 +20,11 @@ if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
     os.environ["PYTHONPATH"] = _SRC + os.pathsep + os.environ.get("PYTHONPATH", "")
 
 from hyperfind import logic
+from hyperfind.encode import (EncodingError, _apart, _body_slots, _domain_constraint,
+                              _image, _own)
 from hyperfind.graph import Assign, Edge, Havoc, ProgramGraph, SKIP
-from hyperfind.logic import Cmp, IntLit, Var
+from hyperfind.logic import Cmp, Formula, IntLit, Term, Var
+from hyperfind.symexec import SymTrace
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -234,3 +240,88 @@ def all_assignments(names, domain):
     names = list(names)
     for values in itertools.product(domain, repeat=len(names)):
         yield dict(zip(names, values))
+
+
+# ---------------------------------------------------------------------------
+# Reference encoding
+# ---------------------------------------------------------------------------
+# The closed encoding of the bound-k semantics, built quantifier by
+# quantifier: the naive search's query is its negation, which the program
+# builds from its lazy queries instead.
+
+
+def _images(trace: SymTrace, trace_var: str, own: Sequence[Tuple[str, str]], k: int,
+            rho: Optional[Dict[str, Term]] = None) -> List[Dict[str, Term]]:
+    """Per observation index i < k, the terms that `trace`, bound to
+    `trace_var`, gives the body variables `own` ((full name, program
+    variable) pairs), renamed by `rho` when it is given."""
+    images = []
+    for i in range(k):
+        sigma = {name: _image(trace, trace_var, var, i) for name, var in own}
+        if rho is not None:
+            sigma = {name: logic.substitute(term, rho) for name, term in sigma.items()}
+        images.append(sigma)
+    return images
+
+
+def _instantiate(body: Formula, k: int, slots: Sequence[Tuple[str, str, str]],
+                 bound: Dict[str, List[Dict[str, Term]]]) -> Formula:
+    """Conjunction over observation indices 0..k-1 of the body under the
+    images of the bound trace variables."""
+    if k > 0:
+        for _, _, trace_var in slots:
+            if trace_var not in bound:
+                raise EncodingError(f"trace variable {trace_var!r} is not bound")
+    return logic.conj(
+        logic.substitute(body, {name: term for images in bound.values()
+                                for name, term in images[i].items()})
+        for i in range(k))
+
+
+def encode_invariant(body: Formula, k: int, binding: Dict[str, SymTrace]) -> Formula:
+    """Conjunction over observation indices 0..k-1 of the instantiated body."""
+    slots = _body_slots(body)
+    return _instantiate(body, k, slots, {
+        trace_var: _images(trace, trace_var, _own(slots, trace_var), k)
+        for trace_var, trace in binding.items()})
+
+
+@dataclass(frozen=True)
+class QuantifiedTraces:
+    kind: str  # "forall" | "exists"
+    trace_var: str
+    traces: Tuple[SymTrace, ...]
+
+
+def closed_encoding(quantifiers: Sequence[QuantifiedTraces], body: Formula, k: int,
+                    domain: Optional[Tuple[int, int]] = None) -> Formula:
+    """Closed encoding of the bound-k semantics over materialized trace sets.
+
+    The optional domain interval constrains every fresh variable of every
+    trace; it exists so desk-scale runs can be cross-checked against the
+    finite-domain oracle, and is conjoined next to the path formulas, never
+    inside them. Existential traces are renamed apart (see `_apart`), in
+    their path and in the terms the body takes from them.
+    """
+    slots = _body_slots(body)
+
+    def rec(i: int, bound: Dict[str, List[Dict[str, Term]]]) -> Formula:
+        if i == len(quantifiers):
+            return _instantiate(body, k, slots, bound)
+        q = quantifiers[i]
+        own = _own(slots, q.trace_var)
+        parts = []
+        for trace in q.traces:
+            fv, path, rho = trace.free_vars(), trace.path, None
+            if q.kind == "exists":
+                fv, rho = _apart(fv)
+                path = logic.substitute(path, rho)
+            scope = logic.conj([path, _domain_constraint(fv, domain)])
+            inner = rec(i + 1, {**bound, q.trace_var: _images(trace, q.trace_var, own, k, rho)})
+            if q.kind == "forall":
+                parts.append(logic.forall(fv, logic.implies(scope, inner)))
+            else:
+                parts.append(logic.exists(fv, logic.conj([scope, inner])))
+        return logic.conj(parts) if q.kind == "forall" else logic.disj(parts)
+
+    return rec(0, {})

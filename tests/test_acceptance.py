@@ -6,16 +6,16 @@ import time
 
 import pytest
 
-from hyperfind import concrete, driver, encode, frontend, logic, smt, symexec
+from hyperfind import concrete, driver, frontend, logic, smt, symexec
 from hyperfind.driver import (
     BugFound, Inconclusive, NoBugUpTo, SearchOptions, analyze_source, generalize,
     lazy_search, naive_search,
 )
-from hyperfind.encode import QuantifiedTraces
 from hyperfind.logic import Cmp, IntLit, Var
 from hyperfind.symexec import Feasibility, FreshSupply, observe
 
-from conftest import bench_source, random_graph, random_observed, set_zero_graph
+from conftest import (QuantifiedTraces, bench_source, closed_encoding, random_graph,
+                      random_observed, set_zero_graph)
 from test_graph import product_pair_check
 from test_symexec import equivalence_check
 
@@ -108,7 +108,7 @@ def test_acceptance_bounded_semantics_fidelity(opts, solver_argv):
     feas.solver.close()
     assert traces == [] and not stream.incomplete
     body = Cmp(">", Var("x@p"), IntLit(0))
-    encoding = encode.encode([QuantifiedTraces("forall", "p", ())], body, 2)
+    encoding = closed_encoding([QuantifiedTraces("forall", "p", ())], body, 2)
     assert encoding == logic.TRUE
 
     # ...while the upper-bounded verdict stays violated at every bound.

@@ -180,24 +180,28 @@ def test_a_side_both_quantifiers_share_is_renamed_apart(opts, monkeypatch, name)
     # Both quantifiers range over one program, so both sides come from one
     # walk and carry the same fresh names: an existential binder must not
     # capture a variable of the universal trace, in any lazy query or in
-    # the naive encoding.
-    queries, encodings = [], []
+    # any naive query.
+    queries, naive_queries = [], []
 
-    def recorded(fn, into):
+    def recorded(fn):
         def wrapper(*args, **kwargs):
-            into.append(fn(*args, **kwargs))
-            return into[-1]
+            queries.append(fn(*args, **kwargs))
+            return queries[-1]
         return wrapper
 
-    monkeypatch.setattr(encode, "lazy_query", recorded(encode.lazy_query, queries))
-    monkeypatch.setattr(encode, "encode", recorded(encode.encode, encodings))
+    def emitted(opts, name, formula, wanted, provenance):
+        if name.startswith("naive"):
+            naive_queries.append(formula)
+
+    monkeypatch.setattr(encode, "lazy_query", recorded(encode.lazy_query))
+    monkeypatch.setattr(driver, "_emit_query", emitted)
     lazy = run_fixture(name, 3, opts)
     naive = run_fixture(name, 3, opts, "naive")
-    assert queries and encodings
+    assert queries and naive_queries
     for query in queries:
         assert not captured(query.formula, set(query.free_vars))
-    for encoding in encodings:
-        assert not captured(encoding, set())
+    for query in naive_queries:
+        assert not captured(query, set())
     if name == "voting_buggy.hyp":
         assert isinstance(naive.verdict, BugFound) and naive.verdict.k == 2
         cex = lazy.verdict.counterexample
@@ -594,13 +598,14 @@ def test_cli_console_script_runs():
     assert "bug found at k=1" in result.stdout
 
 
-def run_cli_on_assignment(tmp_path, expr):
-    """The CLI, as a user starts it, on a spec whose program assigns `expr`."""
+def run_cli_on_assignment(tmp_path, expr, *args):
+    """The CLI, as a user starts it with `args`, on a spec whose program
+    assigns `expr`."""
     path = tmp_path / "deep.hyp"
     path.write_text(f"prog p {{ havoc y; x := {expr}; observe end; }}\n"
                     "forall a in p obs {end} . exists b in p obs {end} .\n"
                     "always (x@a == x@b)\n")
-    return subprocess.run([sys.executable, "-m", "hyperfind.cli", str(path)],
+    return subprocess.run([sys.executable, "-m", "hyperfind.cli", str(path), *args],
                           capture_output=True, text=True)
 
 
@@ -612,13 +617,24 @@ def test_cli_input_nested_too_deeply_to_load_is_a_parse_error(tmp_path):
 
 
 def test_cli_term_nested_too_deeply_to_search_is_inconclusive(tmp_path):
-    # 600 summands load, but the search's term walks exceed the recursion limit.
-    result = run_cli_on_assignment(tmp_path, " + ".join(["y"] * 600))
-    assert result.returncode == 2
+    # 600 summands load, but the search's term walks exceed the recursion
+    # limit: both searches hash the existential terms when they prepare a
+    # bound's existential side.
+    for algorithm in ("lazy", "naive"):
+        result = run_cli_on_assignment(tmp_path, " + ".join(["y"] * 600),
+                                       "--algorithm", algorithm)
+        assert result.returncode == 2, algorithm
+        assert "Traceback" not in result.stderr
+        report = json.loads(result.stdout)
+        assert (report["verdict"], report["reason"]) == ("inconclusive", "recursion-limit")
+        assert "nests too deeply" in report["detail"]
+
+
+def test_cli_term_nested_too_deeply_to_dump_is_a_usage_error(tmp_path):
+    result = run_cli_on_assignment(tmp_path, " + ".join(["y"] * 600), "--dump-graphs")
+    assert result.returncode == 3
     assert "Traceback" not in result.stderr
-    report = json.loads(result.stdout)
-    assert (report["verdict"], report["reason"]) == ("inconclusive", "recursion-limit")
-    assert "nests too deeply" in report["detail"]
+    assert "nests too deeply" in result.stderr
 
 
 @pytest.mark.parametrize("solver",["/bin/false", "/nonexistent/solver-binary"])

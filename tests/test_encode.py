@@ -1,12 +1,15 @@
+import json
+import os
+
 import pytest
 
-from hyperfind import concrete, driver, encode, frontend, logic, smt, symexec
-from hyperfind.encode import (EncodingError, QuantifiedTraces, encode_invariant,
-                              lazy_query, prepare_existential)
+from hyperfind import concrete, driver, encode, frontend, logic, refsolver, smt, symexec
+from hyperfind.encode import EncodingError, lazy_query, prepare_existential
 from hyperfind.logic import BoolLit, Cmp, IntLit, Var
 from hyperfind.symexec import Feasibility, FreshSupply, SymTrace, make_state, observe
 
-from conftest import bench_source, set_zero_graph
+from conftest import (BENCH_DIR, QuantifiedTraces, bench_source, closed_encoding,
+                      encode_invariant, set_zero_graph)
 
 
 def tiny_trace(out_term, loc=0):
@@ -58,7 +61,7 @@ def test_encode_setzero_k1_is_invalid(solver_argv):
     # set: the encoding folds to the ground judgment 0 > 0.
     traces = setzero_traces(solver_argv, 1)
     body = Cmp(">", Var("x@p"), IntLit(0))
-    encoding = encode.encode([QuantifiedTraces("forall", "p", tuple(traces))], body, 1)
+    encoding = closed_encoding([QuantifiedTraces("forall", "p", tuple(traces))], body, 1)
     assert encoding == logic.FALSE
 
 
@@ -66,7 +69,7 @@ def test_encode_setzero_k2_is_vacuously_valid(solver_argv):
     traces = setzero_traces(solver_argv, 2)
     assert traces == []
     body = Cmp(">", Var("x@p"), IntLit(0))
-    encoding = encode.encode([QuantifiedTraces("forall", "p", ())], body, 2)
+    encoding = closed_encoding([QuantifiedTraces("forall", "p", ())], body, 2)
     assert encoding == logic.TRUE
 
 
@@ -91,7 +94,7 @@ def test_encoding_is_closed(solver_argv):
     for source in ("voting_buggy.hyp", "min_flip.hyp", "gni.hyp"):
         for k in (1, 2):
             gen, sides = materialized(source, k, solver_argv)
-            encoding = encode.encode([q for q, _ in sides], gen.body, k)
+            encoding = closed_encoding([q for q, _ in sides], gen.body, k)
             assert logic.free_vars(encoding) == frozenset()
 
 
@@ -100,8 +103,7 @@ def test_lazy_query_free_vars_are_universal_trace_vars(solver_argv):
     (univ, _), (exist, _) = sides
     for trace in univ.traces:
         query = lazy_query(trace, univ.trace_var,
-                           prepare_existential(exist.trace_var, exist.traces, gen.body, 2),
-                           gen.body, 2)
+                           prepare_existential(exist.trace_var, exist.traces, gen.body, 2))
         assert query.free_vars == trace.free_vars()
         assert logic.free_vars(query.formula) <= set(query.free_vars)
 
@@ -116,13 +118,13 @@ def test_lazy_and_naive_agree_per_bound(solver_argv):
         for k in bounds:
             gen, sides = materialized(source, k, solver_argv)
             (univ, _), (exist, _) = sides
-            encoding = encode.encode([q for q, _ in sides], gen.body, k)
+            encoding = closed_encoding([q for q, _ in sides], gen.body, k)
             with smt.Solver(solver_argv) as solver:
                 naive_sat = isinstance(solver.check(logic.negate(encoding)), smt.Sat)
                 lazy_sat = False
                 side = prepare_existential(exist.trace_var, exist.traces, gen.body, k)
                 for trace in univ.traces:
-                    query = lazy_query(trace, univ.trace_var, side, gen.body, k)
+                    query = lazy_query(trace, univ.trace_var, side)
                     if isinstance(solver.check(query.formula), smt.Sat):
                         lazy_sat = True
                         break
@@ -167,7 +169,7 @@ def test_prepared_side_matches_per_pair_encoding(source, bounds, domain, solver_
         (univ, _), (exist, _) = sides
         side = prepare_existential(exist.trace_var, exist.traces, gen.body, k, domain)
         for trace in univ.traces:
-            query = lazy_query(trace, univ.trace_var, side, gen.body, k, domain)
+            query = lazy_query(trace, univ.trace_var, side)
             formula, explanation, free_vars = per_pair_query(
                 trace, univ.trace_var, exist.trace_var, exist.traces, gen.body,
                 k, domain)
@@ -181,21 +183,12 @@ def observed_trace(*outs):
     return SymTrace(states, states)
 
 
-def test_prepared_side_for_another_bound_or_domain():
-    body = Cmp("=", Var("out@p1"), Var("out@p2"))
-    universal = observed_trace(Var("v!0"), Var("v!1"))
-    side = prepare_existential("p2", [observed_trace(Var("v!2"), Var("v!3"))], body, 2)
-    for k, domain in [(1, None), (2, (0, 1))]:
-        with pytest.raises(ValueError, match="another body, bound or domain"):
-            lazy_query(universal, "p1", side, body, k, domain)
-
-
 def test_prepared_side_unbound_trace_variable():
     body = logic.conj([Cmp("=", Var("out@p1"), Var("out@p2")),
                        Cmp("=", Var("out@p3"), IntLit(0))])
     with pytest.raises(EncodingError, match="^trace variable 'p3' is not bound$"):
         side = prepare_existential("p2", [observed_trace(Var("v!1"))], body, 1)
-        lazy_query(observed_trace(Var("v!0")), "p1", side, body, 1)
+        lazy_query(observed_trace(Var("v!0")), "p1", side)
 
 
 def test_prepared_side_existential_trace_too_short():
@@ -212,6 +205,73 @@ def test_prepared_side_existential_program_lacks_variable():
         prepare_existential("p2", [observed_trace(Var("v!1"))], body, 1)
 
 
+@pytest.mark.parametrize("domain", [None, (0, 1)])
+def test_side_without_exists_is_the_negated_invariant(domain, solver_argv):
+    # One block that binds nothing: "no match" is the negated invariant.
+    for k in (1, 2, 3):
+        gen, [(univ, _)] = materialized("positive_output.hyp", k, solver_argv)
+        side = prepare_existential(None, [], gen.body, k, domain)
+        for trace in univ.traces:
+            query = lazy_query(trace, univ.trace_var, side)
+            explanation = logic.negate(encode_invariant(gen.body, k, {univ.trace_var: trace}))
+            assert query.explanation == explanation, k
+            assert query.formula == logic.conj([
+                trace.path, encode._domain_constraint(trace.free_vars(), domain),
+                explanation]), k
+
+
+def test_side_without_exists_unbound_trace_variable():
+    body = Cmp("=", Var("out@p1"), Var("out@p2"))
+    side = prepare_existential(None, [], body, 1)
+    with pytest.raises(EncodingError, match="^trace variable 'p2' is not bound$"):
+        lazy_query(observed_trace(Var("v!0")), "p1", side)
+
+
+with open(os.path.join(BENCH_DIR, "manifest.json")) as _handle:
+    NAIVE_SPECS = sorted({entry["file"] for entry in json.load(_handle)}
+                         | {"positive_output.hyp", "io_loop.hyp"})
+
+
+@pytest.mark.parametrize("domain", [None, (0, 1)])
+@pytest.mark.parametrize("source", NAIVE_SPECS)
+def test_naive_query_is_the_negated_closed_encoding(source, domain, monkeypatch,
+                                                    solver_argv):
+    # At every bound, the naive search's query and the negated reference
+    # encoding over the same traces translate to one solver formula. Each
+    # naive query is answered unsat, so the search reaches bound 3.
+    queries, traces = [], []
+    materialize, check = driver._materialize, smt.Solver.check
+
+    def recorded(walk, k):
+        found = materialize(walk, k)
+        traces.append(found[0])
+        return found
+
+    def unsat(solver, formula, *args):
+        if queries and formula is queries[-1]:
+            return smt.Unsat()
+        return check(solver, formula, *args)
+
+    monkeypatch.setattr(driver, "_materialize", recorded)
+    monkeypatch.setattr(driver, "_emit_query",
+                        lambda opts, name, formula, *rest: queries.append(formula))
+    monkeypatch.setattr(smt.Solver, "check", unsat)
+    gen = driver.generalize(frontend.load(bench_source(source)))
+    result = driver.naive_search(gen, 3, driver.SearchOptions(solver_argv=solver_argv,
+                                                              domain=domain))
+    assert result.verdict == driver.NoBugUpTo(3)
+    sides = [("forall", gen.universal)]
+    if gen.existential is not None:
+        sides.append(("exists", gen.existential))
+    assert len(queries) == 3 and len(traces) == 3 * len(sides)
+    for k, query in enumerate(queries, 1):
+        reference = logic.negate(closed_encoding(
+            [QuantifiedTraces(kind, side.trace_var, tuple(traces.pop(0)))
+             for kind, side in sides], gen.body, k, domain))
+        assert (refsolver.node_key(refsolver.Translator({}).to_formula(query))
+                == refsolver.node_key(refsolver.Translator({}).to_formula(reference))), k
+
+
 def oracle_validity(source, k, solver_argv):
     """(solver validity of the domain-embedded encoding, oracle verdict)."""
     loaded = frontend.load(bench_source(source))
@@ -225,7 +285,7 @@ def oracle_validity(source, k, solver_argv):
                 continue
             traces = list(observe(side.graph, side.observed, k, supply, feas))
             quantified.append(QuantifiedTraces(kind, side.trace_var, tuple(traces)))
-        encoding = encode.encode(quantified, gen.body, k, domain=(0, 1))
+        encoding = closed_encoding(quantified, gen.body, k, domain=(0, 1))
         negated = solver.check(logic.negate(encoding))
     valid = isinstance(negated, smt.Unsat)
 

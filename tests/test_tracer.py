@@ -47,3 +47,31 @@ def test_traced_search_measures_exploration_and_uninstalls(solver_argv):
         after = vars(owner)
         for name, value in attributes.items():
             assert after[name] is value, (owner, name)
+
+
+def test_traced_naive_search_counts_one_encode_per_universal_trace(solver_argv):
+    # The naive query is built from one lazy query per universal trace, so
+    # the encode layer counts as many queries as bounds 1..3 hold
+    # universal traces.
+    before = {owner: dict(vars(owner)) for owner in PATCHED}
+    source = bench_source("voting_correct.hyp")
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    try:
+        result = driver.analyze_source(source, n=3, algorithm="naive",
+                                       opts=SearchOptions(solver_argv=solver_argv))
+    finally:
+        uninstall()
+    assert result.verdict == NoBugUpTo(3)
+    side = driver.generalize(frontend.load(source)).universal
+    with smt.Solver(solver_argv) as solver:
+        traces = sum(len(fresh_bound_search(side.graph, side.observed, k,
+                                            symexec.FreshSupply(),
+                                            symexec.Feasibility(solver))[0])
+                     for k in (1, 2, 3))
+    assert spans.layer_metrics(tracer, 0.0)["encode.queries"] == traces > 0
+
+    for owner, attributes in before.items():
+        after = vars(owner)
+        for name, value in attributes.items():
+            assert after[name] is value, (owner, name)
