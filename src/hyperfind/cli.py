@@ -51,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=smt.DEFAULT_FEASIBILITY_TIMEOUT_MS, metavar="N",
                         help="per-feasibility-check solver timeout")
     parser.add_argument("--emit-smt", default=None, metavar="DIR",
-                        help="dump every solver query into DIR before solving, "
-                             "its provenance in a leading comment")
+                        help="dump every query into DIR before solving it, "
+                             "its provenance in a leading comment (a query "
+                             "decided without the solver names its witness)")
     parser.add_argument("--oracle", action="store_true",
                         help="run the finite-domain concrete oracle instead of "
                              "the symbolic search")
@@ -188,6 +189,7 @@ def _print_text_report(result: driver.SearchResult) -> None:
     if isinstance(verdict, driver.BugFound):
         print(f"bug found at k={verdict.k} "
               f"(combinations={stats.combinations}, sat_calls={stats.sat_calls}, "
+              f"decided={stats.decided}, "
               f"wall={stats.wall_ms:.1f} ms)")
         if verdict.counterexample is not None:
             cex = verdict.counterexample
@@ -200,6 +202,7 @@ def _print_text_report(result: driver.SearchResult) -> None:
     elif isinstance(verdict, driver.NoBugUpTo):
         print(f"no bug up to {verdict.n} observations "
               f"(combinations={stats.combinations}, sat_calls={stats.sat_calls}, "
+              f"decided={stats.decided}, "
               f"wall={stats.wall_ms:.1f} ms)")
     else:
         reason = f"{verdict.reason}: {verdict.detail}" if verdict.detail else verdict.reason

@@ -6,7 +6,15 @@ variables get their trace variable as a prefix, and the invariant body is
 rewritten accordingly). `lazy_search` streams universal symbolic traces
 and asks, per trace, whether some instantiation admits no matching
 existential trace; the first satisfiable query yields a concrete,
-replay-validated counterexample. `naive_search` checks, per bound, the
+replay-validated counterexample. Before it asks, it looks for a witness
+(`encode.ExistentialSide.witness`): an existential trace whose path is
+proved satisfiable and whose body instances all fold to true under the
+universal memory. Such a trace matches the universal trace on every
+input, so the query is unsat: it is counted as decided
+(`SearchStats.decided`) and never sent, though `--emit-smt` still writes
+it, its provenance naming the witness. The instances come from the
+side's per-bound memo, keyed by the universal trace's images, which the
+queries sent read too. `naive_search` checks, per bound, the
 negated closed encoding instead: the disjunction of every universal
 trace's lazy query under an exists, which has no witness to report.
 
@@ -136,7 +144,8 @@ Verdict = Union[BugFound, NoBugUpTo, Inconclusive]
 @dataclass
 class SearchStats:
     combinations: int = 0  # (universal trace, existential trace) pairs examined
-    sat_calls: int = 0     # lazy/naive queries issued
+    sat_calls: int = 0     # lazy/naive queries sent to the solver
+    decided: int = 0       # lazy queries answered (unsat) without the solver
     feasibility_calls: int = 0
     wall_ms: float = 0.0
 
@@ -255,12 +264,26 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
         index = 0
         for trace in stream:
             index += 1
+            provenance = f"k={k} universal-trace={index}"
+            stats.combinations += max(1, len(existential.blocks))
+            witness = existential.witness(trace, gen.universal.trace_var, feas)
+            if witness is not None:
+                # The query is unsat: no solver check. A dump still writes
+                # it, naming the witness, so the decision can be re-checked.
+                stats.decided += 1
+                if opts.emit_smt_dir:
+                    query = encode.lazy_query(
+                        trace, gen.universal.trace_var, existential,
+                        provenance=f"{provenance} decided: existential trace "
+                                   f"{witness + 1} matches on every input")
+                    _emit_query(opts, f"query_k{k}_{index:04d}.smt2",
+                                query.formula, query.free_vars, query.provenance)
+                continue
             query = encode.lazy_query(trace, gen.universal.trace_var, existential,
-                                      provenance=f"k={k} universal-trace={index}")
+                                      provenance=provenance)
             _emit_query(opts, f"query_k{k}_{index:04d}.smt2",
                         query.formula, query.free_vars, query.provenance)
             stats.sat_calls += 1
-            stats.combinations += max(1, len(existential.blocks))
             result = solver.check(query.formula, query.free_vars)
             if isinstance(result, smt.Sat):
                 return _counterexample_verdict(gen, k, trace, result.model, query)
@@ -371,6 +394,7 @@ def report_dict(result: SearchResult) -> dict:
         "stats": {
             "combinations": result.stats.combinations,
             "sat_calls": result.stats.sat_calls,
+            "decided": result.stats.decided,
             "feasibility_calls": result.stats.feasibility_calls,
             "wall_ms": round(result.stats.wall_ms, 3),
         },

@@ -26,16 +26,31 @@ once per such class, not once per (trace, index) pair. A trace with an
 instantiation that folds to false has a block that folds to true, so the
 query never builds it. A specification with no existential quantifier
 gets one block that binds nothing, so "no match" is the negated invariant.
+
+The instances at index i depend on the universal trace only through the
+terms its memory gives the body's universal variables there, so the side
+memoizes them per (index, those terms), with the bitmasks of the traces
+whose instance folded to true and to false. Universal traces with equal
+images share one instantiation. The same memo answers
+`ExistentialSide.witness`: a trace t whose instances all fold to true makes
+its block `forall fv2. not scope`, which is false as soon as the scope is
+satisfiable, and then the whole query is unsat. A witness must be *proved*
+satisfiable, never merely admitted: its path is proved by symbolic
+execution (`SymTrace.proved`: true, or answered sat, never unknown), and
+with a domain, `path and domain` is checked once per trace, and only when
+the trace is the candidate. The side without an existential quantifier has
+scope true, so it is proved. The lazy search sends no query for a trace
+that has a witness; every query it sends is the one `lazy_query` builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import logic
+from . import logic, smt
 from .logic import Formula, Term
-from .symexec import SymTrace
+from .symexec import Feasibility, SymTrace
 
 
 class EncodingError(Exception):
@@ -102,7 +117,8 @@ class EncodedQuery:
     explanation: Formula  # the "no matching trace" part
 
 
-class ExistentialSide(NamedTuple):
+@dataclass(eq=False)
+class ExistentialSide:
     """The existential traces of one bound, prepared for its lazy queries,
     which read the body, the bound k and the domain from it.
 
@@ -111,7 +127,12 @@ class ExistentialSide(NamedTuple):
     memory there: `sigmas[i][c]` maps the body's existential variables to
     the terms that every trace of class c gives them at index i, and
     `members[i][c]` has bit t set for each trace t of that class. Names and
-    terms are renamed apart (see `_apart`).
+    terms are renamed apart (see `_apart`). Bit t of `proved` is set when
+    trace t's path is proved satisfiable (see `symexec`).
+
+    The side memoizes the body's instances per index i and universal images
+    at i (`instances`), so universal traces whose memories give the body
+    equal terms share them, and a query and a witness read the same ones.
     """
     trace_var: Optional[str]  # None: the specification has no existential
     body: Formula
@@ -120,6 +141,82 @@ class ExistentialSide(NamedTuple):
     blocks: Tuple[Tuple[Tuple[str, ...], Formula, Tuple[int, ...]], ...]
     sigmas: Tuple[Tuple[Dict[str, Term], ...], ...]
     members: Tuple[Tuple[int, ...], ...]
+    proved: int
+    # universal trace variable -> (full name, program variable) of its slots
+    _slots: Dict[str, List[Tuple[str, str]]] = field(default_factory=dict, repr=False)
+    _memo: Dict[tuple, Tuple[List[Formula], int, int]] = field(
+        default_factory=dict, repr=False)
+    # trace -> whether its scope (path and domain) answered sat
+    _in_domain: Dict[int, bool] = field(default_factory=dict, repr=False)
+
+    def _universal_slots(self, universal_var: str) -> List[Tuple[str, str]]:
+        own = self._slots.get(universal_var)
+        if own is None:
+            own = []
+            for name, var, trace_var in _body_slots(self.body):
+                if trace_var == universal_var:
+                    own.append((name, var))
+                elif trace_var != self.trace_var:
+                    raise EncodingError(f"trace variable {trace_var!r} is not bound")
+            self._slots[universal_var] = own
+        return own
+
+    def instances(self, universal: SymTrace, universal_var: str,
+                  i: int) -> Tuple[List[Formula], int, int]:
+        """The body at index i under the universal memory and the
+        existential memory of each class, with the traces (bitmasks) whose
+        instance folded to true and to false."""
+        own = self._universal_slots(universal_var)
+        images = tuple([_image(universal, universal_var, var, i) for _, var in own])
+        key = (universal_var, i, images)
+        entry = self._memo.get(key)
+        if entry is None:
+            # Substituting the two sides one after the other gives the
+            # simultaneous substitution's formula: their images share no
+            # variable with the other side's names.
+            body_i = logic.substitute(
+                self.body, {name: term for (name, _), term in zip(own, images)})
+            found = [logic.substitute(body_i, sigma) for sigma in self.sigmas[i]]
+            true = false = 0
+            for c, instance in enumerate(found):
+                if isinstance(instance, logic.BoolLit):
+                    if instance.value:
+                        true |= self.members[i][c]
+                    else:
+                        false |= self.members[i][c]
+            entry = self._memo[key] = (found, true, false)
+        return entry
+
+    def witness(self, universal: SymTrace, universal_var: str,
+                feasibility: Feasibility) -> Optional[int]:
+        """The lowest existential trace that matches `universal` on every
+        input, or None.
+
+        A witness is a proved trace whose body instances all fold to true
+        under the universal memory: its block is then `forall fv2. not
+        scope`, false since the scope is satisfiable, so the query is
+        unsat. With a domain, the scope is `path and domain`, which must be
+        proved too: it is checked through `feasibility` once per trace, and
+        only for a trace that is the candidate.
+        """
+        candidates = self.proved
+        for i in range(self.k):
+            if not candidates:
+                return None
+            candidates &= self.instances(universal, universal_var, i)[1]
+        while candidates:
+            t = (candidates & -candidates).bit_length() - 1
+            if self._scope_proved(t, feasibility):
+                return t
+            candidates &= candidates - 1
+        return None
+
+    def _scope_proved(self, t: int, feasibility: Feasibility) -> bool:
+        if self.domain is None:
+            return True
+        if t not in self._in_domain:
+            self._in_domain[t] = isinstance(feasibility.check(self.blocks[t][1]), smt.Sat)
+        return self._in_domain[t]
 
 
 def prepare_existential(trace_var: Optional[str], traces: Sequence[SymTrace],
@@ -129,16 +226,17 @@ def prepare_existential(trace_var: Optional[str], traces: Sequence[SymTrace],
     traces alone: built once per bound from the complete trace list.
 
     With no existential quantifier (`trace_var` None, no traces) the side
-    is one block with no variables, scope true and no existential term at
-    any index, so "no match" is the negated invariant.
+    is one block with no variables, scope true (so proved) and no
+    existential term at any index, so "no match" is the negated invariant.
     """
     if trace_var is None:
         return ExistentialSide(None, body, k, domain, (((), logic.TRUE, (0,) * k),),
-                               (({},),) * k, ((1,),) * k)
+                               (({},),) * k, ((1,),) * k, 1)
     blocks = []
     classes: List[Dict[Tuple[Term, ...], int]] = [{} for _ in range(k)]
     sigmas: List[List[Dict[str, Term]]] = [[] for _ in range(k)]
     members: List[List[int]] = [[] for _ in range(k)]
+    proved = 0
     # With no trace there is no pair to encode and nothing to check.
     own = _own(_body_slots(body), trace_var) if traces else []
     # The renaming is one map for every trace, so classes are formed before
@@ -165,8 +263,11 @@ def prepare_existential(trace_var: Optional[str], traces: Sequence[SymTrace],
         scope = logic.conj([*(renamed[id(c)] for c in conjuncts),
                             _domain_constraint(fv2, domain)])
         blocks.append((fv2, scope, tuple(trace_classes)))
+        if trace.proved:
+            proved |= 1 << t
     return ExistentialSide(trace_var, body, k, domain, tuple(blocks),
-                           tuple(map(tuple, sigmas)), tuple(map(tuple, members)))
+                           tuple(map(tuple, sigmas)), tuple(map(tuple, members)),
+                           proved)
 
 
 def _no_match(universal: SymTrace, universal_var: str,
@@ -175,26 +276,14 @@ def _no_match(universal: SymTrace, universal_var: str,
     trace, forall fv2. not(scope and body_0 and ... and body_{k-1})."""
     if not side.blocks:  # no pair to encode, nothing to check
         return logic.TRUE
-    own = []
-    for name, var, trace_var in _body_slots(side.body):
-        if trace_var == universal_var:
-            own.append((name, var))
-        elif trace_var != side.trace_var:
-            raise EncodingError(f"trace variable {trace_var!r} is not bound")
     # instances[i][c]: the body at index i under the universal memory and
-    # the existential memory of class c. Substituting the two sides one
-    # after the other gives the simultaneous substitution's formula: their
-    # images share no variable with the other side's names.
+    # the existential memory of class c.
     instances = []
     folded = 0  # traces with a false part: their blocks fold to true
     for i in range(side.k):
-        body_i = logic.substitute(
-            side.body, {name: _image(universal, universal_var, var, i)
-                        for name, var in own})
-        instances.append([logic.substitute(body_i, sigma) for sigma in side.sigmas[i]])
-        for c, instance in enumerate(instances[i]):
-            if instance == logic.FALSE:
-                folded |= side.members[i][c]
+        found, _, false = side.instances(universal, universal_var, i)
+        instances.append(found)
+        folded |= false
     # A true block drops out of the conjunction, so it is never built.
     return logic.conj(
         logic.forall(fv2, logic.negate(logic.conj(

@@ -10,12 +10,20 @@ from it by a fresh breadth-first search over the cached tree
 program and observation set. Paths whose feasibility the solver cannot
 settle (unknown) are kept: dropping a possibly feasible path could mask a
 counterexample.
+
+Each node records whether its path is *proved* satisfiable: the root's
+path is true; a child extended along a true guard keeps its parent's path
+and its parent's proof; any other child is proved when its parent is and
+`Feasibility.check` answered `Sat` for its path (a trivially satisfiable
+path counts). An unknown answer leaves the node and every descendant
+unproved. The lazy search decides a universal trace without the solver only
+through a proved existential path (see `encode`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from . import logic, smt
@@ -65,10 +73,12 @@ class SymTrace:
     counterexamples); `observed` is its projection onto the observation
     set. Whenever the trace is complete up to its k-th observation, the
     last full state is the k-th observed state, so path(observed) equals
-    path(states).
+    path(states). `proved` tells whether the path is proved satisfiable
+    (see the module docstring); it takes no part in the repr or equality.
     """
     states: Tuple[SymState, ...]
     observed: Tuple[SymState, ...]
+    proved: bool = field(default=True, repr=False, compare=False)
 
     @property
     def path(self) -> Formula:
@@ -149,14 +159,20 @@ class Feasibility:
 
 
 def extend(graph: ProgramGraph, states: Tuple[SymState, ...], supply: FreshSupply,
-           feasibility: Feasibility) -> List[Tuple[SymState, ...]]:
-    """All feasible one-step extensions of a symbolic trace."""
+           feasibility: Feasibility,
+           settled: Optional[List[bool]] = None) -> List[Tuple[SymState, ...]]:
+    """All feasible one-step extensions of a symbolic trace.
+
+    When `settled` is given, one flag per extension is appended to it:
+    false when the solver left the extension's path unknown.
+    """
     last = states[-1]
     mem = last.memory()
     out: List[Tuple[SymState, ...]] = []
     for edge in graph.out_edges(last.loc):
         guard = logic.substitute(edge.guard, mem)
         path = logic.conj([last.path, guard])
+        known = True
         if isinstance(path, logic.BoolLit):
             if not path.value:
                 continue  # infeasible outright
@@ -167,6 +183,9 @@ def extend(graph: ProgramGraph, states: Tuple[SymState, ...], supply: FreshSuppl
             if isinstance(verdict, smt.Unsat):
                 continue
             # Sat and Unknown both proceed; see module docstring.
+            known = not isinstance(verdict, smt.Unknown)
+        if settled is not None:
+            settled.append(known)
         if isinstance(edge.effect, Assign):
             new_mem = dict(mem)
             new_mem[edge.effect.target] = logic.substitute(edge.effect.expr, mem)
@@ -212,10 +231,12 @@ class Walk:
     def children(self, node: SymTrace) -> List[SymTrace]:
         kids = self.tree.get(id(node))
         if kids is None:
+            settled: List[bool] = []
+            exts = extend(self.graph, node.states, self.supply, self.feasibility, settled)
             kids = self.tree[id(node)] = [
                 SymTrace(ext, node.observed + (ext[-1],) if ext[-1].loc in self.observed
-                         else node.observed)
-                for ext in extend(self.graph, node.states, self.supply, self.feasibility)]
+                         else node.observed, node.proved and ok)
+                for ext, ok in zip(exts, settled)]
         return kids
 
     def stream(self, j: int) -> "ObserveStream":

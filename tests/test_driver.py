@@ -1,12 +1,13 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from hyperfind import concrete, driver, encode, frontend, logic, refsolver, smt
+from hyperfind import concrete, driver, encode, frontend, logic, refsolver, smt, symexec
 from hyperfind.cli import _parse_domain, main as cli_main
 from hyperfind.driver import (
     BugFound, Inconclusive, NoBugUpTo, SearchOptions, analyze_source,
@@ -140,7 +141,9 @@ def test_combinations_count_pairs(opts):
     result = run_fixture("voting_correct.hyp", 4, opts)
     # universal and existential sets both have 2^k traces at bound k
     assert result.stats.combinations == sum((2 ** k) * (2 ** k) for k in (1, 2, 3, 4))
-    assert result.stats.sat_calls == sum(2 ** k for k in (1, 2, 3, 4))
+    # one query per universal trace, sent or decided without the solver
+    assert (result.stats.sat_calls + result.stats.decided
+            == sum(2 ** k for k in (1, 2, 3, 4)))
 
 
 ONE_LOOP = """
@@ -237,17 +240,23 @@ def test_in_process_and_child_solver_agree_on_the_manifest(process_argv, session
         manifest = json.load(handle)
     backends = {"in-process": SearchOptions(solver_argv=smt.BUNDLED_SOLVER),
                 "child": SearchOptions(solver_argv=process_argv)}
+    opened = {}
     for entry in manifest:
         runs = {}
         for backend, backend_opts in backends.items():
+            before = len(sessions)
             result = run_fixture(entry["file"], entry["max_observations"], backend_opts)
             stats = result.stats
             # Verdicts compare in full: k, and the counterexample's trace,
             # model, concrete runs and explanation.
             runs[backend] = (result.verdict, stats.combinations, stats.sat_calls,
-                             stats.feasibility_calls)
+                             stats.decided, stats.feasibility_calls)
+        opened[entry["name"]] = len(sessions) - before
         assert runs["in-process"] == runs["child"], entry["name"]
-    assert len(sessions) == len(manifest)
+    # A session starts on the first check. `voting-correct` decides every
+    # query without the solver and checks no path, so it starts none.
+    assert opened == {entry["name"]: int(entry["name"] != "voting-correct")
+                      for entry in manifest}
 
 
 @pytest.mark.parametrize("error", [RecursionError, ZeroDivisionError, KeyError])
@@ -287,7 +296,7 @@ def test_report_dict_schema(opts):
     tallies = [(e["memory"]["countA"], e["memory"]["countB"])
                for e in cex["observed_trace"]]
     assert tallies == [(0, 1), (0, 1)]
-    assert set(report["stats"]) == {"combinations", "sat_calls",
+    assert set(report["stats"]) == {"combinations", "sat_calls", "decided",
                                      "feasibility_calls", "wall_ms"}
     json.dumps(report)  # must be serializable
 
@@ -419,6 +428,28 @@ def test_cli_emit_smt(tmp_path, capsys):
     assert text.startswith("; naive k=1\n")
 
 
+def test_cli_emit_smt_writes_decided_queries(tmp_path, capsys):
+    # Every query of voting_correct is decided without the solver; each is
+    # still written, naming its witness, and the bundled solver, run on the
+    # file, answers unsat.
+    code = cli_main([fixture_path("voting_correct.hyp"), "--max-observations", "3",
+                     "--emit-smt", str(tmp_path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (report["stats"]["sat_calls"], report["stats"]["decided"]) == (0, 2 + 4 + 8)
+    files = sorted(os.listdir(tmp_path))
+    assert files == [f"query_k{k}_{index:04d}.smt2"
+                     for k in (1, 2, 3) for index in range(1, 2 ** k + 1)]
+    for name in files:
+        text = (tmp_path / name).read_text()
+        k, index = int(name[7]), int(name[9:13])
+        assert re.match(rf"; k={k} universal-trace={index} decided: existential "
+                        r"trace \d+ matches on every input\n", text), name
+        out = io.StringIO()
+        refsolver.run(io.StringIO(text), out)
+        assert out.getvalue().splitlines()[0] == "unsat", name
+
+
 @pytest.mark.parametrize("target", ["file", "file/queries"])
 def test_cli_emit_smt_to_an_unusable_path_is_a_usage_error(tmp_path, target):
     (tmp_path / "file").write_text("")
@@ -496,40 +527,42 @@ def test_bench_escalating_detection_depths(tmp_path, opts):
 
 
 # The search work of every manifest instance at its bound: verdict, k,
-# combinations, sat_calls, feasibility_calls and `symexec.extend` calls.
+# combinations, queries (sent plus decided), decided, feasibility_calls and
+# `symexec.extend` calls. Queries sent is `sat_calls`; decided ones are
+# answered without the solver (lazy search only).
 # A change to exploration, encoding or the search loops that is meant to
 # leave the searches alone must leave this table alone.
 MANIFEST_WORK = {
-    ("voting-buggy", "lazy"): ("bug-found", 2, 8, 3, 0, 28),
-    ("voting-buggy", "naive"): ("bug-found", 2, 2, 2, 0, 28),
-    ("voting-correct", "lazy"): ("no-bug", 4, 340, 30, 0, 136),
-    ("voting-correct", "naive"): ("no-bug", 4, 4, 4, 0, 136),
-    ("min-flip", "lazy"): ("no-bug", 3, 84, 14, 0, 138),
-    ("min-flip", "naive"): ("no-bug", 3, 3, 3, 0, 138),
-    ("flip-min", "lazy"): ("bug-found", 1, 2, 1, 0, 17),
-    ("flip-min", "naive"): ("bug-found", 1, 1, 1, 0, 18),
-    ("gni", "lazy"): ("no-bug", 2, 2, 2, 0, 36),
-    ("gni", "naive"): ("no-bug", 2, 2, 2, 0, 36),
-    ("echo-leak", "lazy"): ("bug-found", 1, 1, 1, 0, 19),
-    ("echo-leak", "naive"): ("bug-found", 1, 1, 1, 0, 19),
-    ("simple-nonrefinement", "lazy"): ("bug-found", 1, 1, 1, 0, 6),
-    ("simple-nonrefinement", "naive"): ("bug-found", 1, 1, 1, 0, 6),
-    ("simple-leak", "lazy"): ("bug-found", 1, 1, 1, 0, 13),
-    ("simple-leak", "naive"): ("bug-found", 1, 1, 1, 0, 13),
-    ("conditional-nonrefinement", "lazy"): ("bug-found", 1, 4, 2, 0, 16),
-    ("conditional-nonrefinement", "naive"): ("bug-found", 1, 1, 1, 0, 16),
-    ("escalating-m0", "lazy"): ("bug-found", 4, 45, 10, 0, 161),
-    ("escalating-m0", "naive"): ("bug-found", 4, 4, 4, 0, 166),
-    ("escalating-m1", "lazy"): ("bug-found", 4, 45, 10, 0, 161),
-    ("escalating-m1", "naive"): ("bug-found", 4, 4, 4, 0, 166),
-    ("escalating-m2", "lazy"): ("bug-found", 5, 133, 18, 0, 337),
-    ("escalating-m2", "naive"): ("bug-found", 5, 5, 5, 0, 350),
-    ("escalating-m5", "lazy"): ("bug-found", 5, 165, 20, 0, 339),
-    ("escalating-m5", "naive"): ("bug-found", 5, 5, 5, 0, 350),
-    ("escalating-m6", "lazy"): ("bug-found", 6, 501, 36, 0, 691),
-    ("escalating-m6", "naive"): ("bug-found", 6, 6, 6, 0, 718),
-    ("escalating", "lazy"): ("bug-found", 7, 1941, 72, 0, 1399),
-    ("escalating", "naive"): ("bug-found", 7, 7, 7, 0, 1454),
+    ("voting-buggy", "lazy"): ("bug-found", 2, 8, 3, 2, 0, 28),
+    ("voting-buggy", "naive"): ("bug-found", 2, 2, 2, 0, 0, 28),
+    ("voting-correct", "lazy"): ("no-bug", 4, 340, 30, 30, 0, 136),
+    ("voting-correct", "naive"): ("no-bug", 4, 4, 4, 0, 0, 136),
+    ("min-flip", "lazy"): ("no-bug", 3, 84, 14, 0, 0, 138),
+    ("min-flip", "naive"): ("no-bug", 3, 3, 3, 0, 0, 138),
+    ("flip-min", "lazy"): ("bug-found", 1, 2, 1, 0, 0, 17),
+    ("flip-min", "naive"): ("bug-found", 1, 1, 1, 0, 0, 18),
+    ("gni", "lazy"): ("no-bug", 2, 2, 2, 0, 0, 36),
+    ("gni", "naive"): ("no-bug", 2, 2, 2, 0, 0, 36),
+    ("echo-leak", "lazy"): ("bug-found", 1, 1, 1, 0, 0, 19),
+    ("echo-leak", "naive"): ("bug-found", 1, 1, 1, 0, 0, 19),
+    ("simple-nonrefinement", "lazy"): ("bug-found", 1, 1, 1, 0, 0, 6),
+    ("simple-nonrefinement", "naive"): ("bug-found", 1, 1, 1, 0, 0, 6),
+    ("simple-leak", "lazy"): ("bug-found", 1, 1, 1, 0, 0, 13),
+    ("simple-leak", "naive"): ("bug-found", 1, 1, 1, 0, 0, 13),
+    ("conditional-nonrefinement", "lazy"): ("bug-found", 1, 4, 2, 0, 0, 16),
+    ("conditional-nonrefinement", "naive"): ("bug-found", 1, 1, 1, 0, 0, 16),
+    ("escalating-m0", "lazy"): ("bug-found", 4, 45, 10, 9, 0, 161),
+    ("escalating-m0", "naive"): ("bug-found", 4, 4, 4, 0, 0, 166),
+    ("escalating-m1", "lazy"): ("bug-found", 4, 45, 10, 9, 0, 161),
+    ("escalating-m1", "naive"): ("bug-found", 4, 4, 4, 0, 0, 166),
+    ("escalating-m2", "lazy"): ("bug-found", 5, 133, 18, 17, 0, 337),
+    ("escalating-m2", "naive"): ("bug-found", 5, 5, 5, 0, 0, 350),
+    ("escalating-m5", "lazy"): ("bug-found", 5, 165, 20, 19, 0, 339),
+    ("escalating-m5", "naive"): ("bug-found", 5, 5, 5, 0, 0, 350),
+    ("escalating-m6", "lazy"): ("bug-found", 6, 501, 36, 35, 0, 691),
+    ("escalating-m6", "naive"): ("bug-found", 6, 6, 6, 0, 0, 718),
+    ("escalating", "lazy"): ("bug-found", 7, 1941, 72, 71, 0, 1399),
+    ("escalating", "naive"): ("bug-found", 7, 7, 7, 0, 0, 1454),
 }
 
 
@@ -546,8 +579,113 @@ def test_manifest_search_work_is_pinned(opts, extend_calls, entry, algorithm):
                             algorithm=algorithm, opts=opts)
     report = driver.report_dict(result)
     stats = report["stats"]
-    assert (report["verdict"], report["k"], stats["combinations"], stats["sat_calls"],
+    assert (report["verdict"], report["k"], stats["combinations"],
+            stats["sat_calls"] + stats["decided"], stats["decided"],
             stats["feasibility_calls"], extend_calls[0]) == MANIFEST_WORK[entry["name"], algorithm]
+
+
+# Lazy searches that decide queries without the solver: the manifest's at
+# their bounds, and two counting properties whose every query is decided.
+DECIDING_SEARCHES = [(entry["file"], entry["max_observations"])
+                     for entry, algorithm in manifest_entries() if algorithm == "lazy"
+                     ] + [("voting_correct.hyp", 6), ("io_loop.hyp", 4)]
+
+
+def record_decided(monkeypatch):
+    """The queries of the universal traces that `ExistentialSide.witness`
+    decides, each with the witness's scope."""
+    decided = []
+    witness = encode.ExistentialSide.witness
+
+    def recorded(side, universal, universal_var, feasibility):
+        found = witness(side, universal, universal_var, feasibility)
+        if found is not None:
+            decided.append((encode.lazy_query(universal, universal_var, side),
+                            side.blocks[found][1]))
+        return found
+    monkeypatch.setattr(encode.ExistentialSide, "witness", recorded)
+    return decided
+
+
+@pytest.mark.parametrize("source, n", DECIDING_SEARCHES)
+def test_every_decided_query_is_unsat(monkeypatch, source, n):
+    decided = record_decided(monkeypatch)
+    result = run_fixture(source, n, SearchOptions(solver_argv=smt.BUNDLED_SOLVER))
+    assert len(decided) == result.stats.decided
+    with smt.Solver(smt.BUNDLED_SOLVER) as solver:
+        for query, _ in decided:
+            assert solver.check(query.formula, query.free_vars) == smt.Unsat(), \
+                query.provenance
+
+
+@pytest.mark.parametrize("source, n, guarded", [
+    ("voting_buggy.hyp", 4, True), ("voting_correct.hyp", 6, True),
+    ("io_loop.hyp", 4, True), ("escalating.hyp", 10, False),
+])
+def test_unknown_path_feasibility_decides_no_query(opts, monkeypatch, source, n,
+                                                   guarded):
+    # An unknown answer proves no path, so a witness whose path passed a
+    # guard is lost, and its query goes to the solver, which reaches the
+    # same verdict. `limit` in escalating.hyp has no guard: its paths stay
+    # true, proved without a check, and decide the same queries.
+    expected = run_fixture(source, n, opts)
+    assert expected.stats.decided > 0
+    monkeypatch.setattr(symexec.Feasibility, "check",
+                        lambda self, formula: smt.Unknown("forced"))
+    result = run_fixture(source, n, opts)
+    assert result.stats.decided == (0 if guarded else expected.stats.decided)
+    assert (result.stats.sat_calls + result.stats.decided
+            == expected.stats.sat_calls + expected.stats.decided)
+    assert result.verdict == expected.verdict
+
+
+# Only inputs above 5 let `big` output 1, except 0 in `big_or_zero`.
+DOMAIN_SPEC = """
+    prog one {{ loop {{ input x; out := 1; observe end; }} }}
+    prog big {{
+      loop {{
+        input x;
+        if (x > 5) {{ out := 1; }} else {{ {otherwise} }}
+        observe end;
+      }}
+    }}
+    forall a in one obs {{end}} .
+    exists b in big obs {{end}} .
+    always (out@a == out@b)
+    """
+
+
+@pytest.mark.parametrize("otherwise, verdict", [
+    ("out := 0;", BugFound),
+    ("if (x == 0) { out := 1; } else { out := 0; }", NoBugUpTo),
+])
+def test_domain_unsat_scope_is_never_a_witness(monkeypatch, otherwise, verdict):
+    # Without a domain, the x > 5 trace matches every universal trace. In
+    # the domain 0..1 its scope (path and domain) is unsat: it is no
+    # witness, and no match is left unless `x == 0` supplies one.
+    source = DOMAIN_SPEC.format(otherwise=otherwise)
+    free = analyze_source(source, n=3)
+    assert free.verdict == NoBugUpTo(3)
+    assert free.stats.decided == 1 + 1 + 1
+    decided = record_decided(monkeypatch)
+    result = analyze_source(source, n=3, opts=SearchOptions(domain=(0, 1)))
+    oracle = driver.oracle_source(source, 3, range(0, 2))
+    assert isinstance(result.verdict, verdict)
+    assert oracle.verdict == ("violated" if verdict is BugFound else "holds")
+    if verdict is BugFound:
+        assert result.verdict.k == oracle.k == 1
+        assert decided == []
+    else:
+        assert len(decided) == result.stats.decided == 3
+        # The paths are the same with or without a domain; on top of their
+        # checks, each candidate's scope is checked once in its bound: at
+        # bound k, the 2^k traces that output 1 at every index, until the
+        # first one that never takes x > 5.
+        scope_checks = result.stats.feasibility_calls - free.stats.feasibility_calls
+        assert scope_checks == 2 + 4 + 8
+    with smt.Solver(smt.BUNDLED_SOLVER) as solver:
+        for _, scope in decided:
+            assert isinstance(solver.check(scope), smt.Sat)
 
 
 def test_naive_matches_oracle_on_random_specs(solver_argv):

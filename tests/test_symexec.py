@@ -203,6 +203,33 @@ def test_walk_restreams_a_bound_from_its_tree(feas, extend_calls):
             walk.stream(j)
 
 
+class UnknownOnSecondInput:
+    """Path feasibility on `input_sign_graph`: unknown on a guard over the
+    second input (`v!1` or `v!2`, one per branch of the first), sat on any
+    other guard."""
+
+    def check(self, formula):
+        last = formula.args[-1] if isinstance(formula, logic.And) else formula
+        if logic.free_vars(last) <= {"v!1", "v!2"}:
+            return smt.Unknown("forced")
+        return smt.Sat({})
+
+
+def test_walk_marks_paths_proved():
+    # input_sign_graph branches on each input: bound j's traces have
+    # checked j - 1 guards. An unknown answer on the second input's guard
+    # leaves bound 3 unproved, and bound 4 too, though its third guard
+    # answers sat.
+    graph = input_sign_graph()
+    walk = Walk(graph, frozenset({0}), 4, FreshSupply(), UnknownOnSecondInput())
+    proved = {j: [trace.proved for trace in walk.stream(j)] for j in (1, 2, 3, 4)}
+    assert proved == {1: [True], 2: [True, True], 3: [False] * 4, 4: [False] * 8}
+    # The flag takes no part in a trace's repr or equality.
+    trace = next(iter(walk.stream(3)))
+    assert "proved" not in repr(trace)
+    assert trace == symexec.SymTrace(trace.states, trace.observed)
+
+
 def test_concretize_io_trace(feas):
     graph = input_sign_graph()
     supply = FreshSupply()
