@@ -26,6 +26,12 @@ once per such class, not once per (trace, index) pair. A trace with an
 instantiation that folds to false has a block that folds to true, so the
 query never builds it. A specification with no existential quantifier
 gets one block that binds nothing, so "no match" is the negated invariant.
+A block is built by `logic.forall`, which applies the one-point rule: an
+existential variable that a conjunct of the block equates with a term free
+of the block's variables (on refinement specifications, every existential
+input equals a universal one) is replaced by that term, so a block may lose
+some or all of its binders, and a block whose body then folds to true is
+false.
 
 The instances at index i depend on the universal trace only through the
 terms its memory gives the body's universal variables there, so the side

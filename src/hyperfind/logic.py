@@ -8,7 +8,13 @@ folding, which keeps symbolic memories small and lets fully determined
 guards collapse to boolean literals. `add` and `sub` also fold literal
 offsets: `(t + a) - b` is `t + (a - b)`, or just `t` when the offsets
 cancel, so a variable decremented k times is `v - k`, not k nested
-subtractions.
+subtractions. `cmp` decides a term compared with itself.
+
+The quantifier constructors apply the one-point rule: a binder x that a
+conjunct `x = t` pins, with t free of the block's binders, is replaced by t
+and no longer bound, in `forall xs. not (C)` and in `exists xs. C` with C a
+conjunction or a single comparison. A block may so lose some or all of its
+binders, or fold to a literal.
 """
 
 from __future__ import annotations
@@ -231,6 +237,10 @@ def cmp(op: str, left: Term, right: Term) -> Formula:
         raise ValueError(f"unknown comparison operator {op!r}")
     if isinstance(left, IntLit) and isinstance(right, IntLit):
         return BoolLit(_CMP_FUNS[op](left.value, right.value))
+    if left == right:
+        # Every term has an integer value (div and mod take only positive
+        # literal divisors), so a term compared with itself is decided.
+        return BoolLit(op in ("=", "<=", ">="))
     return Cmp(op, left, right)
 
 
@@ -288,20 +298,59 @@ def implies(left: Formula, right: Formula) -> Formula:
 
 def forall(vars: Iterable[str], body: Formula) -> Formula:
     vars = tuple(vars)
-    if not vars:
-        return body
-    if isinstance(body, BoolLit):
-        return body
-    return Quant("forall", vars, body)
+    if isinstance(body, Not):
+        vars, matrix = _one_point(vars, body.arg)
+        if matrix is not body.arg:
+            body = negate(matrix)
+    return _quant("forall", vars, body)
 
 
 def exists(vars: Iterable[str], body: Formula) -> Formula:
-    vars = tuple(vars)
-    if not vars:
+    return _quant("exists", *_one_point(tuple(vars), body))
+
+
+def _quant(kind: str, vars: tuple, body: Formula) -> Formula:
+    if not vars or isinstance(body, BoolLit):
         return body
-    if isinstance(body, BoolLit):
-        return body
-    return Quant("exists", vars, body)
+    return Quant(kind, vars, body)
+
+
+def _one_point(vars: tuple, matrix: Formula):
+    """`vars` and `matrix` with every binder that a conjunct of `matrix`
+    pins eliminated: `exists x. (x = t and phi)` is `phi[t/x]` when t
+    mentions no binder, and so `forall x. not (x = t and phi)` is
+    `not phi[t/x]`.
+
+    Each pass takes the first pin of each binder and applies them all in
+    one simultaneous substitution; a pass repeats only while the result
+    exposes new pins. The binders left are those still free, in their
+    order. Without a pin, both come back as they are.
+    """
+    bound = set(vars)
+    reduced = False
+    while isinstance(matrix, (And, Cmp)):
+        sigma = {}
+        rest = []
+        for c in matrix.args if isinstance(matrix, And) else (matrix,):
+            if isinstance(c, Cmp) and c.op == "=":
+                for x, t in ((c.left, c.right), (c.right, c.left)):
+                    if (isinstance(x, Var) and x.name in bound and x.name not in sigma
+                            and bound.isdisjoint(free_vars(t))):
+                        sigma[x.name] = t
+                        break
+                else:
+                    rest.append(c)
+            else:
+                rest.append(c)
+        if not sigma:
+            break
+        bound -= sigma.keys()
+        matrix = substitute(conj(rest), sigma)
+        reduced = True
+    if not reduced:
+        return vars, matrix
+    left = free_vars(matrix)
+    return tuple(v for v in vars if v in bound and v in left), matrix
 
 
 # ---------------------------------------------------------------------------

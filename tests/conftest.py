@@ -235,6 +235,15 @@ def fresh_bound_search(graph, observed, n, supply, feasibility,
     return traces, incomplete, extends
 
 
+def assert_equivalent(solver, left: Formula, right: Formula, context=None) -> None:
+    """`left and not right` and `right and not left` both answer unsat on
+    `solver`; any other answer, `unknown` included, fails."""
+    from hyperfind import smt
+    for a, b in ((left, right), (right, left)):
+        answer = solver.check(logic.conj([a, logic.negate(b)]))
+        assert isinstance(answer, smt.Unsat), (context, answer)
+
+
 def all_assignments(names, domain):
     """Every total assignment of domain values to the given names."""
     names = list(names)

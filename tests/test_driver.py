@@ -369,6 +369,32 @@ def test_cli_json_report_is_default(capsys):
     assert tallies == [(0, 1), (0, 1)]
 
 
+def test_min_flip_queries_bind_no_variable(opts, monkeypatch):
+    # Each "no match" block of min_flip pins every existential input to a
+    # universal term, so the one-point rule leaves no binder; the queries
+    # are still sent.
+    queries = []
+    monkeypatch.setattr(driver, "_emit_query",
+                        lambda opts, name, formula, *rest: queries.append(formula))
+    result = run_fixture("min_flip.hyp", 3, opts)
+    assert result.verdict == NoBugUpTo(3)
+    assert result.stats.sat_calls == len(queries) == 14
+    for formula in queries:
+        text = smt.formula_to_smt(formula)
+        assert "forall" not in text and "exists" not in text, text
+
+
+def test_cli_flip_min_explanation_binds_no_variable(capsys):
+    # The counterexample is the one found before the one-point rule; only
+    # the explanation lost its quantifier blocks.
+    assert cli_main([fixture_path("flip_min.hyp")]) == 1
+    cex = json.loads(capsys.readouterr().out)["counterexample"]
+    assert "forall" not in cex["explanation_smt"]
+    assert cex["model"] == {"v!2": 0, "v!3": -1}
+    assert cex["observed_trace"] == [
+        {"location": 8, "memory": {"out": 0, "x": 0, "y": -1}}]
+
+
 def test_cli_text_report(capsys):
     code = cli_main([fixture_path("voting_buggy.hyp"), "--max-observations", "4",
                      "--report", "text"])

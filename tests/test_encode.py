@@ -3,13 +3,13 @@ import os
 
 import pytest
 
-from hyperfind import concrete, driver, encode, frontend, logic, refsolver, smt, symexec
+from hyperfind import concrete, driver, encode, frontend, logic, smt, symexec
 from hyperfind.encode import EncodingError, lazy_query, prepare_existential
 from hyperfind.logic import BoolLit, Cmp, IntLit, Var
 from hyperfind.symexec import Feasibility, FreshSupply, SymTrace, make_state, observe
 
-from conftest import (BENCH_DIR, QuantifiedTraces, bench_source, closed_encoding,
-                      encode_invariant, set_zero_graph)
+from conftest import (BENCH_DIR, QuantifiedTraces, assert_equivalent, bench_source,
+                      closed_encoding, encode_invariant, set_zero_graph)
 
 
 def tiny_trace(out_term, loc=0):
@@ -237,8 +237,9 @@ with open(os.path.join(BENCH_DIR, "manifest.json")) as _handle:
 def test_naive_query_is_the_negated_closed_encoding(source, domain, monkeypatch,
                                                     solver_argv):
     # At every bound, the naive search's query and the negated reference
-    # encoding over the same traces translate to one solver formula. Each
-    # naive query is answered unsat, so the search reaches bound 3.
+    # encoding over the same traces are equivalent: the solver refutes
+    # each one's difference from the other. Each naive query is answered
+    # unsat, so the search reaches bound 3.
     queries, traces = [], []
     materialize, check = driver._materialize, smt.Solver.check
 
@@ -264,12 +265,13 @@ def test_naive_query_is_the_negated_closed_encoding(source, domain, monkeypatch,
     if gen.existential is not None:
         sides.append(("exists", gen.existential))
     assert len(queries) == 3 and len(traces) == 3 * len(sides)
-    for k, query in enumerate(queries, 1):
-        reference = logic.negate(closed_encoding(
-            [QuantifiedTraces(kind, side.trace_var, tuple(traces.pop(0)))
-             for kind, side in sides], gen.body, k, domain))
-        assert (refsolver.node_key(refsolver.Translator({}).to_formula(query))
-                == refsolver.node_key(refsolver.Translator({}).to_formula(reference))), k
+    monkeypatch.undo()
+    with smt.Solver(solver_argv) as solver:
+        for k, query in enumerate(queries, 1):
+            reference = logic.negate(closed_encoding(
+                [QuantifiedTraces(kind, side.trace_var, tuple(traces.pop(0)))
+                 for kind, side in sides], gen.body, k, domain))
+            assert_equivalent(solver, query, reference, k)
 
 
 def oracle_validity(source, k, solver_argv):

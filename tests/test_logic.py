@@ -9,7 +9,8 @@ from hyperfind.logic import (
 )
 from hyperfind.symexec import Feasibility, FreshSupply, observe
 
-from conftest import all_assignments, bench_source, random_formula, random_term
+from conftest import (all_assignments, assert_equivalent, bench_source, random_formula,
+                      random_term)
 
 
 def test_eval_term_literal_arithmetic():
@@ -89,6 +90,29 @@ def test_constant_folding():
     assert logic.conj([logic.FALSE, Cmp("=", Var("x"), IntLit(0))]) == logic.FALSE
     assert logic.disj([]) == logic.FALSE
     assert logic.forall((), logic.FALSE) == logic.FALSE
+
+
+SELF_COMPARED = {
+    "var": lambda: Var("x"),
+    "div": lambda: logic.div(logic.add(Var("x"), Var("y")), IntLit(3)),
+    "mod": lambda: logic.mod(logic.mul(IntLit(2), Var("x")), IntLit(4)),
+    "offset": lambda: logic.sub(Var("x"), IntLit(4)),
+}
+
+
+@pytest.mark.parametrize("build", SELF_COMPARED.values(), ids=SELF_COMPARED.keys())
+def test_cmp_folds_a_term_compared_with_itself(build):
+    # Two equal terms built apart fold under every operator, to the value
+    # that the comparison has at every point.
+    term = build()
+    for op, value in (("=", True), ("<=", True), (">=", True),
+                      ("!=", False), ("<", False), (">", False)):
+        assert logic.cmp(op, term, build()) == BoolLit(value)
+        for x, y in ((-5, 2), (0, 0), (7, -3)):
+            assert eval_formula(Cmp(op, term, term), {"x": x, "y": y}) is value
+        other = logic.add(term, IntLit(1))
+        assert logic.cmp(op, term, other) == Cmp(op, term, other)
+        assert logic.cmp(op, term, Var("z")) == Cmp(op, term, Var("z"))
 
 
 def test_literal_offsets_fold():
@@ -192,3 +216,126 @@ def test_eval_total_on_quantifier_free():
         phi = random_formula(rng, names)
         rho = {name: rng.randint(-8, 8) for name in names}
         assert eval_formula(phi, rho) in (True, False)
+
+
+# ---------------------------------------------------------------------------
+# The one-point rule in the quantifier constructors
+# ---------------------------------------------------------------------------
+
+def _eq(x, t):
+    return logic.cmp("=", Var(x), t)
+
+
+def test_quantifier_without_pin_is_unchanged():
+    e0, e1, v = Var("e0"), Var("e1"), Var("v")
+    for matrix in (
+            logic.conj([logic.cmp("<", e0, v), logic.cmp("<=", e1, IntLit(3))]),
+            # e0's only pin has an image that mentions the binder e1
+            logic.conj([_eq("e0", logic.add(e1, v)), logic.cmp(">", e1, e0)]),
+            logic.cmp("!=", e0, v)):
+        assert logic.forall(("e0", "e1"), Not(matrix)) == \
+            Quant("forall", ("e0", "e1"), Not(matrix))
+        assert logic.exists(("e0", "e1"), matrix) == Quant("exists", ("e0", "e1"), matrix)
+    # a body that is not a negated conjunction is not rewritten either
+    body = logic.implies(_eq("e0", v), logic.cmp(">", e0, IntLit(0)))
+    assert logic.forall(("e0",), body) == Quant("forall", ("e0",), body)
+
+
+def test_one_point_rule_shapes():
+    e0, e1, e2, v, w = (Var(n) for n in ("e0", "e1", "e2", "v", "w"))
+    # a chain: e1's image mentions e0 until e0's pin is applied
+    chain = logic.conj([_eq("e1", logic.add(e0, IntLit(1))), logic.cmp("=", v, e0),
+                        logic.cmp("<", e1, w)])
+    assert logic.forall(("e0", "e1"), Not(chain)) == \
+        Not(Cmp("<", logic.add(v, IntLit(1)), w))
+    assert logic.exists(("e0", "e1"), chain) == Cmp("<", logic.add(v, IntLit(1)), w)
+    # e2's image mentions e1, which no conjunct pins: both stay bound, in order
+    kept = logic.conj([_eq("e2", logic.add(e1, v)), _eq("e0", w),
+                       logic.cmp("<", e1, e0)])
+    assert logic.forall(("e0", "e1", "e2"), Not(kept)) == \
+        Quant("forall", ("e1", "e2"), Not(logic.conj([_eq("e2", logic.add(e1, v)),
+                                                       logic.cmp("<", e1, w)])))
+    # a binder pinned twice: the second pin compares the two images, and a
+    # pin repeated folds away; a block whose matrix folds to true is false
+    assert logic.forall(("e0",), Not(logic.conj([_eq("e0", v), _eq("e0", w)]))) == \
+        Not(Cmp("=", v, w))
+    assert logic.forall(("e0",), Not(logic.conj([_eq("e0", v), logic.cmp("=", v, e0)]))) \
+        == logic.FALSE
+    assert logic.exists(("e0",), _eq("e0", v)) == logic.TRUE
+    # a binder that the result no longer mentions is dropped
+    assert logic.exists(("e0", "e1"), logic.conj([_eq("e0", v), logic.cmp("<", e0, w)])) \
+        == Cmp("<", v, w)
+
+
+FREE = ("v0", "v1")
+BINDERS = ("e0", "e1", "e2")
+
+
+def random_block(rng, seen):
+    """Binders and the conjuncts of a block over FREE and BINDERS: pins in
+    both orientations, images with div or mod, chains through another
+    binder (pinned or not), a second pin, domain bounds and comparisons
+    that pin nothing. `seen` counts the kinds drawn."""
+    binders = tuple(sorted(rng.sample(BINDERS, rng.randint(1, 3))))
+    parts, kinds = [], {}
+    for i, x in enumerate(binders):
+        kind = rng.choice(["pin", "pin", "divmod", "chain", "none"])
+        if kind == "chain" and i == 0:
+            kind = "pin"
+        if kind == "pin":
+            image = random_term(rng, FREE, 1)
+        elif kind == "divmod":
+            image = rng.choice([logic.div, logic.mod])(
+                random_term(rng, FREE, 1), IntLit(rng.randint(2, 3)))
+        elif kind == "chain":
+            other = rng.choice(binders[:i])
+            image = logic.add(Var(other), IntLit(rng.randint(-2, 2)))
+            if kinds[other] == "none":
+                seen["chain to unpinned"] += 1
+        kinds[x] = kind
+        if kind != "none":
+            if rng.random() < 0.5:
+                parts.append(logic.cmp("=", image, Var(x)))
+                seen["reversed"] += 1
+            else:
+                parts.append(logic.cmp("=", Var(x), image))
+            seen[kind] += 1
+            if rng.random() < 0.15:
+                parts.append(logic.cmp("=", Var(x), random_term(rng, FREE, 1)))
+                seen["second pin"] += 1
+        if rng.random() < 0.4:
+            lo = rng.randint(-3, 0)
+            parts += [logic.cmp("<=", IntLit(lo), Var(x)),
+                      logic.cmp("<=", Var(x), IntLit(lo + rng.randint(0, 4)))]
+            seen["domain"] += 1
+    for _ in range(rng.randint(0, 2)):
+        names = FREE + binders
+        left = logic.add(Var(rng.choice(names)), IntLit(rng.randint(-2, 2)))
+        parts.append(logic.cmp(rng.choice(["<", "<=", "!=", ">"]), left,
+                               Var(rng.choice(names))))
+    rng.shuffle(parts)
+    return binders, parts
+
+
+def test_one_point_rule_preserves_meaning(solver_argv):
+    # Built through the constructors and as a raw quantifier, every random
+    # block is equivalent: the solver refutes each one's difference.
+    rng = random.Random(13)
+    seen = {kind: 0 for kind in ("pin", "divmod", "chain", "chain to unpinned",
+                                 "reversed", "second pin", "domain", "rewritten")}
+    with smt.Solver(solver_argv) as solver:
+        for n in range(80):
+            binders, parts = random_block(rng, seen)
+            matrix = logic.conj(parts)
+            for kind in ("forall", "exists"):
+                if kind == "forall":
+                    built = logic.forall(binders, Not(matrix))
+                    raw = Quant("forall", binders, Not(matrix))
+                else:
+                    built = logic.exists(binders, matrix)
+                    raw = Quant("exists", binders, matrix)
+                assert free_vars(built) <= free_vars(raw)
+                if built != raw:
+                    seen["rewritten"] += 1
+                assert_equivalent(solver, built, raw, (n, kind, str(raw)))
+    assert all(seen.values()), seen
