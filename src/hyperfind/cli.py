@@ -123,7 +123,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print()
             gen = driver.generalize(loaded)
             for side in (gen.universal, gen.existential):
-                if side is not None and side.origin is not None:
+                # A side that is not one of the written quantifiers is a product.
+                if side is not None and side not in loaded.quantifiers:
                     print(graphs.dump(side.graph, side.observed))
                     print()
         except RecursionError:
@@ -143,9 +144,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"enumerates each of them, so at most {MAX_DOMAIN_VALUES} are allowed",
                   file=sys.stderr)
             return 3
-        result = concrete.oracle_check(driver.oracle_quantifiers(loaded),
-                                       loaded.spec.body, args.max_observations,
-                                       domain, args.step_budget)
+        result = concrete.oracle_check(loaded.quantifiers, loaded.body,
+                                       args.max_observations, domain, args.step_budget)
         if args.report == "json":
             print(json.dumps({"verdict": result.verdict, "k": result.k}, indent=2))
         else:
@@ -159,28 +159,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError as exc:
             print(f"error: --emit-smt: {exc}", file=sys.stderr)
             return 3
-    opts = driver.SearchOptions(
-        solver_argv=smt.resolve_solver(args.solver),
-        step_budget=args.step_budget,
-        query_timeout_ms=args.timeout_ms,
-        feas_timeout_ms=args.feas_timeout_ms,
-        emit_smt_dir=args.emit_smt,
-    )
     gen = driver.generalize(loaded)
     search = driver.lazy_search if args.algorithm == "lazy" else driver.naive_search
-    result = search(gen, args.max_observations, opts)
+    result = search(gen, args.max_observations, _search_options(args, args.emit_smt))
 
     if args.report == "json":
         print(json.dumps(driver.report_dict(result), indent=2))
     else:
         _print_text_report(result)
+    return {"no-bug": 0, "bug-found": 1, "inconclusive": 2}[
+        driver.verdict_name(result.verdict)[0]]
 
-    verdict = result.verdict
-    if isinstance(verdict, driver.BugFound):
-        return 1
-    if isinstance(verdict, driver.NoBugUpTo):
-        return 0
-    return 2
+
+def _search_options(args, emit_smt_dir: Optional[str] = None) -> driver.SearchOptions:
+    return driver.SearchOptions(
+        solver_argv=smt.resolve_solver(args.solver),
+        step_budget=args.step_budget,
+        query_timeout_ms=args.timeout_ms,
+        feas_timeout_ms=args.feas_timeout_ms,
+        emit_smt_dir=emit_smt_dir,
+    )
 
 
 def _print_text_report(result: driver.SearchResult) -> None:
@@ -210,14 +208,9 @@ def _print_text_report(result: driver.SearchResult) -> None:
 
 
 def _run_bench(args) -> int:
-    opts = driver.SearchOptions(
-        solver_argv=smt.resolve_solver(args.solver),
-        step_budget=args.step_budget,
-        query_timeout_ms=args.timeout_ms,
-        feas_timeout_ms=args.feas_timeout_ms,
-    )
     try:
-        rows = driver.bench(args.file, opts, default_repetitions=args.repetitions)
+        rows = driver.bench(args.file, _search_options(args),
+                            default_repetitions=args.repetitions)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -2,8 +2,10 @@
 
 The oracle finitizes havoc over an explicit integer domain and enumerates
 observed traces by breadth-first search, which makes it an independent
-cross-check for the symbolic pipeline at desk scale. Observed traces are
-canonical minimal prefixes: a trace is cut at its k-th observation.
+cross-check for the symbolic pipeline at desk scale: it checks the same
+`graph.Quantifier`s that the search folds, in the order they are written.
+Observed traces are canonical minimal prefixes: a trace is cut at its k-th
+observation.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import logic
-from .graph import Assign, Havoc, ProgramGraph, Skip, default_step_budget
+from .graph import Assign, Havoc, ProgramGraph, Quantifier, default_step_budget
 
 Memory = Dict[str, int]
 # Hashable snapshot of a state: (location, sorted memory items).
@@ -116,14 +118,6 @@ def enumerate_observed(graph: ProgramGraph, observed: FrozenSet[int], k: int,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class OracleQuantifier:
-    kind: str  # "forall" | "exists"
-    trace_var: str
-    graph: ProgramGraph
-    observed: FrozenSet[int]
-
-
-@dataclass
 class OracleResult:
     verdict: str  # "holds" | "violated" | "inconclusive"
     k: Optional[int] = None  # earliest violated bound
@@ -139,7 +133,7 @@ def _body_env(binding: Dict[str, ObservedTrace], index: int) -> Dict[str, int]:
     return env
 
 
-def check_at(quantifiers: Sequence[OracleQuantifier], body: logic.Formula, k: int,
+def check_at(quantifiers: Sequence[Quantifier], body: logic.Formula, k: int,
              domain: Sequence[int],
              step_budget: Optional[int] = None) -> OracleResult:
     """Decide the bound-k semantics by direct quantifier expansion."""
@@ -179,7 +173,7 @@ def check_at(quantifiers: Sequence[OracleQuantifier], body: logic.Formula, k: in
     return OracleResult("violated", k=k, witness=dict(witness))
 
 
-def oracle_check(quantifiers: Sequence[OracleQuantifier], body: logic.Formula,
+def oracle_check(quantifiers: Sequence[Quantifier], body: logic.Formula,
                  k: int, domain: Sequence[int],
                  step_budget: Optional[int] = None) -> OracleResult:
     """Decide the upper-bounded semantics for all bounds up to k.

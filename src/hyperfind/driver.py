@@ -1,7 +1,9 @@
 """Top-level search algorithms and the benchmark harness.
 
-`generalize` reduces a forall+/exists* prefix to at most one quantifier per
-kind by folding the asynchronous product over each block (component
+`generalize` reduces a forall+/exists* prefix of `graph.Quantifier`s to at
+most one quantifier per kind. A block of one quantifier passes through as
+it is; a longer block becomes one quantifier, named `a&b` after its trace
+variables, over the asynchronous product of its programs (component
 variables get their trace variable as a prefix, and the invariant body is
 rewritten accordingly). `lazy_search` streams universal symbolic traces
 and asks, per trace, whether some instantiation admits no matching
@@ -24,6 +26,9 @@ symbolic execution tree that each bound searches breadth-first afresh,
 extending only the nodes no earlier bound reached. The existential side
 uses the universal side's walk when both range over the same program and
 observation set (see `_walks`).
+
+`oracle_source` hands the loaded quantifiers, unfolded, to the
+finite-domain oracle (`concrete.oracle_check`).
 """
 
 from __future__ import annotations
@@ -33,11 +38,11 @@ import os
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import concrete, encode, frontend, graph as graphs, logic, smt, symexec
 from .frontend import LoadedSpec
-from .graph import ProgramGraph
+from .graph import Quantifier
 from .logic import Formula
 from .symexec import Feasibility, FreshSupply, SymTrace
 
@@ -49,49 +54,31 @@ DEFAULT_REPETITIONS = 10
 
 
 @dataclass
-class QuantSide:
-    trace_var: str
-    graph: ProgramGraph
-    observed: FrozenSet[int]
-    origin: Optional[Dict[int, tuple]] = None  # product location metadata
-
-
-@dataclass
 class GeneralizedSpec:
-    universal: QuantSide
-    existential: Optional[QuantSide]
+    universal: Quantifier
+    existential: Optional[Quantifier]
     body: Formula
 
 
 def generalize(loaded: LoadedSpec) -> GeneralizedSpec:
     """Fold each quantifier block into a single program via products."""
-    quants = loaded.spec.quantifiers
-    universals = [q for q in quants if q.kind == "forall"]
-    existentials = [q for q in quants if q.kind == "exists"]
+    universals = [q for q in loaded.quantifiers if q.kind == "forall"]
+    existentials = [q for q in loaded.quantifiers if q.kind == "exists"]
     if not universals:
         raise ValueError("specification has no universal quantifier")
 
-    body = loaded.spec.body
+    body = loaded.body
     sides = []
     for block in (universals, existentials):
-        if not block:
-            sides.append(None)
+        if len(block) < 2:
+            sides.append(block[0] if block else None)
             continue
-        if len(block) == 1:
-            q = block[0]
-            sides.append(QuantSide(q.trace_var, loaded.quantifier_graph(q),
-                                   loaded.quantifier_obs(q)))
-            continue
-        parts = []
-        for q in block:
-            renamed = graphs.rename_vars(loaded.quantifier_graph(q), q.trace_var)
-            parts.append((renamed, loaded.quantifier_obs(q)))
-        cur_graph, cur_obs = parts[0]
-        origin = None
-        for nxt_graph, nxt_obs in parts[1:]:
-            product = graphs.async_product(cur_graph, cur_obs, nxt_graph, nxt_obs)
-            cur_graph, cur_obs = product.graph, product.observed
-            origin = product.origin
+        graph = graphs.rename_vars(block[0].graph, block[0].trace_var)
+        observed = block[0].observed
+        for q in block[1:]:
+            product = graphs.async_product(
+                graph, observed, graphs.rename_vars(q.graph, q.trace_var), q.observed)
+            graph, observed = product.graph, product.observed
         block_var = "&".join(q.trace_var for q in block)
         sigma = {}
         for name in logic.free_vars(body):
@@ -99,7 +86,7 @@ def generalize(loaded: LoadedSpec) -> GeneralizedSpec:
             if any(q.trace_var == trace for q in block):
                 sigma[name] = logic.Var(f"{trace}.{var}@{block_var}")
         body = logic.substitute(body, sigma)
-        sides.append(QuantSide(block_var, cur_graph, cur_obs, origin))
+        sides.append(Quantifier(block[0].kind, block_var, graph, observed))
 
     return GeneralizedSpec(universal=sides[0], existential=sides[1], body=body)
 
@@ -184,7 +171,7 @@ def _walks(gen: GeneralizedSpec, n: int, supply: FreshSupply, feas: Feasibility,
     """One walk per distinct side, for bounds 1..n: the existential side
     shares the universal side's walk when both range over the same program
     and observation set."""
-    def walk(side: QuantSide) -> symexec.Walk:
+    def walk(side: Quantifier) -> symexec.Walk:
         return symexec.Walk(side.graph, side.observed, n, supply, feas,
                             opts.step_budget, opts.node_budget)
 
@@ -271,18 +258,15 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
                 # The query is unsat: no solver check. A dump still writes
                 # it, naming the witness, so the decision can be re-checked.
                 stats.decided += 1
-                if opts.emit_smt_dir:
-                    query = encode.lazy_query(
-                        trace, gen.universal.trace_var, existential,
-                        provenance=f"{provenance} decided: existential trace "
-                                   f"{witness + 1} matches on every input")
-                    _emit_query(opts, f"query_k{k}_{index:04d}.smt2",
-                                query.formula, query.free_vars, query.provenance)
-                continue
-            query = encode.lazy_query(trace, gen.universal.trace_var, existential,
-                                      provenance=provenance)
+                if not opts.emit_smt_dir:
+                    continue
+                provenance += (f" decided: existential trace {witness + 1} "
+                               f"matches on every input")
+            query = encode.lazy_query(trace, gen.universal.trace_var, existential)
             _emit_query(opts, f"query_k{k}_{index:04d}.smt2",
-                        query.formula, query.free_vars, query.provenance)
+                        query.formula, query.free_vars, provenance)
+            if witness is not None:
+                continue
             stats.sat_calls += 1
             result = solver.check(query.formula, query.free_vars)
             if isinstance(result, smt.Sat):
@@ -369,27 +353,28 @@ def analyze_source(source: str, n: int = DEFAULT_MAX_OBSERVATIONS,
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def oracle_quantifiers(loaded: LoadedSpec) -> List[concrete.OracleQuantifier]:
-    return [
-        concrete.OracleQuantifier(q.kind, q.trace_var,
-                                  loaded.quantifier_graph(q),
-                                  loaded.quantifier_obs(q))
-        for q in loaded.spec.quantifiers
-    ]
-
-
 def oracle_source(source: str, k: int, domain: Sequence[int],
                   step_budget: Optional[int] = None) -> concrete.OracleResult:
     loaded = frontend.load(source)
-    return concrete.oracle_check(oracle_quantifiers(loaded), loaded.spec.body,
-                                 k, domain, step_budget)
+    return concrete.oracle_check(loaded.quantifiers, loaded.body, k, domain, step_budget)
+
+
+def verdict_name(verdict: Verdict) -> Tuple[str, Optional[int]]:
+    """The verdict's name in reports, and its bound: the bound a bug was
+    found at, or the bound checked without one."""
+    if isinstance(verdict, BugFound):
+        return "bug-found", verdict.k
+    if isinstance(verdict, NoBugUpTo):
+        return "no-bug", verdict.n
+    return "inconclusive", None
 
 
 def report_dict(result: SearchResult) -> dict:
     verdict = result.verdict
+    name, k = verdict_name(verdict)
     out = {
-        "verdict": None,
-        "k": None,
+        "verdict": name,
+        "k": k,
         "counterexample": None,
         "stats": {
             "combinations": result.stats.combinations,
@@ -399,26 +384,19 @@ def report_dict(result: SearchResult) -> dict:
             "wall_ms": round(result.stats.wall_ms, 3),
         },
     }
-    if isinstance(verdict, BugFound):
-        out["verdict"] = "bug-found"
-        out["k"] = verdict.k
-        if verdict.counterexample is not None:
-            cex = verdict.counterexample
-            out["counterexample"] = {
-                "observed_trace": [
-                    {"location": loc, "memory": mem} for loc, mem in cex.concrete_observed
-                ],
-                "full_trace": [
-                    {"location": loc, "memory": mem} for loc, mem in cex.concrete_full
-                ],
-                "model": cex.model,
-                "explanation_smt": smt.formula_to_smt(cex.explanation),
-            }
-    elif isinstance(verdict, NoBugUpTo):
-        out["verdict"] = "no-bug"
-        out["k"] = verdict.n
-    else:
-        out["verdict"] = "inconclusive"
+    if isinstance(verdict, BugFound) and verdict.counterexample is not None:
+        cex = verdict.counterexample
+        out["counterexample"] = {
+            "observed_trace": [
+                {"location": loc, "memory": mem} for loc, mem in cex.concrete_observed
+            ],
+            "full_trace": [
+                {"location": loc, "memory": mem} for loc, mem in cex.concrete_full
+            ],
+            "model": cex.model,
+            "explanation_smt": smt.formula_to_smt(cex.explanation),
+        }
+    elif isinstance(verdict, Inconclusive):
         out["reason"] = verdict.reason
         if verdict.detail:
             out["detail"] = verdict.detail
@@ -465,19 +443,11 @@ def bench(manifest_path: str, opts: Optional[SearchOptions] = None,
             for _ in range(reps):
                 last = analyze_source(source, n=n, opts=opts)
                 walls.append(last.stats.wall_ms)
-            verdict = last.verdict
-            if isinstance(verdict, BugFound):
-                rows.append(BenchRow(name, "bug-found", verdict.k,
-                                     last.stats.combinations,
-                                     statistics.median(walls)))
-            elif isinstance(verdict, NoBugUpTo):
-                rows.append(BenchRow(name, "no-bug", verdict.n,
-                                     last.stats.combinations,
-                                     statistics.median(walls)))
-            else:
-                rows.append(BenchRow(name, f"inconclusive:{verdict.reason}", None,
-                                     last.stats.combinations,
-                                     statistics.median(walls)))
+            label, k = verdict_name(last.verdict)
+            if isinstance(last.verdict, Inconclusive):
+                label += f":{last.verdict.reason}"
+            rows.append(BenchRow(name, label, k, last.stats.combinations,
+                                 statistics.median(walls)))
         except Exception as exc:  # per-instance isolation: never abort the harness
             rows.append(BenchRow(name, "error", None, None, None, error=str(exc)))
     return rows

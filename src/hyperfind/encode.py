@@ -119,7 +119,6 @@ def _domain_constraint(names: Sequence[str],
 class EncodedQuery:
     formula: Formula
     free_vars: Tuple[str, ...]
-    provenance: str
     explanation: Formula  # the "no matching trace" part
 
 
@@ -299,8 +298,7 @@ def _no_match(universal: SymTrace, universal_var: str,
 
 
 def lazy_query(universal: SymTrace, universal_var: str,
-               existential: ExistentialSide,
-               provenance: str = "") -> EncodedQuery:
+               existential: ExistentialSide) -> EncodedQuery:
     """Refutation query for one universal trace.
 
     Satisfiable iff the universal trace has an instantiation that no
@@ -314,6 +312,5 @@ def lazy_query(universal: SymTrace, universal_var: str,
     return EncodedQuery(
         formula=logic.conj([c1, c2]),
         free_vars=fv1,
-        provenance=provenance,
         explanation=c2,
     )

@@ -7,6 +7,11 @@ forall*/exists* quantifier prefix binding trace variables to programs with
 observation label sets, followed by a single `always (...)` invariant over
 trace-indexed variables written `x@pi`. The full grammar is documented in
 the README.
+
+`parse` returns the syntax tree. `load` also lowers each program to a graph
+and resolves each quantifier once, to a `graph.Quantifier` over its
+program's graph and the locations of its observation labels: the form that
+the search and the oracle both take.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import logic
-from .graph import Assign, Edge, Havoc, ProgramGraph, Skip, SKIP
+from .graph import Assign, Edge, Havoc, ProgramGraph, Quantifier, SKIP
 from .logic import Formula, Term
 
 
@@ -173,12 +178,6 @@ class SpecAst:
 class InputFile:
     programs: Tuple[ProgramAst, ...]
     spec: SpecAst
-
-    def program(self, name: str) -> ProgramAst:
-        for p in self.programs:
-            if p.name == name:
-                return p
-        raise KeyError(name)
 
 
 class _Parser:
@@ -462,8 +461,6 @@ def _ordered_vars(node) -> List[str]:
         for a in node.args:
             out.extend(_ordered_vars(a))
         return out
-    if isinstance(node, logic.Implies):
-        return _ordered_vars(node.left) + _ordered_vars(node.right)
     raise TypeError(f"unexpected node {node!r}")
 
 
@@ -576,19 +573,11 @@ def lower(ast: ProgramAst) -> LoweredProgram:
 
 @dataclass
 class LoadedSpec:
-    """A parsed and lowered input file, ready for the driver."""
+    """A parsed and lowered input file, ready for the driver: each
+    quantifier resolved to its program's graph and observed locations."""
     programs: Dict[str, LoweredProgram]
-    spec: SpecAst
-
-    def quantifier_graph(self, quant: SpecQuant) -> ProgramGraph:
-        return self.programs[quant.program].graph
-
-    def quantifier_obs(self, quant: SpecQuant) -> FrozenSet[int]:
-        prog = self.programs[quant.program]
-        locs: set = set()
-        for lab in quant.labels:
-            locs |= prog.labels[lab]
-        return frozenset(locs)
+    quantifiers: Tuple[Quantifier, ...]
+    body: Formula  # over variables named "x@pi"
 
 
 def parse(source: str) -> InputFile:
@@ -607,13 +596,17 @@ def load(source: str) -> LoadedSpec:
         # The parser and the term walks recurse once per nesting level.
         raise ParseError("input nests too deeply to load "
                          "(Python's recursion limit was exceeded)") from None
+    quantifiers = []
     for quant in parsed.spec.quantifiers:
-        available = programs[quant.program].labels
+        lowered = programs[quant.program]
+        observed: FrozenSet[int] = frozenset()
         for lab in quant.labels:
-            if lab not in available:
+            if lab not in lowered.labels:
                 raise ParseError(
                     f"program {quant.program!r} has no observation label {lab!r}")
-    return LoadedSpec(programs, parsed.spec)
+            observed |= lowered.labels[lab]
+        quantifiers.append(Quantifier(quant.kind, quant.trace_var, lowered.graph, observed))
+    return LoadedSpec(programs, tuple(quantifiers), parsed.spec.body)
 
 
 def _validate(parsed: InputFile) -> None:

@@ -1,9 +1,13 @@
-"""Guarded program graphs and the asynchronous product construction.
+"""Guarded program graphs, the quantifiers that range over them, and the
+asynchronous product construction.
 
 A program graph is a control-flow graph whose edges carry a quantifier-free
 guard over the program variables and an effect: an assignment, a havoc
 (nondeterministic assignment), or a skip. Locations are plain integers;
 edge order is declaration order and drives deterministic exploration.
+A `Quantifier` binds a trace variable to the traces of one graph observed
+at a set of its locations: the symbolic search and the finite-domain
+oracle both check a specification as a sequence of them.
 """
 
 from __future__ import annotations
@@ -69,6 +73,16 @@ class ProgramGraph:
 
     def out_edges(self, loc: int) -> Tuple[Edge, ...]:
         return self._out.get(loc, ())
+
+
+@dataclass(frozen=True)
+class Quantifier:
+    """A quantifier of a specification: `kind` binds `trace_var` to the
+    traces of `graph` observed at the locations in `observed`."""
+    kind: str  # "forall" | "exists"
+    trace_var: str
+    graph: ProgramGraph
+    observed: FrozenSet[int]
 
 
 def rename_vars(graph: ProgramGraph, prefix: str) -> ProgramGraph:

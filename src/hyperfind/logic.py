@@ -195,15 +195,6 @@ class Or:
 
 
 @dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
-
-    def __str__(self) -> str:
-        return f"({self.left} => {self.right})"
-
-
-@dataclass(frozen=True)
 class Quant:
     kind: str  # "forall" | "exists"
     vars: tuple  # variable names, pairwise distinct
@@ -217,7 +208,7 @@ class Quant:
         return f"({self.kind} ({' '.join(self.vars)}) {self.body})"
 
 
-Formula = Union[BoolLit, Cmp, Not, And, Or, Implies, Quant]
+Formula = Union[BoolLit, Cmp, Not, And, Or, Quant]
 
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
@@ -286,14 +277,6 @@ def disj(args: Iterable[Formula]) -> Formula:
     if len(flat) == 1:
         return flat[0]
     return Or(tuple(flat))
-
-
-def implies(left: Formula, right: Formula) -> Formula:
-    if isinstance(left, BoolLit):
-        return right if left.value else TRUE
-    if isinstance(right, BoolLit) and right.value:
-        return TRUE
-    return Implies(left, right)
 
 
 def forall(vars: Iterable[str], body: Formula) -> Formula:
@@ -391,8 +374,6 @@ def eval_formula(formula: Formula, rho: Mapping[str, int]) -> bool:
         return all(eval_formula(a, rho) for a in formula.args)
     if isinstance(formula, Or):
         return any(eval_formula(a, rho) for a in formula.args)
-    if isinstance(formula, Implies):
-        return (not eval_formula(formula.left, rho)) or eval_formula(formula.right, rho)
     if isinstance(formula, Quant):
         raise EvalError("cannot evaluate a quantified formula; use the solver")
     raise EvalError(f"unknown formula node {formula!r}")
@@ -418,8 +399,6 @@ def free_vars(node) -> frozenset:
         for a in node.args:
             out |= free_vars(a)
         return out
-    if isinstance(node, Implies):
-        return free_vars(node.left) | free_vars(node.right)
     if isinstance(node, Quant):
         return free_vars(node.body) - frozenset(node.vars)
     raise TypeError(f"not a term or formula: {node!r}")
@@ -452,8 +431,6 @@ def substitute(node, sigma: Mapping[str, Term]):
         return conj(substitute(a, sigma) for a in node.args)
     if isinstance(node, Or):
         return disj(substitute(a, sigma) for a in node.args)
-    if isinstance(node, Implies):
-        return implies(substitute(node.left, sigma), substitute(node.right, sigma))
     if isinstance(node, Quant):
         live = {x: t for x, t in sigma.items()
                 if x not in node.vars and x in free_vars(node.body)}

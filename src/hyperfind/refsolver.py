@@ -14,9 +14,10 @@ caller's process by default and hands it those values, so no text is
 written or read; its `:timeout` is then cooperative, checked by
 `Eliminator.tick`. As a stand-alone process (`hyperfind-smt`, or
 `python -m hyperfind.refsolver`) it reads SMT-LIB2 text on stdin, and
-`read_command` turns each parsed command into the same value: n-ary `+`,
-`-` and `=>` nest into binary nodes, and `(- t)` reads as `0 - t`. The
-bridge can kill it like any other solver.
+`read_command` turns each parsed command into the same value: n-ary `+`
+and `-` nest into binary nodes, `(- t)` reads as `0 - t`, and `(=> a b c)`
+reads as `(or (not a) (or (not b) c))`, since `logic` has no implication.
+The bridge can kill it like any other solver.
 
 The loop accepts exactly these commands: `set-logic` (ignored),
 `set-option` (only `:timeout` in milliseconds takes effect),
@@ -44,7 +45,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import logic
-from .logic import And, BinTerm, BoolLit, Cmp, Implies, IntLit, Not, Or, Quant, Var
+from .logic import And, BinTerm, BoolLit, Cmp, IntLit, Not, Or, Quant, Var
 
 
 class SolverInputError(Exception):
@@ -612,9 +613,6 @@ class Translator:
             return negate(self.to_formula(formula.arg))
         if kind is BoolLit:
             return TRUE if formula.value else FALSE
-        if kind is Implies:
-            right = self.to_formula(formula.right)
-            return f_or([negate(self.to_formula(formula.left)), right])
         if kind is Quant:
             # A binder may shadow a declared constant; the declaration must
             # survive the quantifier's scope.
@@ -748,7 +746,7 @@ def read_term(tree):
 
 
 def read_formula(tree):
-    """A `logic` formula: n-ary `=>` nests to the right."""
+    """A `logic` formula: `(=> a b c)` reads as `(or (not a) (or (not b) c))`."""
     if tree in ("true", "false"):
         return BoolLit(tree == "true")
     if isinstance(tree, str) or not tree or not isinstance(tree[0], str):
@@ -768,7 +766,7 @@ def read_formula(tree):
     if head == "not" and len(parts) == 1:
         return Not(parts[0])
     if head == "=>" and parts:
-        return functools.reduce(lambda right, left: Implies(left, right), reversed(parts))
+        return functools.reduce(lambda right, left: Or((Not(left), right)), reversed(parts))
     raise SolverInputError(f"malformed formula {tree!r}")
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Deque, Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from . import logic
-from .logic import And, BinTerm, BoolLit, Cmp, Formula, Implies, IntLit, Not, Or, Quant, Term, Var
+from .logic import And, BinTerm, BoolLit, Cmp, Formula, IntLit, Not, Or, Quant, Term, Var
 
 DEFAULT_FEASIBILITY_TIMEOUT_MS = 5000
 DEFAULT_QUERY_TIMEOUT_MS = 60000
@@ -96,8 +96,6 @@ def formula_to_smt(formula: Formula) -> str:
         return "(and " + " ".join(formula_to_smt(a) for a in formula.args) + ")"
     if isinstance(formula, Or):
         return "(or " + " ".join(formula_to_smt(a) for a in formula.args) + ")"
-    if isinstance(formula, Implies):
-        return f"(=> {formula_to_smt(formula.left)} {formula_to_smt(formula.right)})"
     if isinstance(formula, Quant):
         binders = " ".join(f"({v} Int)" for v in formula.vars)
         return f"({formula.kind} ({binders}) {formula_to_smt(formula.body)})"

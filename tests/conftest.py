@@ -142,9 +142,9 @@ def random_formula(rng: random.Random, names, depth: int = 2):
     kind = rng.choice(["not", "and", "or", "implies"])
     if kind == "not":
         return logic.negate(random_formula(rng, names, depth - 1))
-    if kind == "implies":
-        return logic.implies(random_formula(rng, names, depth - 1),
-                             random_formula(rng, names, depth - 1))
+    if kind == "implies":  # a => b, drawn a first
+        return logic.disj([logic.negate(random_formula(rng, names, depth - 1)),
+                           random_formula(rng, names, depth - 1)])
     parts = [random_formula(rng, names, depth - 1) for _ in range(rng.randint(2, 3))]
     return logic.conj(parts) if kind == "and" else logic.disj(parts)
 
@@ -328,7 +328,7 @@ def closed_encoding(quantifiers: Sequence[QuantifiedTraces], body: Formula, k: i
             scope = logic.conj([path, _domain_constraint(fv, domain)])
             inner = rec(i + 1, {**bound, q.trace_var: _images(trace, q.trace_var, own, k, rho)})
             if q.kind == "forall":
-                parts.append(logic.forall(fv, logic.implies(scope, inner)))
+                parts.append(logic.forall(fv, logic.disj([logic.negate(scope), inner])))
             else:
                 parts.append(logic.exists(fv, logic.conj([scope, inner])))
         return logic.conj(parts) if q.kind == "forall" else logic.disj(parts)

@@ -11,6 +11,7 @@ from hyperfind.driver import (
     BugFound, Inconclusive, NoBugUpTo, SearchOptions, analyze_source, generalize,
     lazy_search, naive_search,
 )
+from hyperfind.graph import Quantifier
 from hyperfind.logic import Cmp, IntLit, Var
 from hyperfind.symexec import Feasibility, FreshSupply, observe
 
@@ -31,8 +32,7 @@ def run_fixture(name, n, opts, algorithm="lazy"):
 
 def oracle_for(name, k, domain=(0, 1), budget=None):
     loaded = frontend.load(bench_source(name))
-    return concrete.oracle_check(driver.oracle_quantifiers(loaded),
-                                 loaded.spec.body, k, list(domain), budget)
+    return concrete.oracle_check(loaded.quantifiers, loaded.body, k, list(domain), budget)
 
 
 def test_acceptance_voting_symmetry(opts):
@@ -217,15 +217,11 @@ def test_acceptance_property_lazy_matches_oracle(solver_argv):
             o2 = random_observed(rng, g2)
             spec_body = random_body(rng)
             n = 2
-            quants = [concrete.OracleQuantifier("forall", "t1", g1, o1),
-                      concrete.OracleQuantifier("exists", "t2", g2, o2)]
+            quants = [Quantifier("forall", "t1", g1, o1), Quantifier("exists", "t2", g2, o2)]
             oracle = concrete.oracle_check(quants, spec_body, n, [0, 1], 16)
             if oracle.verdict == "inconclusive":
                 continue
-            gen = driver.GeneralizedSpec(
-                universal=driver.QuantSide("t1", g1, o1),
-                existential=driver.QuantSide("t2", g2, o2),
-                body=spec_body)
+            gen = driver.GeneralizedSpec(*quants, body=spec_body)
             run_opts = SearchOptions(solver_argv=solver_argv, step_budget=16,
                                      node_budget=20_000, domain=(0, 1))
             result = lazy_search(gen, n, run_opts)

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from hyperfind import concrete, frontend, logic
-from hyperfind.concrete import (
-    OracleQuantifier, check_at, enumerate_observed, oracle_check, replay, step,
-)
+from hyperfind.concrete import check_at, enumerate_observed, oracle_check, replay, step
+from hyperfind.graph import Quantifier
 from hyperfind.logic import Cmp, IntLit, Var
 
 from conftest import bench_source, input_sign_graph, random_graph, random_observed, set_zero_graph
@@ -42,12 +41,7 @@ def test_enumerate_set_zero_k2_is_empty():
 
 def voting_quantifiers(name="voting_buggy.hyp"):
     loaded = frontend.load(bench_source(name))
-    spec = loaded.spec
-    return [
-        OracleQuantifier(q.kind, q.trace_var, loaded.quantifier_graph(q),
-                         loaded.quantifier_obs(q))
-        for q in spec.quantifiers
-    ], spec.body
+    return loaded.quantifiers, loaded.body
 
 
 def test_oracle_buggy_voting_violated_at_k2():
@@ -68,16 +62,10 @@ def test_oracle_correct_voting_holds_to_k4():
 
 def test_oracle_refinement_directions():
     loaded = frontend.load(bench_source("min_flip.hyp"))
-    quants = [OracleQuantifier(q.kind, q.trace_var, loaded.quantifier_graph(q),
-                               loaded.quantifier_obs(q))
-              for q in loaded.spec.quantifiers]
-    assert oracle_check(quants, loaded.spec.body, 3, [0, 1]).verdict == "holds"
+    assert oracle_check(loaded.quantifiers, loaded.body, 3, [0, 1]).verdict == "holds"
 
     swapped = frontend.load(bench_source("flip_min.hyp"))
-    quants = [OracleQuantifier(q.kind, q.trace_var, swapped.quantifier_graph(q),
-                               swapped.quantifier_obs(q))
-              for q in swapped.spec.quantifiers]
-    result = oracle_check(quants, swapped.spec.body, 3, [0, 1])
+    result = oracle_check(swapped.quantifiers, swapped.body, 3, [0, 1])
     assert result.verdict == "violated"
     assert result.k == 1
 
@@ -94,7 +82,7 @@ def test_exact_bound_semantics_is_not_monotone():
     # x := 0 observed once: the bound-1 semantics is violated, every larger
     # exact bound holds vacuously, and the upper-bounded verdict stays
     # violated with earliest bound 1.
-    quants = [OracleQuantifier("forall", "p", set_zero_graph(), frozenset({1}))]
+    quants = [Quantifier("forall", "p", set_zero_graph(), frozenset({1}))]
     body = Cmp(">", Var("x@p"), IntLit(0))
     assert check_at(quants, body, 1, [0, 1]).verdict == "violated"
     for k in (2, 3, 4):
@@ -114,10 +102,7 @@ def test_enumerate_budget_flags_incomplete():
 
 def test_oracle_inconclusive_on_budget():
     loaded = frontend.load(bench_source("factorial.hyp"))
-    quants = [OracleQuantifier(q.kind, q.trace_var, loaded.quantifier_graph(q),
-                               loaded.quantifier_obs(q))
-              for q in loaded.spec.quantifiers]
-    result = oracle_check(quants, loaded.spec.body, 1, list(range(0, 30)), 20)
+    result = oracle_check(loaded.quantifiers, loaded.body, 1, list(range(0, 30)), 20)
     assert result.verdict == "inconclusive"
 
 

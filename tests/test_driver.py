@@ -13,6 +13,7 @@ from hyperfind.driver import (
     BugFound, Inconclusive, NoBugUpTo, SearchOptions, analyze_source,
     generalize, lazy_search, naive_search,
 )
+from hyperfind.graph import Quantifier
 
 from conftest import BENCH_DIR, bench_source
 
@@ -33,13 +34,15 @@ def test_generalize_identity_for_forall_exists():
     assert gen.universal.graph is loaded.programs["min"].graph
     assert gen.existential.trace_var == "p2"
     assert gen.existential.graph is loaded.programs["flip"].graph
-    assert gen.body == loaded.spec.body
+    assert gen.universal is loaded.quantifiers[0]
+    assert gen.existential is loaded.quantifiers[1]
+    assert gen.body == loaded.body
 
 
 def test_generalize_folds_universal_block():
     loaded = frontend.load(bench_source("gni.hyp"))
     gen = generalize(loaded)
-    assert gen.universal.trace_var == "p1&p2"
+    assert (gen.universal.kind, gen.universal.trace_var) == ("forall", "p1&p2")
     variables = set(gen.universal.graph.variables)
     assert {"p1.pub", "p1.sec", "p2.pub", "p2.sec"} <= variables
     assert gen.existential.trace_var == "p3"
@@ -173,8 +176,6 @@ def captured(node, scope):
         return set().union(*(captured(arg, scope) for arg in node.args))
     if isinstance(node, logic.Not):
         return captured(node.arg, scope)
-    if isinstance(node, logic.Implies):
-        return captured(node.left, scope) | captured(node.right, scope)
     return set()
 
 
@@ -429,6 +430,14 @@ def test_cli_dump_graphs(capsys):
     out = capsys.readouterr().out
     assert "x := 0" in out
     assert "->" in out
+    # Each program is printed once, and a block of several quantifiers
+    # also as its product graph.
+    for name, products in (("gni.hyp", 1), ("echo_leak.hyp", 1), ("simple_leak.hyp", 1),
+                           ("voting_correct.hyp", 0)):
+        assert cli_main([fixture_path(name), "--dump-graphs"]) == 0
+        names = re.findall(r"^graph (\S+)", capsys.readouterr().out, re.M)
+        assert len(set(names)) == len(names), name
+        assert len([n for n in names if "(x)" in n]) == products, name
 
 
 def test_cli_emit_smt(tmp_path, capsys):
@@ -509,9 +518,12 @@ def test_bench_harness_records_errors(tmp_path, capsys):
     assert rows[1].name == "broken" and rows[1].verdict == "error"
     assert rows[1].error
 
-    assert cli_main([str(path), "--bench", "--repetitions", "1"]) == 0
+    # --bench writes no query, whatever --emit-smt says.
+    assert cli_main([str(path), "--bench", "--repetitions", "1",
+                     "--emit-smt", str(tmp_path / "queries")]) == 0
     out = capsys.readouterr().out
     assert "ok" in out and "error" in out
+    assert not (tmp_path / "queries").exists()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -640,8 +652,7 @@ def test_every_decided_query_is_unsat(monkeypatch, source, n):
     assert len(decided) == result.stats.decided
     with smt.Solver(smt.BUNDLED_SOLVER) as solver:
         for query, _ in decided:
-            assert solver.check(query.formula, query.free_vars) == smt.Unsat(), \
-                query.provenance
+            assert solver.check(query.formula, query.free_vars) == smt.Unsat()
 
 
 @pytest.mark.parametrize("source, n, guarded", [
@@ -730,15 +741,11 @@ def test_naive_matches_oracle_on_random_specs(solver_argv):
         o1 = random_observed(rng, g1)
         o2 = random_observed(rng, g2)
         spec_body = random_body(rng)
-        quants = [concrete.OracleQuantifier("forall", "t1", g1, o1),
-                  concrete.OracleQuantifier("exists", "t2", g2, o2)]
+        quants = [Quantifier("forall", "t1", g1, o1), Quantifier("exists", "t2", g2, o2)]
         oracle = concrete.oracle_check(quants, spec_body, 2, [0, 1], 16)
         if oracle.verdict == "inconclusive":
             continue
-        gen = driver.GeneralizedSpec(
-            universal=driver.QuantSide("t1", g1, o1),
-            existential=driver.QuantSide("t2", g2, o2),
-            body=spec_body)
+        gen = driver.GeneralizedSpec(*quants, body=spec_body)
         run_opts = SearchOptions(solver_argv=solver_argv, step_budget=16,
                                  node_budget=20_000, domain=(0, 1))
         result = naive_search(gen, 2, run_opts)

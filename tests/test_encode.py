@@ -40,7 +40,7 @@ def test_encode_invariant_voting_k2(solver_argv):
     feas = Feasibility(smt.Solver(solver_argv))
     traces = list(observe(prog.graph, prog.labels["head"], 2, FreshSupply(), feas))
     feas.solver.close()
-    body = loaded.spec.body
+    body = loaded.body
     inv = encode_invariant(body, 2, {"p1": traces[0], "p2": traces[0]})
     # p1 = p2 = the B,B trace with tallies (0,1),(0,1): countA=0 must equal
     # countB=1 in both rounds, so the instantiated body is ground false.
@@ -291,8 +291,7 @@ def oracle_validity(source, k, solver_argv):
         negated = solver.check(logic.negate(encoding))
     valid = isinstance(negated, smt.Unsat)
 
-    oracle = concrete.check_at(driver.oracle_quantifiers(loaded), loaded.spec.body,
-                               k, [0, 1])
+    oracle = concrete.check_at(loaded.quantifiers, loaded.body, k, [0, 1])
     return valid, oracle.verdict == "holds"
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from hyperfind import concrete, frontend, logic
 from hyperfind.frontend import ParseError, SObserve, lower, parse
+from hyperfind.graph import Quantifier
 from hyperfind.logic import Cmp, IntLit, Var
 
 from conftest import bench_source, input_sign_graph
@@ -110,6 +111,9 @@ def test_each_observe_gets_its_own_location():
     assert len(lowered.labels["a"]) == 2
     assert len(lowered.labels["b"]) == 1
     assert not (lowered.labels["a"] & lowered.labels["b"])
+    # The quantifier observes the locations of both its labels.
+    assert loaded.quantifiers == (
+        Quantifier("forall", "t", lowered.graph, lowered.labels["a"] | lowered.labels["b"]),)
 
 
 def test_straight_line_assignment_lowering():

@@ -237,7 +237,7 @@ def test_quantifier_without_pin_is_unchanged():
             Quant("forall", ("e0", "e1"), Not(matrix))
         assert logic.exists(("e0", "e1"), matrix) == Quant("exists", ("e0", "e1"), matrix)
     # a body that is not a negated conjunction is not rewritten either
-    body = logic.implies(_eq("e0", v), logic.cmp(">", e0, IntLit(0)))
+    body = logic.disj([logic.negate(_eq("e0", v)), logic.cmp(">", e0, IntLit(0))])
     assert logic.forall(("e0",), body) == Quant("forall", ("e0",), body)
 
 
