@@ -8,7 +8,8 @@ folding, which keeps symbolic memories small and lets fully determined
 guards collapse to boolean literals. `add` and `sub` also fold literal
 offsets: `(t + a) - b` is `t + (a - b)`, or just `t` when the offsets
 cancel, so a variable decremented k times is `v - k`, not k nested
-subtractions. `cmp` decides a term compared with itself.
+subtractions. `cmp` decides a term compared with itself, or with an offset
+of itself.
 
 The quantifier constructors apply the one-point rule: a binder x that a
 conjunct `x = t` pins, with t free of the block's binders, is replaced by t
@@ -232,6 +233,12 @@ def cmp(op: str, left: Term, right: Term) -> Formula:
         # Every term has an integer value (div and mod take only positive
         # literal divisors), so a term compared with itself is decided.
         return BoolLit(op in ("=", "<=", ">="))
+    if isinstance(left, BinTerm) or isinstance(right, BinTerm):
+        # Two offsets of one base: `t + a op t + b` is `a op b`.
+        left_base, left_offset = _offset(left) or (left, 0)
+        right_base, right_offset = _offset(right) or (right, 0)
+        if left_base == right_base:
+            return BoolLit(_CMP_FUNS[op](left_offset, right_offset))
     return Cmp(op, left, right)
 
 

@@ -11,17 +11,24 @@ program and observation set. Paths whose feasibility the solver cannot
 settle (unknown) are kept: dropping a possibly feasible path could mask a
 counterexample.
 
+A path is a conjunction, and most of its conjuncts bound one variable
+each, such as the guards of a countdown loop (`n > 0`, `n - 1 > 0`, ...).
+`Feasibility` settles such a path from per-variable integer bounds
+(`_decide`, after the constraint independence of KLEE, Cadar et al., OSDI
+2008) and asks the solver only about the other shapes.
+
 Each node records whether its path is *proved* satisfiable: the root's
 path is true; a child extended along a true guard keeps its parent's path
 and its parent's proof; any other child is proved when its parent is and
-`Feasibility.check` answered `Sat` for its path (a trivially satisfiable
-path counts). An unknown answer leaves the node and every descendant
+`Feasibility.check` answered `Sat` for its path, from the bounds or from
+the solver. An unknown answer leaves the node and every descendant
 unproved. The lazy search decides a universal trace without the solver only
 through a proved existential path (see `encode`).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -100,47 +107,107 @@ class SymTrace:
         return cached
 
 
-def _trivially_sat(formula: Formula) -> bool:
-    """Syntactic satisfiability for the common path shapes.
+def _linear(term: Term, scale: int, coeffs: Dict[str, int]) -> Optional[int]:
+    """Add `scale * term` to `coeffs` (variable -> coefficient) and return its
+    constant part, or None when the term has a div or mod."""
+    if isinstance(term, logic.IntLit):
+        return scale * term.value
+    if isinstance(term, Var):
+        coeffs[term.name] = coeffs.get(term.name, 0) + scale
+        return 0
+    if term.op in ("+", "-"):
+        left = _linear(term.left, scale, coeffs)
+        right = _linear(term.right, -scale if term.op == "-" else scale, coeffs)
+        return None if left is None or right is None else left + right
+    if term.op == "*":
+        if isinstance(term.left, logic.IntLit):
+            return _linear(term.right, scale * term.left.value, coeffs)
+        if isinstance(term.right, logic.IntLit):
+            return _linear(term.left, scale * term.right.value, coeffs)
+    return None
 
-    A conjunction is satisfiable outright when its conjuncts mention
-    pairwise-disjoint variable sets and each conjunct is a comparison (or a
-    negated comparison) over at most two distinct variables and literals:
-    every such atom has an integer solution on its own. Anything else goes
-    to the solver.
+
+# A negated comparison is the comparison with the complementary operator.
+_COMPLEMENT = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
+# `c * x + k op 0` as upper bounds `sign * c * x <= slack - sign * k`, one
+# (sign, slack) pair each.
+_UPPER = {"<": ((1, -1),), "<=": ((1, 0),), ">": ((-1, -1),), ">=": ((-1, 0),),
+          "=": ((1, 0), (-1, 0))}
+
+
+def _decide(path: Formula) -> Optional[smt.SatResult]:
+    """`Sat` or `Unsat` for a path that per-variable bounds decide, None to
+    ask the solver.
+
+    Each conjunct must be a comparison, or a negated one, between linear
+    terms (no div or mod); it reads as `sum(c * x) + k op 0`. A conjunct
+    over one variable narrows that variable's interval: `c * x <= b` bounds
+    x by the floor of b / c, or for a negative c by its ceiling; an `=` is
+    two such bounds, so one that c does not divide empties the interval;
+    a `!=` removes one point. The path is unsat when an interval is empty,
+    or finite with every point removed, or a ground conjunct is false.
+    A difference atom `x - y + k op 0` has a solution on its own, so it may
+    stand beside the bounds when x and y occur in no other conjunct. Every
+    other shape goes to the solver.
     """
-    def atom_ok(f: Formula) -> bool:
-        if isinstance(f, logic.Not):
-            return atom_ok(f.arg)
-        if not isinstance(f, logic.Cmp):
-            return False
-        sides = (f.left, f.right)
-        if not all(isinstance(s, (logic.Var, logic.IntLit)) for s in sides):
-            return False
-        if (isinstance(f.left, logic.Var) and isinstance(f.right, logic.Var)
-                and f.left.name == f.right.name):
-            return False  # x op x may be unsatisfiable
-        return True
-
-    if isinstance(formula, logic.BoolLit):
-        return formula.value
-    conjuncts = formula.args if isinstance(formula, logic.And) else (formula,)
-    seen: set = set()
-    for part in conjuncts:
-        if not atom_ok(part):
-            return False
-        fv = logic.free_vars(part)
-        if fv & seen:
-            return False
-        seen |= fv
-    return True
+    if isinstance(path, logic.BoolLit):
+        return smt.Sat({}) if path.value else smt.Unsat()
+    bounds: Dict[str, list] = {}  # variable -> [lo, hi, removed points]
+    pairs: List[Tuple[str, ...]] = []  # the variables of each difference atom
+    for part in path.args if isinstance(path, logic.And) else (path,):
+        negated = False
+        while isinstance(part, logic.Not):
+            part, negated = part.arg, not negated
+        if not isinstance(part, logic.Cmp):
+            return None
+        op = _COMPLEMENT[part.op] if negated else part.op
+        if isinstance(part.left, Var) and isinstance(part.right, logic.IntLit):
+            live, k = [(part.left.name, 1)], -part.right.value  # the common `x op n`
+        else:
+            coeffs: Dict[str, int] = {}
+            left = _linear(part.left, 1, coeffs)
+            right = _linear(part.right, -1, coeffs)
+            if left is None or right is None:
+                return None
+            live, k = [(x, c) for x, c in coeffs.items() if c], left + right
+        if not live:
+            if not logic.cmp(op, logic.IntLit(k), logic.IntLit(0)).value:
+                return smt.Unsat()
+        elif len(live) == 1:
+            x, c = live[0]
+            bound = bounds.setdefault(x, [-math.inf, math.inf, set()])
+            if op == "!=":
+                if k % c == 0:
+                    bound[2].add(-k // c)
+                continue
+            for sign, slack in _UPPER[op]:
+                a, b = sign * c, slack - sign * k  # a * x <= b
+                if a > 0:
+                    bound[1] = min(bound[1], b // a)
+                else:
+                    bound[0] = max(bound[0], -(b // -a))
+        elif len(live) == 2 and {c for _, c in live} == {1, -1}:
+            pairs.append((live[0][0], live[1][0]))
+        else:
+            return None
+    for lo, hi, removed in bounds.values():
+        if lo > hi or (len(removed) > hi - lo
+                       and sum(lo <= p <= hi for p in removed) > hi - lo):
+            return smt.Unsat()
+    seen = set(bounds)
+    for pair in pairs:
+        if not seen.isdisjoint(pair):
+            return None
+        seen.update(pair)
+    return smt.Sat({})
 
 
 class Feasibility:
     """Path feasibility on the search's solver.
 
-    Trivially satisfiable paths (see `_trivially_sat`) are admitted without
-    a solver round trip; everything else is one scoped check, cut off after
+    A path that per-variable bounds decide (see `_decide`) is answered `Sat`
+    or `Unsat` without a solver round trip, and that `Sat` proves it as
+    the solver's would; every other path is one scoped check, cut off after
     `timeout_ms` by the session's deadline. `solver_calls` counts the checks
     that reached the solver.
     """
@@ -152,8 +219,9 @@ class Feasibility:
         self.solver_calls = 0
 
     def check(self, formula: Formula) -> smt.SatResult:
-        if _trivially_sat(formula):
-            return smt.Sat({})
+        verdict = _decide(formula)
+        if verdict is not None:
+            return verdict
         self.solver_calls += 1
         return self.solver.check(formula, timeout_ms=self.timeout_ms)
 

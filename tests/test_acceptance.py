@@ -8,8 +8,7 @@ import pytest
 
 from hyperfind import concrete, driver, frontend, logic, smt, symexec
 from hyperfind.driver import (
-    BugFound, Inconclusive, NoBugUpTo, SearchOptions, analyze_source, generalize,
-    lazy_search, naive_search,
+    BugFound, Inconclusive, NoBugUpTo, SearchOptions, analyze_source, lazy_search,
 )
 from hyperfind.graph import Quantifier
 from hyperfind.logic import Cmp, IntLit, Var

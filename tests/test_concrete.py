@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from hyperfind import concrete, frontend, logic
 from hyperfind.concrete import check_at, enumerate_observed, oracle_check, replay, step
 from hyperfind.graph import Quantifier

@@ -149,12 +149,14 @@ def test_combinations_count_pairs(opts):
             == sum(2 ** k for k in (1, 2, 3, 4)))
 
 
+# The `x % 3` guard keeps the paths' feasibility checks on the solver, so a
+# search runs feasibility checks and queries on it.
 ONE_LOOP = """
     prog p {
       loop {
         input x;
         if (x > 0) {
-          if (x < 3) { out := x; } else { out := 0; }
+          if (x % 3 == 1) { out := x; } else { out := 0; }
         } else {
           out := 0;
         }
@@ -622,6 +624,18 @@ def test_manifest_search_work_is_pinned(opts, extend_calls, entry, algorithm):
             stats["feasibility_calls"], extend_calls[0]) == MANIFEST_WORK[entry["name"], algorithm]
 
 
+@pytest.mark.parametrize("algorithm", ["lazy", "naive"])
+def test_countdown_paths_never_reach_the_solver(solver_argv, extend_calls, algorithm):
+    # Each path of factorial.hyp bounds its input from below and above, so
+    # `Feasibility` decides all of them without the solver (68 checks went
+    # to it when only disjoint atoms were decided).
+    opts = SearchOptions(solver_argv=solver_argv, step_budget=140)
+    result = analyze_source(bench_source("factorial.hyp"), n=1, algorithm=algorithm, opts=opts)
+    assert driver.verdict_name(result.verdict) == ("inconclusive", None)
+    assert result.stats.feasibility_calls == 0
+    assert extend_calls[0] == 175
+
+
 # Lazy searches that decide queries without the solver: the manifest's at
 # their bounds, and two counting properties whose every query is decided.
 DECIDING_SEARCHES = [(entry["file"], entry["max_observations"])
@@ -701,7 +715,16 @@ def test_domain_unsat_scope_is_never_a_witness(monkeypatch, otherwise, verdict):
     # the domain 0..1 its scope (path and domain) is unsat: it is no
     # witness, and no match is left unless `x == 0` supplies one.
     source = DOMAIN_SPEC.format(otherwise=otherwise)
+    checks = [0]
+    check = symexec.Feasibility.check
+
+    def counted(self, formula):
+        checks[0] += 1
+        return check(self, formula)
+
+    monkeypatch.setattr(symexec.Feasibility, "check", counted)
     free = analyze_source(source, n=3)
+    free_checks, checks[0] = checks[0], 0
     assert free.verdict == NoBugUpTo(3)
     assert free.stats.decided == 1 + 1 + 1
     decided = record_decided(monkeypatch)
@@ -718,8 +741,7 @@ def test_domain_unsat_scope_is_never_a_witness(monkeypatch, otherwise, verdict):
         # checks, each candidate's scope is checked once in its bound: at
         # bound k, the 2^k traces that output 1 at every index, until the
         # first one that never takes x > 5.
-        scope_checks = result.stats.feasibility_calls - free.stats.feasibility_calls
-        assert scope_checks == 2 + 4 + 8
+        assert checks[0] - free_checks == 2 + 4 + 8
     with smt.Solver(smt.BUNDLED_SOLVER) as solver:
         for _, scope in decided:
             assert isinstance(solver.check(scope), smt.Sat)

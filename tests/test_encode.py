@@ -5,7 +5,7 @@ import pytest
 
 from hyperfind import concrete, driver, encode, frontend, logic, smt, symexec
 from hyperfind.encode import EncodingError, lazy_query, prepare_existential
-from hyperfind.logic import BoolLit, Cmp, IntLit, Var
+from hyperfind.logic import Cmp, IntLit, Var
 from hyperfind.symexec import Feasibility, FreshSupply, SymTrace, make_state, observe
 
 from conftest import (BENCH_DIR, QuantifiedTraces, assert_equivalent, bench_source,

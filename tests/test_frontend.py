@@ -1,7 +1,7 @@
 import pytest
 
 from hyperfind import concrete, frontend, logic
-from hyperfind.frontend import ParseError, SObserve, lower, parse
+from hyperfind.frontend import ParseError, lower, parse
 from hyperfind.graph import Quantifier
 from hyperfind.logic import Cmp, IntLit, Var
 

@@ -9,8 +9,7 @@ from hyperfind.logic import (
 )
 from hyperfind.symexec import Feasibility, FreshSupply, observe
 
-from conftest import (all_assignments, assert_equivalent, bench_source, random_formula,
-                      random_term)
+from conftest import assert_equivalent, bench_source, random_formula, random_term
 
 
 def test_eval_term_literal_arithmetic():
@@ -102,16 +101,19 @@ SELF_COMPARED = {
 
 @pytest.mark.parametrize("build", SELF_COMPARED.values(), ids=SELF_COMPARED.keys())
 def test_cmp_folds_a_term_compared_with_itself(build):
-    # Two equal terms built apart fold under every operator, to the value
-    # that the comparison has at every point.
+    # Two equal terms built apart, or a term and an offset of it, fold
+    # under every operator, to the value that the comparison has at every
+    # point.
     term = build()
+    other = logic.add(term, IntLit(1))
     for op, value in (("=", True), ("<=", True), (">=", True),
                       ("!=", False), ("<", False), (">", False)):
         assert logic.cmp(op, term, build()) == BoolLit(value)
+        shifted = logic.cmp(op, term, other)
+        assert isinstance(shifted, BoolLit)
         for x, y in ((-5, 2), (0, 0), (7, -3)):
             assert eval_formula(Cmp(op, term, term), {"x": x, "y": y}) is value
-        other = logic.add(term, IntLit(1))
-        assert logic.cmp(op, term, other) == Cmp(op, term, other)
+            assert eval_formula(Cmp(op, term, other), {"x": x, "y": y}) is shifted.value
         assert logic.cmp(op, term, Var("z")) == Cmp(op, term, Var("z"))
 
 

@@ -286,13 +286,16 @@ def feasibility_then_query(solver):
     `Feasibility` so that the caller can read its counter."""
     v0 = Var("v!0")
     feas = Feasibility(solver)
-    narrow = logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(3))])
+    # Both paths carry a `mod` term, so `Feasibility` sends them to the
+    # solver rather than deciding them from bounds.
+    even = Cmp("=", logic.mod(v0, IntLit(2)), IntLit(0))
+    narrow = logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(3)), even])
     assert isinstance(feas.check(narrow), Sat)
     # The query's binder shadows the constant v!0 that the feasibility
     # check declared; the declaration must outlive the query.
     query = Quant("forall", ("v!0",), Cmp("!=", v0, Var("v!1")))
     assert isinstance(solver.check(query, wanted=["v!1"]), Unsat)
-    empty = logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(1))])
+    empty = logic.conj([Cmp(">", v0, IntLit(0)), Cmp("<", v0, IntLit(2)), even])
     assert isinstance(feas.check(empty), Unsat)
     return feas
 

@@ -1,4 +1,3 @@
-import itertools
 import json
 import os
 import random
@@ -7,7 +6,7 @@ import re
 import pytest
 
 from hyperfind import concrete, driver, frontend, logic, smt, symexec
-from hyperfind.logic import BoolLit, Cmp, IntLit, Var
+from hyperfind.logic import Cmp, IntLit, Not, Var
 from hyperfind.symexec import (
     Feasibility, FreshSupply, Walk, concretize, extend, initial_state, observe,
 )
@@ -256,16 +255,116 @@ def test_concretize_unbound_fresh_variable_errors(feas):
         concretize(trace.states, {})
 
 
-def test_trivially_sat_filter_is_conservative():
-    assert symexec._trivially_sat(Cmp("<", Var("a"), Var("b")))
-    assert symexec._trivially_sat(logic.conj(
-        [Cmp("=", Var("a"), IntLit(1)), logic.negate(Cmp("=", Var("b"), IntLit(0)))]))
-    # shared variables or compound terms must go to the solver
-    assert not symexec._trivially_sat(logic.conj(
-        [Cmp("<", Var("a"), IntLit(0)), Cmp(">", Var("a"), IntLit(0))]))
-    assert not symexec._trivially_sat(Cmp("<", Var("a"), Var("a")))
-    assert not symexec._trivially_sat(
-        Cmp("=", logic.add(Var("a"), IntLit(1)), IntLit(0)))
+def test_decide_settles_bounds_and_leaves_the_rest_to_the_solver():
+    a, b = Var("a"), Var("b")
+    decide = symexec._decide
+    # difference atoms and bounds over disjoint variables
+    assert decide(Cmp("<", a, b)) == smt.Sat({})
+    assert decide(logic.conj(
+        [Cmp("=", a, IntLit(1)), logic.negate(Cmp("=", b, IntLit(0)))])) == smt.Sat({})
+    # bounds on one variable: the strongest decides
+    assert decide(logic.conj(
+        [Cmp("<", a, IntLit(0)), Cmp(">", a, IntLit(0))])) == smt.Unsat()
+    assert decide(logic.conj(
+        [Cmp("<", a, IntLit(3)), Cmp(">=", a, IntLit(3))])) == smt.Unsat()
+    assert decide(Cmp("=", logic.add(a, IntLit(1)), IntLit(0))) == smt.Sat({})
+    assert decide(Cmp("=", logic.mul(IntLit(2), a), IntLit(1))) == smt.Unsat()
+    countdown = logic.conj([Cmp(">", logic.sub(a, IntLit(j)), IntLit(0)) for j in range(5)]
+                           + [logic.negate(Cmp(">", logic.sub(a, IntLit(5)), IntLit(0)))])
+    assert decide(countdown) == smt.Sat({})
+    assert decide(logic.conj([countdown, Cmp("!=", a, IntLit(5))])) == smt.Unsat()
+    # a raw self-comparison is ground
+    assert decide(Cmp("<", a, a)) == smt.Unsat()
+    # a difference atom whose variable carries a bound, and div or mod
+    assert decide(logic.conj([Cmp("<", a, b), Cmp(">", a, IntLit(0))])) is None
+    assert decide(Cmp("=", logic.mod(a, IntLit(2)), IntLit(1))) is None
+
+
+def random_conjunction(rng, kinds):
+    """A random conjunction over a and b that `_decide` may settle, and adds
+    to `kinds` the kinds of conjunct it drew."""
+    names = ["a", "b"]
+
+    def linear(name):
+        """`c * name + r`, with its c and r; c ranges beyond [-9, 9], over
+        both signs."""
+        c = rng.choice([n for n in range(-40, 41) if n])
+        if abs(c) > 9:
+            kinds.add("wide")
+        if c < 0:
+            kinds.add("negative")
+        r = rng.randint(-6, 6)
+        return logic.add(logic.mul(IntLit(c), Var(name)), IntLit(r)), c, r
+
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["bound", "bound", "meet", "equal", "holes", "pair", "divmod"])
+        name = rng.choice(names)
+        if kind == "bound":
+            # near `c * x + r op c * p + r` for a small p, so that bounds on
+            # one variable often meet or just miss each other
+            term, c, r = linear(name)
+            value = c * rng.randint(-3, 3) + r + rng.randint(-1, 1)
+            parts.append(Cmp(rng.choice(["<", "<=", ">", ">=", "=", "!="]), term,
+                             IntLit(value)))
+        elif kind == "meet":
+            # two bounds whose boundaries meet at one point p
+            p = rng.randint(-3, 3)
+            for _ in range(2):
+                term, c, r = linear(name)
+                parts.append(Cmp(rng.choice(["<", "<=", ">", ">="]), term, IntLit(c * p + r)))
+        elif kind == "equal":
+            # `c * x + r = j * c + r + d` with 0 < d < |c|: no integer x
+            term, c, r = linear(name)
+            if abs(c) < 2:
+                continue
+            value = rng.randint(-3, 3) * c + r + rng.randint(1, abs(c) - 1)
+            parts.append(Cmp("=", term, IntLit(value)))
+            kind = "indivisible"
+        elif kind == "holes":
+            # a finite interval with all, or all but one, of its points removed
+            lo, width = rng.randint(-4, 4), rng.randint(0, 3)
+            parts += [Cmp(">=", Var(name), IntLit(lo)), Cmp("<=", Var(name), IntLit(lo + width))]
+            keep = rng.choice([None, rng.randint(lo, lo + width)])
+            parts += [Cmp("!=", Var(name), IntLit(p))
+                      for p in range(lo, lo + width + 1) if p != keep]
+            if keep is None:
+                kind = "filled"
+        elif kind == "pair":
+            x, y = rng.sample(names, 2)
+            right = logic.add(Var(y), IntLit(rng.randint(-3, 3)))
+            parts.append(Cmp(rng.choice(["<", "<=", ">", ">=", "=", "!="]), Var(x), right))
+        else:
+            term = rng.choice([logic.mod, logic.div])(Var(name), IntLit(rng.randint(2, 4)))
+            parts.append(Cmp(rng.choice(["<", "=", "!="]), term, IntLit(rng.randint(-1, 3))))
+        kinds.add(kind)
+        if rng.random() < 0.3:
+            parts[-1] = Not(parts[-1])
+            kinds.add("negated")
+    return logic.conj(parts)
+
+
+def test_decide_agrees_with_the_bundled_solver():
+    rng = random.Random(15)
+    kinds, answers = set(), {"Sat": 0, "Unsat": 0, "solver": 0}
+    with smt.Solver(smt.BUNDLED_SOLVER) as solver:
+        for _ in range(1500):
+            drawn = set()
+            path = random_conjunction(rng, drawn)
+            kinds |= drawn
+            decided = symexec._decide(path)
+            if "divmod" in drawn:
+                assert decided is None, path
+            if decided is None:
+                answers["solver"] += 1
+                continue
+            truth = solver.check(path)
+            assert not isinstance(truth, smt.Unknown), path
+            assert type(decided) is type(truth), path
+            answers[type(decided).__name__] += 1
+    assert kinds >= {"bound", "meet", "wide", "negative", "indivisible", "holes", "filled",
+                     "negated", "pair", "divmod"}
+    assert min(answers.values()) > 100, answers
 
 
 def symbolic_concretization_set(trace, domain):
