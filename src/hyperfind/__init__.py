@@ -11,9 +11,8 @@ from .driver import (
     generalize,
     lazy_search,
     naive_search,
-    oracle_source,
 )
-from .frontend import ParseError, load, parse
+from .frontend import ParseError, load
 
 __all__ = [
     "BugFound",
@@ -28,6 +27,4 @@ __all__ = [
     "lazy_search",
     "load",
     "naive_search",
-    "oracle_source",
-    "parse",
 ]

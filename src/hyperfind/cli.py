@@ -90,6 +90,10 @@ def _parse_domain(text: str) -> Optional[range]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Python 3.11+ caps int/str conversion at 4,300 digits; literals,
+        # models and reports here may have any number of digits.
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

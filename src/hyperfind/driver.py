@@ -26,9 +26,6 @@ symbolic execution tree that each bound searches breadth-first afresh,
 extending only the nodes no earlier bound reached. The existential side
 uses the universal side's walk when both range over the same program and
 observation set (see `_walks`).
-
-`oracle_source` hands the loaded quantifiers, unfolded, to the
-finite-domain oracle (`concrete.oracle_check`).
 """
 
 from __future__ import annotations
@@ -351,12 +348,6 @@ def analyze_source(source: str, n: int = DEFAULT_MAX_OBSERVATIONS,
     if algorithm == "lazy":
         return lazy_search(gen, n, opts)
     raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def oracle_source(source: str, k: int, domain: Sequence[int],
-                  step_budget: Optional[int] = None) -> concrete.OracleResult:
-    loaded = frontend.load(source)
-    return concrete.oracle_check(loaded.quantifiers, loaded.body, k, domain, step_budget)
 
 
 def verdict_name(verdict: Verdict) -> Tuple[str, Optional[int]]:

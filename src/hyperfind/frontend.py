@@ -8,8 +8,10 @@ observation label sets, followed by a single `always (...)` invariant over
 trace-indexed variables written `x@pi`. The full grammar is documented in
 the README.
 
-`parse` returns the syntax tree. `load` also lowers each program to a graph
-and resolves each quantifier once, to a `graph.Quantifier` over its
+`load` is the one entry point. There is no syntax tree: the parser lowers
+each program to its graph as it parses it, statement by statement. Once the
+whole file has parsed, `load` checks the specification against the lowered
+programs and resolves each quantifier once, to a `graph.Quantifier` over its
 program's graph and the locations of its observation labels: the form that
 the search and the oracle both take.
 """
@@ -86,9 +88,9 @@ def tokenize(source: str) -> List[Token]:
             tokens.append(Token(kind, text, line, col))
             col += i - start
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # not str.isdigit, which takes any Unicode digit
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and "0" <= source[i] <= "9":
                 i += 1
             tokens.append(Token("int", source[start:i], line, col))
             col += i - start
@@ -105,82 +107,29 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
-# ---------------------------------------------------------------------------
-# AST
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SAssign:
-    target: str
-    expr: Term
+@dataclass
+class LoweredProgram:
+    graph: ProgramGraph
+    labels: Dict[str, FrozenSet[int]]
 
 
-@dataclass(frozen=True)
-class SHavoc:
-    target: str
-
-
-@dataclass(frozen=True)
-class SSkip:
-    pass
-
-
-@dataclass(frozen=True)
-class SObserve:
-    label: str
-
-
-@dataclass(frozen=True)
-class SIf:
-    cond: Formula
-    then_body: tuple
-    else_body: tuple
-
-
-@dataclass(frozen=True)
-class SWhile:
-    cond: Formula
-    body: tuple
-
-
-@dataclass(frozen=True)
-class SLoop:
-    body: tuple
-
-
-@dataclass(frozen=True)
-class SEither:
-    first: tuple
-    second: tuple
-
-
-@dataclass(frozen=True)
-class ProgramAst:
-    name: str
-    body: tuple
-
-
-@dataclass(frozen=True)
-class SpecQuant:
-    kind: str  # "forall" | "exists"
-    trace_var: str
-    program: str
-    labels: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SpecAst:
-    quantifiers: Tuple[SpecQuant, ...]
-    body: Formula  # over variables named "x@pi"
-
-
-@dataclass(frozen=True)
-class InputFile:
-    programs: Tuple[ProgramAst, ...]
-    spec: SpecAst
+_Quant = Tuple[str, str, str, List[str]]  # kind, trace variable, program, labels
 
 
 class _Parser:
+    """Recursive descent that lowers each program to its graph as it parses.
+
+    Standard CFG construction, one observed location per observe statement.
+    A statement allocates its locations and emits its edges as soon as it is
+    parsed: if yields two guarded skip edges (cond first); while yields the
+    loop edge before the exit edge; either declares its first block first.
+    Both branches of if/either rejoin through balanced skip edges so that
+    equal length branches stay aligned in breadth-first exploration.
+    Program variables are implicitly declared and start at 0. They are
+    recorded in first-use order: each assigned or havocked target, and the
+    variables of each term after folding, so `y := x * 0;` uses no `x`.
+    """
+
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -211,85 +160,142 @@ class _Parser:
 
     # -- file ---------------------------------------------------------------
 
-    def parse_file(self) -> InputFile:
+    def parse_file(self) -> Tuple[List[LoweredProgram], List[_Quant], Formula]:
         programs = []
         while self.at("keyword", "prog"):
             programs.append(self.parse_program())
         if self.at("eof"):
             raise self.error("no specification (expected 'forall' after program definitions)")
-        spec = self.parse_spec()
+        quants, body = self.parse_spec()
         self.expect("eof")
-        return InputFile(tuple(programs), spec)
+        return programs, quants, body
 
-    def parse_program(self) -> ProgramAst:
+    def parse_program(self) -> LoweredProgram:
         self.expect("keyword", "prog")
         name = self.expect("ident").text
-        body = self.parse_block()
-        return ProgramAst(name, body)
+        self.edges: List[Edge] = []
+        self.labels: Dict[str, set] = {}
+        self.variables: Dict[str, None] = {}
+        self.count = 0
+        initial = self.fresh()
+        self.parse_block(initial)
+        graph = ProgramGraph(
+            name=name,
+            locations=tuple(range(self.count)),
+            edges=tuple(self.edges),
+            initial=initial,
+            variables=tuple(self.variables),
+        )
+        return LoweredProgram(graph, {lab: frozenset(locs) for lab, locs in self.labels.items()})
 
-    def parse_block(self) -> tuple:
+    # -- lowering -----------------------------------------------------------
+
+    def fresh(self) -> int:
+        self.count += 1
+        return self.count - 1
+
+    def emit(self, src: int, dst: int, guard: Formula, effect) -> None:
+        self.edges.append(Edge(src, dst, guard, effect))
+
+    def step(self, entry: int, effect) -> int:
+        exit_ = self.fresh()
+        self.emit(entry, exit_, logic.TRUE, effect)
+        return exit_
+
+    def branch(self, entry: int, first: Formula, second: Formula) -> Tuple[int, int]:
+        first_entry = self.fresh()
+        second_entry = self.fresh()
+        self.emit(entry, first_entry, first, SKIP)
+        self.emit(entry, second_entry, second, SKIP)
+        return first_entry, second_entry
+
+    def join(self, first_exit: int, second_exit: int) -> int:
+        join = self.fresh()
+        self.emit(first_exit, join, logic.TRUE, SKIP)
+        self.emit(second_exit, join, logic.TRUE, SKIP)
+        return join
+
+    def use(self, names) -> None:
+        for name in names:
+            self.variables.setdefault(name, None)
+
+    def parse_cond(self) -> Formula:
+        self.expect("punct", "(")
+        cond = self.parse_bexpr(allow_trace_vars=False)
+        self.expect("punct", ")")
+        self.use(_ordered_vars(cond))
+        return cond
+
+    # -- statements ---------------------------------------------------------
+
+    def parse_block(self, entry: int) -> int:
+        """Lower a block from `entry`; returns its exit location."""
         self.expect("punct", "{")
-        stmts = []
+        at = entry
         while not self.at("punct", "}"):
-            stmts.append(self.parse_stmt())
+            at = self.parse_stmt(at)
         self.expect("punct", "}")
-        return tuple(stmts)
+        return at
 
-    def parse_stmt(self):
+    def parse_stmt(self, entry: int) -> int:
         tok = self.peek()
         if tok.kind == "keyword":
             if tok.text in ("havoc", "input"):
                 self.advance()
                 target = self.expect("ident").text
                 self.expect("punct", ";")
-                return SHavoc(target)
+                self.use([target])
+                return self.step(entry, Havoc(target))
             if tok.text == "skip":
                 self.advance()
                 self.expect("punct", ";")
-                return SSkip()
+                return self.step(entry, SKIP)
             if tok.text == "observe":
                 self.advance()
                 label = self.expect("ident").text
                 self.expect("punct", ";")
-                return SObserve(label)
+                obs = self.step(entry, SKIP)
+                self.labels.setdefault(label, set()).add(obs)
+                return obs
             if tok.text == "if":
                 self.advance()
-                self.expect("punct", "(")
-                cond = self.parse_bexpr(allow_trace_vars=False)
-                self.expect("punct", ")")
-                then_body = self.parse_block()
-                else_body: tuple = ()
+                cond = self.parse_cond()
+                then_entry, else_entry = self.branch(entry, cond, logic.negate(cond))
+                then_exit = self.parse_block(then_entry)
+                else_exit = else_entry
                 if self.at("keyword", "else"):
                     self.advance()
-                    else_body = self.parse_block()
-                return SIf(cond, then_body, else_body)
+                    else_exit = self.parse_block(else_entry)
+                return self.join(then_exit, else_exit)
             if tok.text == "while":
                 self.advance()
-                self.expect("punct", "(")
-                cond = self.parse_bexpr(allow_trace_vars=False)
-                self.expect("punct", ")")
-                return SWhile(cond, self.parse_block())
+                cond = self.parse_cond()
+                body_entry, exit_ = self.branch(entry, cond, logic.negate(cond))
+                self.emit(self.parse_block(body_entry), entry, logic.TRUE, SKIP)
+                return exit_
             if tok.text == "loop":
                 self.advance()
-                return SLoop(self.parse_block())
+                self.emit(self.parse_block(entry), entry, logic.TRUE, SKIP)
+                return self.fresh()  # unreachable: the loop never exits
             if tok.text == "either":
                 self.advance()
-                first = self.parse_block()
+                first_entry, second_entry = self.branch(entry, logic.TRUE, logic.TRUE)
+                first_exit = self.parse_block(first_entry)
                 self.expect("keyword", "or")
-                second = self.parse_block()
-                return SEither(first, second)
+                return self.join(first_exit, self.parse_block(second_entry))
             raise self.error(f"unexpected keyword {tok.text!r} in statement position")
         if tok.kind == "ident":
             target = self.advance().text
             self.expect("punct", ":=")
             expr = self.parse_aexpr(allow_trace_vars=False)
             self.expect("punct", ";")
-            return SAssign(target, expr)
+            self.use([target, *_ordered_vars(expr)])
+            return self.step(entry, Assign(target, expr))
         raise self.error(f"expected a statement, found {tok.text!r}")
 
     # -- specification ------------------------------------------------------
 
-    def parse_spec(self) -> SpecAst:
+    def parse_spec(self) -> Tuple[List[_Quant], Formula]:
         quants = []
         while self.at("keyword", "forall") or self.at("keyword", "exists"):
             kind = self.advance().text
@@ -304,14 +310,14 @@ class _Parser:
                 labels.append(self.expect("ident").text)
             self.expect("punct", "}")
             self.expect("punct", ".")
-            quants.append(SpecQuant(kind, trace_var, program, tuple(labels)))
+            quants.append((kind, trace_var, program, labels))
         if not quants:
             raise self.error("expected 'forall' or 'exists'")
         self.expect("keyword", "always")
         self.expect("punct", "(")
         body = self.parse_bexpr(allow_trace_vars=True)
         self.expect("punct", ")")
-        return SpecAst(tuple(quants), body)
+        return quants, body
 
     # -- expressions ----------------------------------------------------------
 
@@ -413,38 +419,6 @@ class _Parser:
         raise self.error(f"expected an expression, found {tok.text!r}")
 
 
-def collect_vars(ast: ProgramAst) -> Tuple[str, ...]:
-    """Program variables in first-use order (implicitly declared, start at 0)."""
-    seen: Dict[str, None] = {}
-
-    def add_term_vars(node):
-        for v in _ordered_vars(node):
-            seen.setdefault(v, None)
-
-    def walk(stmts):
-        for s in stmts:
-            if isinstance(s, SAssign):
-                seen.setdefault(s.target, None)
-                add_term_vars(s.expr)
-            elif isinstance(s, SHavoc):
-                seen.setdefault(s.target, None)
-            elif isinstance(s, SIf):
-                add_term_vars(s.cond)
-                walk(s.then_body)
-                walk(s.else_body)
-            elif isinstance(s, SWhile):
-                add_term_vars(s.cond)
-                walk(s.body)
-            elif isinstance(s, SLoop):
-                walk(s.body)
-            elif isinstance(s, SEither):
-                walk(s.first)
-                walk(s.second)
-
-    walk(ast.body)
-    return tuple(seen)
-
-
 def _ordered_vars(node) -> List[str]:
     if isinstance(node, logic.Var):
         return [node.name]
@@ -465,109 +439,6 @@ def _ordered_vars(node) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Lowering
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LoweredProgram:
-    graph: ProgramGraph
-    labels: Dict[str, FrozenSet[int]]
-
-
-def lower(ast: ProgramAst) -> LoweredProgram:
-    """Standard CFG construction, one observed location per observe statement.
-
-    if yields two guarded skip edges (cond first); while yields the loop
-    edge before the exit edge; either declares its first block first. Both
-    branches of if/either rejoin through balanced skip edges so that equal
-    length branches stay aligned in breadth-first exploration.
-    """
-    edges: List[Edge] = []
-    labels: Dict[str, set] = {}
-    counter = [0]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    def emit(src: int, dst: int, guard: Formula, effect) -> None:
-        edges.append(Edge(src, dst, guard, effect))
-
-    def lower_block(stmts, entry: int) -> int:
-        at = entry
-        for s in stmts:
-            at = lower_stmt(s, at)
-        return at
-
-    def lower_stmt(s, entry: int) -> int:
-        if isinstance(s, SAssign):
-            exit_ = fresh()
-            emit(entry, exit_, logic.TRUE, Assign(s.target, s.expr))
-            return exit_
-        if isinstance(s, SHavoc):
-            exit_ = fresh()
-            emit(entry, exit_, logic.TRUE, Havoc(s.target))
-            return exit_
-        if isinstance(s, SSkip):
-            exit_ = fresh()
-            emit(entry, exit_, logic.TRUE, SKIP)
-            return exit_
-        if isinstance(s, SObserve):
-            obs = fresh()
-            emit(entry, obs, logic.TRUE, SKIP)
-            labels.setdefault(s.label, set()).add(obs)
-            return obs
-        if isinstance(s, SIf):
-            then_entry = fresh()
-            else_entry = fresh()
-            emit(entry, then_entry, s.cond, SKIP)
-            emit(entry, else_entry, logic.negate(s.cond), SKIP)
-            then_exit = lower_block(s.then_body, then_entry)
-            else_exit = lower_block(s.else_body, else_entry)
-            join = fresh()
-            emit(then_exit, join, logic.TRUE, SKIP)
-            emit(else_exit, join, logic.TRUE, SKIP)
-            return join
-        if isinstance(s, SWhile):
-            head = entry
-            body_entry = fresh()
-            exit_ = fresh()
-            emit(head, body_entry, s.cond, SKIP)
-            emit(head, exit_, logic.negate(s.cond), SKIP)
-            body_exit = lower_block(s.body, body_entry)
-            emit(body_exit, head, logic.TRUE, SKIP)
-            return exit_
-        if isinstance(s, SLoop):
-            head = entry
-            body_exit = lower_block(s.body, head)
-            emit(body_exit, head, logic.TRUE, SKIP)
-            return fresh()  # unreachable: the loop never exits
-        if isinstance(s, SEither):
-            first_entry = fresh()
-            second_entry = fresh()
-            emit(entry, first_entry, logic.TRUE, SKIP)
-            emit(entry, second_entry, logic.TRUE, SKIP)
-            first_exit = lower_block(s.first, first_entry)
-            second_exit = lower_block(s.second, second_entry)
-            join = fresh()
-            emit(first_exit, join, logic.TRUE, SKIP)
-            emit(second_exit, join, logic.TRUE, SKIP)
-            return join
-        raise TypeError(f"unexpected statement {s!r}")
-
-    initial = fresh()
-    lower_block(ast.body, initial)
-    graph = ProgramGraph(
-        name=ast.name,
-        locations=tuple(range(counter[0])),
-        edges=tuple(edges),
-        initial=initial,
-        variables=collect_vars(ast),
-    )
-    return LoweredProgram(graph, {lab: frozenset(locs) for lab, locs in labels.items()})
-
-
-# ---------------------------------------------------------------------------
 # Whole-file parsing and validation
 # ---------------------------------------------------------------------------
 
@@ -580,70 +451,64 @@ class LoadedSpec:
     body: Formula  # over variables named "x@pi"
 
 
-def parse(source: str) -> InputFile:
-    """Parse an input file; raises ParseError with position on bad input."""
-    parser = _Parser(tokenize(source))
-    parsed = parser.parse_file()
-    _validate(parsed)
-    return parsed
-
-
 def load(source: str) -> LoadedSpec:
+    """Parse and lower an input file; raises ParseError with position on
+    bad input, and without one when the specification does not fit the
+    programs."""
     try:
-        parsed = parse(source)
-        programs = {p.name: lower(p) for p in parsed.programs}
+        programs, quants, body = _Parser(tokenize(source)).parse_file()
+        _validate(programs, quants, body)
     except RecursionError:
         # The parser and the term walks recurse once per nesting level.
         raise ParseError("input nests too deeply to load "
                          "(Python's recursion limit was exceeded)") from None
+    by_name = {p.graph.name: p for p in programs}
     quantifiers = []
-    for quant in parsed.spec.quantifiers:
-        lowered = programs[quant.program]
+    for kind, trace_var, program, labels in quants:
+        lowered = by_name[program]
         observed: FrozenSet[int] = frozenset()
-        for lab in quant.labels:
+        for lab in labels:
             if lab not in lowered.labels:
                 raise ParseError(
-                    f"program {quant.program!r} has no observation label {lab!r}")
+                    f"program {program!r} has no observation label {lab!r}")
             observed |= lowered.labels[lab]
-        quantifiers.append(Quantifier(quant.kind, quant.trace_var, lowered.graph, observed))
-    return LoadedSpec(programs, tuple(quantifiers), parsed.spec.body)
+        quantifiers.append(Quantifier(kind, trace_var, lowered.graph, observed))
+    return LoadedSpec(by_name, tuple(quantifiers), body)
 
 
-def _validate(parsed: InputFile) -> None:
-    names = [p.name for p in parsed.programs]
+def _validate(programs: List[LoweredProgram], quants: List[_Quant], body: Formula) -> None:
+    names = [p.graph.name for p in programs]
     for name in names:
         if names.count(name) > 1:
             raise ParseError(f"duplicate program name {name!r}")
 
-    quants = parsed.spec.quantifiers
     seen_exists = False
-    for q in quants:
-        if q.kind == "exists":
+    for kind, _, _, _ in quants:
+        if kind == "exists":
             seen_exists = True
         elif seen_exists:
             raise ParseError("unsupported quantifier prefix: all universal quantifiers "
                              "must precede all existential quantifiers")
-    if quants[0].kind != "forall":
+    if quants[0][0] != "forall":
         raise ParseError("unsupported quantifier prefix: at least one leading "
                          "universal quantifier is required")
-    trace_vars = [q.trace_var for q in quants]
+    trace_vars = [trace_var for _, trace_var, _, _ in quants]
     for tv in trace_vars:
         if trace_vars.count(tv) > 1:
             raise ParseError(f"duplicate trace variable {tv!r}")
-    by_trace = {q.trace_var: q for q in quants}
-    progs = {p.name: p for p in parsed.programs}
-    for q in quants:
-        if q.program not in progs:
-            raise ParseError(f"unknown program {q.program!r} in quantifier")
+    by_trace = {trace_var: program for _, trace_var, program, _ in quants}
+    graphs = {p.graph.name: p.graph for p in programs}
+    for _, _, program, _ in quants:
+        if program not in graphs:
+            raise ParseError(f"unknown program {program!r} in quantifier")
 
-    for name in sorted(logic.free_vars(parsed.spec.body)):
+    for name in sorted(logic.free_vars(body)):
         if "@" not in name:
             raise ParseError(f"specification variable {name!r} is not trace-indexed "
                              f"(write x@{trace_vars[0]})")
         var, trace = name.rsplit("@", 1)
         if trace not in by_trace:
             raise ParseError(f"unknown trace variable {trace!r} in specification body")
-        prog_vars = collect_vars(progs[by_trace[trace].program])
-        if var not in prog_vars:
+        if var not in graphs[by_trace[trace]].variables:
             raise ParseError(f"variable {var!r} is not a variable of program "
-                             f"{by_trace[trace].program!r}")
+                             f"{by_trace[trace]!r}")

@@ -118,7 +118,9 @@ def default_step_budget(graph: ProgramGraph, k: int) -> int:
 class Product:
     graph: ProgramGraph
     observed: FrozenSet[int]
-    # location -> (side, copy index, original location, is re-entry point)
+    # location -> (side, copy index, original location, is re-entry point).
+    # No search reads it: it is kept as the oracle of the product tests,
+    # which split each product trace back into its two component traces.
     origin: Dict[int, Tuple[int, int, int, bool]]
 
 

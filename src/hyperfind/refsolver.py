@@ -834,6 +834,10 @@ def dispatch(session: Session, command: tuple):
 
 
 def main() -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Python 3.11+ caps int/str conversion at 4,300 digits; the literals
+        # of a command and the values of a model may have any number.
+        sys.set_int_max_str_digits(0)
     return run()
 
 

@@ -356,15 +356,6 @@ class ObserveStream:
             nodes = walk.children(queue.popleft())
 
 
-def observe(graph: ProgramGraph, observed: FrozenSet[int], n: int,
-            supply: FreshSupply, feasibility: Feasibility,
-            step_budget: Optional[int] = None,
-            node_budget: Optional[int] = DEFAULT_NODE_BUDGET) -> ObserveStream:
-    """The traces with n observations alone."""
-    return Walk(graph, observed, n, supply, feasibility, step_budget,
-                node_budget).stream(n)
-
-
 def concretize(states: Sequence[SymState],
                rho: Dict[str, int]) -> List[Tuple[int, Dict[str, int]]]:
     """Instantiate the symbolic memory of every state under rho."""

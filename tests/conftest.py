@@ -24,7 +24,7 @@ from hyperfind.encode import (EncodingError, _apart, _body_slots, _domain_constr
                               _image, _own)
 from hyperfind.graph import Assign, Edge, Havoc, ProgramGraph, SKIP
 from hyperfind.logic import Cmp, Formula, IntLit, Term, Var
-from hyperfind.symexec import SymTrace
+from hyperfind.symexec import DEFAULT_NODE_BUDGET, SymTrace, Walk
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -202,6 +202,14 @@ def random_observed(rng: random.Random, graph: ProgramGraph, limit: int = 2):
 # ---------------------------------------------------------------------------
 # Reference exploration
 # ---------------------------------------------------------------------------
+
+def observe(graph, observed, n, supply, feasibility, step_budget=None,
+            node_budget=DEFAULT_NODE_BUDGET):
+    """The traces with n observations alone: bound n's stream of a walk
+    made for it."""
+    return Walk(graph, observed, n, supply, feasibility, step_budget,
+                node_budget).stream(n)
+
 
 def fresh_bound_search(graph, observed, n, supply, feasibility,
                        step_budget=None, node_budget=None):

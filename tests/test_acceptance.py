@@ -12,10 +12,10 @@ from hyperfind.driver import (
 )
 from hyperfind.graph import Quantifier
 from hyperfind.logic import Cmp, IntLit, Var
-from hyperfind.symexec import Feasibility, FreshSupply, observe
+from hyperfind.symexec import Feasibility, FreshSupply
 
-from conftest import (QuantifiedTraces, bench_source, closed_encoding, random_graph,
-                      random_observed, set_zero_graph)
+from conftest import (QuantifiedTraces, bench_source, closed_encoding, observe,
+                      random_graph, random_observed, set_zero_graph)
 from test_graph import product_pair_check
 from test_symexec import equivalence_check
 

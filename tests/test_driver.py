@@ -323,6 +323,44 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.fixture
+def default_int_digits():
+    """Python's default int/str digit limit (3.11+) for the test, restored
+    afterwards: `cli.main` lifts it for the whole process."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("assigned, value", [
+    ("7" * 5000, 7 * (10 ** 5000 - 1) // 9),  # 5,000 sevens
+    ("3" * 3000 + " * " + "3" * 3000, ((10 ** 3000 - 1) // 3) ** 2),
+], ids=["literal-5000-digits", "product-of-3000-digits"])
+def test_cli_reports_integers_of_any_length(tmp_path, capsys, default_int_digits,
+                                            assigned, value):
+    path = tmp_path / "long.hyp"
+    path.write_text(f"prog p {{ x := {assigned}; observe a; }}\n"
+                    "forall t in p obs {a} . always (x@t == 0)")
+    assert cli_main([str(path), "--report", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    cex = json.loads(out)["counterexample"]
+    assert cex["full_trace"][-1]["memory"] == {"x": value}
+
+
+def test_cli_rejects_a_non_ascii_digit(tmp_path, capsys):
+    path = tmp_path / "digit.hyp"
+    path.write_text("prog p { x := \u00b2; observe a; }\n"
+                    "forall t in p obs {a} . always (x@t == 0)", encoding="utf-8")
+    assert cli_main([str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: line 1, column 15: unexpected character '\u00b2'\n"
+
+
 @pytest.mark.parametrize("args", [
     "--max-observations 0", "--max-observations -1", "--oracle --max-observations -1",
     "--step-budget 0", "--oracle --step-budget 0", "--bench --repetitions 0",
@@ -729,7 +767,8 @@ def test_domain_unsat_scope_is_never_a_witness(monkeypatch, otherwise, verdict):
     assert free.stats.decided == 1 + 1 + 1
     decided = record_decided(monkeypatch)
     result = analyze_source(source, n=3, opts=SearchOptions(domain=(0, 1)))
-    oracle = driver.oracle_source(source, 3, range(0, 2))
+    loaded = frontend.load(source)
+    oracle = concrete.oracle_check(loaded.quantifiers, loaded.body, 3, range(0, 2))
     assert isinstance(result.verdict, verdict)
     assert oracle.verdict == ("violated" if verdict is BugFound else "holds")
     if verdict is BugFound:

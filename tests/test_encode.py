@@ -6,10 +6,10 @@ import pytest
 from hyperfind import concrete, driver, encode, frontend, logic, smt, symexec
 from hyperfind.encode import EncodingError, lazy_query, prepare_existential
 from hyperfind.logic import Cmp, IntLit, Var
-from hyperfind.symexec import Feasibility, FreshSupply, SymTrace, make_state, observe
+from hyperfind.symexec import Feasibility, FreshSupply, SymTrace, make_state
 
 from conftest import (BENCH_DIR, QuantifiedTraces, assert_equivalent, bench_source,
-                      closed_encoding, encode_invariant, set_zero_graph)
+                      closed_encoding, encode_invariant, observe, set_zero_graph)
 
 
 def tiny_trace(out_term, loc=0):

@@ -1,7 +1,7 @@
 import pytest
 
 from hyperfind import concrete, frontend, logic
-from hyperfind.frontend import ParseError, lower, parse
+from hyperfind.frontend import ParseError, load
 from hyperfind.graph import Quantifier
 from hyperfind.logic import Cmp, IntLit, Var
 
@@ -9,14 +9,14 @@ from conftest import bench_source, input_sign_graph
 
 
 def test_parse_voting_source():
-    parsed = parse(bench_source("voting_buggy.hyp"))
-    assert [p.name for p in parsed.programs] == ["buggy"]
-    spec = parsed.spec
-    assert [(q.kind, q.trace_var, q.program, q.labels) for q in spec.quantifiers] == [
-        ("forall", "p1", "buggy", ("head",)),
-        ("exists", "p2", "buggy", ("head",)),
+    loaded = load(bench_source("voting_buggy.hyp"))
+    assert list(loaded.programs) == ["buggy"]
+    head = loaded.programs["buggy"].labels["head"]
+    assert [(q.kind, q.trace_var, q.graph.name, q.observed) for q in loaded.quantifiers] == [
+        ("forall", "p1", "buggy", head),
+        ("exists", "p2", "buggy", head),
     ]
-    assert logic.free_vars(spec.body) == {
+    assert logic.free_vars(loaded.body) == {
         "countA@p1", "countB@p1", "countA@p2", "countB@p2"}
 
 
@@ -26,24 +26,24 @@ def test_exists_before_forall_rejected():
     exists t1 in p obs {a} . forall t2 in p obs {a} . always (x@t1 == x@t2)
     """
     with pytest.raises(ParseError, match="quantifier prefix"):
-        parse(source)
+        load(source)
 
 
 def test_no_leading_forall_rejected():
     source = "prog p { observe a; }\nexists t in p obs {a} . always (x@t == 0)"
     with pytest.raises(ParseError, match="universal"):
-        parse(source)
+        load(source)
 
 
 def test_empty_file_rejected():
     with pytest.raises(ParseError, match="no specification|expected"):
-        parse("")
+        load("")
 
 
 def test_unknown_program_in_quantifier():
     source = "prog p { observe a; }\nforall t in ghost obs {a} . always (x@t == 0)"
     with pytest.raises(ParseError, match="unknown program 'ghost'"):
-        parse(source)
+        load(source)
 
 
 def test_unknown_observation_label():
@@ -55,39 +55,38 @@ def test_unknown_observation_label():
 def test_body_variable_must_belong_to_program():
     source = "prog p { x := 0; observe a; }\nforall t in p obs {a} . always (ghost@t == 0)"
     with pytest.raises(ParseError, match="not a variable of program"):
-        parse(source)
+        load(source)
 
 
 def test_trace_indexed_variable_rejected_in_program():
     source = "prog p { x := y@t; observe a; }\nforall t in p obs {a} . always (x@t == 0)"
     with pytest.raises(ParseError, match="only allowed in the"):
-        parse(source)
+        load(source)
 
 
 def test_nonlinear_multiplication_rejected_at_parse_time():
     source = "prog p { x := x * x; observe a; }\nforall t in p obs {a} . always (x@t == 0)"
     with pytest.raises(ParseError, match="nonlinear"):
-        parse(source)
+        load(source)
 
 
 def test_syntax_error_carries_position():
     source = "prog p {\n  x := ;\n}\nforall t in p obs {a} . always (x@t == 0)"
     with pytest.raises(ParseError) as err:
-        parse(source)
+        load(source)
     assert "line 2" in str(err.value)
 
 
 def test_modulo_parses_with_literal_divisor():
     source = ("prog p { if (x % 2 == 0) { x := x + 1; } else { skip; } observe a; }\n"
               "forall t in p obs {a} . always (x@t >= 0)")
-    parsed = parse(source)
-    assert parsed.programs[0].name == "p"
+    assert list(load(source).programs) == ["p"]
 
 
 def test_boolean_grammar_parenthesization():
     source = ("prog p { if (((x + 1) > 0 && !(x == 2)) || x < -3) { skip; } else { skip; } "
               "observe a; }\nforall t in p obs {a} . always ((x@t) >= 0 || x@t < 0)")
-    parse(source)
+    load(source)
 
 
 def test_lowering_is_deterministic():
@@ -117,12 +116,95 @@ def test_each_observe_gets_its_own_location():
 
 
 def test_straight_line_assignment_lowering():
-    ast = parse("prog p { x := 0; observe a; }\nforall t in p obs {a} . always (x@t == 0)")
-    lowered = lower(ast.programs[0])
+    loaded = load("prog p { x := 0; observe a; }\nforall t in p obs {a} . always (x@t == 0)")
+    lowered = loaded.programs["p"]
     # one assignment edge, one observation skip edge
     assert len(lowered.graph.edges) == 2
     assert str(lowered.graph.edges[0].effect) == "x := 0"
     assert str(lowered.graph.edges[1].effect) == "skip"
+
+
+# One program with every statement kind. The golden values below pin the
+# lowering: location numbering, edge order, guards and effects, the variables
+# in first-use order (`v` folds away in `v * 0`), and the label locations.
+EVERY_STATEMENT = """
+prog p {
+  x := y + 1;
+  havoc h;
+  input i;
+  skip;
+  w := v * 0;
+  observe o;
+  if (x > 0) { x := x - 1; observe o; } else { skip; }
+  if (h == h) { h := 2; }
+  while (i < 3) { i := i + 1; }
+  either { x := 1; } or { havoc x; }
+  observe e;
+  loop { skip; }
+}
+forall t in p obs {o} . always (x@t >= 0)
+"""
+
+
+def test_lowering_golden_on_every_statement_kind():
+    lowered = load(EVERY_STATEMENT).programs["p"]
+    graph = lowered.graph
+    assert graph.locations == tuple(range(28))
+    assert graph.initial == 0
+    assert [(e.src, e.dst, str(e.guard), str(e.effect)) for e in graph.edges] == [
+        (0, 1, "true", "x := (y + 1)"),
+        (1, 2, "true", "havoc h"),
+        (2, 3, "true", "havoc i"),
+        (3, 4, "true", "skip"),
+        (4, 5, "true", "w := 0"),
+        (5, 6, "true", "skip"),
+        # if with else: both branch entries first, then each block, then the join
+        (6, 7, "(x > 0)", "skip"),
+        (6, 8, "(not (x > 0))", "skip"),
+        (7, 9, "true", "x := (x - 1)"),
+        (9, 10, "true", "skip"),
+        (8, 11, "true", "skip"),
+        (10, 12, "true", "skip"),
+        (11, 12, "true", "skip"),
+        # if without else: the condition folds to true
+        (12, 13, "true", "skip"),
+        (12, 14, "false", "skip"),
+        (13, 15, "true", "h := 2"),
+        (15, 16, "true", "skip"),
+        (14, 16, "true", "skip"),
+        # while: loop edge, exit edge, body, back edge to the head
+        (16, 17, "(i < 3)", "skip"),
+        (16, 18, "(not (i < 3))", "skip"),
+        (17, 19, "true", "i := (i + 1)"),
+        (19, 16, "true", "skip"),
+        # either/or
+        (18, 20, "true", "skip"),
+        (18, 21, "true", "skip"),
+        (20, 22, "true", "x := 1"),
+        (21, 23, "true", "havoc x"),
+        (22, 24, "true", "skip"),
+        (23, 24, "true", "skip"),
+        (24, 25, "true", "skip"),
+        # loop: the body runs from the head; location 27 is its unreachable exit
+        (25, 26, "true", "skip"),
+        (26, 25, "true", "skip"),
+    ]
+    assert graph.variables == ("x", "y", "h", "i", "w")
+    assert lowered.labels == {"o": frozenset({6, 10}), "e": frozenset({25})}
+
+
+def test_syntax_error_wins_over_an_unknown_program():
+    source = "prog p { observe a; }\nforall t in ghost obs {a} . always (x@t == )"
+    with pytest.raises(ParseError) as err:
+        load(source)
+    assert str(err.value) == "line 2, column 44: expected an expression, found ')'"
+
+
+def test_unknown_program_is_reported_before_an_unknown_label():
+    source = ("prog p { x := 0; observe a; }\n"
+              "forall t in p obs {b} . exists u in ghost obs {a} . always (x@t == 0)")
+    with pytest.raises(ParseError, match="^unknown program 'ghost' in quantifier$"):
+        load(source)
 
 
 def observed_memory_sets(graph, obs, k, domain, budget=None):

@@ -1,0 +1,59 @@
+"""Checks on the layout of the package's source."""
+
+import ast
+import os
+from collections import Counter
+
+PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "hyperfind")
+
+# Definitions that nothing in the package names, each with the reason it stays.
+ALLOWED_UNCALLED = {
+    "SolverSession.reset": "perfbench/spans.py patches it by name",
+}
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Each name the tree mentions: as a name, an attribute or an import."""
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rsplit(".", 1)[-1]] += 1
+    return names
+
+
+def _definitions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function, class and method."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            yield from _definitions(node, prefix + node.name + ".")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def test_every_definition_has_a_caller():
+    trees = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
+                trees[name] = ast.parse(handle.read(), name)
+    # A re-export from `__init__.py` is no caller: a definition that only the
+    # package's exports name is kept alive by its own tests alone.
+    mentioned = sum((_references(tree) for name, tree in trees.items()
+                     if name != "__init__.py"), Counter())
+    uncalled = []
+    for tree in trees.values():
+        for qualname, node in _definitions(tree):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            # A mention inside the definition itself (recursion) does not count.
+            if mentioned[node.name] - _references(node)[node.name] == 0:
+                uncalled.append(qualname)
+    unexplained = sorted(set(uncalled) - set(ALLOWED_UNCALLED))
+    assert unexplained == [], "defined but never named elsewhere in the package"
+    assert sorted(set(ALLOWED_UNCALLED) - set(uncalled)) == [], \
+        "allowlisted, but named in the package: drop it from ALLOWED_UNCALLED"

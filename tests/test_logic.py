@@ -7,9 +7,9 @@ from hyperfind.logic import (
     And, BinTerm, BoolLit, Cmp, EvalError, IntLit, Not, Quant, Var,
     eval_formula, eval_term, free_vars, substitute,
 )
-from hyperfind.symexec import Feasibility, FreshSupply, observe
+from hyperfind.symexec import Feasibility, FreshSupply
 
-from conftest import assert_equivalent, bench_source, random_formula, random_term
+from conftest import assert_equivalent, bench_source, observe, random_formula, random_term
 
 
 def test_eval_term_literal_arithmetic():

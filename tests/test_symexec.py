@@ -8,12 +8,12 @@ import pytest
 from hyperfind import concrete, driver, frontend, logic, smt, symexec
 from hyperfind.logic import Cmp, IntLit, Not, Var
 from hyperfind.symexec import (
-    Feasibility, FreshSupply, Walk, concretize, extend, initial_state, observe,
+    Feasibility, FreshSupply, Walk, concretize, extend, initial_state,
 )
 
 from conftest import (
     BENCH_DIR, all_assignments, bench_source, fresh_bound_search,
-    input_sign_graph, random_graph, random_observed, set_zero_graph,
+    input_sign_graph, observe, random_graph, random_observed, set_zero_graph,
 )
 
 
