@@ -18,6 +18,7 @@ the search and the oracle both take.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -396,7 +397,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return logic.IntLit(int(tok.text))
+            try:
+                return logic.IntLit(int(tok.text))
+            except ValueError:  # Python 3.11+ caps int/str conversion; the CLI lifts it
+                raise ParseError(f"integer literal of {len(tok.text)} digits exceeds Python's "
+                                 f"limit of {sys.get_int_max_str_digits()} digits",
+                                 tok.line, tok.col) from None
         if tok.kind == "punct" and tok.text == "-":
             self.advance()
             return logic.neg(self.parse_afactor(allow_trace_vars))

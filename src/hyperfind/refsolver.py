@@ -26,8 +26,11 @@ count, `check-sat`, `get-value`, `reset` and `exit`. Terms are Int
 constants and literals, `+`, `-`, `*` by a literal, `div`/`mod` by a
 positive literal, the comparisons `< <= > >= = distinct`, `true`,
 `false`, `and`, `or`, `not`, `=>`, and `exists`/`forall` over distinct
-Int binders. Any other command, or a malformed one, is answered with
-`(error "...")`, and the loop reads on.
+Int binders. `get-value` answers only if the last `check-sat` answered
+`sat` and no `assert`, `push`, `pop` or `reset` came after it, and only
+for declared constants; one the model leaves out reads 0. Any other
+command, or a malformed one, is answered with `(error "...")`, and the
+loop reads on.
 
 The stand-alone reader is independent of the bridge's printer
 (`smt.formula_to_smt`); the tests check that a printed formula, read back,
@@ -639,7 +642,7 @@ class Session:
         self.declared: Dict[str, str] = {}
         self.stack: List[List[tuple]] = [[]]
         self.decl_stack: List[List[str]] = [[]]
-        self.model: Dict[str, int] = {}
+        self.model: Optional[Dict[str, int]] = None  # None: get-value is an error
         self.timeout_ms: Optional[int] = None
 
     def assertions(self) -> List[tuple]:
@@ -650,12 +653,15 @@ class Session:
         if self.timeout_ms is not None:
             deadline = time.monotonic() + self.timeout_ms / 1000.0
         elim = Eliminator(deadline)
-        self.model = {}  # a failed check must not leave an older model behind
+        self.model = None  # a failed check must not leave an older model behind
         try:
             phi = elim.qe(f_and(self.assertions()))
             free = sorted(node_vars(phi))
             if not free:
-                return "sat" if eval_ground(phi) else "unsat"
+                if not eval_ground(phi):
+                    return "unsat"
+                self.model = {}
+                return "sat"
             # chain[i] has free[i+1:] eliminated; free[0] is decided by
             # solve_single, then each later variable given the earlier ones.
             chain = [phi]
@@ -675,6 +681,12 @@ class Session:
             return "unknown"
 
     def get_value(self, names: Sequence[str]) -> Dict[str, int]:
+        if self.model is None:
+            raise SolverInputError("no model: the last check-sat did not answer sat, "
+                                   "or the assertions changed since")
+        for name in names:
+            if name not in self.declared:
+                raise SolverInputError(f"undeclared constant {name!r}")
         return {name: self.model.get(name, 0) for name in names}
 
 
@@ -796,7 +808,8 @@ def read_command(tree) -> tuple:
 def dispatch(session: Session, command: tuple):
     """Run one command value. Returns its reply: None, an answer string, the
     model of `get-value` as a dict, or "#exit". Raises `SolverInputError` on
-    a formula it cannot translate or a pop below level 0."""
+    a formula it cannot translate, a pop below level 0, or a `get-value`
+    without a model."""
     head = command[0]
     if head == "assert":
         session.stack[-1].append(Translator(session.declared).to_formula(command[1]))
@@ -825,11 +838,12 @@ def dispatch(session: Session, command: tuple):
         session.declared.clear()
         session.stack = [[]]
         session.decl_stack = [[]]
-        session.model = {}
     elif head == "exit":
         return "#exit"
     elif head != "set-logic":
         raise SolverInputError(f"unknown command {head!r}")
+    if head in ("assert", "push", "pop", "reset"):
+        session.model = None
     return None
 
 

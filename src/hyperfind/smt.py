@@ -5,14 +5,17 @@ push, assert, check-sat, get-value, model completion, pop). It builds each
 command once, as a tuple that carries `logic` nodes: `("set-logic", name)`,
 `("set-option", ":timeout", ms)`, `("declare-const", name)`,
 `("assert", formula)`, `("push", 1)`, `("pop", 1)`, `("check-sat",)`,
-`("get-value", names)` and `("reset",)`. A transport takes the values. The
-pipe to a child process prints each one (`command_to_smt`) and reads back
-`sat`/`unsat`/`unknown` and value lists; a check's deadline kills the
-child. `InProcessSession` hands them to the bundled solver's `dispatch` in
-this process, so no text is written or read, and its deadline is
-cooperative. Integer literals print in decimal, negatives as `(- n)`.
-`query_script` prints the same commands for `--emit-smt`. `Solver` is what
-a search talks to: one lazily started session, restarted once on a failure.
+`("get-value", names)` and `("reset",)`. A transport is `_start`, `_ask`,
+`_alive` and `close`: `_ask(command, deadline)` runs one command and
+returns its reply, which is None, the `check-sat` answer or the
+`get-value` model. The pipe to a child process prints each command
+(`command_to_smt`) and reads back only those two replies; a missed
+deadline kills the child. `InProcessSession` runs each command through
+the bundled solver's `dispatch` in this process, so no text is written or
+read, and its deadline is cooperative. Integer literals print in decimal,
+negatives as `(- n)`. `query_script` prints the same commands for
+`--emit-smt`. `Solver` is what a search talks to: one lazily started
+session, restarted once on a failure.
 
 `resolve_solver` picks yices-smt2, z3, or cvc5 from PATH and falls back to
 the bundled reference solver (`hyperfind.refsolver`) so the tool works on
@@ -30,9 +33,8 @@ import shutil
 import subprocess
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import AbstractSet, Deque, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from . import logic
 from .logic import And, BinTerm, BoolLit, Cmp, Formula, IntLit, Not, Or, Quant, Term, Var
@@ -44,10 +46,6 @@ LOGIC = "LIA"
 
 class SolverError(Exception):
     """Transport-level failure: crash, malformed output, broken pipe."""
-
-
-class SolverContractError(Exception):
-    """API misuse: pop at depth zero, assert with undeclared variables."""
 
 
 @dataclass(frozen=True)
@@ -161,15 +159,13 @@ def resolve_solver(path: Optional[str] = None) -> List[str]:
 # ---------------------------------------------------------------------------
 
 class SolverSession:
-    """The SMT-LIB2 session protocol over a pipe to a child process. A subclass
-    changes the transport by replacing `_start`, `_send`, `_read_line`,
-    `_read_values`, `_alive` and `close`."""
+    """The SMT-LIB2 session protocol, here over a pipe to a child process. A
+    subclass changes the transport by replacing `_start`, `_ask`, `_alive`
+    and `close`."""
 
-    def __init__(self, argv: Optional[Sequence[str]] = None,
-                 timeout_ms: int = DEFAULT_QUERY_TIMEOUT_MS):
-        self.argv = list(argv) if argv else resolve_solver()
+    def __init__(self, argv: Sequence[str], timeout_ms: int = DEFAULT_QUERY_TIMEOUT_MS):
+        self.argv = list(argv)
         self.timeout_ms = timeout_ms
-        self.depth = 0
         self.declared: Set[str] = set()
         self._start()
         try:
@@ -179,13 +175,13 @@ class SolverSession:
             raise
 
     def _configure(self):
-        self._send(("set-logic", LOGIC))
+        self._ask(("set-logic", LOGIC))
         # Only z3 and the bundled solver take :timeout (milliseconds); other
         # solvers would answer with an error line and desynchronize the pipe.
         # The Python-side deadline in check() is the real enforcement.
         joined = " ".join(self.argv)
         if self.timeout_ms and ("z3" in os.path.basename(self.argv[0]) or "refsolver" in joined):
-            self._send(("set-option", ":timeout", self.timeout_ms))
+            self._ask(("set-option", ":timeout", self.timeout_ms))
 
     # -- transport: a pipe to a child process --------------------------------
 
@@ -201,7 +197,9 @@ class SolverSession:
     def _alive(self) -> bool:
         return self.proc.poll() is None
 
-    def _send(self, command: tuple):
+    def _ask(self, command: tuple, deadline: Optional[float] = None):
+        """Run one command; returns its reply by the deadline: None, the
+        `check-sat` answer, or the `get-value` model."""
         if not self._alive():
             raise SolverError("solver process has exited")
         try:
@@ -209,6 +207,14 @@ class SolverSession:
             self.proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise SolverError(f"solver pipe broken: {exc}") from None
+        if command[0] == "check-sat":
+            return self._read_line(deadline)
+        if command[0] != "get-value":
+            return None
+        text = self._read_line(deadline)
+        while text.count("(") > text.count(")"):
+            text += " " + self._read_line(deadline)
+        return _parse_values(text)
 
     def _read_line(self, deadline: float) -> str:
         fd = self.proc.stdout.fileno()
@@ -228,12 +234,6 @@ class SolverSession:
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line.decode().strip()
-
-    def _read_values(self, deadline: float) -> Dict[str, int]:
-        text = self._read_line(deadline)
-        while text.count("(") > text.count(")"):
-            text += " " + self._read_line(deadline)
-        return _parse_values(text)
 
     def _kill(self):
         try:
@@ -269,31 +269,20 @@ class SolverSession:
 
     def declare(self, names: Iterable[str]):
         for name in sorted(set(names) - self.declared):
-            self._send(("declare-const", name))
+            self._ask(("declare-const", name))
             self.declared.add(name)
 
-    def assert_formula(self, formula: Formula, free_vars: Optional[AbstractSet[str]] = None):
-        if free_vars is None:  # the caller may have computed them already
-            free_vars = logic.free_vars(formula)
-        missing = free_vars - self.declared
-        if missing:
-            raise SolverContractError(
-                f"assert references undeclared variables: {sorted(missing)}")
-        self._send(("assert", formula))
+    def assert_formula(self, formula: Formula):
+        self._ask(("assert", formula))
 
     def push(self):
-        self._send(("push", 1))
-        self.depth += 1
+        self._ask(("push", 1))
 
     def pop(self):
-        if self.depth == 0:
-            raise SolverContractError("pop at assertion-stack depth 0")
-        self._send(("pop", 1))
-        self.depth -= 1
+        self._ask(("pop", 1))
 
     def reset(self):
-        self._send(("reset",))
-        self.depth = 0
+        self._ask(("reset",))
         self.declared = set()
         self._configure()
 
@@ -301,9 +290,8 @@ class SolverSession:
               timeout_ms: Optional[int] = None) -> SatResult:
         timeout_ms = timeout_ms if timeout_ms is not None else self.timeout_ms
         deadline = time.monotonic() + timeout_ms / 1000.0
-        self._send(("check-sat",))
         try:
-            answer = self._read_line(deadline)
+            answer = self._ask(("check-sat",), deadline)
         except TimeoutError:
             return Unknown("timeout")
         if answer == "unsat":
@@ -317,13 +305,8 @@ class SolverSession:
         model: Dict[str, int] = {}
         wanted = sorted(set(wanted))
         if wanted:
-            missing = set(wanted) - self.declared
-            if missing:
-                raise SolverContractError(
-                    f"get-value on undeclared variables: {sorted(missing)}")
-            self._send(("get-value", wanted))
             try:
-                model = self._read_values(deadline)
+                model = self._ask(("get-value", wanted), deadline)
             except TimeoutError:
                 return Unknown("timeout")
         # Model completion: solvers may omit don't-cares; default them to 0.
@@ -334,17 +317,14 @@ class SolverSession:
     def check_formula(self, formula: Formula, wanted: Sequence[str] = (),
                       timeout_ms: Optional[int] = None) -> SatResult:
         """push; declare+assert formula; check; pop."""
-        free_vars = logic.free_vars(formula)
-        self.declare(free_vars | set(wanted))
+        self.declare(logic.free_vars(formula) | set(wanted))
         self.push()
         try:
-            self.assert_formula(formula, free_vars)
+            self.assert_formula(formula)
             return self.check(wanted, timeout_ms)
         finally:
             if self._alive():
                 self.pop()
-            else:
-                self.depth = max(0, self.depth - 1)
 
 
 def _parse_values(text: str) -> Dict[str, int]:
@@ -363,53 +343,43 @@ def _parse_values(text: str) -> Dict[str, int]:
 class InProcessSession(SolverSession):
     """`SolverSession` over the bundled solver's command loop in this process.
 
-    Sent command values queue as in a pipe and run through
-    `refsolver.dispatch` when an answer is read; its replies are values too
-    (an answer string, or a model for `get-value`). The time left to the
-    read's deadline is the solver's cooperative timeout, and its only
-    `unknown` is that timeout. An exception out of the solver is a
-    `SolverError`. A timeout, a failure or `close` drops the solver, as a
-    kill ends a child."""
+    `_ask` runs each command value through `refsolver.dispatch` at once; its
+    replies are values too (an answer string, or a model for `get-value`).
+    The time left to a reply's deadline is the solver's cooperative timeout,
+    and its only `unknown` is that timeout. An exception out of the solver
+    is a `SolverError`. A timeout, a failure or `close` drops the solver, as
+    a kill ends a child."""
 
     def _start(self):
         # Imported here so that importing this module does not pay for the solver.
         from . import refsolver
         self._refsolver = refsolver
         self._solver: Optional[refsolver.Session] = refsolver.Session()
-        self._commands: Deque[tuple] = deque()
 
     def _alive(self) -> bool:
         return self._solver is not None
 
-    def _send(self, command: tuple):
+    def _ask(self, command: tuple, deadline: Optional[float] = None):
         if not self._alive():
             raise SolverError("bundled solver has stopped")
-        self._commands.append(command)
-
-    def _read_line(self, deadline: float):
-        while self._commands:
+        if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self.close()
                 raise TimeoutError()
             self._solver.timeout_ms = 1000.0 * remaining
-            try:
-                answer = self._refsolver.dispatch(self._solver, self._commands.popleft())
-            except Exception as exc:  # solver bug or resource limit: fail the check, not the search
-                self.close()
-                raise SolverError(f"bundled solver failed: {type(exc).__name__}: {exc}") from None
-            if answer == "unknown":
-                self.close()
-                raise TimeoutError()
-            if answer is not None:
-                return answer
-        raise SolverError("no command awaits an answer")
-
-    _read_values = _read_line
+        try:
+            reply = self._refsolver.dispatch(self._solver, command)
+        except Exception as exc:  # solver bug or resource limit: fail the check, not the search
+            self.close()
+            raise SolverError(f"bundled solver failed: {type(exc).__name__}: {exc}") from None
+        if reply == "unknown":
+            self.close()
+            raise TimeoutError()
+        return reply
 
     def close(self):
         self._solver = None
-        self._commands.clear()
 
 
 class Solver:

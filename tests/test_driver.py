@@ -352,6 +352,20 @@ def test_cli_reports_integers_of_any_length(tmp_path, capsys, default_int_digits
     assert cex["full_trace"][-1]["memory"] == {"x": value}
 
 
+def test_load_rejects_a_literal_beyond_the_int_digit_limit(default_int_digits):
+    # Outside the CLI, Python's default limit holds: the literal is a parse
+    # error at its own position, not a ValueError.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python before 3.11 has no int/str digit limit")
+    source = ("prog p { havoc sec; out := sec + " + "7" * 5000 + "; observe a; }\n"
+              "forall t in p obs {a} . always (out@t == 0)")
+    for load in (frontend.load, analyze_source):
+        with pytest.raises(frontend.ParseError) as error:
+            load(source)
+        assert (error.value.line, error.value.col) == (1, 34)
+        assert "5000 digits exceeds Python's limit of 4300 digits" in str(error.value)
+
+
 def test_cli_rejects_a_non_ascii_digit(tmp_path, capsys):
     path = tmp_path / "digit.hyp"
     path.write_text("prog p { x := \u00b2; observe a; }\n"

@@ -11,6 +11,11 @@ ALLOWED_UNCALLED = {
     "SolverSession.reset": "perfbench/spans.py patches it by name",
 }
 
+# Dataclass fields that nothing in the package reads, each with the reason it stays.
+ALLOWED_UNREAD = {
+    "Enumeration.witnesses": "tests/test_concrete.py replays the oracle's full traces from it",
+}
+
 
 def _references(tree: ast.AST) -> Counter:
     """Each name the tree mentions: as a name, an attribute or an import."""
@@ -35,12 +40,44 @@ def _definitions(tree: ast.AST, prefix: str = ""):
             yield from _definitions(node, prefix)
 
 
-def test_every_definition_has_a_caller():
+def _trees():
     trees = {}
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
                 trees[name] = ast.parse(handle.read(), name)
+    return trees
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def test_every_dataclass_field_is_read():
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)  # x.f
+            elif isinstance(node, ast.keyword) and node.arg:
+                read.add(node.arg)  # f=...
+    unread = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                unread += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                           and stmt.target.id not in read]
+    assert sorted(set(unread) - set(ALLOWED_UNREAD)) == [], \
+        "a dataclass field that nothing in the package reads"
+    assert sorted(set(ALLOWED_UNREAD) - set(unread)) == [], \
+        "allowlisted, but read in the package: drop it from ALLOWED_UNREAD"
+
+
+def test_every_definition_has_a_caller():
+    trees = _trees()
     # A re-export from `__init__.py` is no caller: a definition that only the
     # package's exports name is kept alive by its own tests alone.
     mentioned = sum((_references(tree) for name, tree in trees.items()

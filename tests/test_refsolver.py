@@ -418,7 +418,32 @@ def test_failed_check_leaves_no_stale_model(monkeypatch):
                         lambda node, var, *rest: None if var == "y" else real(node, var, *rest))
     with pytest.raises(refsolver.SolverInputError, match="model construction"):
         session.check_sat()
-    assert session.get_value(["x", "y"]) == {"x": 0, "y": 0}
+    with pytest.raises(refsolver.SolverInputError, match="no model"):
+        session.get_value(["x", "y"])
+
+
+NO_MODEL = '(error "no model: the last check-sat did not answer sat, or the assertions changed since")'
+
+
+def test_get_value_without_a_sat_check_is_an_error():
+    out = drive("(declare-const x Int)(assert (> x 0))(assert (< x 0))(check-sat)"
+                "(get-value (x))(reset)(get-value (y))\n")
+    assert out.splitlines() == ["unsat", NO_MODEL, NO_MODEL]
+
+
+def test_get_value_after_sat_reads_the_model():
+    # A declared name that the model leaves out reads 0; an undeclared one
+    # is an error, and the model outlives it.
+    out = drive("(declare-const x Int)(declare-const z Int)(assert (> x 3))(check-sat)"
+                "(get-value (x z))(get-value (w))(declare-const w Int)(get-value (x w))\n")
+    assert out.splitlines() == ["sat", "((x 4) (z 0))", "(error \"undeclared constant 'w'\")",
+                                "((x 4) (w 0))"]
+
+
+def test_get_value_after_a_later_assert_is_an_error():
+    out = drive("(declare-const x Int)(assert (> x 3))(check-sat)(assert (> x 5))"
+                "(get-value (x))(check-sat)(get-value (x))\n")
+    assert out.splitlines() == ["sat", NO_MODEL, "sat", "((x 6))"]
 
 
 def test_binder_does_not_undeclare_a_shadowed_constant():

@@ -8,7 +8,7 @@ import pytest
 from hyperfind import logic, smt
 from hyperfind.logic import And, BoolLit, Cmp, IntLit, Not, Or, Quant, Var
 from hyperfind.smt import (
-    Sat, Solver, SolverContractError, SolverError, SolverSession, Unknown, Unsat,
+    Sat, Solver, SolverError, SolverSession, Unknown, Unsat,
     formula_to_smt, term_to_smt,
 )
 from hyperfind.symexec import Feasibility
@@ -190,26 +190,6 @@ def test_incremental_push_pop(open_session):
         session.pop()
 
 
-def test_push_push_pop_depth(open_session):
-    with open_session() as session:
-        session.push()
-        session.push()
-        session.pop()
-        assert session.depth == 1
-
-
-def test_pop_at_depth_zero_is_contract_error(open_session):
-    with open_session() as session:
-        with pytest.raises(SolverContractError):
-            session.pop()
-
-
-def test_assert_undeclared_is_contract_error(open_session):
-    with open_session() as session:
-        with pytest.raises(SolverContractError, match="undeclared"):
-            session.assert_formula(Cmp("=", Var("ghost"), IntLit(0)))
-
-
 def test_timeout_yields_unknown(open_session):
     with open_session(timeout_ms=1000) as session:
         session.declare(["v!0"])
@@ -225,7 +205,6 @@ def test_reset_clears_declarations_and_stack(open_session):
         session.push()
         session.assert_formula(Cmp("=", Var("v!0"), IntLit(3)))
         session.reset()
-        assert session.depth == 0
         assert session.declared == set()
         session.declare(["v!0"])
         session.assert_formula(Cmp("=", Var("v!0"), IntLit(4)))
@@ -307,23 +286,33 @@ def test_feasibility_and_queries_share_one_session(process_argv, sessions):
 
 
 def test_both_transports_receive_the_same_commands(process_argv, monkeypatch):
-    # Both transports receive command values; compare them as printed, which
-    # is the text a child solver reads.
+    # Both transports are asked command values; compare them as printed,
+    # which is the text a child solver reads, and compare their replies.
     received = {SolverSession: [], smt.InProcessSession: []}
+    replies = {SolverSession: [], smt.InProcessSession: []}
     for transport, lines in received.items():
-        def send(self, command, send=transport._send, lines=lines):
+        def ask(self, command, deadline=None, ask=transport._ask, lines=lines,
+                answers=replies[transport]):
             lines.append(smt.command_to_smt(command))
-            send(self, command)
-        monkeypatch.setattr(transport, "_send", send)
+            reply = ask(self, command, deadline)
+            if reply is not None:
+                answers.append(reply)
+            return reply
+        monkeypatch.setattr(transport, "_ask", ask)
     for argv in (process_argv, smt.BUNDLED_SOLVER):
         with Solver(argv) as solver:
             feasibility_then_query(solver)
+            # A sat query with a model, as a search asks for a counterexample.
+            assert solver.check(Cmp("=", Var("v!1"), IntLit(-7)), wanted=["v!1", "v!2"]) \
+                == Sat({"v!1": -7, "v!2": 0})
 
     def after_start_up(lines):
         return lines[next(i for i, line in enumerate(lines) if not line.startswith("(set-")):]
     child = after_start_up(received[SolverSession])
     assert child == after_start_up(received[smt.InProcessSession])
-    assert child.count("(check-sat)") == 3 and child[-1] == "(pop 1)"
+    assert child.count("(check-sat)") == 4 and child[-1] == "(pop 1)"
+    assert replies[SolverSession] == replies[smt.InProcessSession]
+    assert replies[SolverSession] == ["sat", "unsat", "unsat", "sat", {"v!1": -7, "v!2": 0}]
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +327,16 @@ def test_bundled_solver_runs_in_process(sessions):
         assert solver.session is first
     assert solver.session is None
     assert sessions == []
+
+
+def test_in_process_get_value_without_a_model_is_a_solver_error():
+    with smt.InProcessSession(smt.BUNDLED_SOLVER) as session:
+        session.declare(["v!0"])
+        session.assert_formula(Cmp("<", Var("v!0"), Var("v!0")))
+        assert session.check() == Unsat()
+        with pytest.raises(SolverError, match="no model"):
+            session._ask(("get-value", ["v!0"]), time.monotonic() + 1)
+        assert not session._alive()
 
 
 def test_importing_the_bridge_does_not_import_the_bundled_solver():

@@ -75,3 +75,18 @@ def test_traced_naive_search_counts_one_encode_per_universal_trace(solver_argv):
         after = vars(owner)
         for name, value in attributes.items():
             assert after[name] is value, (owner, name)
+
+
+def test_in_process_checks_stay_inside_the_solver_spans():
+    # The bundled solver runs in this process, yet every check it answers is
+    # still timed by the traced `smt.*` layers: one session, one check per
+    # query sent.
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    try:
+        result = driver.analyze_source(bench_source("min_flip.hyp"), n=3)
+    finally:
+        uninstall()
+    metrics = spans.layer_metrics(tracer, 0.0)
+    assert metrics["smt.sessions"] == 1
+    assert metrics["smt.checks"] == result.stats.sat_calls == 14
