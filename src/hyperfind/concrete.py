@@ -6,6 +6,9 @@ cross-check for the symbolic pipeline at desk scale: it checks the same
 `graph.Quantifier`s that the search folds, in the order they are written.
 Observed traces are canonical minimal prefixes: a trace is cut at its k-th
 observation.
+
+`step` is the one concrete transition function: the oracle expands states
+with it, and `replay` accepts a counterexample's step only if `step` offers it.
 """
 
 from __future__ import annotations
@@ -58,8 +61,6 @@ def step(graph: ProgramGraph, loc: int, mem: Memory,
 class Enumeration:
     observed: Set[ObservedTrace]
     complete: bool
-    # one full trace per observed projection, for replay-style checks
-    witnesses: Dict[ObservedTrace, Tuple[StateKey, ...]]
 
 
 def enumerate_observed(graph: ProgramGraph, observed: FrozenSet[int], k: int,
@@ -79,25 +80,21 @@ def enumerate_observed(graph: ProgramGraph, observed: FrozenSet[int], k: int,
 
     init = (graph.initial, initial_memory(graph))
     result: Set[ObservedTrace] = set()
-    witnesses: Dict[ObservedTrace, Tuple[StateKey, ...]] = {}
     complete = True
 
-    # Queue items: (loc, mem, observed prefix, full prefix, transitions used).
+    # Queue items: (loc, mem, observed prefix, transitions used).
     # Two paths reaching the same state with the same observation history
     # have identical futures, so they are merged (keeps havoc loops from
     # exploding before the depth budget cuts them off).
     start_obs: Tuple[StateKey, ...] = ()
-    start_full = (freeze_state(*init),)
     if graph.initial in observed:
         start_obs = (freeze_state(*init),)
-    queue = deque([(init[0], init[1], start_obs, start_full, 0)])
+    queue = deque([(init[0], init[1], start_obs, 0)])
     visited = {(freeze_state(*init), start_obs)}
     while queue:
-        loc, mem, obs_prefix, full_prefix, depth = queue.popleft()
+        loc, mem, obs_prefix, depth = queue.popleft()
         if len(obs_prefix) == k:
-            if obs_prefix not in result:
-                result.add(obs_prefix)
-                witnesses[obs_prefix] = full_prefix
+            result.add(obs_prefix)
             continue
         if depth >= step_budget:
             complete = False
@@ -108,9 +105,9 @@ def enumerate_observed(graph: ProgramGraph, observed: FrozenSet[int], k: int,
             if (key, new_obs) in visited:
                 continue
             visited.add((key, new_obs))
-            queue.append((new_loc, new_mem, new_obs, full_prefix + (key,), depth + 1))
+            queue.append((new_loc, new_mem, new_obs, depth + 1))
 
-    return Enumeration(result, complete, witnesses)
+    return Enumeration(result, complete)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +118,6 @@ def enumerate_observed(graph: ProgramGraph, observed: FrozenSet[int], k: int,
 class OracleResult:
     verdict: str  # "holds" | "violated" | "inconclusive"
     k: Optional[int] = None  # earliest violated bound
-    witness: Optional[Dict[str, ObservedTrace]] = None  # universal prefix at failure
 
 
 def _body_env(binding: Dict[str, ObservedTrace], index: int) -> Dict[str, int]:
@@ -144,8 +140,6 @@ def check_at(quantifiers: Sequence[Quantifier], body: logic.Formula, k: int,
             return OracleResult("inconclusive")
         trace_sets[q.trace_var] = enum
 
-    witness: Dict[str, ObservedTrace] = {}
-
     def recurse(i: int, binding: Dict[str, ObservedTrace]) -> bool:
         if i == len(quantifiers):
             return all(logic.eval_formula(body, _body_env(binding, j)) for j in range(k))
@@ -155,7 +149,6 @@ def check_at(quantifiers: Sequence[Quantifier], body: logic.Formula, k: int,
             for trace in traces:
                 binding[q.trace_var] = trace
                 if not recurse(i + 1, binding):
-                    witness.setdefault(q.trace_var, trace)
                     del binding[q.trace_var]
                     return False
                 del binding[q.trace_var]
@@ -170,7 +163,7 @@ def check_at(quantifiers: Sequence[Quantifier], body: logic.Formula, k: int,
 
     if recurse(0, {}):
         return OracleResult("holds", k=k)
-    return OracleResult("violated", k=k, witness=dict(witness))
+    return OracleResult("violated", k=k)
 
 
 def oracle_check(quantifiers: Sequence[Quantifier], body: logic.Formula,
@@ -192,57 +185,25 @@ def oracle_check(quantifiers: Sequence[Quantifier], body: logic.Formula,
 # Counterexample replay
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReplayResult:
-    ok: bool
-    reason: str = ""
-
-
 def replay(graph: ProgramGraph, observed: FrozenSet[int],
            full_trace: Sequence[Tuple[int, Memory]],
-           claimed_observed: Optional[Sequence[Tuple[int, Memory]]] = None) -> ReplayResult:
-    """Validate a claimed concrete trace against the transition semantics."""
+           claimed_observed: Sequence[Tuple[int, Memory]]) -> Optional[str]:
+    """Why a claimed concrete trace is not a run of the graph whose observed
+    projection is `claimed_observed`, or None when it is."""
     if not full_trace:
-        return ReplayResult(False, "empty trace")
+        return "empty trace"
     loc0, mem0 = full_trace[0]
     if loc0 != graph.initial:
-        return ReplayResult(False, f"trace does not start at the initial location "
-                                   f"{graph.initial} (starts at {loc0})")
+        return (f"trace does not start at the initial location "
+                f"{graph.initial} (starts at {loc0})")
     if dict(mem0) != initial_memory(graph):
-        return ReplayResult(False, "trace does not start in the all-zero initial memory")
-    for i in range(len(full_trace) - 1):
-        loc, mem = full_trace[i]
-        nxt_loc, nxt_mem = full_trace[i + 1]
-        if not _step_ok(graph, loc, dict(mem), nxt_loc, dict(nxt_mem)):
-            return ReplayResult(False, f"no edge justifies step {i} -> {i + 1} "
-                                       f"({loc} -> {nxt_loc})")
-    if claimed_observed is not None:
-        projection = [(loc, dict(mem)) for loc, mem in full_trace if loc in observed]
-        claimed = [(loc, dict(mem)) for loc, mem in claimed_observed]
-        if projection != claimed:
-            return ReplayResult(False, "observed projection does not match the "
-                                       "claimed observed trace")
-    return ReplayResult(True)
-
-
-def _step_ok(graph: ProgramGraph, loc: int, mem: Memory,
-             nxt_loc: int, nxt_mem: Memory) -> bool:
-    for edge in graph.out_edges(loc):
-        if edge.dst != nxt_loc:
-            continue
-        if not logic.eval_formula(edge.guard, mem):
-            continue
-        if isinstance(edge.effect, Assign):
-            expected = dict(mem)
-            expected[edge.effect.target] = logic.eval_term(edge.effect.expr, mem)
-            if expected == nxt_mem:
-                return True
-        elif isinstance(edge.effect, Havoc):
-            expected = dict(mem)
-            expected[edge.effect.target] = nxt_mem.get(edge.effect.target, 0)
-            if expected == nxt_mem:
-                return True
-        else:
-            if mem == nxt_mem:
-                return True
-    return False
+        return "trace does not start in the all-zero initial memory"
+    for i, ((loc, mem), (nxt_loc, nxt_mem)) in enumerate(zip(full_trace, full_trace[1:])):
+        nxt = (nxt_loc, dict(nxt_mem))
+        # Any value a havoc took is one the next memory holds, so offer those.
+        if nxt not in step(graph, loc, dict(mem), list(nxt[1].values()) or [0]):
+            return f"no edge justifies step {i} -> {i + 1} ({loc} -> {nxt_loc})"
+    projection = [(loc, dict(mem)) for loc, mem in full_trace if loc in observed]
+    if projection != [(loc, dict(mem)) for loc, mem in claimed_observed]:
+        return "observed projection does not match the claimed observed trace"
+    return None

@@ -94,8 +94,6 @@ def generalize(loaded: LoadedSpec) -> GeneralizedSpec:
 
 @dataclass
 class Counterexample:
-    k: int
-    universal_trace: SymTrace
     model: Dict[str, int]
     concrete_full: List[Tuple[int, Dict[str, int]]]
     concrete_observed: List[Tuple[int, Dict[str, int]]]
@@ -315,19 +313,13 @@ def _counterexample_verdict(gen: GeneralizedSpec, k: int, trace: SymTrace,
                             model: Dict[str, int],
                             query: encode.EncodedQuery) -> Verdict:
     """BugFound with the model's concrete trace, if that trace replays."""
-    rho = dict(model)
-    for name in query.free_vars:
-        rho.setdefault(name, 0)
-    full = symexec.concretize(trace.states, rho)
-    observed = symexec.concretize(trace.observed, rho)
-    replayed = concrete.replay(gen.universal.graph, gen.universal.observed,
-                               full, observed)
-    if not replayed.ok:
-        return Inconclusive("replay-failed", replayed.reason)
+    full = symexec.concretize(trace.states, model)
+    observed = symexec.concretize(trace.observed, model)
+    reason = concrete.replay(gen.universal.graph, gen.universal.observed, full, observed)
+    if reason is not None:
+        return Inconclusive("replay-failed", reason)
     return BugFound(k, Counterexample(
-        k=k,
-        universal_trace=trace,
-        model={name: rho[name] for name in query.free_vars},
+        model={name: model[name] for name in query.free_vars},
         concrete_full=full,
         concrete_observed=observed,
         explanation=query.explanation,

@@ -45,7 +45,7 @@ import math
 import re
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import logic
 from .logic import And, BinTerm, BoolLit, Cmp, IntLit, Not, Or, Quant, Var
@@ -640,13 +640,16 @@ class Translator:
 class Session:
     def __init__(self):
         self.declared: Dict[str, str] = {}
-        self.stack: List[List[tuple]] = [[]]
-        self.decl_stack: List[List[str]] = [[]]
+        self.depth = 0  # the assertion-stack level: pushes less pops
+        # Each assertion and each declared name, tagged with the level it was
+        # made at, so that push and pop cost what they drop, not their count.
+        self.stack: List[Tuple[int, tuple]] = []
+        self.names: List[Tuple[int, str]] = []
         self.model: Optional[Dict[str, int]] = None  # None: get-value is an error
         self.timeout_ms: Optional[int] = None
 
     def assertions(self) -> List[tuple]:
-        return [a for level in self.stack for a in level]
+        return [a for _, a in self.stack]
 
     def check_sat(self) -> str:
         deadline = None
@@ -812,21 +815,21 @@ def dispatch(session: Session, command: tuple):
     without a model."""
     head = command[0]
     if head == "assert":
-        session.stack[-1].append(Translator(session.declared).to_formula(command[1]))
+        formula = Translator(session.declared).to_formula(command[1])
+        session.stack.append((session.depth, formula))
     elif head == "declare-const":
         session.declared[command[1]] = "Int"
-        session.decl_stack[-1].append(command[1])
+        session.names.append((session.depth, command[1]))
     elif head == "push":
-        for _ in range(command[1]):
-            session.stack.append([])
-            session.decl_stack.append([])
+        session.depth += command[1]
     elif head == "pop":
-        if command[1] >= len(session.stack):
+        if command[1] > session.depth:
             raise SolverInputError("pop below assertion stack level 0")
-        for _ in range(command[1]):
+        session.depth -= command[1]
+        while session.stack and session.stack[-1][0] > session.depth:
             session.stack.pop()
-            for name in session.decl_stack.pop():
-                session.declared.pop(name, None)
+        while session.names and session.names[-1][0] > session.depth:
+            session.declared.pop(session.names.pop()[1], None)
     elif head == "check-sat":
         return session.check_sat()
     elif head == "get-value":
@@ -836,8 +839,9 @@ def dispatch(session: Session, command: tuple):
             session.timeout_ms = command[2]
     elif head == "reset":
         session.declared.clear()
-        session.stack = [[]]
-        session.decl_stack = [[]]
+        session.depth = 0
+        session.stack = []
+        session.names = []
     elif head == "exit":
         return "#exit"
     elif head != "set-logic":

@@ -112,9 +112,8 @@ def test_counterexample_replays_and_is_deterministic(opts):
 
     loaded = frontend.load(bench_source("voting_buggy.hyp"))
     gen = generalize(loaded)
-    replay = concrete.replay(gen.universal.graph, gen.universal.observed,
-                             cex1.concrete_full, cex1.concrete_observed)
-    assert replay.ok
+    assert concrete.replay(gen.universal.graph, gen.universal.observed,
+                           cex1.concrete_full, cex1.concrete_observed) is None
 
 
 def test_bug_found_is_stable_under_larger_bound(opts):
@@ -280,8 +279,7 @@ def test_cli_in_process_solver_exception_is_inconclusive(
 
 
 def test_failed_replay_is_inconclusive(opts, monkeypatch):
-    monkeypatch.setattr(concrete, "replay",
-                        lambda *args, **kwargs: concrete.ReplayResult(False, "forced"))
+    monkeypatch.setattr(concrete, "replay", lambda *args, **kwargs: "forced")
     result = run_fixture("voting_buggy.hyp", 4, opts)
     assert result.verdict == Inconclusive("replay-failed", "forced")
     report = driver.report_dict(result)

@@ -13,7 +13,7 @@ ALLOWED_UNCALLED = {
 
 # Dataclass fields that nothing in the package reads, each with the reason it stays.
 ALLOWED_UNREAD = {
-    "Enumeration.witnesses": "tests/test_concrete.py replays the oracle's full traces from it",
+    "Product.origin": "the product tests' oracle: tests/ check each product location's origin",
 }
 
 
@@ -59,10 +59,10 @@ def test_every_dataclass_field_is_read():
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
+            # Only `x.f` reads a field: one set only through its constructor
+            # (`C(f=...)`) is kept alive by nothing.
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)  # x.f
-            elif isinstance(node, ast.keyword) and node.arg:
-                read.add(node.arg)  # f=...
+                read.add(node.attr)
     unread = []
     for tree in trees.values():
         for node in ast.walk(tree):

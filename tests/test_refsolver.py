@@ -155,6 +155,35 @@ def test_pop_below_zero_reports_error():
     assert out.startswith("(error")
 
 
+def test_push_and_pop_take_a_level_count_of_any_size():
+    # Push and pop keep a level count, so a huge count answers at once.
+    n = 10 ** 12
+    out = drive(f"(push {n})\n(assert false)\n(check-sat)\n(pop {n})\n(check-sat)\n(pop 1)\n")
+    lines = out.splitlines()
+    assert lines[:2] == ["unsat", "sat"]
+    assert len(lines) == 3 and lines[2].startswith("(error")
+    # A pop drops what was made above the level it returns to, and only that.
+    assert drive("""
+(push 2)
+(declare-const x Int)
+(push 3)
+(assert (= x 1))
+(pop 2)
+(assert (= x 2))
+(check-sat)
+(get-value (x))
+(pop 1)
+(assert (= x 3))
+(check-sat)
+(get-value (x))
+(pop 2)
+(check-sat)
+(get-value (x))
+""").splitlines() == ["sat", "((x 2))", "sat", "((x 3))", "sat",
+                      '(error "undeclared constant \'x\'")']
+
+
+
 def test_classic_quantified_judgments():
     # every integer is even or odd
     assert drive("""
@@ -330,7 +359,7 @@ def test_session_models_satisfy_assertions():
         session.timeout_ms = 5000
         session.declared = {"x": "Int", "y": "Int"}
         node = random_node(rng, ["x", "y"])
-        session.stack[-1].append(node)
+        session.stack.append((0, node))
         verdict = session.check_sat()
         if verdict == "sat":
             env = {"x": session.model.get("x", 0), "y": session.model.get("y", 0)}
@@ -348,9 +377,9 @@ def test_timeout_returns_unknown():
     session = Session()
     session.timeout_ms = 0
     session.declared = {"x": "Int"}
-    session.stack[-1].append(
-        ("exists", ["y"], f_and([atom("le", Lin({"x": 97, "y": -89}, 1)),
-                                 atom("dvd", Lin({"x": 7, "y": 3}, 1), 64)])))
+    session.stack.append(
+        (0, ("exists", ["y"], f_and([atom("le", Lin({"x": 97, "y": -89}, 1)),
+                                     atom("dvd", Lin({"x": 7, "y": 3}, 1), 64)]))))
     assert session.check_sat() == "unknown"
 
 
@@ -358,7 +387,7 @@ def session_verdict(node, names):
     session = Session()
     session.timeout_ms = 5000
     session.declared = {name: "Int" for name in names}
-    session.stack[-1].append(node)
+    session.stack.append((0, node))
     return session.check_sat(), session.model
 
 
@@ -409,8 +438,8 @@ def test_failed_check_leaves_no_stale_model(monkeypatch):
     # the model construction after x already has a value.
     session = Session()
     session.declared = {"x": "Int", "y": "Int"}
-    session.stack[-1].append(f_and([atom("eq", Lin({"x": 1}, -4)),
-                                    atom("eq", Lin({"x": 1, "y": -1}, 1))]))
+    session.stack.append((0, f_and([atom("eq", Lin({"x": 1}, -4)),
+                                    atom("eq", Lin({"x": 1, "y": -1}, 1))])))
     assert session.check_sat() == "sat"
     assert session.get_value(["x", "y"]) == {"x": 4, "y": 5}
     real = refsolver.solve_single
@@ -507,7 +536,7 @@ def test_one_variable_decision_checks_the_deadline():
     session = Session()
     session.timeout_ms = 50
     session.declared = {"x": "Int"}
-    session.stack[-1].append(f_and([node, atom("le", Lin({"x": -1}, 1))]))  # x >= 1
+    session.stack.append((0, f_and([node, atom("le", Lin({"x": -1}, 1))])))  # x >= 1
     started = time.monotonic()
     assert session.check_sat() == "unknown"
     assert time.monotonic() - started < 5
