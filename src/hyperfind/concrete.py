@@ -14,10 +14,10 @@ with it, and `replay` accepts a counterexample's step only if `step` offers it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import logic
+from .logic import Record
 from .graph import Assign, Havoc, ProgramGraph, Quantifier, default_step_budget
 
 Memory = Dict[str, int]
@@ -57,10 +57,8 @@ def step(graph: ProgramGraph, loc: int, mem: Memory,
     return successors
 
 
-@dataclass
-class Enumeration:
-    observed: Set[ObservedTrace]
-    complete: bool
+class Enumeration(Record):
+    __slots__ = ("observed", "complete")  # observed: a set of observed traces
 
 
 def enumerate_observed(graph: ProgramGraph, observed: FrozenSet[int], k: int,
@@ -114,10 +112,10 @@ def enumerate_observed(graph: ProgramGraph, observed: FrozenSet[int], k: int,
 # Oracle for the bounded semantics
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OracleResult:
-    verdict: str  # "holds" | "violated" | "inconclusive"
-    k: Optional[int] = None  # earliest violated bound
+class OracleResult(Record):
+    # verdict: "holds" | "violated" | "inconclusive"; k: the earliest violated bound
+    __slots__ = ("verdict", "k")
+    _defaults = {"k": None}
 
 
 def _body_env(binding: Dict[str, ObservedTrace], index: int) -> Dict[str, int]:
@@ -133,18 +131,18 @@ def check_at(quantifiers: Sequence[Quantifier], body: logic.Formula, k: int,
              domain: Sequence[int],
              step_budget: Optional[int] = None) -> OracleResult:
     """Decide the bound-k semantics by direct quantifier expansion."""
-    trace_sets: Dict[str, Enumeration] = {}
+    trace_sets: Dict[str, List[ObservedTrace]] = {}  # each sorted once
     for q in quantifiers:
         enum = enumerate_observed(q.graph, q.observed, k, domain, step_budget)
         if not enum.complete:
             return OracleResult("inconclusive")
-        trace_sets[q.trace_var] = enum
+        trace_sets[q.trace_var] = sorted(enum.observed)
 
     def recurse(i: int, binding: Dict[str, ObservedTrace]) -> bool:
         if i == len(quantifiers):
             return all(logic.eval_formula(body, _body_env(binding, j)) for j in range(k))
         q = quantifiers[i]
-        traces = sorted(trace_sets[q.trace_var].observed)
+        traces = trace_sets[q.trace_var]
         if q.kind == "forall":
             for trace in traces:
                 binding[q.trace_var] = trace

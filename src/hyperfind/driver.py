@@ -30,17 +30,14 @@ observation set (see `_walks`).
 
 from __future__ import annotations
 
-import json
 import os
-import statistics
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import concrete, encode, frontend, graph as graphs, logic, smt, symexec
 from .frontend import LoadedSpec
 from .graph import Quantifier
-from .logic import Formula
+from .logic import Formula, Record
 from .symexec import Feasibility, FreshSupply, SymTrace
 
 
@@ -50,11 +47,8 @@ DEFAULT_MAX_OBSERVATIONS = 10
 DEFAULT_REPETITIONS = 10
 
 
-@dataclass
-class GeneralizedSpec:
-    universal: Quantifier
-    existential: Optional[Quantifier]
-    body: Formula
+class GeneralizedSpec(Record):
+    __slots__ = ("universal", "existential", "body")  # existential may be None
 
 
 def generalize(loaded: LoadedSpec) -> GeneralizedSpec:
@@ -92,61 +86,54 @@ def generalize(loaded: LoadedSpec) -> GeneralizedSpec:
 # Verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Counterexample:
-    model: Dict[str, int]
-    concrete_full: List[Tuple[int, Dict[str, int]]]
-    concrete_observed: List[Tuple[int, Dict[str, int]]]
-    explanation: Formula
+class Counterexample(Record):
+    # The model, the concrete full and observed traces of the universal
+    # program as (location, memory) pairs, and the "no matching trace" part.
+    __slots__ = ("model", "concrete_full", "concrete_observed", "explanation")
 
 
-@dataclass
-class BugFound:
-    k: int
-    counterexample: Optional[Counterexample]
+class BugFound(Record):
+    __slots__ = ("k", "counterexample")  # counterexample is None for naive search
 
 
-@dataclass
-class NoBugUpTo:
-    n: int
+class NoBugUpTo(Record):
+    __slots__ = ("n",)
 
 
-@dataclass
-class Inconclusive:
-    # "budget" | "solver-unknown" | "solver-error" (the solver failed twice
-    # in a row) | "replay-failed" (a model did not replay on the program)
-    # | "recursion-limit" (a term nests deeper than Python's recursion limit)
-    reason: str
-    detail: str = ""
+class Inconclusive(Record):
+    # reason: "budget" | "solver-unknown" | "solver-error" (the solver failed
+    # twice in a row) | "replay-failed" (a model did not replay on the
+    # program) | "recursion-limit" (a term nests deeper than Python's
+    # recursion limit)
+    __slots__ = ("reason", "detail")
+    _defaults = {"detail": ""}
 
 
 Verdict = Union[BugFound, NoBugUpTo, Inconclusive]
 
 
-@dataclass
-class SearchStats:
-    combinations: int = 0  # (universal trace, existential trace) pairs examined
-    sat_calls: int = 0     # lazy/naive queries sent to the solver
-    decided: int = 0       # lazy queries answered (unsat) without the solver
-    feasibility_calls: int = 0
-    wall_ms: float = 0.0
+class SearchStats(Record):
+    # combinations: (universal trace, existential trace) pairs examined;
+    # sat_calls: lazy/naive queries sent to the solver; decided: lazy queries
+    # answered (unsat) without the solver
+    __slots__ = ("combinations", "sat_calls", "decided", "feasibility_calls", "wall_ms")
+    _defaults = dict(combinations=0, sat_calls=0, decided=0, feasibility_calls=0,
+                     wall_ms=0.0)
 
 
-@dataclass
-class SearchResult:
-    verdict: Verdict
-    stats: SearchStats
+class SearchResult(Record):
+    __slots__ = ("verdict", "stats")
 
 
-@dataclass
-class SearchOptions:
-    solver_argv: Optional[Sequence[str]] = None
-    step_budget: Optional[int] = None
-    node_budget: Optional[int] = symexec.DEFAULT_NODE_BUDGET
-    query_timeout_ms: int = smt.DEFAULT_QUERY_TIMEOUT_MS
-    feas_timeout_ms: int = smt.DEFAULT_FEASIBILITY_TIMEOUT_MS
-    emit_smt_dir: Optional[str] = None
-    domain: Optional[Tuple[int, int]] = None  # embed finite-domain constraints
+class SearchOptions(Record):
+    # domain: (lo, hi), embedded as finite-domain constraints
+    __slots__ = ("solver_argv", "step_budget", "node_budget", "query_timeout_ms",
+                 "feas_timeout_ms", "emit_smt_dir", "domain")
+    _defaults = dict(solver_argv=None, step_budget=None,
+                     node_budget=symexec.DEFAULT_NODE_BUDGET,
+                     query_timeout_ms=smt.DEFAULT_QUERY_TIMEOUT_MS,
+                     feas_timeout_ms=smt.DEFAULT_FEASIBILITY_TIMEOUT_MS,
+                     emit_smt_dir=None, domain=None)
 
 
 def _emit_query(opts: SearchOptions, name: str, formula: Formula,
@@ -390,18 +377,17 @@ def report_dict(result: SearchResult) -> dict:
 # Benchmark harness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BenchRow:
-    name: str
-    verdict: str
-    k: Optional[int]
-    combinations: Optional[int]
-    median_wall_ms: Optional[float]
-    error: Optional[str] = None
+class BenchRow(Record):
+    # No __slots__: `row.__dict__` is the row, for the JSON report.
+    _fields = ("name", "verdict", "k", "combinations", "median_wall_ms", "error")
+    _defaults = {"error": None}
 
 
 def bench(manifest_path: str, opts: Optional[SearchOptions] = None,
           default_repetitions: int = DEFAULT_REPETITIONS) -> List[BenchRow]:
+    import json
+    import statistics
+
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
     if not (isinstance(manifest, list) and all(isinstance(entry, dict) for entry in manifest)):

@@ -51,11 +51,10 @@ that has a witness; every query it sends is the one `lazy_query` builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import logic, smt
-from .logic import Formula, Term
+from .logic import Formula, FrozenRecord, Record, Term
 from .symexec import Feasibility, SymTrace
 
 
@@ -115,15 +114,12 @@ def _domain_constraint(names: Sequence[str],
          for v in names])
 
 
-@dataclass(frozen=True)
-class EncodedQuery:
-    formula: Formula
-    free_vars: Tuple[str, ...]
-    explanation: Formula  # the "no matching trace" part
+class EncodedQuery(FrozenRecord):
+    # explanation: the "no matching trace" part of the formula
+    __slots__ = ("formula", "free_vars", "explanation")
 
 
-@dataclass(eq=False)
-class ExistentialSide:
+class ExistentialSide(Record):
     """The existential traces of one bound, prepared for its lazy queries,
     which read the body, the bound k and the domain from it.
 
@@ -139,20 +135,19 @@ class ExistentialSide:
     at i (`instances`), so universal traces whose memories give the body
     equal terms share them, and a query and a witness read the same ones.
     """
-    trace_var: Optional[str]  # None: the specification has no existential
-    body: Formula
-    k: int
-    domain: Optional[Tuple[int, int]]
-    blocks: Tuple[Tuple[Tuple[str, ...], Formula, Tuple[int, ...]], ...]
-    sigmas: Tuple[Tuple[Dict[str, Term], ...], ...]
-    members: Tuple[Tuple[int, ...], ...]
-    proved: int
-    # universal trace variable -> (full name, program variable) of its slots
-    _slots: Dict[str, List[Tuple[str, str]]] = field(default_factory=dict, repr=False)
-    _memo: Dict[tuple, Tuple[List[Formula], int, int]] = field(
-        default_factory=dict, repr=False)
-    # trace -> whether its scope (path and domain) answered sat
-    _in_domain: Dict[int, bool] = field(default_factory=dict, repr=False)
+    # trace_var is None when the specification has no existential.
+    __slots__ = ("trace_var", "body", "k", "domain", "blocks", "sigmas", "members",
+                 "proved", "_slots", "_memo", "_in_domain")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        # universal trace variable -> (full name, program variable) of its slots
+        self._slots: Dict[str, List[Tuple[str, str]]] = {}
+        self._memo: Dict[tuple, Tuple[List[Formula], int, int]] = {}
+        # trace -> whether its scope (path and domain) answered sat
+        self._in_domain: Dict[int, bool] = {}
 
     def _universal_slots(self, universal_var: str) -> List[Tuple[str, str]]:
         own = self._slots.get(universal_var)

@@ -19,12 +19,11 @@ the search and the oracle both take.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import logic
 from .graph import Assign, Edge, Havoc, ProgramGraph, Quantifier, SKIP
-from .logic import Formula, Term
+from .logic import Formula, FrozenRecord, Record, Term, set_field
 
 
 class ParseError(Exception):
@@ -52,12 +51,14 @@ _PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "int", "punct", "keyword", "eof"
-    text: str
-    line: int
-    col: int
+class Token(FrozenRecord):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        set_field(self, "kind", kind)  # "ident", "int", "punct", "keyword", "eof"
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
 
 def tokenize(source: str) -> List[Token]:
@@ -108,10 +109,8 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
-@dataclass
-class LoweredProgram:
-    graph: ProgramGraph
-    labels: Dict[str, FrozenSet[int]]
+class LoweredProgram(Record):
+    __slots__ = ("graph", "labels")  # labels: label -> observed locations
 
 
 _Quant = Tuple[str, str, str, List[str]]  # kind, trace variable, program, labels
@@ -448,13 +447,12 @@ def _ordered_vars(node) -> List[str]:
 # Whole-file parsing and validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LoadedSpec:
+class LoadedSpec(Record):
     """A parsed and lowered input file, ready for the driver: each
-    quantifier resolved to its program's graph and observed locations."""
-    programs: Dict[str, LoweredProgram]
-    quantifiers: Tuple[Quantifier, ...]
-    body: Formula  # over variables named "x@pi"
+    quantifier resolved to its program's graph and observed locations, and
+    the body over variables named "x@pi"."""
+
+    __slots__ = ("programs", "quantifiers", "body")
 
 
 def load(source: str) -> LoadedSpec:

@@ -12,32 +12,29 @@ oracle both check a specification as a sequence of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import logic
-from .logic import Formula, Term, Var
+from .logic import Formula, FrozenRecord, Record, Var, set_field
 
 
-@dataclass(frozen=True)
-class Assign:
-    target: str
-    expr: Term
+class Assign(FrozenRecord):
+    __slots__ = ("target", "expr")
 
     def __str__(self) -> str:
         return f"{self.target} := {self.expr}"
 
 
-@dataclass(frozen=True)
-class Havoc:
-    target: str
+class Havoc(FrozenRecord):
+    __slots__ = ("target",)
 
     def __str__(self) -> str:
         return f"havoc {self.target}"
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(FrozenRecord):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "skip"
 
@@ -45,26 +42,23 @@ class Skip:
 SKIP = Skip()
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    guard: Formula
-    effect: object  # Assign | Havoc | Skip
+class Edge(FrozenRecord):
+    __slots__ = ("src", "dst", "guard", "effect")
+
+    def __init__(self, src: int, dst: int, guard: Formula, effect):
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+        set_field(self, "guard", guard)
+        set_field(self, "effect", effect)  # Assign | Havoc | Skip
 
 
-@dataclass
-class ProgramGraph:
+class ProgramGraph(Record):
     """Immutable by convention; do not mutate after construction."""
 
-    name: str
-    locations: Tuple[int, ...]
-    edges: Tuple[Edge, ...]
-    initial: int
-    variables: Tuple[str, ...]
-    _out: Dict[int, Tuple[Edge, ...]] = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("name", "locations", "edges", "initial", "variables", "_out")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         out: Dict[int, List[Edge]] = {loc: [] for loc in self.locations}
         for e in self.edges:
             if e.src in out:
@@ -75,14 +69,12 @@ class ProgramGraph:
         return self._out.get(loc, ())
 
 
-@dataclass(frozen=True)
-class Quantifier:
-    """A quantifier of a specification: `kind` binds `trace_var` to the
-    traces of `graph` observed at the locations in `observed`."""
-    kind: str  # "forall" | "exists"
-    trace_var: str
-    graph: ProgramGraph
-    observed: FrozenSet[int]
+class Quantifier(FrozenRecord):
+    """A quantifier of a specification: `kind` ("forall" or "exists") binds
+    `trace_var` to the traces of `graph` observed at the locations in
+    `observed`."""
+
+    __slots__ = ("kind", "trace_var", "graph", "observed")
 
 
 def rename_vars(graph: ProgramGraph, prefix: str) -> ProgramGraph:
@@ -114,14 +106,11 @@ def default_step_budget(graph: ProgramGraph, k: int) -> int:
     return 10 * max(k, 1) * max(len(graph.locations), 1)
 
 
-@dataclass
-class Product:
-    graph: ProgramGraph
-    observed: FrozenSet[int]
-    # location -> (side, copy index, original location, is re-entry point).
-    # No search reads it: it is kept as the oracle of the product tests,
-    # which split each product trace back into its two component traces.
-    origin: Dict[int, Tuple[int, int, int, bool]]
+class Product(Record):
+    # origin: location -> (side, copy index, original location, is re-entry
+    # point). No search reads it: it is kept as the oracle of the product
+    # tests, which split each product trace back into its two component traces.
+    __slots__ = ("graph", "observed", "origin")
 
 
 def async_product(

@@ -20,7 +20,6 @@ binders, or fold to a literal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 
@@ -29,30 +28,125 @@ class EvalError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+set_field = object.__setattr__  # sets a slot past a frozen record's __setattr__
+
+
+class Record:
+    """The package's record type, with a dataclass's repr and equality.
+
+    The fields are the `__slots__` not named with a leading underscore, or
+    `_fields` where a class lists them. The constructor takes them in order,
+    by position or keyword; `_defaults` holds values for those left out. A
+    record equals a record of the same class with equal fields. A `Record`
+    is mutable and unhashable; a `FrozenRecord` refuses assignment and
+    hashes as the tuple of its fields. The classes that a search builds by
+    the thousand define their own `__init__`, and the logic nodes their own
+    `__eq__` and `__hash__`: the same results as these generic methods,
+    only faster.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = dict(self._defaults, **dict(zip(fields, args)), **kwargs)
+            if len(args) > len(fields) or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+
+class FrozenRecord(Record):
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        set_field(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(FrozenRecord):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class BinTerm:
-    op: str  # one of + - * div mod
-    left: "Term"
-    right: "Term"
+class BinTerm(FrozenRecord):
+    __slots__ = ("op", "left", "right")  # op: one of + - * div mod
+
+    def __init__(self, op: str, left: "Term", right: "Term"):
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.op, self.left, self.right) == (other.op, other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.op, self.left, self.right))
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -153,57 +247,77 @@ def mod(num: Term, den: Term) -> Term:
 # Formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class BoolLit(FrozenRecord):
+    __slots__ = ("value",)  # a bool
+    # The same field as IntLit's, so the same methods.
+    __init__, __eq__, __hash__ = IntLit.__init__, IntLit.__eq__, IntLit.__hash__
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # one of = != < <= > >=
-    left: Term
-    right: Term
+class Cmp(FrozenRecord):
+    __slots__ = ("op", "left", "right")  # op: one of = != < <= > >=
+    __init__, __eq__, __hash__ = BinTerm.__init__, BinTerm.__eq__, BinTerm.__hash__
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "Formula"
+class Not(FrozenRecord):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: "Formula"):
+        set_field(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.arg == other.arg
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.arg,))
 
     def __str__(self) -> str:
         return f"(not {self.arg})"
 
 
-@dataclass(frozen=True)
-class And:
-    args: tuple
+class And(FrozenRecord):
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple):
+        set_field(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.args,))
 
     def __str__(self) -> str:
         return "(and " + " ".join(str(a) for a in self.args) + ")"
 
 
-@dataclass(frozen=True)
-class Or:
-    args: tuple
+class Or(FrozenRecord):
+    __slots__ = ("args",)
+    __init__, __eq__, __hash__ = And.__init__, And.__eq__, And.__hash__
 
     def __str__(self) -> str:
         return "(or " + " ".join(str(a) for a in self.args) + ")"
 
 
-@dataclass(frozen=True)
-class Quant:
-    kind: str  # "forall" | "exists"
-    vars: tuple  # variable names, pairwise distinct
-    body: "Formula"
+class Quant(FrozenRecord):
+    # kind: "forall" | "exists"; vars: variable names, pairwise distinct
+    __slots__ = ("kind", "vars", "body")
 
-    def __post_init__(self):
-        if len(set(self.vars)) != len(self.vars):
+    def __init__(self, kind: str, vars: tuple, body: "Formula"):
+        if len(set(vars)) != len(vars):
             raise ValueError("quantifier block binds a variable twice")
+        set_field(self, "kind", kind)
+        set_field(self, "vars", vars)
+        set_field(self, "body", body)
 
     def __str__(self) -> str:
         return f"({self.kind} ({' '.join(self.vars)}) {self.body})"

@@ -28,16 +28,14 @@ an isolated, killable process, name it as the solver:
 from __future__ import annotations
 
 import os
-import select
 import shutil
-import subprocess
 import sys
 import time
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from . import logic
-from .logic import And, BinTerm, BoolLit, Cmp, Formula, IntLit, Not, Or, Quant, Term, Var
+from .logic import (And, BinTerm, BoolLit, Cmp, Formula, FrozenRecord, IntLit, Not, Or,
+                    Quant, Term, Var, set_field)
 
 DEFAULT_FEASIBILITY_TIMEOUT_MS = 5000
 DEFAULT_QUERY_TIMEOUT_MS = 60000
@@ -48,19 +46,19 @@ class SolverError(Exception):
     """Transport-level failure: crash, malformed output, broken pipe."""
 
 
-@dataclass(frozen=True)
-class Sat:
-    model: Dict[str, int]
+class Sat(FrozenRecord):
+    __slots__ = ("model",)
+
+    def __init__(self, model: Dict[str, int]):
+        set_field(self, "model", model)
 
 
-@dataclass(frozen=True)
-class Unsat:
-    pass
+class Unsat(FrozenRecord):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str
+class Unknown(FrozenRecord):
+    __slots__ = ("reason",)
 
 
 SatResult = Union[Sat, Unsat, Unknown]
@@ -142,16 +140,21 @@ def _argv_for(path: str) -> List[str]:
 BUNDLED_SOLVER = (sys.executable, "-m", "hyperfind.refsolver")
 
 
+# The value of PATH -> the solver found on it.
+_found_on_path: Dict[Optional[str], List[str]] = {}
+
+
 def resolve_solver(path: Optional[str] = None) -> List[str]:
     """Argument vector of the solver: the given path, else the first of
-    yices-smt2/z3/cvc5 on PATH, else `BUNDLED_SOLVER`."""
+    yices-smt2/z3/cvc5 on PATH, else `BUNDLED_SOLVER`. PATH is searched
+    once per value it takes."""
     if path:
         return _argv_for(path)
-    for candidate in ("yices-smt2", "z3", "cvc5"):
-        found = shutil.which(candidate)
-        if found:
-            return _argv_for(found)
-    return list(BUNDLED_SOLVER)
+    key = os.environ.get("PATH")
+    if key not in _found_on_path:
+        found = next(filter(None, map(shutil.which, ("yices-smt2", "z3", "cvc5"))), None)
+        _found_on_path[key] = _argv_for(found) if found else list(BUNDLED_SOLVER)
+    return list(_found_on_path[key])
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +189,8 @@ class SolverSession:
     # -- transport: a pipe to a child process --------------------------------
 
     def _start(self):
+        import subprocess  # only a child solver needs it
+
         self._buffer = b""
         try:
             self.proc = subprocess.Popen(
@@ -217,6 +222,8 @@ class SolverSession:
         return _parse_values(text)
 
     def _read_line(self, deadline: float) -> str:
+        import select
+
         fd = self.proc.stdout.fileno()
         while b"\n" not in self._buffer:
             remaining = deadline - time.monotonic()
@@ -243,6 +250,8 @@ class SolverSession:
         self.proc.wait()
 
     def close(self):
+        import subprocess
+
         if self._alive():
             try:
                 self.proc.stdin.write(b"(exit)\n")

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from . import logic, smt
 from .graph import Assign, Havoc, ProgramGraph, default_step_budget
-from .logic import Formula, Term, Var
+from .logic import Formula, FrozenRecord, Term, Var, set_field
 
 
 class FreshSupply:
@@ -54,11 +53,13 @@ def fresh_var_index(name: str) -> int:
     return int(name.rsplit("!", 1)[1])
 
 
-@dataclass(frozen=True)
-class SymState:
-    loc: int
-    path: Formula
-    mem: Tuple[Tuple[str, Term], ...]  # sorted (variable, term) pairs
+class SymState(FrozenRecord):
+    __slots__ = ("loc", "path", "mem")
+
+    def __init__(self, loc: int, path: Formula, mem: Tuple[Tuple[str, Term], ...]):
+        set_field(self, "loc", loc)
+        set_field(self, "path", path)
+        set_field(self, "mem", mem)  # sorted (variable, term) pairs
 
     def memory(self) -> Dict[str, Term]:
         return dict(self.mem)
@@ -72,8 +73,7 @@ def initial_state(graph: ProgramGraph) -> SymState:
     return make_state(graph.initial, logic.TRUE, {v: logic.IntLit(0) for v in graph.variables})
 
 
-@dataclass(frozen=True)
-class SymTrace:
+class SymTrace(FrozenRecord):
     """A symbolic trace ending at its latest observation.
 
     `states` is the full unprojected trace (needed for replaying
@@ -83,9 +83,15 @@ class SymTrace:
     path(states). `proved` tells whether the path is proved satisfiable
     (see the module docstring); it takes no part in the repr or equality.
     """
-    states: Tuple[SymState, ...]
-    observed: Tuple[SymState, ...]
-    proved: bool = field(default=True, repr=False, compare=False)
+
+    __slots__ = ("states", "observed", "proved", "_free_vars")
+    _fields = ("states", "observed")
+
+    def __init__(self, states: Tuple[SymState, ...], observed: Tuple[SymState, ...],
+                 proved: bool = True):
+        set_field(self, "states", states)
+        set_field(self, "observed", observed)
+        set_field(self, "proved", proved)
 
     @property
     def path(self) -> Formula:
@@ -94,7 +100,7 @@ class SymTrace:
     def free_vars(self) -> Tuple[str, ...]:
         # Cached: a side that both quantifiers share hands the same trace
         # objects to both.
-        cached = self.__dict__.get("_free_vars")
+        cached = getattr(self, "_free_vars", None)
         if cached is not None:
             return cached
         seen = set(logic.free_vars(self.path))
@@ -103,7 +109,8 @@ class SymTrace:
         terms = {id(term): term for state in self.states for _, term in state.mem}
         for term in terms.values():
             seen |= logic.free_vars(term)
-        cached = self.__dict__["_free_vars"] = tuple(sorted(seen, key=fresh_var_index))
+        cached = tuple(sorted(seen, key=fresh_var_index))
+        set_field(self, "_free_vars", cached)
         return cached
 
 

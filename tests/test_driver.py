@@ -226,8 +226,22 @@ def test_search_runs_feasibility_and_queries_on_one_solver_process(process_argv,
 
 @pytest.fixture
 def no_solver_on_path(monkeypatch):
-    """Make `smt.resolve_solver` fall back to the bundled solver."""
+    """Make `smt.resolve_solver` fall back to the bundled solver. Its memo of
+    the PATH lookup is cleared, so that it looks again."""
+    monkeypatch.setattr(smt, "_found_on_path", {})
     monkeypatch.setattr(smt.shutil, "which", lambda name: None)
+
+
+def test_path_is_searched_once_per_value(no_solver_on_path, monkeypatch):
+    looked_up = []
+    monkeypatch.setattr(smt.shutil, "which", lambda name: looked_up.append(name))
+    for _ in range(2):
+        result = analyze_source(ONE_LOOP, n=2)
+        assert result.stats.sat_calls > 0  # a session started and resolved the solver
+    assert looked_up == ["yices-smt2", "z3", "cvc5"]
+    monkeypatch.setenv("PATH", os.pathsep.join(["/nonexistent", os.environ.get("PATH", "")]))
+    assert analyze_source(ONE_LOOP, n=2).stats.sat_calls > 0
+    assert looked_up == ["yices-smt2", "z3", "cvc5"] * 2
 
 
 def test_default_search_starts_no_process(no_solver_on_path, sessions):

@@ -11,7 +11,7 @@ ALLOWED_UNCALLED = {
     "SolverSession.reset": "perfbench/spans.py patches it by name",
 }
 
-# Dataclass fields that nothing in the package reads, each with the reason it stays.
+# Record fields that nothing in the package reads, each with the reason it stays.
 ALLOWED_UNREAD = {
     "Product.origin": "the product tests' oracle: tests/ check each product location's origin",
 }
@@ -49,29 +49,35 @@ def _trees():
     return trees
 
 
-def _is_dataclass(decorator: ast.expr) -> bool:
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return isinstance(target, ast.Name) and target.id == "dataclass"
+def _declared_fields(node: ast.ClassDef):
+    """The names a class body lists in `__slots__` or `_fields`: the fields
+    of a `logic.Record`, and the slots of any other slotted class."""
+    for stmt in node.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id in ("__slots__", "_fields")
+                        for t in stmt.targets)):
+            yield from (elt.value for elt in stmt.value.elts)
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     trees = _trees()
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            # Only `x.f` reads a field: one set only through its constructor
-            # (`C(f=...)`) is kept alive by nothing.
+            # Only `x.f`, or `getattr(x, "f", ...)`, reads a field: one set only
+            # through its constructor (`C(f=...)`) is kept alive by nothing.
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    unread = []
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
-                unread += [f"{node.name}.{stmt.target.id}" for stmt in node.body
-                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                           and stmt.target.id not in read]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    fields = [f"{node.name}.{name}" for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for name in _declared_fields(node)]
+    assert "IntLit.value" in fields and "BenchRow.error" in fields
+    unread = [field for field in fields if field.rsplit(".", 1)[1] not in read]
     assert sorted(set(unread) - set(ALLOWED_UNREAD)) == [], \
-        "a dataclass field that nothing in the package reads"
+        "a record field that nothing in the package reads"
     assert sorted(set(ALLOWED_UNREAD) - set(unread)) == [], \
         "allowlisted, but read in the package: drop it from ALLOWED_UNREAD"
 

@@ -12,6 +12,59 @@ from hyperfind.symexec import Feasibility, FreshSupply
 from conftest import assert_equivalent, bench_source, observe, random_formula, random_term
 
 
+def test_records_keep_dataclass_semantics():
+    from hyperfind.driver import BenchRow, SearchOptions, SearchStats
+    from hyperfind.graph import Edge, SKIP
+    from hyperfind.symexec import SymState, SymTrace
+
+    # Equality is type-aware, unlike a tuple's; a hash is its field tuple's.
+    assert IntLit(1) != BoolLit(True) and IntLit(1) == IntLit(1)
+    assert hash(IntLit(3)) == hash((3,))
+    state = SymState(0, logic.TRUE, (("x", IntLit(0)),))
+    # One instance per class with its own methods: each agrees with the
+    # generic record methods, as a dataclass's would.
+    samples = [IntLit(3), Var("x"), BinTerm("+", Var("x"), IntLit(1)), BoolLit(False),
+               Cmp("<", Var("x"), IntLit(2)), Not(Cmp("<", Var("x"), IntLit(2))),
+               And((Var("x"), Var("y"))), logic.Or((Var("x"),)),
+               Quant("exists", ("x",), Cmp("<", Var("x"), IntLit(2))),
+               Edge(0, 1, logic.TRUE, SKIP), state, SymTrace((state,), ()),
+               frontend.Token("int", "7", 1, 2)]
+    for record in samples:
+        twin = type(record)(*record._values())
+        assert twin == record and not twin != record
+        assert hash(twin) == hash(record) == hash(record._values())
+        assert logic.Record.__eq__(twin, record) is True
+        assert repr(record) == logic.Record.__repr__(record)
+    assert smt.Sat({"x": 1}) == smt.Sat({"x": 1}) != smt.Sat({})
+    assert repr(smt.Sat({"x": 1})) == "Sat(model={'x': 1})"
+    assert repr(BinTerm("+", Var("x"), IntLit(1))) == \
+        "BinTerm(op='+', left=Var(name='x'), right=IntLit(value=1))"
+    # `proved` takes no part in a trace's repr or equality.
+    assert repr(SymTrace((), (), proved=False)) == "SymTrace(states=(), observed=())"
+    assert SymTrace((state,), (), proved=False) == SymTrace((state,), ())
+    # A frozen record refuses assignment; a mutable one is unhashable.
+    for record in (IntLit(3), state, SKIP):
+        with pytest.raises(AttributeError):
+            record.value = 4
+    with pytest.raises(TypeError):
+        hash(SearchStats())
+    stats = SearchStats()
+    stats.sat_calls += 1
+    assert stats == SearchStats(sat_calls=1)
+    # The generic constructor takes positions, keywords and defaults.
+    assert SearchOptions() == SearchOptions(None, None, 2_000_000, smt.DEFAULT_QUERY_TIMEOUT_MS,
+                                            smt.DEFAULT_FEASIBILITY_TIMEOUT_MS, None, None)
+    assert SearchOptions(step_budget=140).step_budget == 140
+    for bad in ({"bogus": 1}, {"solver_argv": None, "x": 2}):
+        with pytest.raises(TypeError):
+            SearchOptions(**bad)
+    with pytest.raises(TypeError):
+        SearchOptions(None, solver_argv=None)
+    row = BenchRow("a", "error", None, None, None, error="boom")
+    assert row.__dict__ == {"name": "a", "verdict": "error", "k": None, "combinations": None,
+                            "median_wall_ms": None, "error": "boom"}
+
+
 def test_eval_term_literal_arithmetic():
     assert eval_term(logic.add(Var("x"), IntLit(1)), {"x": 2}) == 3
     assert eval_term(logic.mul(IntLit(2), Var("x")), {"x": 3}) == 6
