@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from . import logic
 from .logic import (And, BinTerm, BoolLit, Cmp, Formula, FrozenRecord, IntLit, Not, Or,
-                    Quant, Term, Var, set_field)
+                    Quant, Term, Var)
 
 DEFAULT_FEASIBILITY_TIMEOUT_MS = 5000
 DEFAULT_QUERY_TIMEOUT_MS = 60000
@@ -48,9 +48,6 @@ class SolverError(Exception):
 
 class Sat(FrozenRecord):
     __slots__ = ("model",)
-
-    def __init__(self, model: Dict[str, int]):
-        set_field(self, "model", model)
 
 
 class Unsat(FrozenRecord):

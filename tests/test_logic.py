@@ -35,6 +35,7 @@ def test_records_keep_dataclass_semantics():
         assert hash(twin) == hash(record) == hash(record._values())
         assert logic.Record.__eq__(twin, record) is True
         assert repr(record) == logic.Record.__repr__(record)
+    # `smt.Sat` is built by the generic constructor.
     assert smt.Sat({"x": 1}) == smt.Sat({"x": 1}) != smt.Sat({})
     assert repr(smt.Sat({"x": 1})) == "Sat(model={'x': 1})"
     assert repr(BinTerm("+", Var("x"), IntLit(1))) == \
