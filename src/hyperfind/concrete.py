@@ -118,48 +118,41 @@ class OracleResult(Record):
     _defaults = {"k": None}
 
 
-def _body_env(binding: Dict[str, ObservedTrace], index: int) -> Dict[str, int]:
-    env: Dict[str, int] = {}
-    for trace_var, trace in binding.items():
-        _, mem_items = trace[index]
-        for var, value in mem_items:
-            env[f"{var}@{trace_var}"] = value
-    return env
+def _fragments(trace_var: str, trace: ObservedTrace) -> List[Dict[str, int]]:
+    """Per index of `trace`, its memory under the body's names `var@trace_var`."""
+    return [{f"{var}@{trace_var}": value for var, value in mem_items}
+            for _, mem_items in trace]
 
 
 def check_at(quantifiers: Sequence[Quantifier], body: logic.Formula, k: int,
              domain: Sequence[int],
              step_budget: Optional[int] = None) -> OracleResult:
     """Decide the bound-k semantics by direct quantifier expansion."""
-    trace_sets: Dict[str, List[ObservedTrace]] = {}  # each sorted once
+    # Each quantifier's traces, sorted once, as their per-index fragments
+    # of the body's environment.
+    trace_sets: List[List[List[Dict[str, int]]]] = []
     for q in quantifiers:
         enum = enumerate_observed(q.graph, q.observed, k, domain, step_budget)
         if not enum.complete:
             return OracleResult("inconclusive")
-        trace_sets[q.trace_var] = sorted(enum.observed)
+        trace_sets.append([_fragments(q.trace_var, trace) for trace in sorted(enum.observed)])
+    # The body's environment at each index. Every trace of a quantifier
+    # has the same names, so binding one overwrites the last one's values.
+    envs: List[Dict[str, int]] = [{} for _ in range(k)]
 
-    def recurse(i: int, binding: Dict[str, ObservedTrace]) -> bool:
+    def recurse(i: int) -> bool:
         if i == len(quantifiers):
-            return all(logic.eval_formula(body, _body_env(binding, j)) for j in range(k))
-        q = quantifiers[i]
-        traces = trace_sets[q.trace_var]
-        if q.kind == "forall":
-            for trace in traces:
-                binding[q.trace_var] = trace
-                if not recurse(i + 1, binding):
-                    del binding[q.trace_var]
-                    return False
-                del binding[q.trace_var]
-            return True
-        for trace in traces:
-            binding[q.trace_var] = trace
-            if recurse(i + 1, binding):
-                del binding[q.trace_var]
-                return True
-            del binding[q.trace_var]
-        return False
+            return all(logic.eval_formula(body, env) for env in envs)
+        # A false instance settles a forall, a true one an exists.
+        settles = quantifiers[i].kind != "forall"
+        for fragments in trace_sets[i]:
+            for env, fragment in zip(envs, fragments):
+                env.update(fragment)
+            if recurse(i + 1) == settles:
+                return settles
+        return not settles
 
-    if recurse(0, {}):
+    if recurse(0):
         return OracleResult("holds", k=k)
     return OracleResult("violated", k=k)
 

@@ -13,15 +13,19 @@ counterexample.
 
 A path is a conjunction, and most of its conjuncts bound one variable
 each, such as the guards of a countdown loop (`n > 0`, `n - 1 > 0`, ...).
-`Feasibility` settles such a path from per-variable integer bounds
-(`_decide`, after the constraint independence of KLEE, Cadar et al., OSDI
-2008) and asks the solver only about the other shapes.
+`Feasibility` settles such a path from per-variable integer bounds and
+asks the solver only about the other shapes. A child's path is its
+parent's conjuncts, the same objects, followed by its guard's, so the
+child's `Facts` are its parent's with only the guard folded in (the
+copy-on-write state sharing of KLEE, Cadar et al., OSDI 2008): a search
+reads each guard conjunct once, and a countdown of depth d costs d reads,
+not d * d / 2.
 
 Each node records whether its path is *proved* satisfiable: the root's
 path is true; a child extended along a true guard keeps its parent's path
-and its parent's proof; any other child is proved when its parent is and
-`Feasibility.check` answered `Sat` for its path, from the bounds or from
-the solver. An unknown answer leaves the node and every descendant
+object and its parent's proof; any other child is proved when its parent
+is and `Feasibility.check` answered `Sat` for its path, from the bounds or
+from the solver. An unknown answer leaves the node and every descendant
 unproved. The lazy search decides a universal trace without the solver only
 through a proved existential path (see `encode`).
 """
@@ -34,7 +38,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from . import logic, smt
 from .graph import Assign, Havoc, ProgramGraph, default_step_budget
-from .logic import Formula, FrozenRecord, Term, Var, set_field
+from .logic import Formula, FrozenRecord, Record, Term, Var, set_field
 
 
 class FreshSupply:
@@ -142,81 +146,130 @@ _UPPER = {"<": ((1, -1),), "<=": ((1, 0),), ">": ((-1, -1),), ">=": ((-1, 0),),
           "=": ((1, 0), (-1, 0))}
 
 
-def _decide(path: Formula) -> Optional[smt.SatResult]:
-    """`Sat` or `Unsat` for a path that per-variable bounds decide, None to
-    ask the solver.
+def _read(part: Formula) -> Optional[Tuple[str, List[Tuple[str, int]], int]]:
+    """A conjunct as `sum(c * x) + k op 0`: (op, the (x, c) pairs with c
+    nonzero, k), or None unless it is a comparison, or a negated one,
+    between linear terms (no div or mod)."""
+    negated = False
+    while isinstance(part, logic.Not):
+        part, negated = part.arg, not negated
+    if not isinstance(part, logic.Cmp):
+        return None
+    op = _COMPLEMENT[part.op] if negated else part.op
+    if isinstance(part.left, Var) and isinstance(part.right, logic.IntLit):
+        return op, [(part.left.name, 1)], -part.right.value  # the common `x op n`
+    coeffs: Dict[str, int] = {}
+    left = _linear(part.left, 1, coeffs)
+    right = _linear(part.right, -1, coeffs)
+    if left is None or right is None:
+        return None
+    return op, [(x, c) for x, c in coeffs.items() if c], left + right
 
-    Each conjunct must be a comparison, or a negated one, between linear
-    terms (no div or mod); it reads as `sum(c * x) + k op 0`. A conjunct
-    over one variable narrows that variable's interval: `c * x <= b` bounds
-    x by the floor of b / c, or for a negative c by its ceiling; an `=` is
-    two such bounds, so one that c does not divide empties the interval;
-    a `!=` removes one point. The path is unsat when an interval is empty,
-    or finite with every point removed, or a ground conjunct is false.
-    A difference atom `x - y + k op 0` has a solution on its own, so it may
-    stand beside the bounds when x and y occur in no other conjunct. Every
-    other shape goes to the solver.
+
+class Facts(Record):
+    """What the conjuncts of a path, read in order, tell about its
+    feasibility; never changed, so that the paths extending it share it.
+
+    `bounds` maps each variable of a one-variable conjunct to its interval
+    and removed points, (lo, hi, frozenset); `paired` holds the variables
+    of the difference atoms. `empty` tells whether some interval has no
+    point left, and `ask` whether the bounds cannot settle the path: a
+    difference atom shares a variable with another conjunct.
     """
-    if isinstance(path, logic.BoolLit):
-        return smt.Sat({}) if path.value else smt.Unsat()
-    bounds: Dict[str, list] = {}  # variable -> [lo, hi, removed points]
-    pairs: List[Tuple[str, ...]] = []  # the variables of each difference atom
-    for part in path.args if isinstance(path, logic.And) else (path,):
-        negated = False
-        while isinstance(part, logic.Not):
-            part, negated = part.arg, not negated
-        if not isinstance(part, logic.Cmp):
-            return None
-        op = _COMPLEMENT[part.op] if negated else part.op
-        if isinstance(part.left, Var) and isinstance(part.right, logic.IntLit):
-            live, k = [(part.left.name, 1)], -part.right.value  # the common `x op n`
-        else:
-            coeffs: Dict[str, int] = {}
-            left = _linear(part.left, 1, coeffs)
-            right = _linear(part.right, -1, coeffs)
-            if left is None or right is None:
-                return None
-            live, k = [(x, c) for x, c in coeffs.items() if c], left + right
+
+    __slots__ = ("bounds", "paired", "empty", "ask")
+
+
+_NO_FACTS = Facts({}, frozenset(), False, False)
+# The facts after a conjunct that settles the path on its own, whatever
+# follows: one that `_read` cannot read asks the solver, a false ground one
+# is unsat.
+_UNREADABLE = Facts({}, frozenset(), False, True)
+_FALSE = Facts({}, frozenset(), True, False)
+_UNBOUNDED = (-math.inf, math.inf, frozenset())
+
+
+def _fold(facts: Facts, parts: Sequence[Formula]) -> Facts:
+    """`facts` with the conjuncts `parts` read after them, in order.
+
+    A conjunct over one variable narrows that variable's interval:
+    `c * x <= b` bounds x by the floor of b / c, or for a negative c by
+    its ceiling; an `=` is two such bounds, so one that c does not divide
+    empties the interval; a `!=` removes one point. An interval is empty
+    when its bounds cross or, finite, it has every point removed. A
+    difference atom `x - y + k op 0` has a solution on its own, so it may
+    stand beside the bounds while x and y occur in no other conjunct. A
+    false ground conjunct, or one of any other shape, settles the path
+    (`_FALSE`, `_UNREADABLE`).
+    """
+    if facts is _UNREADABLE or facts is _FALSE:
+        return facts
+    bounds, paired, empty, ask = facts.bounds, facts.paired, facts.empty, facts.ask
+    copied = False
+    for part in parts:
+        read = _read(part)
+        if read is None:
+            return _UNREADABLE
+        op, live, k = read
         if not live:
             if not logic.cmp(op, logic.IntLit(k), logic.IntLit(0)).value:
-                return smt.Unsat()
+                return _FALSE
         elif len(live) == 1:
             x, c = live[0]
-            bound = bounds.setdefault(x, [-math.inf, math.inf, set()])
+            if not copied:
+                bounds, copied = dict(bounds), True
+            lo, hi, removed = bounds.get(x, _UNBOUNDED)
             if op == "!=":
                 if k % c == 0:
-                    bound[2].add(-k // c)
-                continue
-            for sign, slack in _UPPER[op]:
-                a, b = sign * c, slack - sign * k  # a * x <= b
-                if a > 0:
-                    bound[1] = min(bound[1], b // a)
-                else:
-                    bound[0] = max(bound[0], -(b // -a))
+                    removed = removed | {-k // c}
+            else:
+                for sign, slack in _UPPER[op]:
+                    a, b = sign * c, slack - sign * k  # a * x <= b
+                    if a > 0:
+                        hi = min(hi, b // a)
+                    else:
+                        lo = max(lo, -(b // -a))
+            bounds[x] = (lo, hi, removed)
+            empty = empty or lo > hi or (len(removed) > hi - lo
+                                         and sum(lo <= p <= hi for p in removed) > hi - lo)
+            ask = ask or x in paired
         elif len(live) == 2 and {c for _, c in live} == {1, -1}:
-            pairs.append((live[0][0], live[1][0]))
+            pair = (live[0][0], live[1][0])
+            ask = (ask or not paired.isdisjoint(pair)
+                   or pair[0] in bounds or pair[1] in bounds)
+            paired = paired.union(pair)
         else:
-            return None
-    for lo, hi, removed in bounds.values():
-        if lo > hi or (len(removed) > hi - lo
-                       and sum(lo <= p <= hi for p in removed) > hi - lo):
-            return smt.Unsat()
-    seen = set(bounds)
-    for pair in pairs:
-        if not seen.isdisjoint(pair):
-            return None
-        seen.update(pair)
-    return smt.Sat({})
+            return _UNREADABLE
+    return Facts(bounds, paired, empty, ask)
+
+
+def _verdict(facts: Facts) -> Optional[smt.SatResult]:
+    """`Sat` or `Unsat` for a path whose facts decide it, None to ask the
+    solver."""
+    if facts.empty:
+        return smt.Unsat()
+    return None if facts.ask else smt.Sat({})
 
 
 class Feasibility:
     """Path feasibility on the search's solver.
 
-    A path that per-variable bounds decide (see `_decide`) is answered `Sat`
-    or `Unsat` without a solver round trip, and that `Sat` proves it as
-    the solver's would; every other path is one scoped check, cut off after
-    `timeout_ms` by the session's deadline. `solver_calls` counts the checks
-    that reached the solver.
+    A path that its `Facts` decide is answered `Sat` or `Unsat` without a
+    solver round trip (after the constraint independence of KLEE, Cadar et
+    al., OSDI 2008), and that `Sat` proves it as the solver's would; every
+    other path is one scoped check, cut off after `timeout_ms` by the
+    session's deadline. `solver_calls` counts the checks that reached the
+    solver.
+
+    A path's facts are those of the longest prefix of it that this object
+    has already read, with only the conjuncts after it folded in. Every
+    check leaves its path's facts in a memo, which lives as long as the
+    object: one search. The memo finds a prefix by the object that ends it
+    and that object's position, so a conjunct object must never end two
+    different prefixes of one length. Paths keep that rule: a child's path
+    is its parent's conjunct objects followed by its guard's, which
+    `extend` builds afresh for each node; `encode` renames the conjuncts
+    of its domain scopes the same way.
     """
 
     def __init__(self, solver: smt.Solver,
@@ -224,9 +277,25 @@ class Feasibility:
         self.solver = solver
         self.timeout_ms = timeout_ms
         self.solver_calls = 0
+        # (id of a prefix's last conjunct, prefix length) -> (that
+        # conjunct, which the entry keeps alive so that its id stays
+        # unique, the prefix's facts)
+        self._facts: Dict[Tuple[int, int], Tuple[Formula, Facts]] = {}
 
     def check(self, formula: Formula) -> smt.SatResult:
-        verdict = _decide(formula)
+        if isinstance(formula, logic.BoolLit):
+            return smt.Sat({}) if formula.value else smt.Unsat()
+        parts = formula.args if isinstance(formula, logic.And) else (formula,)
+        facts, start = _NO_FACTS, 0
+        for end in range(len(parts), 0, -1):
+            known = self._facts.get((id(parts[end - 1]), end))
+            if known is not None:
+                facts, start = known[1], end
+                break
+        if start < len(parts):
+            facts = _fold(facts, parts[start:])
+            self._facts[id(parts[-1]), len(parts)] = (parts[-1], facts)
+        verdict = _verdict(facts)
         if verdict is not None:
             return verdict
         self.solver_calls += 1
@@ -246,14 +315,15 @@ def extend(graph: ProgramGraph, states: Tuple[SymState, ...], supply: FreshSuppl
     out: List[Tuple[SymState, ...]] = []
     for edge in graph.out_edges(last.loc):
         guard = logic.substitute(edge.guard, mem)
-        path = logic.conj([last.path, guard])
         known = True
-        if isinstance(path, logic.BoolLit):
-            if not path.value:
+        if isinstance(guard, logic.BoolLit):
+            if not guard.value:
                 continue  # infeasible outright
-        elif guard != logic.TRUE:
-            # A true guard leaves the path unchanged, and the path was
-            # already known satisfiable when its trace was admitted.
+            # A true guard keeps the path itself, which was already known
+            # satisfiable when its trace was admitted.
+            path = last.path
+        else:
+            path = logic.conj([last.path, guard])
             verdict = feasibility.check(path)
             if isinstance(verdict, smt.Unsat):
                 continue

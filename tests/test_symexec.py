@@ -214,6 +214,36 @@ class UnknownOnSecondInput:
         return smt.Sat({})
 
 
+def test_countdown_reads_each_guard_conjunct_once(feas, monkeypatch):
+    # The k-th loop pass of factorial.hyp checks paths of k guards. Each
+    # check folds only the new guard into the facts of the parent's path:
+    # 70 reads, where reading every checked path whole would take 1,260.
+    prog = frontend.load(bench_source("factorial.hyp")).programs["factorial"]
+    read, reads, checked = symexec._read, [], []
+    monkeypatch.setattr(symexec, "_read", lambda part: reads.append(part) or read(part))
+
+    class Recorded(Feasibility):
+        def check(self, formula):
+            checked.append(formula.args if isinstance(formula, logic.And) else (formula,))
+            return super().check(formula)
+
+    walk = Walk(prog.graph, prog.labels["end"], 1, FreshSupply(), Recorded(feas.solver),
+                step_budget=140)
+    list(walk.stream(1))
+    conjuncts = {id(part) for parts in checked for part in parts}
+    assert len(checked) > 60 and max(map(len, checked)) > 30
+    assert len(reads) == len({id(part) for part in reads}) == len(conjuncts)
+    # A child reached over a true guard keeps its parent's path object.
+    kept, nodes = 0, [walk.root]
+    for node in nodes:
+        for child in walk.tree.get(id(node), []):
+            if child.path == node.path:
+                assert child.path is node.path
+                kept += 1
+            nodes.append(child)
+    assert kept > 60
+
+
 def test_walk_marks_paths_proved():
     # input_sign_graph branches on each input: bound j's traces have
     # checked j - 1 guards. An unknown answer on the second input's guard
@@ -255,9 +285,26 @@ def test_concretize_unbound_fresh_variable_errors(feas):
         concretize(trace.states, {})
 
 
+class AskedSolver:
+    """A solver stand-in: a check that reaches it answers None."""
+
+    def check(self, formula, timeout_ms):
+        return None
+
+
+def decide(path, split=None):
+    """`Sat` or `Unsat` when `Feasibility` settles `path` from bounds, None
+    when it asks the solver. With `split`, the verdict of the facts folded
+    in two steps instead: the first `split` conjuncts, then the rest."""
+    if split is None:
+        return Feasibility(AskedSolver()).check(path)
+    parts = path.args if isinstance(path, logic.And) else (path,)
+    facts = symexec._fold(symexec._NO_FACTS, parts[:split])
+    return symexec._verdict(symexec._fold(facts, parts[split:]))
+
+
 def test_decide_settles_bounds_and_leaves_the_rest_to_the_solver():
     a, b = Var("a"), Var("b")
-    decide = symexec._decide
     # difference atoms and bounds over disjoint variables
     assert decide(Cmp("<", a, b)) == smt.Sat({})
     assert decide(logic.conj(
@@ -278,6 +325,21 @@ def test_decide_settles_bounds_and_leaves_the_rest_to_the_solver():
     # a difference atom whose variable carries a bound, and div or mod
     assert decide(logic.conj([Cmp("<", a, b), Cmp(">", a, IntLit(0))])) is None
     assert decide(Cmp("=", logic.mod(a, IntLit(2)), IntLit(1))) is None
+    # Conjuncts are read in order. The first one that settles the path on
+    # its own wins, whether or not a fold ends between them: an unreadable
+    # one asks the solver, a false ground one is unsat. After a difference
+    # atom tangled with a bound, an interval that empties is still unsat.
+    odd = Cmp("=", logic.mod(a, IntLit(2)), IntLit(1))
+    tangled = [Cmp("<", a, b), Cmp(">", a, IntLit(0))]
+    cases = [([odd, Cmp("<", a, a)], None), ([Cmp("<", a, a), odd], smt.Unsat()),
+             ([Cmp("<", a, IntLit(0)), Cmp(">", a, IntLit(0)), odd], None),
+             (tangled, None), (tangled + [Cmp("<", a, IntLit(0))], smt.Unsat()),
+             (tangled + [odd, Cmp("<", a, IntLit(0))], None)]
+    for parts, verdict in cases:
+        path = logic.conj(parts)
+        assert decide(path) == verdict, path
+        for split in range(len(parts) + 1):
+            assert decide(path, split) == verdict, (path, split)
 
 
 def random_conjunction(rng, kinds):
@@ -345,14 +407,19 @@ def random_conjunction(rng, kinds):
 
 
 def test_decide_agrees_with_the_bundled_solver():
-    rng = random.Random(15)
+    rng, splits = random.Random(15), random.Random(20)
     kinds, answers = set(), {"Sat": 0, "Unsat": 0, "solver": 0}
     with smt.Solver(smt.BUNDLED_SOLVER) as solver:
         for _ in range(1500):
             drawn = set()
             path = random_conjunction(rng, drawn)
             kinds |= drawn
-            decided = symexec._decide(path)
+            decided = decide(path)
+            # Folded in two steps, the facts give the verdict of one read
+            # (a path with no conjunct drawn is the literal true: no fold).
+            if not isinstance(path, logic.BoolLit):
+                width = len(path.args) if isinstance(path, logic.And) else 1
+                assert decide(path, splits.randint(0, width)) == decided, path
             if "divmod" in drawn:
                 assert decided is None, path
             if decided is None:
