@@ -16,11 +16,15 @@ conjunct `x = t` pins, with t free of the block's binders, is replaced by t
 and no longer bound, in `forall xs. not (C)` and in `exists xs. C` with C a
 conjunction or a single comparison. A block may so lose some or all of its
 binders, or fold to a literal.
+
+Path feasibility (`symexec`) and the bundled solver (`refsolver`) read
+comparisons into one linear normal form (`comparison`, `atom`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+import math
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 
 class EvalError(Exception):
@@ -585,3 +589,153 @@ def _rebuild_term(op: str, left: Term, right: Term) -> Term:
     if op == "mod":
         return mod(left, right)
     raise ValueError(f"unknown term operator {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# Linear normal form
+# ---------------------------------------------------------------------------
+
+class SolverInputError(Exception):
+    """Input that the linear normal form, or the bundled solver, cannot take."""
+
+
+class Lin:
+    """A linear term: coefficient map (no zero coefficient) + constant."""
+
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs: Optional[Dict[str, int]] = None, const: int = 0):
+        self.coeffs = {v: c for v, c in (coeffs or {}).items() if c != 0}
+        self.const = const
+
+    def key(self):
+        return (tuple(sorted(self.coeffs.items())), self.const)
+
+    def coeff(self, var: str) -> int:
+        return self.coeffs.get(var, 0)
+
+    def add(self, other: "Lin") -> "Lin":
+        coeffs = dict(self.coeffs)
+        for v, c in other.coeffs.items():
+            coeffs[v] = coeffs.get(v, 0) + c
+        return Lin(coeffs, self.const + other.const)
+
+    def scale(self, factor: int) -> "Lin":
+        return Lin({v: c * factor for v, c in self.coeffs.items()}, self.const * factor)
+
+    def drop(self, var: str) -> "Lin":
+        coeffs = dict(self.coeffs)
+        coeffs.pop(var, None)
+        return Lin(coeffs, self.const)
+
+    def subst(self, var: str, image: "Lin") -> "Lin":
+        c = self.coeff(var)
+        if c == 0:
+            return self
+        return self.drop(var).add(image.scale(c))
+
+    def __repr__(self):
+        return f"Lin({self.coeffs}, {self.const})"
+
+
+# An atom is one of
+#   ("le", lin)        lin <= 0
+#   ("eq", lin)        lin = 0
+#   ("ne", lin)        lin != 0
+#   ("dvd", d, lin)    d divides lin
+#   ("ndvd", d, lin)   d does not divide lin
+# or a constant, ATOM_TRUE or ATOM_FALSE. An atom's term is node[-1], and
+# node[1:-1] holds its modulus, if any, so `atom(tag, node[-1], *node[1:-1])`
+# rebuilds it.
+ATOM_TRUE = ("true",)
+ATOM_FALSE = ("false",)
+
+
+def atom(tag: str, lin: Lin, d: int = 0) -> tuple:
+    """The normal form of the atom `tag` over `lin` (modulus `d` for dvd/ndvd).
+
+    A ground atom folds to ATOM_TRUE or ATOM_FALSE. Otherwise the
+    coefficients are divided by their gcd (with `d`'s for divisibility),
+    which rounds the constant of `le` and decides `eq`/`ne`/`dvd`/`ndvd`
+    outright when the gcd does not divide it.
+    """
+    if tag == "dvd" or tag == "ndvd":
+        d = abs(d)
+        if d == 0:
+            raise SolverInputError("divisibility by zero")
+    coeffs, const = lin.coeffs, lin.const
+    if not coeffs or d == 1:
+        return ATOM_TRUE if truth(tag, const, d) else ATOM_FALSE
+    g = math.gcd(*coeffs.values(), d)  # gcd(c, 0) is c
+    if g > 1:
+        if tag == "le":
+            # g*t + c <= 0  <=>  t <= floor(-c/g)  <=>  t + ceil(c/g) <= 0
+            return ("le", Lin({v: c // g for v, c in coeffs.items()}, -((-const) // g)))
+        if const % g != 0:
+            return ATOM_FALSE if tag in ("eq", "dvd") else ATOM_TRUE
+        lin = Lin({v: c // g for v, c in coeffs.items()}, const // g)
+        if d:
+            d //= g
+            if d == 1:
+                return ATOM_TRUE if tag == "dvd" else ATOM_FALSE
+    return (tag, d, lin) if d else (tag, lin)
+
+
+def truth(tag: str, value: int, d: int = 0) -> bool:
+    """Whether the atom `tag` (modulus `d`) holds where its term is `value`."""
+    if tag == "le":
+        return value <= 0
+    if tag == "eq":
+        return value == 0
+    if tag == "ne":
+        return value != 0
+    return (value % d == 0) == (tag == "dvd")
+
+
+# Each comparison `l op r` as the atom `tag` over `sign * (l - r) + offset`.
+COMPARISONS = {"<": ("le", 1, 1), "<=": ("le", 1, 0), ">": ("le", -1, 1), ">=": ("le", -1, 0),
+               "=": ("eq", 1, 0), "!=": ("ne", 1, 0)}
+# A negated comparison is the comparison with the complementary operator.
+COMPLEMENT = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
+
+
+def linear(term: Term, scale: int, coeffs: Dict[str, int],
+           hook: Optional[Callable[[BinTerm], Lin]] = None) -> int:
+    """Add `scale * term` to `coeffs` (name -> coefficient; a name whose
+    terms cancel stays, at 0) and return its constant part. A div, a mod
+    or a product of two non-literals is read by `hook`, which returns its
+    `Lin` or raises; without a hook, it raises ValueError."""
+    kind = type(term)
+    if kind is IntLit:
+        return scale * term.value
+    if kind is Var:
+        coeffs[term.name] = coeffs.get(term.name, 0) + scale
+        return 0
+    op, left, right = term.op, term.left, term.right
+    if op == "+" or op == "-":
+        const = linear(left, scale, coeffs, hook)
+        return const + linear(right, scale if op == "+" else -scale, coeffs, hook)
+    if op == "*":
+        if type(left) is IntLit:
+            return linear(right, scale * left.value, coeffs, hook)
+        if type(right) is IntLit:
+            return linear(left, scale * right.value, coeffs, hook)
+    if hook is None:
+        raise ValueError(f"not a linear term: {term}")
+    lin = hook(term)
+    for v, c in lin.coeffs.items():
+        coeffs[v] = coeffs.get(v, 0) + scale * c
+    return scale * lin.const
+
+
+def comparison(op: str, left: Term, right: Term,
+               hook: Optional[Callable[[BinTerm], Lin]] = None) -> Tuple[tuple, Dict[str, int]]:
+    """The atom of `left op right`, and the coefficients that `linear`,
+    with `hook`, read from its terms."""
+    tag, sign, offset = COMPARISONS[op]
+    if type(left) is Var and type(right) is IntLit:  # the common `x op n`
+        coeffs = {left.name: sign}
+        return (tag, Lin(coeffs, offset - sign * right.value)), coeffs
+    coeffs = {}
+    const = linear(left, sign, coeffs, hook) + linear(right, -sign, coeffs, hook)
+    return atom(tag, Lin(coeffs, const + offset)), coeffs

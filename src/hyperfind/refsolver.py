@@ -8,8 +8,9 @@ values, least magnitude first, and none satisfying means unsat. Each later
 constant takes its least value given the earlier ones, which is the model.
 
 Its commands are values (`dispatch`), such as `("assert", formula)` with a
-`logic` formula, which `Translator` turns into the solver's own linear
-normal form. The solver bridge (`smt.InProcessSession`) runs it in the
+`logic` formula, which `Translator` turns into formula nodes whose atoms
+are `logic`'s linear normal form, the one path feasibility reads too
+(`logic.comparison`). The solver bridge (`smt.InProcessSession`) runs it in the
 caller's process by default and hands it those values, so no text is
 written or read; its `:timeout` is then cooperative, checked by
 `Eliminator.tick`. As a stand-alone process (`hyperfind-smt`, or
@@ -45,14 +46,11 @@ import math
 import re
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import logic
-from .logic import And, BinTerm, BoolLit, Cmp, IntLit, Not, Or, Quant, Var
-
-
-class SolverInputError(Exception):
-    pass
+from .logic import (ATOM_FALSE as FALSE, ATOM_TRUE as TRUE, And, BinTerm, BoolLit, Cmp, IntLit,
+                    Lin, Not, Or, Quant, SolverInputError, Var, atom)
 
 
 class Timeout(Exception):
@@ -95,63 +93,13 @@ def parse_sexprs(text: str) -> List[object]:
 
 
 # ---------------------------------------------------------------------------
-# Linear terms: coefficient map + constant
+# Formula nodes
 # ---------------------------------------------------------------------------
 
-class Lin:
-    __slots__ = ("coeffs", "const")
-
-    def __init__(self, coeffs: Optional[Dict[str, int]] = None, const: int = 0):
-        self.coeffs = {v: c for v, c in (coeffs or {}).items() if c != 0}
-        self.const = const
-
-    def key(self):
-        return (tuple(sorted(self.coeffs.items())), self.const)
-
-    def is_const(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, var: str) -> int:
-        return self.coeffs.get(var, 0)
-
-    def add(self, other: "Lin") -> "Lin":
-        coeffs = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            coeffs[v] = coeffs.get(v, 0) + c
-        return Lin(coeffs, self.const + other.const)
-
-    def scale(self, factor: int) -> "Lin":
-        return Lin({v: c * factor for v, c in self.coeffs.items()}, self.const * factor)
-
-    def drop(self, var: str) -> "Lin":
-        coeffs = dict(self.coeffs)
-        coeffs.pop(var, None)
-        return Lin(coeffs, self.const)
-
-    def subst(self, var: str, image: "Lin") -> "Lin":
-        c = self.coeff(var)
-        if c == 0:
-            return self
-        return self.drop(var).add(image.scale(c))
-
-    def __repr__(self):
-        return f"Lin({self.coeffs}, {self.const})"
-
-
-# Formula nodes (always kept in negation normal form):
-#   ("true",) / ("false",)
-#   ("le", lin)        lin <= 0
-#   ("eq", lin)        lin = 0
-#   ("ne", lin)        lin != 0
-#   ("dvd", d, lin)    d divides lin
-#   ("ndvd", d, lin)   d does not divide lin
+# Formula nodes, always kept in negation normal form: the atoms and constants
+# of `logic`'s linear normal form (see `logic.atom`), and
 #   ("and", [nodes]) / ("or", [nodes])
 #   ("exists", [vars], node) / ("forall", [vars], node)
-# An atom's term is node[-1], and node[1:-1] holds its modulus, if any, so
-# `atom(tag, node[-1], *node[1:-1])` rebuilds it.
-
-TRUE = ("true",)
-FALSE = ("false",)
 
 # Each atom tag and the tag of its negation.
 _NEGATED = {"le": "le", "eq": "ne", "ne": "eq", "dvd": "ndvd", "ndvd": "dvd"}
@@ -198,48 +146,6 @@ def node_key(node) -> tuple:
     if tag in ("exists", "forall"):
         return (tag, tuple(node[1]), node_key(node[2]))
     raise SolverInputError(f"bad node {node!r}")
-
-
-def atom(tag: str, lin: Lin, d: int = 0) -> tuple:
-    """The normal form of the atom `tag` over `lin` (modulus `d` for dvd/ndvd).
-
-    A ground atom folds to TRUE or FALSE. Otherwise the coefficients are
-    divided by their gcd (with `d`'s for divisibility), which rounds the
-    constant of `le` and decides `eq`/`ne`/`dvd`/`ndvd` outright when the
-    gcd does not divide it.
-    """
-    if tag in _DIVISIBILITY:
-        d = abs(d)
-        if d == 0:
-            raise SolverInputError("divisibility by zero")
-        if d == 1:
-            return TRUE if tag == "dvd" else FALSE
-    coeffs, const = lin.coeffs, lin.const
-    if not coeffs:
-        if tag == "le":
-            holds = const <= 0
-        elif tag == "eq":
-            holds = const == 0
-        elif tag == "ne":
-            holds = const != 0
-        else:
-            holds = (const % d == 0) == (tag == "dvd")
-        return TRUE if holds else FALSE
-    g = math.gcd(*coeffs.values())
-    if d:
-        g = math.gcd(g, d)
-    if g > 1:
-        if tag == "le":
-            # g*t + c <= 0  <=>  t <= floor(-c/g)  <=>  t + ceil(c/g) <= 0
-            return ("le", Lin({v: c // g for v, c in coeffs.items()}, -((-const) // g)))
-        if const % g != 0:
-            return FALSE if tag in ("eq", "dvd") else TRUE
-        lin = Lin({v: c // g for v, c in coeffs.items()}, const // g)
-        if d:
-            d //= g
-            if d == 1:
-                return TRUE if tag == "dvd" else FALSE
-    return (tag, d, lin) if d else (tag, lin)
 
 
 def negate(node) -> tuple:
@@ -445,13 +351,7 @@ def holds(node, env: Dict[str, int]) -> bool:
                 value += c * env[v]
         except KeyError:
             raise SolverInputError(f"formula is not ground: {node!r}") from None
-        if tag == "le":
-            return value <= 0
-        if tag == "eq":
-            return value == 0
-        if tag == "ne":
-            return value != 0
-        return (value % node[1] == 0) == (tag == "dvd")
+        return logic.truth(tag, value, *node[1:-1])
     if tag in ("true", "false"):
         return tag == "true"
     raise SolverInputError(f"formula is not ground: {node!r}")
@@ -515,77 +415,52 @@ def solve_single(node, var: str, env: Dict[str, int],
 # Translation of `logic` formulas
 # ---------------------------------------------------------------------------
 
-# Each comparison `l OP r` as the atom `tag` over `sign * (l - r) + offset`.
-_COMPARISONS = {
-    "<": ("le", 1, 1),
-    "<=": ("le", 1, 0),
-    ">": ("le", -1, 1),
-    ">=": ("le", -1, 0),
-    "=": ("eq", 1, 0),
-    "!=": ("ne", 1, 0),
-}
-
-
 class Translator:
-    """`logic` terms and formulas -> linear normal form.
+    """`logic` terms and formulas -> the solver's formula nodes (`logic.comparison`).
 
     Every constant must be declared or bound, `*` needs a constant side, and
     `div`/`mod` a positive literal divisor; anything else raises
-    `SolverInputError`. div/mod are exact: each occurrence introduces an
-    existentially quantified quotient `.qN` pinned by side constraints.
+    `SolverInputError`; a comparison's names are checked once its terms are
+    read. div/mod are exact: each occurrence introduces an existentially
+    quantified quotient `.qN` pinned by side constraints.
     """
 
-    def __init__(self, declared: Dict[str, str]):
+    def __init__(self, declared: Set[str]):
         self.declared = declared
         self.aux_counter = 0
-        # The quotients of the comparison being translated, and the side
-        # constraints that pin them.
+        # The quotients of the comparison at hand, and the atoms that pin them.
         self.aux: List[str] = []
         self.side: List[tuple] = []
 
     def to_lin(self, term) -> Lin:
         coeffs: Dict[str, int] = {}
-        const = self._add(term, 1, coeffs)
+        const = logic.linear(term, 1, coeffs, self._quotient)
+        self._check_declared(coeffs)
         return Lin(coeffs, const)
 
-    def _add(self, term, scale: int, coeffs: Dict[str, int]) -> int:
-        """Adds `scale * term` into `coeffs`; returns its constant part."""
-        kind = type(term)
-        if kind is IntLit:
-            return scale * term.value
-        if kind is Var:
-            if term.name not in self.declared:
-                raise SolverInputError(f"undeclared constant {term.name!r}")
-            coeffs[term.name] = coeffs.get(term.name, 0) + scale
-            return 0
-        op, left, right = term.op, term.left, term.right
-        if op in ("+", "-"):
-            const = self._add(left, scale, coeffs)
-            return const + self._add(right, scale if op == "+" else -scale, coeffs)
-        if op == "*":
-            if type(left) is IntLit:
-                return self._add(right, scale * left.value, coeffs)
-            if type(right) is IntLit:
-                return self._add(left, scale * right.value, coeffs)
-            lin, other = self.to_lin(left), self.to_lin(right)
-            if lin.is_const():
-                lin, other = other, lin
-            if not other.is_const():
-                raise SolverInputError("nonlinear multiplication")
-            lin = lin.scale(other.const)
-        elif op in ("div", "mod"):
-            lin = self._quotient(op, self.to_lin(left), self.to_lin(right))
-        else:
-            raise SolverInputError(f"unknown term operator {op!r}")
-        for v, c in lin.coeffs.items():
-            coeffs[v] = coeffs.get(v, 0) + scale * c
-        return scale * lin.const
+    def _check_declared(self, coeffs: Dict[str, int]):
+        for name in coeffs:
+            if name not in self.declared and name not in self.aux:
+                raise SolverInputError(f"undeclared constant {name!r}")
 
-    def _quotient(self, op: str, num: Lin, den: Lin) -> Lin:
-        if not den.is_const() or den.const <= 0:
+    def _quotient(self, term: BinTerm) -> Lin:
+        """`logic.linear`'s hook: a div or mod by a fresh quotient, or a
+        product whose one side reads as a constant."""
+        op = term.op
+        if op == "*":
+            lin, other = self.to_lin(term.left), self.to_lin(term.right)
+            if not lin.coeffs:
+                lin, other = other, lin
+            if other.coeffs:
+                raise SolverInputError("nonlinear multiplication")
+            return lin.scale(other.const)
+        if op not in ("div", "mod"):
+            raise SolverInputError(f"unknown term operator {op!r}")
+        num, den = self.to_lin(term.left), self.to_lin(term.right)
+        if den.coeffs or den.const <= 0:
             raise SolverInputError(f"{op} requires a positive literal divisor")
         d = den.const
-        if num.is_const():
+        if not num.coeffs:
             return Lin({}, num.const // d if op == "div" else num.const % d)
         self.aux_counter += 1
         q = f".q{self.aux_counter}"
@@ -595,20 +470,14 @@ class Translator:
         self.side.append(atom("le", rem.add(Lin({}, -(d - 1)))))  # rem <= d-1
         return Lin({q: 1}) if op == "div" else rem
 
-    def comparison(self, formula: Cmp) -> tuple:
-        tag, sign, offset = _COMPARISONS[formula.op]
-        self.aux, self.side = [], []
-        coeffs: Dict[str, int] = {}
-        const = self._add(formula.left, sign, coeffs) + self._add(formula.right, -sign, coeffs)
-        core = atom(tag, Lin(coeffs, const + offset))
-        if not self.aux:
-            return core
-        return ("exists", self.aux, f_and(self.side + [core]))
-
     def to_formula(self, formula) -> tuple:
         kind = type(formula)
         if kind is Cmp:
-            return self.comparison(formula)
+            self.aux, self.side = [], []
+            core, coeffs = logic.comparison(formula.op, formula.left, formula.right,
+                                            self._quotient)
+            self._check_declared(coeffs)
+            return ("exists", self.aux, f_and(self.side + [core])) if self.aux else core
         if kind is And or kind is Or:
             return _junction("and" if kind is And else "or",
                              [self.to_formula(a) for a in formula.args])
@@ -617,18 +486,14 @@ class Translator:
         if kind is BoolLit:
             return TRUE if formula.value else FALSE
         if kind is Quant:
-            # A binder may shadow a declared constant; the declaration must
-            # survive the quantifier's scope.
-            outer = {name: self.declared.get(name) for name in formula.vars}
-            self.declared.update((name, "Int") for name in formula.vars)
+            # A binder may shadow a declared constant, whose declaration
+            # must survive the quantifier's scope.
+            bound = [name for name in formula.vars if name not in self.declared]
+            self.declared.update(bound)
             try:
                 body = self.to_formula(formula.body)
             finally:
-                for name, sort in outer.items():
-                    if sort is None:
-                        del self.declared[name]
-                    else:
-                        self.declared[name] = sort
+                self.declared.difference_update(bound)
             return (formula.kind, list(formula.vars), body)
         raise SolverInputError(f"expected a formula, got {formula!r}")
 
@@ -639,7 +504,7 @@ class Translator:
 
 class Session:
     def __init__(self):
-        self.declared: Dict[str, str] = {}
+        self.declared: Set[str] = set()
         self.depth = 0  # the assertion-stack level: pushes less pops
         # Each assertion and each declared name, tagged with the level it was
         # made at, so that push and pop cost what they drop, not their count.
@@ -648,9 +513,6 @@ class Session:
         self.model: Optional[Dict[str, int]] = None  # None: get-value is an error
         self.timeout_ms: Optional[int] = None
 
-    def assertions(self) -> List[tuple]:
-        return [a for _, a in self.stack]
-
     def check_sat(self) -> str:
         deadline = None
         if self.timeout_ms is not None:
@@ -658,7 +520,7 @@ class Session:
         elim = Eliminator(deadline)
         self.model = None  # a failed check must not leave an older model behind
         try:
-            phi = elim.qe(f_and(self.assertions()))
+            phi = elim.qe(f_and([a for _, a in self.stack]))
             free = sorted(node_vars(phi))
             if not free:
                 if not eval_ground(phi):
@@ -703,15 +565,26 @@ def run(instream=None, outstream=None) -> int:
         outstream.write(text + "\n")
         outstream.flush()
 
-    buffer = ""
+    # The text since the last command, and the depth after its first `scanned` characters.
+    buffer, depth, scanned = "", 0, 0
     while True:
         line = instream.readline()
-        if not line:
-            return 0
         buffer += line
-        if buffer.count("(") > buffer.count(")"):
-            continue
-        text, buffer = buffer, ""
+        if line:
+            # Read on while a command is open: a parenthesis in a comment, a
+            # |quoted| symbol or a string does not count.
+            try:
+                tokens = tokenize_sexpr(buffer[scanned:])
+            except SolverInputError:
+                continue  # a |quoted| symbol may end on a later line
+            depth += tokens.count("(") - tokens.count(")")
+            scanned = len(buffer)
+            if depth > 0:
+                continue
+        elif not buffer:
+            return 0
+        # At the end of the input, an open command is parsed: its error is the reply.
+        text, buffer, depth, scanned = buffer, "", 0, 0
         try:
             trees = parse_sexprs(text)
         except SolverInputError as exc:
@@ -818,7 +691,7 @@ def dispatch(session: Session, command: tuple):
         formula = Translator(session.declared).to_formula(command[1])
         session.stack.append((session.depth, formula))
     elif head == "declare-const":
-        session.declared[command[1]] = "Int"
+        session.declared.add(command[1])
         session.names.append((session.depth, command[1]))
     elif head == "push":
         session.depth += command[1]
@@ -829,7 +702,7 @@ def dispatch(session: Session, command: tuple):
         while session.stack and session.stack[-1][0] > session.depth:
             session.stack.pop()
         while session.names and session.names[-1][0] > session.depth:
-            session.declared.pop(session.names.pop()[1], None)
+            session.declared.discard(session.names.pop()[1])
     elif head == "check-sat":
         return session.check_sat()
     elif head == "get-value":

@@ -14,7 +14,9 @@ counterexample.
 A path is a conjunction, and most of its conjuncts bound one variable
 each, such as the guards of a countdown loop (`n > 0`, `n - 1 > 0`, ...).
 `Feasibility` settles such a path from per-variable integer bounds and
-asks the solver only about the other shapes. A child's path is its
+asks the solver only about the other shapes. It reads each conjunct in
+the bundled solver's linear normal form (`logic.comparison`), so `2x <= 5`
+bounds x by 2 and `2x = 1` is false. A child's path is its
 parent's conjuncts, the same objects, followed by its guard's, so the
 child's `Facts` are its parent's with only the guard folded in (the
 copy-on-write state sharing of KLEE, Cadar et al., OSDI 2008): a search
@@ -118,52 +120,20 @@ class SymTrace(FrozenRecord):
         return cached
 
 
-def _linear(term: Term, scale: int, coeffs: Dict[str, int]) -> Optional[int]:
-    """Add `scale * term` to `coeffs` (variable -> coefficient) and return its
-    constant part, or None when the term has a div or mod."""
-    if isinstance(term, logic.IntLit):
-        return scale * term.value
-    if isinstance(term, Var):
-        coeffs[term.name] = coeffs.get(term.name, 0) + scale
-        return 0
-    if term.op in ("+", "-"):
-        left = _linear(term.left, scale, coeffs)
-        right = _linear(term.right, -scale if term.op == "-" else scale, coeffs)
-        return None if left is None or right is None else left + right
-    if term.op == "*":
-        if isinstance(term.left, logic.IntLit):
-            return _linear(term.right, scale * term.left.value, coeffs)
-        if isinstance(term.right, logic.IntLit):
-            return _linear(term.left, scale * term.right.value, coeffs)
-    return None
-
-
-# A negated comparison is the comparison with the complementary operator.
-_COMPLEMENT = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
-# `c * x + k op 0` as upper bounds `sign * c * x <= slack - sign * k`, one
-# (sign, slack) pair each.
-_UPPER = {"<": ((1, -1),), "<=": ((1, 0),), ">": ((-1, -1),), ">=": ((-1, 0),),
-          "=": ((1, 0), (-1, 0))}
-
-
-def _read(part: Formula) -> Optional[Tuple[str, List[Tuple[str, int]], int]]:
-    """A conjunct as `sum(c * x) + k op 0`: (op, the (x, c) pairs with c
-    nonzero, k), or None unless it is a comparison, or a negated one,
-    between linear terms (no div or mod)."""
+def _read(part: Formula) -> Optional[Tuple[tuple, Dict[str, int]]]:
+    """A conjunct's atom in `logic`'s linear normal form, and the
+    coefficients read from its terms (`logic.comparison`); None unless it is
+    a comparison, or a negated one, between linear terms (no div or mod)."""
     negated = False
     while isinstance(part, logic.Not):
         part, negated = part.arg, not negated
     if not isinstance(part, logic.Cmp):
         return None
-    op = _COMPLEMENT[part.op] if negated else part.op
-    if isinstance(part.left, Var) and isinstance(part.right, logic.IntLit):
-        return op, [(part.left.name, 1)], -part.right.value  # the common `x op n`
-    coeffs: Dict[str, int] = {}
-    left = _linear(part.left, 1, coeffs)
-    right = _linear(part.right, -1, coeffs)
-    if left is None or right is None:
+    try:
+        return logic.comparison(logic.COMPLEMENT[part.op] if negated else part.op,
+                                part.left, part.right)
+    except ValueError:
         return None
-    return op, [(x, c) for x, c in coeffs.items() if c], left + right
 
 
 class Facts(Record):
@@ -192,15 +162,14 @@ _UNBOUNDED = (-math.inf, math.inf, frozenset())
 def _fold(facts: Facts, parts: Sequence[Formula]) -> Facts:
     """`facts` with the conjuncts `parts` read after them, in order.
 
-    A conjunct over one variable narrows that variable's interval:
-    `c * x <= b` bounds x by the floor of b / c, or for a negative c by
-    its ceiling; an `=` is two such bounds, so one that c does not divide
-    empties the interval; a `!=` removes one point. An interval is empty
-    when its bounds cross or, finite, it has every point removed. A
-    difference atom `x - y + k op 0` has a solution on its own, so it may
-    stand beside the bounds while x and y occur in no other conjunct. A
-    false ground conjunct, or one of any other shape, settles the path
-    (`_FALSE`, `_UNREADABLE`).
+    A one-variable atom `c * x + k op 0` has c = 1 or -1 once normalized:
+    it bounds x by the point -c * k, or removes that point. An interval is
+    empty when its bounds cross or, finite, it has every point removed; a
+    false conjunct with a variable empties the path's. A difference atom
+    `x - y + k op 0` has a solution on its own, so it may stand beside the
+    bounds while x and y occur in no other conjunct. A false ground
+    conjunct, or one of any other shape, settles the path (`_FALSE`,
+    `_UNREADABLE`).
     """
     if facts is _UNREADABLE or facts is _FALSE:
         return facts
@@ -210,31 +179,34 @@ def _fold(facts: Facts, parts: Sequence[Formula]) -> Facts:
         read = _read(part)
         if read is None:
             return _UNREADABLE
-        op, live, k = read
-        if not live:
-            if not logic.cmp(op, logic.IntLit(k), logic.IntLit(0)).value:
+        node, names = read
+        if node[0] == "true":
+            continue
+        if node[0] == "false":
+            if not any(names.values()):
                 return _FALSE
-        elif len(live) == 1:
-            x, c = live[0]
+            empty = True  # no point satisfies it, such as `2 * x = 1`
+            continue
+        tag, lin = node
+        coeffs = lin.coeffs
+        if len(coeffs) == 1:
+            (x, c), = coeffs.items()
+            point = -c * lin.const
             if not copied:
                 bounds, copied = dict(bounds), True
             lo, hi, removed = bounds.get(x, _UNBOUNDED)
-            if op == "!=":
-                if k % c == 0:
-                    removed = removed | {-k // c}
-            else:
-                for sign, slack in _UPPER[op]:
-                    a, b = sign * c, slack - sign * k  # a * x <= b
-                    if a > 0:
-                        hi = min(hi, b // a)
-                    else:
-                        lo = max(lo, -(b // -a))
+            if tag == "ne":
+                removed = removed | {point}
+            if tag == "eq" or tag == "le" and c > 0:
+                hi = min(hi, point)
+            if tag == "eq" or tag == "le" and c < 0:
+                lo = max(lo, point)
             bounds[x] = (lo, hi, removed)
             empty = empty or lo > hi or (len(removed) > hi - lo
                                          and sum(lo <= p <= hi for p in removed) > hi - lo)
             ask = ask or x in paired
-        elif len(live) == 2 and {c for _, c in live} == {1, -1}:
-            pair = (live[0][0], live[1][0])
+        elif len(coeffs) == 2 and sorted(coeffs.values()) == [-1, 1]:
+            pair = tuple(coeffs)
             ask = (ask or not paired.isdisjoint(pair)
                    or pair[0] in bounds or pair[1] in bounds)
             paired = paired.union(pair)

@@ -1,0 +1,104 @@
+"""Fingerprint a fixed set of 56 searches, to compare two checkouts.
+
+Usage:
+
+    python tests/identity.py CHECKOUT_ROOT > fingerprint.json
+
+The script imports `hyperfind` from `CHECKOUT_ROOT/src` and the inputs
+from `CHECKOUT_ROOT/benchmarks`, runs the searches below one after the
+other in this process, and prints one JSON object per search. Run it on
+two checkouts and diff the outputs: a refactor that keeps every search's
+behaviour leaves no difference.
+
+The searches:
+- the 15 manifest instances at their bounds, lazy and naive;
+- `voting_correct` lazy n=6 and naive n=3, `voting_buggy` naive n=4;
+- `factorial` lazy and naive n=1 at step budget 140, naive n=3 at 60;
+- `factorial` n=3 and n=5 at the default step budget, lazy and naive
+  (both are cut by the budget);
+- `min_flip` lazy n=4 and `io_loop` lazy n=6;
+- seven small inputs at domain (0, 1) and n=3, lazy and naive.
+
+Each record holds the verdict's repr (with the full counterexample), its
+name and bound, the search's counters (`combinations`, `sat_calls`,
+`decided`, `feasibility_calls`), the calls of `symexec.extend`, and every
+check sent to the solver: the SMT-LIB text of its formula, its wanted
+names and its answer. Pytest does not collect this file.
+"""
+
+import json
+import os
+import sys
+
+DOMAIN_INPUTS = ("positive_output", "echo_leak", "simple_leak", "simple_nonrefinement",
+                 "conditional_nonrefinement", "gni", "flip_min")
+
+
+def searches(inputs):
+    """(label, file, n, algorithm, options) of each search."""
+    with open(os.path.join(inputs, "manifest.json"), encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    for entry in manifest:
+        for algorithm in ("lazy", "naive"):
+            yield entry["name"], entry["file"], entry["max_observations"], algorithm, {}
+    yield "voting_correct", "voting_correct.hyp", 6, "lazy", {}
+    yield "voting_correct", "voting_correct.hyp", 3, "naive", {}
+    yield "voting_buggy", "voting_buggy.hyp", 4, "naive", {}
+    for algorithm in ("lazy", "naive"):
+        yield "factorial", "factorial.hyp", 1, algorithm, {"step_budget": 140}
+    yield "factorial", "factorial.hyp", 3, "naive", {"step_budget": 60}
+    for n in (3, 5):
+        for algorithm in ("lazy", "naive"):
+            yield "factorial", "factorial.hyp", n, algorithm, {}
+    yield "min_flip", "min_flip.hyp", 4, "lazy", {}
+    yield "io_loop", "io_loop.hyp", 6, "lazy", {}
+    for name in DOMAIN_INPUTS:
+        for algorithm in ("lazy", "naive"):
+            yield name, f"{name}.hyp", 3, algorithm, {"domain": (0, 1)}
+
+
+def main(root):
+    sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
+    from hyperfind import driver, smt, symexec
+
+    checks, extends = [], [0]
+    check, extend = smt.Solver.check, symexec.extend
+
+    def recorded_check(self, formula, wanted=(), timeout_ms=None):
+        result = check(self, formula, wanted, timeout_ms)
+        checks.append([smt.formula_to_smt(formula), sorted(wanted), repr(result)])
+        return result
+
+    def counted_extend(*args, **kwargs):
+        extends[0] += 1
+        return extend(*args, **kwargs)
+
+    smt.Solver.check = recorded_check
+    symexec.extend = counted_extend
+    inputs = os.path.join(root, "benchmarks")
+    for label, name, n, algorithm, options in searches(inputs):
+        with open(os.path.join(inputs, name), encoding="utf-8") as handle:
+            source = handle.read()
+        checks.clear()
+        extends[0] = 0
+        result = driver.analyze_source(source, n=n, algorithm=algorithm,
+                                       opts=driver.SearchOptions(**options))
+        stats = result.stats
+        print(json.dumps({
+            "search": [label, n, algorithm, {k: list(v) if isinstance(v, tuple) else v
+                                             for k, v in options.items()}],
+            "verdict": repr(result.verdict),
+            "name": driver.verdict_name(result.verdict),
+            "combinations": stats.combinations,
+            "sat_calls": stats.sat_calls,
+            "decided": stats.decided,
+            "feasibility_calls": stats.feasibility_calls,
+            "extend_calls": extends[0],
+            "checks": checks,
+        }, sort_keys=True))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/identity.py CHECKOUT_ROOT")
+    main(sys.argv[1])

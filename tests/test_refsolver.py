@@ -183,6 +183,42 @@ def test_push_and_pop_take_a_level_count_of_any_size():
                       '(error "undeclared constant \'x\'")']
 
 
+def test_parentheses_in_comments_and_quoted_symbols_do_not_end_a_command(monkeypatch):
+    # A `(` in a comment or a |quoted| symbol once held every later command
+    # back, and the leftover was dropped at the end of the input. Each
+    # reply must come as soon as its command's last line is read.
+    lines = io.StringIO("(declare-const x Int)\n(assert (> x 0)) ; x (positive\n(check-sat)\n"
+                        "(declare-const |y (| Int)\n(assert (> |y (| x))\n(check-sat)\n"
+                        "(get-value (x |y (|))\n(assert (> x\n 4))\n(check-sat)\n(exit)\n")
+    read, replies = [], []
+
+    class Input:
+        def readline(self):
+            read.append(1)
+            return lines.readline()
+
+    class Output:
+        def write(self, text):
+            replies.append((len(read), text.strip()))
+
+        def flush(self):
+            pass
+
+    assert run(Input(), Output()) == 0
+    assert replies == [(3, "sat"), (6, "sat"), (7, "((x 1) (|y (| 2))"), (10, "sat")]
+    # Each line of a long command is scanned once, not the whole command
+    # again at every line.
+    scanned = []
+    monkeypatch.setattr(refsolver, "tokenize_sexpr",
+                        lambda text, tokenize=refsolver.tokenize_sexpr:
+                        scanned.append(len(text)) or tokenize(text))
+    text = "(assert (and\n" + "(> 1 0) ; (\n" * 300 + "))\n(check-sat)\n"
+    assert drive(text) == "sat"
+    assert sum(scanned) < 3 * len(text)
+    # An incomplete command at the end of the input is an error reply.
+    assert drive("(declare-const x Int)\n(check-sat\n") == '(error "unbalanced parentheses")'
+    assert drive("(declare-const |x Int)\n") == '(error "unterminated quoted symbol")'
+
 
 def test_classic_quantified_judgments():
     # every integer is even or odd
@@ -357,7 +393,7 @@ def test_session_models_satisfy_assertions():
     for _ in range(80):
         session = Session()
         session.timeout_ms = 5000
-        session.declared = {"x": "Int", "y": "Int"}
+        session.declared = {"x", "y"}
         node = random_node(rng, ["x", "y"])
         session.stack.append((0, node))
         verdict = session.check_sat()
@@ -376,7 +412,7 @@ def test_session_models_satisfy_assertions():
 def test_timeout_returns_unknown():
     session = Session()
     session.timeout_ms = 0
-    session.declared = {"x": "Int"}
+    session.declared = {"x"}
     session.stack.append(
         (0, ("exists", ["y"], f_and([atom("le", Lin({"x": 97, "y": -89}, 1)),
                                      atom("dvd", Lin({"x": 7, "y": 3}, 1), 64)]))))
@@ -386,7 +422,7 @@ def test_timeout_returns_unknown():
 def session_verdict(node, names):
     session = Session()
     session.timeout_ms = 5000
-    session.declared = {name: "Int" for name in names}
+    session.declared = set(names)
     session.stack.append((0, node))
     return session.check_sat(), session.model
 
@@ -437,7 +473,7 @@ def test_failed_check_leaves_no_stale_model(monkeypatch):
     # x = 4 and y = x + 1; y is solved after x, so failing y alone fails
     # the model construction after x already has a value.
     session = Session()
-    session.declared = {"x": "Int", "y": "Int"}
+    session.declared = {"x", "y"}
     session.stack.append((0, f_and([atom("eq", Lin({"x": 1}, -4)),
                                     atom("eq", Lin({"x": 1, "y": -1}, 1))])))
     assert session.check_sat() == "sat"
@@ -535,7 +571,7 @@ def test_one_variable_decision_checks_the_deadline():
         solve_single(node, "x", {}, Eliminator(time.monotonic() - 1).tick)
     session = Session()
     session.timeout_ms = 50
-    session.declared = {"x": "Int"}
+    session.declared = {"x"}
     session.stack.append((0, f_and([node, atom("le", Lin({"x": -1}, 1))])))  # x >= 1
     started = time.monotonic()
     assert session.check_sat() == "unknown"
@@ -566,11 +602,11 @@ def test_malformed_command_is_an_error_reply(command):
 # One translator: a formula and its printed text give the same node
 # ---------------------------------------------------------------------------
 
-DECLARED = {"a": "Int", "b": "Int", "c": "Int"}
+DECLARED = {"a", "b", "c"}
 
 
 def by_value(formula):
-    declared = dict(DECLARED)
+    declared = set(DECLARED)
     node = Translator(declared).to_formula(formula)
     assert declared == DECLARED  # binders leave the declarations as they were
     return node
@@ -630,6 +666,9 @@ def test_n_ary_text_reads_as_nested_binary_nodes(text, formula):
     (BinTerm("*", Var("a"), BinTerm("+", Var("b"), IntLit(1))), "nonlinear multiplication"),
     (BinTerm("div", Var("a"), IntLit(0)), "div requires a positive literal divisor"),
     (BinTerm("mod", Var("a"), Var("b")), "mod requires a positive literal divisor"),
+    # A comparison's names are checked once its terms are read.
+    (BinTerm("+", Var("ghost"), BinTerm("div", Var("a"), IntLit(0))),
+     "div requires a positive literal divisor"),
 ])
 def test_both_routes_reject_the_same_terms(term, message):
     phi = Cmp("<", term, IntLit(-3))

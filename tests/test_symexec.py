@@ -331,10 +331,26 @@ def test_decide_settles_bounds_and_leaves_the_rest_to_the_solver():
     # atom tangled with a bound, an interval that empties is still unsat.
     odd = Cmp("=", logic.mod(a, IntLit(2)), IntLit(1))
     tangled = [Cmp("<", a, b), Cmp(">", a, IntLit(0))]
+    # Conjuncts are read in the solver's normal form, coefficients divided
+    # by their gcd: `2a - 2b <= 1` is the difference atom `a - b <= 0`, and
+    # `2a - 2b = 1` and `2a = 1` are false. A false conjunct with a
+    # variable only empties the path's interval, so a later unreadable one
+    # still asks the solver. `2a != 1` is true and bounds nothing, so it
+    # does not tangle with a difference atom over a.
+    twice = logic.sub(logic.mul(IntLit(2), a), logic.mul(IntLit(2), b))
+    double_a = logic.mul(IntLit(2), a)
     cases = [([odd, Cmp("<", a, a)], None), ([Cmp("<", a, a), odd], smt.Unsat()),
              ([Cmp("<", a, IntLit(0)), Cmp(">", a, IntLit(0)), odd], None),
              (tangled, None), (tangled + [Cmp("<", a, IntLit(0))], smt.Unsat()),
-             (tangled + [odd, Cmp("<", a, IntLit(0))], None)]
+             (tangled + [odd, Cmp("<", a, IntLit(0))], None),
+             ([Cmp("<=", twice, IntLit(1))], smt.Sat({})),
+             ([Cmp("<=", twice, IntLit(1)), Cmp(">", b, IntLit(0))], None),
+             ([Cmp("=", twice, IntLit(1))], smt.Unsat()),
+             ([Cmp("=", twice, IntLit(1)), odd], None),
+             ([Cmp("=", double_a, IntLit(1)), odd], None),
+             ([odd, Cmp("=", double_a, IntLit(1))], None),
+             ([Cmp("<", a, b), Cmp("!=", double_a, IntLit(1))], smt.Sat({})),
+             ([Not(Cmp("=", double_a, IntLit(1))), Cmp("<", a, b)], smt.Sat({}))]
     for parts, verdict in cases:
         path = logic.conj(parts)
         assert decide(path) == verdict, path
