@@ -25,7 +25,9 @@ one `symexec.Walk` per distinct side, made once per search: a memoized
 symbolic execution tree that each bound searches breadth-first afresh,
 extending only the nodes no earlier bound reached. The existential side
 uses the universal side's walk when both range over the same program and
-observation set (see `_walks`).
+observation set (see `_walks`); such a walk is walked once per bound, both
+sides reading one list. Each bound's existential side is prepared from the
+previous bound's.
 """
 
 from __future__ import annotations
@@ -206,30 +208,33 @@ def naive_search(gen: GeneralizedSpec, n: int,
     return _run(_naive, gen, n, opts)
 
 
-def _existential_side(gen: GeneralizedSpec, walk: Optional[symexec.Walk], k: int,
-                      opts: SearchOptions) -> Optional[encode.ExistentialSide]:
-    """Bound k's existential side, prepared for its queries; None when a
-    budget cut its traces short. The "no matching trace" part must be
+def _existential_traces(walk: Optional[symexec.Walk],
+                        k: int) -> Optional[List[SymTrace]]:
+    """Bound k's existential traces, none without an existential side; None
+    when a budget cut them short. The "no matching trace" part must be
     complete for any query at this or any larger bound to be trustworthy."""
     if walk is None:
-        return encode.prepare_existential(None, [], gen.body, k, opts.domain)
+        return []
     etraces, incomplete = _materialize(walk, k)
-    if incomplete:
-        return None
-    return encode.prepare_existential(
-        gen.existential.trace_var, etraces, gen.body, k, opts.domain)
+    return None if incomplete else etraces
 
 
 def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
           feas: Feasibility, stats: SearchStats) -> Verdict:
     universal_walk, existential_walk = _walks(gen, n, FreshSupply(), feas, opts)
+    existential = None
     budget_seen = False
     unknown_seen = False
     for k in range(1, n + 1):
-        existential = _existential_side(gen, existential_walk, k, opts)
-        if existential is None:
+        etraces = _existential_traces(existential_walk, k)
+        if etraces is None:
             return Inconclusive("budget")
-        stream = universal_walk.stream(k)
+        existential = encode.prepare_existential(
+            gen.existential and gen.existential.trace_var, etraces, gen.body, k,
+            opts.domain, existential)
+        # A walk that both sides share is walked once per bound: the
+        # universal side reads the complete list the existential side made.
+        stream = etraces if universal_walk is existential_walk else universal_walk.stream(k)
         index = 0
         for trace in stream:
             index += 1
@@ -255,7 +260,7 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
                 return _counterexample_verdict(gen, k, trace, result.model, query)
             if isinstance(result, smt.Unknown):
                 unknown_seen = True
-        if stream.incomplete:
+        if stream is not etraces and stream.incomplete:
             budget_seen = True
     if budget_seen:
         return Inconclusive("budget")
@@ -267,14 +272,20 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
 def _naive(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
            feas: Feasibility, stats: SearchStats) -> Verdict:
     universal_walk, existential_walk = _walks(gen, n, FreshSupply(), feas, opts)
+    existential = None
     unknown_seen = False
     for k in range(1, n + 1):
         utraces, u_incomplete = _materialize(universal_walk, k)
         if u_incomplete:
             return Inconclusive("budget")
-        existential = _existential_side(gen, existential_walk, k, opts)
-        if existential is None:
+        # A walk that both sides share is walked once per bound.
+        etraces = (utraces if existential_walk is universal_walk
+                   else _existential_traces(existential_walk, k))
+        if etraces is None:
             return Inconclusive("budget")
+        existential = encode.prepare_existential(
+            gen.existential and gen.existential.trace_var, etraces, gen.body, k,
+            opts.domain, existential)
         # The negated closed encoding: some universal trace has an
         # instantiation that no existential trace matches.
         query = logic.disj(

@@ -18,7 +18,10 @@ Everything in that query that depends on one existential trace alone is
 prepared once per bound k by `prepare_existential`: the trace's fresh
 variables, its path conjoined with the domain constraint, and the terms
 its memories give the body's existential variables; the checks that the
-trace can be bound in the body run there too. Per observation index,
+trace can be bound in the body run there too. A trace shares its states,
+conjuncts and names with its ancestor at the bound before, so each bound's
+side is built from the previous bound's, and each of them is read and
+renamed once per search. Per observation index,
 existential traces whose memories give those variables equal terms share
 one instantiation of the body. A query then substitutes the universal
 trace's memory into the body once per index and the existential memories
@@ -89,9 +92,9 @@ def _own(slots: Sequence[Tuple[str, str, str]], trace_var: str) -> List[Tuple[st
     return [(name, var) for name, var, tv in slots if tv == trace_var]
 
 
-def _apart(names: Sequence[str]) -> Tuple[Tuple[str, ...], Dict[str, Term]]:
+def _apart(names: Sequence[str], rho: Dict[str, Term]) -> Tuple[str, ...]:
     """An existential trace's fresh variables renamed apart (`v!N` becomes
-    `ev!N`), and the renaming.
+    `ev!N`), the renaming added to `rho`.
 
     When both quantifiers range over the same program, the search walks
     one tree for both sides, so a universal trace and an existential trace
@@ -99,8 +102,10 @@ def _apart(names: Sequence[str]) -> Tuple[Tuple[str, ...], Dict[str, Term]]:
     captures a universal variable. The map is the same for every trace, so
     equal terms stay equal.
     """
-    renamed = tuple("e" + name for name in names)
-    return renamed, {name: logic.Var(new) for name, new in zip(names, renamed)}
+    for name in names:
+        if name not in rho:
+            rho[name] = logic.Var("e" + name)
+    return tuple([rho[name].name for name in names])
 
 
 def _domain_constraint(names: Sequence[str],
@@ -137,7 +142,7 @@ class ExistentialSide(Record):
     """
     # trace_var is None when the specification has no existential.
     __slots__ = ("trace_var", "body", "k", "domain", "blocks", "sigmas", "members",
-                 "proved", "_slots", "_memo", "_in_domain")
+                 "proved", "_slots", "_memo", "_in_domain", "_carried")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -221,9 +226,14 @@ class ExistentialSide(Record):
 
 def prepare_existential(trace_var: Optional[str], traces: Sequence[SymTrace],
                         body: Formula, k: int,
-                        domain: Optional[Tuple[int, int]] = None) -> ExistentialSide:
+                        domain: Optional[Tuple[int, int]] = None,
+                        previous: Optional[ExistentialSide] = None) -> ExistentialSide:
     """The part of every bound-k lazy query that depends on the existential
     traces alone: built once per bound from the complete trace list.
+
+    `previous`, the same search's side of bound k - 1 (or None), lends its
+    images per observed state, renamed terms per image tuple, renamed path
+    conjuncts and renaming; classes and bitmasks are numbered afresh.
 
     With no existential quantifier (`trace_var` None, no traces) the side
     is one block with no variables, scope true (so proved) and no
@@ -232,6 +242,11 @@ def prepare_existential(trace_var: Optional[str], traces: Sequence[SymTrace],
     if trace_var is None:
         return ExistentialSide(None, body, k, domain, (((), logic.TRUE, (0,) * k),),
                                (({},),) * k, ((1,),) * k, 1)
+    # id of a state -> (the state, its images), images -> renamed sigma,
+    # id of a conjunct -> (the conjunct, renamed), and the renaming; an
+    # entry keeps its key's object alive, so that the id stays unique.
+    carried = previous._carried if previous is not None else ({}, {}, {}, {})
+    state_images, renamed_sigmas, renamed, rho = carried
     blocks = []
     classes: List[Dict[Tuple[Term, ...], int]] = [{} for _ in range(k)]
     sigmas: List[List[Dict[str, Term]]] = [[] for _ in range(k)]
@@ -242,16 +257,26 @@ def prepare_existential(trace_var: Optional[str], traces: Sequence[SymTrace],
     # The renaming is one map for every trace, so classes are formed before
     # it, and each path conjunct, which a path shares with the paths of its
     # prefixes, is renamed once.
-    renamed: Dict[int, Formula] = {}
     for t, trace in enumerate(traces):
-        fv2, rho = _apart(trace.free_vars())
+        fv2 = _apart(trace.free_vars(), rho)
         trace_classes = []
         for i in range(k):
-            images = tuple([_image(trace, trace_var, var, i) for _, var in own])
+            # `_image` raises on a trace without observation i, unless the
+            # body takes no term from it: then every entry, None's too, is ().
+            state = trace.observed[i] if i < len(trace.observed) else None
+            entry = state_images.get(id(state))
+            if entry is None:
+                entry = state_images[id(state)] = (
+                    state, tuple([_image(trace, trace_var, var, i) for _, var in own]))
+            images = entry[1]
             c = classes[i].setdefault(images, len(sigmas[i]))
             if c == len(sigmas[i]):
-                sigmas[i].append({name: logic.substitute(term, rho)
-                                  for (name, _), term in zip(own, images)})
+                sigma = renamed_sigmas.get(images)
+                if sigma is None:
+                    sigma = renamed_sigmas[images] = {
+                        name: logic.substitute(term, rho)
+                        for (name, _), term in zip(own, images)}
+                sigmas[i].append(sigma)
                 members[i].append(0)
             members[i][c] |= 1 << t
             trace_classes.append(c)
@@ -259,15 +284,17 @@ def prepare_existential(trace_var: Optional[str], traces: Sequence[SymTrace],
         conjuncts = path.args if isinstance(path, logic.And) else (path,)
         for conjunct in conjuncts:
             if id(conjunct) not in renamed:
-                renamed[id(conjunct)] = logic.substitute(conjunct, rho)
-        scope = logic.conj([*(renamed[id(c)] for c in conjuncts),
+                renamed[id(conjunct)] = (conjunct, logic.substitute(conjunct, rho))
+        scope = logic.conj([*(renamed[id(c)][1] for c in conjuncts),
                             _domain_constraint(fv2, domain)])
         blocks.append((fv2, scope, tuple(trace_classes)))
         if trace.proved:
             proved |= 1 << t
-    return ExistentialSide(trace_var, body, k, domain, tuple(blocks),
+    side = ExistentialSide(trace_var, body, k, domain, tuple(blocks),
                            tuple(map(tuple, sigmas)), tuple(map(tuple, members)),
                            proved)
+    side._carried = carried
+    return side
 
 
 def _no_match(universal: SymTrace, universal_var: str,

@@ -477,6 +477,12 @@ class Translator:
             core, coeffs = logic.comparison(formula.op, formula.left, formula.right,
                                             self._quotient)
             self._check_declared(coeffs)
+            if self.aux:
+                # A name written in the comparison, even a bound one, that
+                # equals a quotient's would be captured by it.
+                captured = logic.free_vars(formula).intersection(self.aux)
+                if captured:
+                    raise SolverInputError(f"symbol {min(captured)} is reserved for solvers")
             return ("exists", self.aux, f_and(self.side + [core])) if self.aux else core
         if kind is And or kind is Or:
             return _junction("and" if kind is And else "or",
@@ -684,13 +690,17 @@ def read_command(tree) -> tuple:
 def dispatch(session: Session, command: tuple):
     """Run one command value. Returns its reply: None, an answer string, the
     model of `get-value` as a dict, or "#exit". Raises `SolverInputError` on
-    a formula it cannot translate, a pop below level 0, or a `get-value`
-    without a model."""
+    a formula it cannot translate, a pop below level 0, a `get-value`
+    without a model, or a declared symbol that starts with `.`."""
     head = command[0]
     if head == "assert":
         formula = Translator(session.declared).to_formula(command[1])
         session.stack.append((session.depth, formula))
     elif head == "declare-const":
+        if command[1].startswith("."):
+            # SMT-LIB reserves these for solvers: the quotients of div and
+            # mod are named `.qN`, so such a constant would be captured.
+            raise SolverInputError(f"symbol {command[1]} is reserved for solvers")
         session.declared.add(command[1])
         session.names.append((session.depth, command[1]))
     elif head == "push":

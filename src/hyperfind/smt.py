@@ -214,7 +214,7 @@ class SolverSession:
         if command[0] != "get-value":
             return None
         text = self._read_line(deadline)
-        while text.count("(") > text.count(")"):
+        while _open(text):
             text += " " + self._read_line(deadline)
         return _parse_values(text)
 
@@ -331,6 +331,16 @@ class SolverSession:
         finally:
             if self._alive():
                 self.pop()
+
+
+def _open(text: str) -> bool:
+    """Whether a reply leaves a parenthesis or a |quoted| symbol open."""
+    from . import refsolver  # the package's one SMT-LIB2 reader
+    try:
+        tokens = refsolver.tokenize_sexpr(text)  # ( in |a(| or "(" is no token
+    except refsolver.SolverInputError:  # a |quoted| symbol ends on a later line
+        return True
+    return tokens.count("(") > tokens.count(")")
 
 
 def _parse_values(text: str) -> Dict[str, int]:

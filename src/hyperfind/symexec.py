@@ -7,9 +7,11 @@ reproducible. A search keeps each side's symbolic execution tree in one
 `Walk`, which extends each node at most once, and reads each bound's traces
 from it by a fresh breadth-first search over the cached tree
 (`ObserveStream`); both sides share one walk when they range over the same
-program and observation set. Paths whose feasibility the solver cannot
-settle (unknown) are kept: dropping a possibly feasible path could mask a
-counterexample.
+program and observation set. A node stores only its own step and links to
+its parent, whose states it shares (the copy-on-write state sharing of
+KLEE, Cadar et al., OSDI 2008), so an extension copies nothing. Paths whose
+feasibility the solver cannot settle (unknown) are kept: dropping a
+possibly feasible path could mask a counterexample.
 
 A path is a conjunction, and most of its conjuncts bound one variable
 each, such as the guards of a countdown loop (`n > 0`, `n - 1 > 0`, ...).
@@ -18,8 +20,7 @@ asks the solver only about the other shapes. It reads each conjunct in
 the bundled solver's linear normal form (`logic.comparison`), so `2x <= 5`
 bounds x by 2 and `2x = 1` is false. A child's path is its
 parent's conjuncts, the same objects, followed by its guard's, so the
-child's `Facts` are its parent's with only the guard folded in (the
-copy-on-write state sharing of KLEE, Cadar et al., OSDI 2008): a search
+child's `Facts` are its parent's with only the guard folded in: a search
 reads each guard conjunct once, and a countdown of depth d costs d reads,
 not d * d / 2.
 
@@ -55,10 +56,6 @@ class FreshSupply:
         return name
 
 
-def fresh_var_index(name: str) -> int:
-    return int(name.rsplit("!", 1)[1])
-
-
 class SymState(FrozenRecord):
     __slots__ = ("loc", "path", "mem")
 
@@ -80,44 +77,58 @@ def initial_state(graph: ProgramGraph) -> SymState:
 
 
 class SymTrace(FrozenRecord):
-    """A symbolic trace ending at its latest observation.
+    """A symbolic trace ending at its latest observation: a node of the
+    symbolic execution tree, which stores only its own step.
 
-    `states` is the full unprojected trace (needed for replaying
-    counterexamples); `observed` is its projection onto the observation
-    set. Whenever the trace is complete up to its k-th observation, the
-    last full state is the k-th observed state, so path(observed) equals
-    path(states). `proved` tells whether the path is proved satisfiable
-    (see the module docstring); it takes no part in the repr or equality.
+    A node holds its parent, its last state, its projection onto the
+    observation set (`observed`), its depth and the fresh name its step's
+    havoc introduced, if any. `states`, the full unprojected trace (needed
+    for replaying counterexamples), is read off the parent chain. Whenever
+    the trace is complete up to its k-th observation, the last full state
+    is the k-th observed state, so path(observed) equals path(states).
+    `proved` tells whether the path is proved satisfiable (see the module
+    docstring); it takes no part in the repr or equality.
     """
 
-    __slots__ = ("states", "observed", "proved", "_free_vars")
+    __slots__ = ("parent", "state", "observed", "proved", "depth", "fresh", "_free_vars")
     _fields = ("states", "observed")
 
-    def __init__(self, states: Tuple[SymState, ...], observed: Tuple[SymState, ...],
-                 proved: bool = True):
-        set_field(self, "states", states)
+    def __init__(self, parent: Optional["SymTrace"], state: SymState,
+                 observed: Tuple[SymState, ...], proved: bool, fresh: Optional[str]):
+        set_field(self, "parent", parent)
+        set_field(self, "state", state)
         set_field(self, "observed", observed)
         set_field(self, "proved", proved)
+        set_field(self, "depth", 0 if parent is None else parent.depth + 1)
+        set_field(self, "fresh", fresh)
 
     @property
     def path(self) -> Formula:
-        return self.states[-1].path
+        return self.state.path
+
+    @property
+    def states(self) -> Tuple[SymState, ...]:
+        states, node = [], self
+        while node is not None:
+            states.append(node.state)
+            node = node.parent
+        return tuple(reversed(states))
 
     def free_vars(self) -> Tuple[str, ...]:
-        # Cached: a side that both quantifiers share hands the same trace
-        # objects to both.
-        cached = getattr(self, "_free_vars", None)
-        if cached is not None:
-            return cached
-        seen = set(logic.free_vars(self.path))
-        # A term a step leaves unchanged is the same object in the next
-        # state, so walk each term object once.
-        terms = {id(term): term for state in self.states for _, term in state.mem}
-        for term in terms.values():
-            seen |= logic.free_vars(term)
-        cached = tuple(sorted(seen, key=fresh_var_index))
-        set_field(self, "_free_vars", cached)
-        return cached
+        """The fresh variables of the path and memories, in index order: the
+        parent's, then the node's own havoc name (each `v!N` comes from a
+        havoc on the path, and the supply only counts up). Cached per node;
+        a loop, not a recursion, fills the chain's uncached part."""
+        chain, node = [], self
+        while node is not None and getattr(node, "_free_vars", None) is None:
+            chain.append(node)
+            node = node.parent
+        names = () if node is None else node._free_vars
+        for node in reversed(chain):
+            if node.fresh is not None:
+                names += (node.fresh,)
+            set_field(node, "_free_vars", names)
+        return names
 
 
 def _read(part: Formula) -> Optional[Tuple[tuple, Dict[str, int]]]:
@@ -274,17 +285,18 @@ class Feasibility:
         return self.solver.check(formula, timeout_ms=self.timeout_ms)
 
 
-def extend(graph: ProgramGraph, states: Tuple[SymState, ...], supply: FreshSupply,
+def extend(graph: ProgramGraph, last: SymState, supply: FreshSupply,
            feasibility: Feasibility,
-           settled: Optional[List[bool]] = None) -> List[Tuple[SymState, ...]]:
-    """All feasible one-step extensions of a symbolic trace.
+           settled: Optional[List[Tuple[bool, Optional[str]]]] = None) -> List[SymState]:
+    """The states of all feasible one-step extensions of a symbolic trace
+    that ends in `last`.
 
-    When `settled` is given, one flag per extension is appended to it:
-    false when the solver left the extension's path unknown.
+    When `settled` is given, one pair per extension is appended to it:
+    false when the solver left the extension's path unknown, and the fresh
+    name its havoc introduced, or None.
     """
-    last = states[-1]
     mem = last.memory()
-    out: List[Tuple[SymState, ...]] = []
+    out: List[SymState] = []
     for edge in graph.out_edges(last.loc):
         guard = logic.substitute(edge.guard, mem)
         known = True
@@ -301,17 +313,19 @@ def extend(graph: ProgramGraph, states: Tuple[SymState, ...], supply: FreshSuppl
                 continue
             # Sat and Unknown both proceed; see module docstring.
             known = not isinstance(verdict, smt.Unknown)
-        if settled is not None:
-            settled.append(known)
+        fresh = None
         if isinstance(edge.effect, Assign):
             new_mem = dict(mem)
             new_mem[edge.effect.target] = logic.substitute(edge.effect.expr, mem)
         elif isinstance(edge.effect, Havoc):
             new_mem = dict(mem)
-            new_mem[edge.effect.target] = Var(supply.fresh())
+            fresh = supply.fresh()
+            new_mem[edge.effect.target] = Var(fresh)
         else:
             new_mem = mem
-        out.append(states + (make_state(edge.dst, path, new_mem),))
+        if settled is not None:
+            settled.append((known, fresh))
+        out.append(make_state(edge.dst, path, new_mem))
     return out
 
 
@@ -342,18 +356,19 @@ class Walk:
         self.step_budget = step_budget
         self.node_budget = node_budget
         init = initial_state(graph)
-        self.root = SymTrace((init,), (init,) if init.loc in observed else ())
+        self.root = SymTrace(None, init, (init,) if init.loc in observed else (), True, None)
         self.tree: Dict[int, List[SymTrace]] = {}  # id(node) -> its children
 
     def children(self, node: SymTrace) -> List[SymTrace]:
         kids = self.tree.get(id(node))
         if kids is None:
-            settled: List[bool] = []
-            exts = extend(self.graph, node.states, self.supply, self.feasibility, settled)
+            settled: List[Tuple[bool, Optional[str]]] = []
+            states = extend(self.graph, node.state, self.supply, self.feasibility, settled)
             kids = self.tree[id(node)] = [
-                SymTrace(ext, node.observed + (ext[-1],) if ext[-1].loc in self.observed
-                         else node.observed, node.proved and ok)
-                for ext, ok in zip(exts, settled)]
+                SymTrace(node, state, node.observed + (state,)
+                         if state.loc in self.observed else node.observed,
+                         node.proved and known, fresh)
+                for state, (known, fresh) in zip(states, settled)]
         return kids
 
     def stream(self, j: int) -> "ObserveStream":
@@ -396,7 +411,7 @@ class ObserveStream:
                     return
                 if len(node.observed) == n:
                     yield node
-                elif len(node.states) - 1 >= depth_limit:
+                elif node.depth >= depth_limit:
                     self.incomplete = True
                 else:
                     queue.append(node)

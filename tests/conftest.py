@@ -238,9 +238,32 @@ def fresh_bound_search(graph, observed, n, supply, feasibility,
             incomplete = True
             continue
         extends += 1
-        for ext in symexec.extend(graph, states, supply, feasibility):
-            queue.append((ext, obs + (ext[-1],) if ext[-1].loc in observed else obs))
+        for state in symexec.extend(graph, states[-1], supply, feasibility):
+            queue.append((states + (state,), obs + (state,) if state.loc in observed else obs))
     return traces, incomplete, extends
+
+
+def symbolic_trace(states: Sequence, observed: Sequence, proved: bool = True) -> SymTrace:
+    """The last node of a chain of search-tree nodes over `states`, each
+    node carrying the projection `observed`. As in a walk, each node's
+    fresh name is the one `v!N` that its memory adds to the chain's."""
+    node, seen = None, set()
+    for state in states:
+        new = {name for _, term in state.mem for name in logic.free_vars(term)} - seen
+        assert len(new) <= 1, "a step introduces at most one fresh name"
+        seen |= new
+        node = SymTrace(node, state, tuple(observed), proved, new.pop() if new else None)
+    return node
+
+
+def walked_free_vars(trace: SymTrace) -> Tuple[str, ...]:
+    """The free variables of a trace's path and of every state's memory,
+    sorted by fresh index: what `SymTrace.free_vars` reads off the chain."""
+    seen = set(logic.free_vars(trace.path))
+    for state in trace.states:
+        for _, term in state.mem:
+            seen |= logic.free_vars(term)
+    return tuple(sorted(seen, key=lambda name: int(name.rsplit("!", 1)[1])))
 
 
 def assert_equivalent(solver, left: Formula, right: Formula, context=None) -> None:
@@ -331,7 +354,8 @@ def closed_encoding(quantifiers: Sequence[QuantifiedTraces], body: Formula, k: i
         for trace in q.traces:
             fv, path, rho = trace.free_vars(), trace.path, None
             if q.kind == "exists":
-                fv, rho = _apart(fv)
+                rho = {}
+                fv = _apart(fv, rho)
                 path = logic.substitute(path, rho)
             scope = logic.conj([path, _domain_constraint(fv, domain)])
             inner = rec(i + 1, {**bound, q.trace_var: _images(trace, q.trace_var, own, k, rho)})

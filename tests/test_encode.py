@@ -6,15 +6,16 @@ import pytest
 from hyperfind import concrete, driver, encode, frontend, logic, smt, symexec
 from hyperfind.encode import EncodingError, lazy_query, prepare_existential
 from hyperfind.logic import Cmp, IntLit, Var
-from hyperfind.symexec import Feasibility, FreshSupply, SymTrace, make_state
+from hyperfind.symexec import Feasibility, FreshSupply, make_state
 
 from conftest import (BENCH_DIR, QuantifiedTraces, assert_equivalent, bench_source,
-                      closed_encoding, encode_invariant, observe, set_zero_graph)
+                      closed_encoding, encode_invariant, observe, set_zero_graph,
+                      symbolic_trace)
 
 
 def tiny_trace(out_term, loc=0):
     state = make_state(loc, logic.TRUE, {"out": out_term})
-    return SymTrace((state,), (state,))
+    return symbolic_trace((state,), (state,))
 
 
 def test_encode_invariant_single_observation():
@@ -148,7 +149,8 @@ def per_pair_query(universal, universal_var, existential_var, traces, body, k,
             encode_invariant(body, k, {universal_var: universal,
                                        existential_var: trace}),
         ])
-        renamed, rho = encode._apart(fv2)
+        rho = {}
+        renamed = encode._apart(fv2, rho)
         blocks.append(logic.forall(renamed, logic.negate(logic.substitute(matched, rho))))
     c2 = logic.conj(blocks)
     return logic.conj([c1, c2]), c2, fv1
@@ -178,9 +180,31 @@ def test_prepared_side_matches_per_pair_encoding(source, bounds, domain, solver_
             assert query.free_vars == free_vars, (source, k)
 
 
+@pytest.mark.parametrize("domain", [None, (0, 1)])
+@pytest.mark.parametrize("source, n", [("voting_correct.hyp", 6), ("min_flip.hyp", 3)])
+def test_a_side_prepared_from_the_previous_bound_equals_a_fresh_one(source, n, domain,
+                                                                     solver_argv):
+    gen = driver.generalize(frontend.load(bench_source(source)))
+    opts = driver.SearchOptions(solver_argv=solver_argv)
+    with smt.Solver(solver_argv) as solver:
+        _, walk = driver._walks(gen, n, FreshSupply(), Feasibility(solver), opts)
+        previous = None
+        for k in range(1, n + 1):
+            traces, incomplete = driver._materialize(walk, k)
+            assert traces and not incomplete
+            args = (gen.existential.trace_var, traces, gen.body, k, domain)
+            side, fresh = prepare_existential(*args, previous), prepare_existential(*args)
+            assert side.blocks == fresh.blocks, k  # names, scopes and classes
+            for (_, _, classes), (_, _, fresh_classes) in zip(side.blocks, fresh.blocks):
+                assert ([side.sigmas[i][c] for i, c in enumerate(classes)]
+                        == [fresh.sigmas[i][c] for i, c in enumerate(fresh_classes)]), k
+            assert side.members == fresh.members and side.proved == fresh.proved, k
+            previous = side
+
+
 def observed_trace(*outs):
     states = tuple(make_state(0, logic.TRUE, {"out": out}) for out in outs)
-    return SymTrace(states, states)
+    return symbolic_trace(states, states)
 
 
 def test_prepared_side_unbound_trace_variable():
@@ -264,6 +288,12 @@ def test_naive_query_is_the_negated_closed_encoding(source, domain, monkeypatch,
     sides = [("forall", gen.universal)]
     if gen.existential is not None:
         sides.append(("exists", gen.existential))
+    # A walk that both sides share is materialized once per bound, and the
+    # existential side reads the universal side's list.
+    if len(sides) == 2 and ((gen.existential.graph, gen.existential.observed)
+                            == (gen.universal.graph, gen.universal.observed)):
+        assert len(traces) == 3
+        traces = [found for found in traces for _ in sides]
     assert len(queries) == 3 and len(traces) == 3 * len(sides)
     monkeypatch.undo()
     with smt.Solver(solver_argv) as solver:

@@ -9,13 +9,14 @@ from hyperfind.logic import (
 )
 from hyperfind.symexec import Feasibility, FreshSupply
 
-from conftest import assert_equivalent, bench_source, observe, random_formula, random_term
+from conftest import (assert_equivalent, bench_source, observe, random_formula, random_term,
+                      symbolic_trace)
 
 
 def test_records_keep_dataclass_semantics():
     from hyperfind.driver import BenchRow, SearchOptions, SearchStats
     from hyperfind.graph import Edge, SKIP
-    from hyperfind.symexec import SymState, SymTrace
+    from hyperfind.symexec import SymState
 
     # Equality is type-aware, unlike a tuple's; a hash is its field tuple's.
     assert IntLit(1) != BoolLit(True) and IntLit(1) == IntLit(1)
@@ -27,8 +28,7 @@ def test_records_keep_dataclass_semantics():
                Cmp("<", Var("x"), IntLit(2)), Not(Cmp("<", Var("x"), IntLit(2))),
                And((Var("x"), Var("y"))), logic.Or((Var("x"),)),
                Quant("exists", ("x",), Cmp("<", Var("x"), IntLit(2))),
-               Edge(0, 1, logic.TRUE, SKIP), state, SymTrace((state,), ()),
-               frontend.Token("int", "7", 1, 2)]
+               Edge(0, 1, logic.TRUE, SKIP), state, frontend.Token("int", "7", 1, 2)]
     for record in samples:
         twin = type(record)(*record._values())
         assert twin == record and not twin != record
@@ -40,9 +40,12 @@ def test_records_keep_dataclass_semantics():
     assert repr(smt.Sat({"x": 1})) == "Sat(model={'x': 1})"
     assert repr(BinTerm("+", Var("x"), IntLit(1))) == \
         "BinTerm(op='+', left=Var(name='x'), right=IntLit(value=1))"
-    # `proved` takes no part in a trace's repr or equality.
-    assert repr(SymTrace((), (), proved=False)) == "SymTrace(states=(), observed=())"
-    assert SymTrace((state,), (), proved=False) == SymTrace((state,), ())
+    # A trace's fields are its states and observed states, read off its
+    # chain; `proved` takes no part in its repr, equality or hash.
+    trace = symbolic_trace((state, state), (state,), proved=False)
+    assert repr(trace) == f"SymTrace(states=({state!r}, {state!r}), observed=({state!r},))"
+    assert trace == symbolic_trace((state, state), (state,))
+    assert hash(trace) == hash(trace._values()) == hash(((state, state), (state,)))
     # A frozen record refuses assignment; a mutable one is unhashable.
     for record in (IntLit(3), state, SKIP):
         with pytest.raises(AttributeError):

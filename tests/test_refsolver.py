@@ -526,6 +526,27 @@ def test_binder_does_not_undeclare_a_shadowed_constant():
     assert out.splitlines() == ["sat", "sat", "((x 3))"]
 
 
+def test_a_symbol_reserved_for_solvers_is_refused():
+    # The quotient of `div x 2` is bound as `.q1`: a constant of that name
+    # would be captured, and `.q1 = 100, x = 7` would answer sat though
+    # 100 + 3 != 6. SMT-LIB reserves symbols that start with `.` for
+    # solvers: their declaration is refused, and so is a comparison that
+    # names a quotient of its own, even through a binder.
+    out = drive("""
+(declare-const .q1 Int)
+(declare-const x Int)
+(assert (= x 7))
+(assert (= .q1 100))
+(assert (= (+ .q1 (div x 2)) 6))
+(assert (forall ((.q1 Int)) (= (+ .q1 (div x 2)) 6)))
+(check-sat)
+(get-value (.q1 x))
+""")
+    reserved = '(error "symbol .q1 is reserved for solvers")'
+    undeclared = "(error \"undeclared constant '.q1'\")"
+    assert out.splitlines() == [reserved, undeclared, reserved, reserved, "sat", undeclared]
+
+
 # ---------------------------------------------------------------------------
 # Deciding the last variable by evaluation
 # ---------------------------------------------------------------------------

@@ -154,6 +154,16 @@ def test_a_malformed_get_value_reply_is_a_solver_error(text):
         smt._parse_values(text)
 
 
+def test_a_parenthesis_in_a_quoted_name_does_not_hold_up_a_reply():
+    # The child's reply `((|a(| 3))` is complete on its first line: a
+    # parenthesis inside a |quoted| symbol opens nothing.
+    started = time.monotonic()
+    with SolverSession(list(smt.BUNDLED_SOLVER), 5000) as session:
+        result = session.check_formula(Cmp(">", Var("|a(|"), IntLit(2)), ["|a(|"])
+    assert result == Sat({"|a(|": 3})
+    assert time.monotonic() - started < 2.5
+
+
 @pytest.fixture(params=["child", "in-process"])
 def open_session(request, solver_argv):
     """Starts a `SolverSession` on each transport: a pipe to a child process

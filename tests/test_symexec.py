@@ -14,6 +14,7 @@ from hyperfind.symexec import (
 from conftest import (
     BENCH_DIR, all_assignments, bench_source, fresh_bound_search,
     input_sign_graph, observe, random_graph, random_observed, set_zero_graph,
+    symbolic_trace, walked_free_vars,
 )
 
 
@@ -26,9 +27,9 @@ def feas(solver_argv):
 def test_extend_single_havoc_edge(feas):
     graph = input_sign_graph()
     supply = FreshSupply()
-    first = extend(graph, (initial_state(graph),), supply, feas)
+    first = extend(graph, initial_state(graph), supply, feas)
     assert len(first) == 1
-    state = first[0][-1]
+    state = first[0]
     assert state.loc == 1
     assert state.path == logic.TRUE
     assert state.memory()["x"] == Var("v!0")
@@ -37,13 +38,13 @@ def test_extend_single_havoc_edge(feas):
 def test_extend_splits_on_guards(feas):
     graph = input_sign_graph()
     supply = FreshSupply()
-    first = extend(graph, (initial_state(graph),), supply, feas)
+    first = extend(graph, initial_state(graph), supply, feas)
     second = extend(graph, first[0], supply, feas)
     assert len(second) == 2
-    paths = [trace[-1].path for trace in second]
+    paths = [state.path for state in second]
     assert paths == [Cmp(">", Var("v!0"), IntLit(0)),
                      Cmp("<=", Var("v!0"), IntLit(0))]
-    outputs = [trace[-1].memory()["output"] for trace in second]
+    outputs = [state.memory()["output"] for state in second]
     assert outputs == [IntLit(1), IntLit(0)]
 
 
@@ -56,7 +57,7 @@ def test_extend_prunes_unsat_guard(feas):
          Edge(1, 2, Cmp("<", Var("x"), IntLit(0)), SKIP)),
         0, ("x",))
     supply = FreshSupply()
-    first = extend(graph, (initial_state(graph),), supply, feas)
+    first = extend(graph, initial_state(graph), supply, feas)
     assert len(first) == 1
     assert extend(graph, first[0], supply, feas) == []
 
@@ -202,6 +203,34 @@ def test_walk_restreams_a_bound_from_its_tree(feas, extend_calls):
             walk.stream(j)
 
 
+@pytest.mark.parametrize("source, n, step_budget", [
+    ("voting_correct.hyp", 3, None), ("io_loop.hyp", 3, None), ("escalating.hyp", 3, None),
+    ("gni.hyp", 2, None), ("factorial.hyp", 1, 140),
+])
+def test_every_node_reads_its_trace_off_its_chain(feas, source, n, step_budget):
+    # A node stores its own step only. Its states, read off the chain, end
+    # in its state and project onto its observed states; its free
+    # variables, its parent's plus its own havoc's, are those of its path
+    # and memories. `gni` walks a product.
+    gen = driver.generalize(frontend.load(bench_source(source)))
+    sides = [side for side in (gen.universal, gen.existential) if side is not None]
+    supply = FreshSupply()
+    for side in sides:
+        walk = Walk(side.graph, side.observed, n, supply, feas, step_budget)
+        for j in range(1, n + 1):
+            list(walk.stream(j))
+        nodes = [walk.root]
+        for node in nodes:
+            nodes.extend(walk.tree.get(id(node), []))
+            states = node.states
+            assert len(states) == node.depth + 1 and states[-1] is node.state
+            projected = [state for state in states if state.loc in side.observed]
+            assert len(projected) == len(node.observed)
+            assert all(a is b for a, b in zip(projected, node.observed))
+            assert node.free_vars() == walked_free_vars(node)
+        assert len(nodes) > 10, source
+
+
 class UnknownOnSecondInput:
     """Path feasibility on `input_sign_graph`: unknown on a guard over the
     second input (`v!1` or `v!2`, one per branch of the first), sat on any
@@ -256,7 +285,7 @@ def test_walk_marks_paths_proved():
     # The flag takes no part in a trace's repr or equality.
     trace = next(iter(walk.stream(3)))
     assert "proved" not in repr(trace)
-    assert trace == symexec.SymTrace(trace.states, trace.observed)
+    assert trace == symbolic_trace(trace.states, trace.observed)
 
 
 def test_concretize_io_trace(feas):
@@ -272,7 +301,7 @@ def test_concretize_io_trace(feas):
 
 def test_concretize_initial_identity(feas):
     graph = input_sign_graph()
-    trace = symexec.SymTrace((initial_state(graph),), (initial_state(graph),))
+    trace = symbolic_trace((initial_state(graph),), (initial_state(graph),))
     assert concretize(trace.states, {}) == [(0, {"x": 0, "output": 0})]
 
 
