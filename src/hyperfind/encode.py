@@ -81,7 +81,7 @@ def _image(trace: SymTrace, trace_var: str, var: str, i: int) -> Term:
     if len(trace.observed) <= i:
         raise EncodingError(
             f"trace bound to {trace_var!r} has fewer than {i + 1} observations")
-    memory = trace.observed[i].memory()
+    memory = trace.observed[i].memory
     if var not in memory:
         raise EncodingError(
             f"program bound to {trace_var!r} has no variable {var!r}")
@@ -142,7 +142,7 @@ class ExistentialSide(Record):
     """
     # trace_var is None when the specification has no existential.
     __slots__ = ("trace_var", "body", "k", "domain", "blocks", "sigmas", "members",
-                 "proved", "_slots", "_memo", "_in_domain", "_carried")
+                 "proved", "_slots", "_memo", "_in_domain", "_carried", "_instance")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -153,6 +153,7 @@ class ExistentialSide(Record):
         self._memo: Dict[tuple, Tuple[List[Formula], int, int]] = {}
         # trace -> whether its scope (path and domain) answered sat
         self._in_domain: Dict[int, bool] = {}
+        self._instance = None  # the body, compiled on the first memo miss
 
     def _universal_slots(self, universal_var: str) -> List[Tuple[str, str]]:
         own = self._slots.get(universal_var)
@@ -176,12 +177,12 @@ class ExistentialSide(Record):
         key = (universal_var, i, images)
         entry = self._memo.get(key)
         if entry is None:
-            # Substituting the two sides one after the other gives the
-            # simultaneous substitution's formula: their images share no
-            # variable with the other side's names.
-            body_i = logic.substitute(
-                self.body, {name: term for (name, _), term in zip(own, images)})
-            found = [logic.substitute(body_i, sigma) for sigma in self.sigmas[i]]
+            if self._instance is None:
+                self._instance = logic.substituter(self.body)
+            # One simultaneous substitution of both sides per class.
+            instance = self._instance
+            universal_sigma = {name: term for (name, _), term in zip(own, images)}
+            found = [instance({**sigma, **universal_sigma}) for sigma in self.sigmas[i]]
             true = false = 0
             for c, instance in enumerate(found):
                 if isinstance(instance, logic.BoolLit):
@@ -294,6 +295,8 @@ def prepare_existential(trace_var: Optional[str], traces: Sequence[SymTrace],
                            tuple(map(tuple, sigmas)), tuple(map(tuple, members)),
                            proved)
     side._carried = carried
+    if previous is not None:
+        side._instance = previous._instance
     return side
 
 

@@ -60,6 +60,10 @@ class Token(FrozenRecord):
         set_field(self, "line", line)
         set_field(self, "col", col)
 
+    def shown(self) -> str:
+        """The token as an error message names it."""
+        return "end of input" if self.kind == "eof" else repr(self.text)
+
 
 def tokenize(source: str) -> List[Token]:
     tokens = []
@@ -78,8 +82,10 @@ def tokenize(source: str) -> List[Token]:
             col += 1
             continue
         if c == "#":
+            start = i
             while i < n and source[i] != "\n":
                 i += 1
+            col += i - start
             continue
         if c.isalpha() or c == "_":
             start = i
@@ -151,7 +157,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
-            raise self.error(f"expected {want!r}, found {tok.text!r}")
+            raise self.error(f"expected {want!r}, found {tok.shown()}")
         return self.advance()
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
@@ -291,7 +297,7 @@ class _Parser:
             self.expect("punct", ";")
             self.use([target, *_ordered_vars(expr)])
             return self.step(entry, Assign(target, expr))
-        raise self.error(f"expected a statement, found {tok.text!r}")
+        raise self.error(f"expected a statement, found {tok.shown()}")
 
     # -- specification ------------------------------------------------------
 
@@ -363,7 +369,7 @@ class _Parser:
         tok = self.peek()
         ops = {"==": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
         if tok.kind != "punct" or tok.text not in ops:
-            raise self.error(f"expected a comparison operator, found {tok.text!r}")
+            raise self.error(f"expected a comparison operator, found {tok.shown()}")
         self.advance()
         right = self.parse_aexpr(allow_trace_vars)
         return logic.cmp(ops[tok.text], left, right)
@@ -421,7 +427,7 @@ class _Parser:
                 trace = self.expect("ident").text
                 return logic.Var(f"{name}@{trace}")
             return logic.Var(name)
-        raise self.error(f"expected an expression, found {tok.text!r}")
+        raise self.error(f"expected an expression, found {tok.shown()}")
 
 
 def _ordered_vars(node) -> List[str]:

@@ -55,7 +55,7 @@ class Edge(FrozenRecord):
 class ProgramGraph(Record):
     """Immutable by convention; do not mutate after construction."""
 
-    __slots__ = ("name", "locations", "edges", "initial", "variables", "_out")
+    __slots__ = ("name", "locations", "edges", "initial", "variables", "_out", "_steps")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -64,9 +64,33 @@ class ProgramGraph(Record):
             if e.src in out:
                 out[e.src].append(e)
         self._out = {loc: tuple(es) for loc, es in out.items()}
+        self._steps: Dict[int, tuple] = {}
 
     def out_edges(self, loc: int) -> Tuple[Edge, ...]:
         return self._out.get(loc, ())
+
+    def steps(self, loc: int) -> tuple:
+        """The out-edges of `loc`, compiled on first use into steps
+        `(dst, guard, kind, target, expr)`, in edge order: `guard` maps a
+        memory to the guard's term over it (`logic.substituter`), or is None
+        for a guard that is true; `kind` is the effect's class, Assign, Havoc
+        or Skip; `expr` maps a memory to an assignment's value, and is None
+        otherwise."""
+        steps = self._steps.get(loc)
+        if steps is None:
+            steps = self._steps[loc] = tuple(_step(e) for e in self.out_edges(loc))
+        return steps
+
+
+def _step(edge: Edge) -> tuple:
+    guard = None if edge.guard == logic.TRUE else logic.substituter(edge.guard)
+    effect = edge.effect
+    kind = type(effect)
+    if kind is Assign:
+        return edge.dst, guard, kind, effect.target, logic.substituter(effect.expr)
+    if kind is Havoc:
+        return edge.dst, guard, kind, effect.target, None
+    return edge.dst, guard, kind, None, None
 
 
 class Quantifier(FrozenRecord):

@@ -19,6 +19,11 @@ binders, or fold to a literal.
 
 Path feasibility (`symexec`) and the bundled solver (`refsolver`) read
 comparisons into one linear normal form (`comparison`, `atom`).
+
+A loop that substitutes into the same quantifier-free node many times, such
+as the symbolic interpreter's edge guards or the specification body,
+compiles it once with `substituter`: a closure per node that calls the same
+smart constructors as `substitute`, without walking the tree.
 """
 
 from __future__ import annotations
@@ -578,17 +583,49 @@ def substitute(node, sigma: Mapping[str, Term]):
 
 
 def _rebuild_term(op: str, left: Term, right: Term) -> Term:
-    if op == "+":
-        return add(left, right)
-    if op == "-":
-        return sub(left, right)
-    if op == "*":
-        return mul(left, right)
-    if op == "div":
-        return div(left, right)
-    if op == "mod":
-        return mod(left, right)
-    raise ValueError(f"unknown term operator {op!r}")
+    build = _TERM_BUILDERS.get(op)
+    if build is None:
+        raise ValueError(f"unknown term operator {op!r}")
+    return build(left, right)
+
+
+_TERM_BUILDERS = {"+": add, "-": sub, "*": mul, "div": div, "mod": mod}
+
+
+def substituter(node) -> Callable[[Mapping[str, Term]], object]:
+    """`node`, a quantifier-free term or formula, compiled once into a
+    function `f` with `f(sigma) == substitute(node, sigma)` for every sigma.
+
+    `f` calls the smart constructors that `substitute` calls, in the same
+    order, so it folds the same way; it only skips the walk's dispatch on
+    each node's type (closure compilation: Feeley and Lapalme, "Using
+    closures for code generation", 1987). A subtree without variables
+    folds once, here.
+    """
+    kind = type(node)
+    if kind is Quant:
+        raise TypeError("substituter takes a quantifier-free term or formula")
+    if kind is IntLit or kind is BoolLit or not free_vars(node):
+        folded = substitute(node, {})
+        return lambda sigma: folded
+    if kind is Var:
+        name = node.name
+        return lambda sigma: sigma.get(name, node)
+    if kind is BinTerm or kind is Cmp:
+        op, left, right = node.op, substituter(node.left), substituter(node.right)
+        if kind is Cmp:
+            return lambda sigma: cmp(op, left(sigma), right(sigma))
+        build = _TERM_BUILDERS[op]
+        return lambda sigma: build(left(sigma), right(sigma))
+    if kind is Not:
+        arg = substituter(node.arg)
+        return lambda sigma: negate(arg(sigma))
+    if kind is And or kind is Or:
+        join = conj if kind is And else disj
+        parts = [substituter(a) for a in node.args]
+        # A generator, as in `substitute`: the join stops at a deciding part.
+        return lambda sigma: join(part(sigma) for part in parts)
+    raise TypeError(f"not a term or formula: {node!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,20 @@ from it by a fresh breadth-first search over the cached tree
 (`ObserveStream`); both sides share one walk when they range over the same
 program and observation set. A node stores only its own step and links to
 its parent, whose states it shares (the copy-on-write state sharing of
-KLEE, Cadar et al., OSDI 2008), so an extension copies nothing. Paths whose
+KLEE, Cadar et al., OSDI 2008), so an extension copies no trace. Paths whose
 feasibility the solver cannot settle (unknown) are kept: dropping a
 possibly feasible path could mask a counterexample.
+
+An extension does not interpret the program's syntax trees. Each graph
+compiles its out-edges once, on first use, into steps whose guard and
+assigned value are closures over a memory (`ProgramGraph.steps`,
+`logic.substituter`), so a node costs one call per guard and value. A
+state's memory is a dict that nothing mutates: a skip step's child shares
+its parent's dict, and only an assignment or a havoc copies it. A node's
+children are kept in the walk's tree, keyed by the node's id, and not on
+the node: a child already links to its parent, and a link back would make
+every parent and child a reference cycle, which only the cycle collector
+frees, so the search's memory would peak higher.
 
 A path is a conjunction, and most of its conjuncts bound one variable
 each, such as the guards of a countdown loop (`n > 0`, `n - 1 > 0`, ...).
@@ -57,23 +68,30 @@ class FreshSupply:
 
 
 class SymState(FrozenRecord):
-    __slots__ = ("loc", "path", "mem")
+    """A location, the path that reaches it, and the symbolic memory there.
 
-    def __init__(self, loc: int, path: Formula, mem: Tuple[Tuple[str, Term], ...]):
+    `memory` maps each program variable to its term. It is never mutated
+    after the state is made, so states share it: a skip step's state holds
+    its parent's dict, and only an assignment or a havoc copies it. `mem`,
+    the sorted (variable, term) pairs, is derived on demand; it stands for
+    the memory in the repr and equality.
+    """
+
+    __slots__ = ("loc", "path", "memory")
+    _fields = ("loc", "path", "mem")
+
+    def __init__(self, loc: int, path: Formula, memory: Dict[str, Term]):
         set_field(self, "loc", loc)
         set_field(self, "path", path)
-        set_field(self, "mem", mem)  # sorted (variable, term) pairs
+        set_field(self, "memory", memory)
 
-    def memory(self) -> Dict[str, Term]:
-        return dict(self.mem)
-
-
-def make_state(loc: int, path: Formula, mem: Dict[str, Term]) -> SymState:
-    return SymState(loc, path, tuple(sorted(mem.items())))
+    @property
+    def mem(self) -> Tuple[Tuple[str, Term], ...]:
+        return tuple(sorted(self.memory.items()))
 
 
 def initial_state(graph: ProgramGraph) -> SymState:
-    return make_state(graph.initial, logic.TRUE, {v: logic.IntLit(0) for v in graph.variables})
+    return SymState(graph.initial, logic.TRUE, {v: logic.IntLit(0) for v in graph.variables})
 
 
 class SymTrace(FrozenRecord):
@@ -295,37 +313,37 @@ def extend(graph: ProgramGraph, last: SymState, supply: FreshSupply,
     false when the solver left the extension's path unknown, and the fresh
     name its havoc introduced, or None.
     """
-    mem = last.memory()
+    mem = last.memory
     out: List[SymState] = []
-    for edge in graph.out_edges(last.loc):
-        guard = logic.substitute(edge.guard, mem)
-        known = True
-        if isinstance(guard, logic.BoolLit):
-            if not guard.value:
-                continue  # infeasible outright
-            # A true guard keeps the path itself, which was already known
-            # satisfiable when its trace was admitted.
-            path = last.path
-        else:
-            path = logic.conj([last.path, guard])
-            verdict = feasibility.check(path)
-            if isinstance(verdict, smt.Unsat):
-                continue
-            # Sat and Unknown both proceed; see module docstring.
-            known = not isinstance(verdict, smt.Unknown)
+    for dst, guard, kind, target, expr in graph.steps(last.loc):
+        path, known = last.path, True
+        if guard is not None:
+            guard = guard(mem)
+            if isinstance(guard, logic.BoolLit):
+                if not guard.value:
+                    continue  # infeasible outright
+                # A true guard keeps the path itself, which was already
+                # known satisfiable when its trace was admitted.
+            else:
+                path = logic.conj([path, guard])
+                verdict = feasibility.check(path)
+                if isinstance(verdict, smt.Unsat):
+                    continue
+                # Sat and Unknown both proceed; see module docstring.
+                known = not isinstance(verdict, smt.Unknown)
         fresh = None
-        if isinstance(edge.effect, Assign):
+        if kind is Assign:
             new_mem = dict(mem)
-            new_mem[edge.effect.target] = logic.substitute(edge.effect.expr, mem)
-        elif isinstance(edge.effect, Havoc):
+            new_mem[target] = expr(mem)
+        elif kind is Havoc:
             new_mem = dict(mem)
             fresh = supply.fresh()
-            new_mem[edge.effect.target] = Var(fresh)
+            new_mem[target] = Var(fresh)
         else:
-            new_mem = mem
+            new_mem = mem  # shared: see `SymState`
         if settled is not None:
             settled.append((known, fresh))
-        out.append(make_state(edge.dst, path, new_mem))
+        out.append(SymState(dst, path, new_mem))
     return out
 
 
@@ -382,12 +400,13 @@ class ObserveStream:
     """Streaming enumeration of the observed symbolic traces with n
     observations: a fresh breadth-first search over a `Walk`'s tree.
 
-    A trace is yielded when its node is created, so a consumer that stops
-    early leaves its later siblings' subtrees unexplored. Iterate to
+    A trace is yielded when the search visits its node, so a consumer that
+    stops early leaves its later siblings' subtrees unexplored. Iterate to
     consume; after exhaustion, `incomplete` tells whether a budget cut off
     unexplored extensions (the non-finitely-observable case). The step
     budget (by default `default_step_budget(graph, n)`) bounds trace length;
-    the node budget bounds the nodes the search creates, a safety valve
+    the node budget bounds the nodes that this bound's breadth-first search
+    visits, those an earlier bound already built included, a safety valve
     against graphs whose breadth explodes long before the depth budget bites.
     """
 

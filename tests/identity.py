@@ -3,12 +3,15 @@
 Usage:
 
     python tests/identity.py CHECKOUT_ROOT > fingerprint.json
+    python tests/identity.py PARENT_ROOT CHANGE_ROOT
 
-The script imports `hyperfind` from `CHECKOUT_ROOT/src` and the inputs
-from `CHECKOUT_ROOT/benchmarks`, runs the searches below one after the
-other in this process, and prints one JSON object per search. Run it on
-two checkouts and diff the outputs: a refactor that keeps every search's
-behaviour leaves no difference.
+With one root, the script imports `hyperfind` from `CHECKOUT_ROOT/src`
+and the inputs from `CHECKOUT_ROOT/benchmarks`, runs the searches below
+one after the other in this process, and prints one JSON object per
+search. With two, it fingerprints each root in its own subprocess and
+compares the two: it prints the first search and field that differ and
+exits 1, or says that all searches are identical and exits 0. A refactor
+that keeps every search's behaviour leaves no difference.
 
 The searches:
 - the 15 manifest instances at their bounds, lazy and naive;
@@ -28,6 +31,7 @@ names and its answer. Pytest does not collect this file.
 
 import json
 import os
+import subprocess
 import sys
 
 DOMAIN_INPUTS = ("positive_output", "echo_leak", "simple_leak", "simple_nonrefinement",
@@ -98,7 +102,36 @@ def main(root):
         }, sort_keys=True))
 
 
+def compare(parent, change):
+    """0 when the two roots' fingerprints are equal, else 1 after printing
+    the first difference."""
+    prints = []
+    for root in (parent, change):
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__), root],
+                              stdout=subprocess.PIPE, text=True)
+        if proc.returncode != 0:
+            sys.exit(f"fingerprinting {root} failed with exit code {proc.returncode}")
+        prints.append([json.loads(line) for line in proc.stdout.splitlines()])
+    for before, after in zip(*prints):
+        if before != after:
+            field = min(key for key in before.keys() | after.keys()
+                        if before.get(key) != after.get(key))
+            print(f"search {json.dumps(before['search'])} differs in {field!r}:\n"
+                  f"  {parent}: {json.dumps(before.get(field))}\n"
+                  f"  {change}: {json.dumps(after.get(field))}")
+            return 1
+    if len(prints[0]) != len(prints[1]):
+        print(f"{parent} ran {len(prints[0])} searches, {change} {len(prints[1])}")
+        return 1
+    print(f"identical: {len(prints[0])} searches")
+    return 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/identity.py CHECKOUT_ROOT")
-    main(sys.argv[1])
+    if len(sys.argv) == 2:
+        main(sys.argv[1])
+    elif len(sys.argv) == 3:
+        sys.exit(compare(sys.argv[1], sys.argv[2]))
+    else:
+        sys.exit("usage: python tests/identity.py CHECKOUT_ROOT\n"
+                 "       python tests/identity.py PARENT_ROOT CHANGE_ROOT")

@@ -387,6 +387,22 @@ def test_cli_rejects_a_non_ascii_digit(tmp_path, capsys):
     assert err == "error: line 1, column 15: unexpected character '\u00b2'\n"
 
 
+@pytest.mark.parametrize("source, position", [
+    ("prog p {\n  x := 1; # c", "line 2, column 14"),
+    ("prog p {\n  x := 1; # c\n", "line 3, column 1"),
+    ("prog p {\n  x := 1;", "line 2, column 10"),
+])
+def test_cli_names_the_end_of_input_after_a_trailing_comment(tmp_path, capsys, source,
+                                                             position):
+    # The end of input is named as such, and its column counts the
+    # characters of a comment before it.
+    path = tmp_path / "cut.hyp"
+    path.write_text(source, encoding="utf-8")
+    assert cli_main([str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {position}: expected a statement, found end of input\n")
+
+
 @pytest.mark.parametrize("args", [
     "--max-observations 0", "--max-observations -1", "--oracle --max-observations -1",
     "--step-budget 0", "--oracle --step-budget 0", "--bench --repetitions 0",

@@ -6,7 +6,7 @@ import pytest
 from hyperfind import concrete, driver, encode, frontend, logic, smt, symexec
 from hyperfind.encode import EncodingError, lazy_query, prepare_existential
 from hyperfind.logic import Cmp, IntLit, Var
-from hyperfind.symexec import Feasibility, FreshSupply, make_state
+from hyperfind.symexec import Feasibility, FreshSupply, SymState
 
 from conftest import (BENCH_DIR, QuantifiedTraces, assert_equivalent, bench_source,
                       closed_encoding, encode_invariant, observe, set_zero_graph,
@@ -14,7 +14,7 @@ from conftest import (BENCH_DIR, QuantifiedTraces, assert_equivalent, bench_sour
 
 
 def tiny_trace(out_term, loc=0):
-    state = make_state(loc, logic.TRUE, {"out": out_term})
+    state = SymState(loc, logic.TRUE, {"out": out_term})
     return symbolic_trace((state,), (state,))
 
 
@@ -203,7 +203,7 @@ def test_a_side_prepared_from_the_previous_bound_equals_a_fresh_one(source, n, d
 
 
 def observed_trace(*outs):
-    states = tuple(make_state(0, logic.TRUE, {"out": out}) for out in outs)
+    states = tuple(SymState(0, logic.TRUE, {"out": out}) for out in outs)
     return symbolic_trace(states, states)
 
 

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from hyperfind.logic import (
 )
 from hyperfind.symexec import Feasibility, FreshSupply
 
-from conftest import (assert_equivalent, bench_source, observe, random_formula, random_term,
-                      symbolic_trace)
+from conftest import (BENCH_DIR, assert_equivalent, bench_source, observe, random_formula,
+                      random_term, symbolic_trace)
 
 
 def test_records_keep_dataclass_semantics():
@@ -21,7 +22,7 @@ def test_records_keep_dataclass_semantics():
     # Equality is type-aware, unlike a tuple's; a hash is its field tuple's.
     assert IntLit(1) != BoolLit(True) and IntLit(1) == IntLit(1)
     assert hash(IntLit(3)) == hash((3,))
-    state = SymState(0, logic.TRUE, (("x", IntLit(0)),))
+    state = SymState(0, logic.TRUE, {"x": IntLit(0)})
     # One instance per class with its own methods: each agrees with the
     # generic record methods, as a dataclass's would.
     samples = [IntLit(3), Var("x"), BinTerm("+", Var("x"), IntLit(1)), BoolLit(False),
@@ -30,7 +31,10 @@ def test_records_keep_dataclass_semantics():
                Quant("exists", ("x",), Cmp("<", Var("x"), IntLit(2))),
                Edge(0, 1, logic.TRUE, SKIP), state, frontend.Token("int", "7", 1, 2)]
     for record in samples:
-        twin = type(record)(*record._values())
+        # A state takes its memory as a dict, and shows it as the sorted
+        # pairs `mem`.
+        twin = (SymState(state.loc, state.path, dict(state.mem)) if record is state
+                else type(record)(*record._values()))
         assert twin == record and not twin != record
         assert hash(twin) == hash(record) == hash(record._values())
         assert logic.Record.__eq__(twin, record) is True
@@ -253,6 +257,91 @@ def test_substitution_lemma_smoke():
         composed_env = dict(rho)
         composed_env.update(_compose(sigma, rho))
         assert direct == eval_formula(phi, composed_env)
+
+
+def _raw_term(rng, names, depth=2):
+    """A term built without the smart constructors, so nothing in it is
+    folded yet: `substitute` and a substituter fold it as they rebuild it."""
+    if depth == 0 or rng.random() < 0.3:
+        return IntLit(rng.randint(-4, 4)) if rng.random() < 0.4 else Var(rng.choice(names))
+    op = rng.choice(["+", "-", "*", "div", "mod"])
+    if op in ("+", "-"):
+        return BinTerm(op, _raw_term(rng, names, depth - 1), _raw_term(rng, names, depth - 1))
+    literal = IntLit(rng.randint(1, 3) if op != "*" else rng.randint(-2, 2))
+    if op == "*" and rng.random() < 0.5:
+        return BinTerm(op, literal, _raw_term(rng, names, depth - 1))
+    return BinTerm(op, _raw_term(rng, names, depth - 1), literal)
+
+
+def _raw_formula(rng, names, depth=3):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.1:
+            return BoolLit(rng.random() < 0.5)
+        return Cmp(rng.choice(["=", "!=", "<", "<=", ">", ">="]),
+                   _raw_term(rng, names), _raw_term(rng, names))
+    kind = rng.choice(["not", "not not", "and", "or"])
+    if kind == "not":
+        return Not(_raw_formula(rng, names, depth - 1))
+    if kind == "not not":
+        return Not(Not(_raw_formula(rng, names, depth - 1)))
+    parts = tuple(_raw_formula(rng, names, depth - 1) for _ in range(rng.randint(1, 3)))
+    return And(parts) if kind == "and" else logic.Or(parts)
+
+
+def _sigmas(rng, names, images):
+    """Substitutions of some of `names`, by terms over `images`, by literals
+    (which fold the node down) and by nothing."""
+    yield {}
+    for _ in range(3):
+        yield {name: random_term(rng, images) for name in names if rng.random() < 0.7}
+    yield {name: IntLit(rng.randint(-3, 3)) for name in names}
+
+
+def _assert_substituter_agrees(node, sigmas):
+    compiled = logic.substituter(node)
+    for sigma in sigmas:
+        expected = substitute(node, sigma)
+        assert compiled(sigma) == expected, (node, sigma)
+        assert type(compiled(sigma)) is type(expected)
+
+
+def test_substituter_agrees_with_substitute_term_for_term():
+    rng = random.Random(23)
+    names, images = ["a", "b", "c", "d"], ["a", "v!0", "v!1"]
+    for _ in range(300):
+        for node in (random_formula(rng, names, 3), random_term(rng, names, 3),
+                     _raw_formula(rng, names), _raw_term(rng, names, 3)):
+            _assert_substituter_agrees(node, list(_sigmas(rng, names, images)))
+    with pytest.raises(TypeError):
+        logic.substituter(Quant("exists", ("a",), Cmp("<", Var("a"), Var("b"))))
+
+
+def test_substituter_agrees_on_every_shipped_guard_effect_and_body():
+    # Every edge of every input's programs, of their renamed copies and of
+    # their products, and every body as loaded and as generalized.
+    from hyperfind import driver
+    from hyperfind.graph import Assign, async_product, rename_vars
+
+    rng = random.Random(29)
+    images = ["v!0", "v!1", "ev!2"]
+    names = sorted(name[:-4] for name in os.listdir(BENCH_DIR) if name.endswith(".hyp"))
+    assert len(names) == 18
+    for name in names:
+        loaded = frontend.load(bench_source(f"{name}.hyp"))
+        spec = driver.generalize(loaded)
+        graphs = [program.graph for program in loaded.programs.values()]
+        graphs += [side.graph for side in (spec.universal, spec.existential) if side]
+        for q in loaded.quantifiers:
+            graphs.append(async_product(rename_vars(q.graph, "l"), q.observed,
+                                        rename_vars(q.graph, "r"), q.observed).graph)
+        for graph in graphs:
+            sigmas = list(_sigmas(rng, graph.variables, images))
+            for edge in graph.edges:
+                _assert_substituter_agrees(edge.guard, sigmas)
+                if isinstance(edge.effect, Assign):
+                    _assert_substituter_agrees(edge.effect.expr, sigmas)
+        for body in (loaded.body, spec.body):
+            _assert_substituter_agrees(body, list(_sigmas(rng, sorted(free_vars(body)), images)))
 
 
 def test_free_vars_of_substitution_bound():

@@ -32,7 +32,7 @@ def test_extend_single_havoc_edge(feas):
     state = first[0]
     assert state.loc == 1
     assert state.path == logic.TRUE
-    assert state.memory()["x"] == Var("v!0")
+    assert state.memory["x"] == Var("v!0")
 
 
 def test_extend_splits_on_guards(feas):
@@ -44,7 +44,7 @@ def test_extend_splits_on_guards(feas):
     paths = [state.path for state in second]
     assert paths == [Cmp(">", Var("v!0"), IntLit(0)),
                      Cmp("<=", Var("v!0"), IntLit(0))]
-    outputs = [state.memory()["output"] for state in second]
+    outputs = [state.memory["output"] for state in second]
     assert outputs == [IntLit(1), IntLit(0)]
 
 
@@ -60,6 +60,26 @@ def test_extend_prunes_unsat_guard(feas):
     first = extend(graph, initial_state(graph), supply, feas)
     assert len(first) == 1
     assert extend(graph, first[0], supply, feas) == []
+
+
+def test_a_skip_child_shares_its_parents_memory_and_a_write_copies_it(feas):
+    from hyperfind.graph import Assign, Edge, Havoc, ProgramGraph, SKIP
+    graph = ProgramGraph(
+        "g", (0, 1, 2, 3),
+        (Edge(0, 1, logic.TRUE, SKIP),
+         Edge(0, 2, Cmp(">=", Var("x"), IntLit(0)), Assign("x", logic.add(Var("x"), IntLit(1)))),
+         Edge(0, 3, logic.TRUE, Havoc("y"))),
+        0, ("x", "y"))
+    root = initial_state(graph)
+    before = dict(root.memory)
+    skipped, assigned, havocked = extend(graph, root, FreshSupply(), feas)
+    assert skipped.memory is root.memory
+    assert assigned.memory is not root.memory and havocked.memory is not root.memory
+    assert assigned.memory == {"x": IntLit(1), "y": IntLit(0)}
+    assert havocked.memory == {"x": IntLit(0), "y": Var("v!0")}
+    assert root.memory == before
+    # The steps are compiled once per location, on first use, and kept.
+    assert graph.steps(0) is graph.steps(0) and len(graph.steps(0)) == 3
 
 
 def test_observe_counts_buggy_voting(feas):
