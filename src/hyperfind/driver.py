@@ -26,8 +26,8 @@ symbolic execution tree that each bound searches breadth-first afresh,
 extending only the nodes no earlier bound reached. The existential side
 uses the universal side's walk when both range over the same program and
 observation set (see `_walks`); such a walk is walked once per bound, both
-sides reading one list. Each bound's existential side is prepared from the
-previous bound's.
+sides reading one list. Each search builds one `encode.ExistentialSide`
+and prepares it at every bound from that bound's existential traces.
 """
 
 from __future__ import annotations
@@ -222,16 +222,16 @@ def _existential_traces(walk: Optional[symexec.Walk],
 def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
           feas: Feasibility, stats: SearchStats) -> Verdict:
     universal_walk, existential_walk = _walks(gen, n, FreshSupply(), feas, opts)
-    existential = None
+    existential = encode.ExistentialSide(
+        gen.universal.trace_var, gen.existential and gen.existential.trace_var,
+        gen.body, opts.domain)
     budget_seen = False
     unknown_seen = False
     for k in range(1, n + 1):
         etraces = _existential_traces(existential_walk, k)
         if etraces is None:
             return Inconclusive("budget")
-        existential = encode.prepare_existential(
-            gen.existential and gen.existential.trace_var, etraces, gen.body, k,
-            opts.domain, existential)
+        existential.prepare(k, etraces)
         # A walk that both sides share is walked once per bound: the
         # universal side reads the complete list the existential side made.
         stream = etraces if universal_walk is existential_walk else universal_walk.stream(k)
@@ -240,7 +240,7 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
             index += 1
             provenance = f"k={k} universal-trace={index}"
             stats.combinations += max(1, len(existential.blocks))
-            witness = existential.witness(trace, gen.universal.trace_var, feas)
+            witness = existential.witness(trace, feas)
             if witness is not None:
                 # The query is unsat: no solver check. A dump still writes
                 # it, naming the witness, so the decision can be re-checked.
@@ -249,7 +249,7 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
                     continue
                 provenance += (f" decided: existential trace {witness + 1} "
                                f"matches on every input")
-            query = encode.lazy_query(trace, gen.universal.trace_var, existential)
+            query = encode.lazy_query(trace, existential)
             _emit_query(opts, f"query_k{k}_{index:04d}.smt2",
                         query.formula, query.free_vars, provenance)
             if witness is not None:
@@ -272,7 +272,9 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
 def _naive(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
            feas: Feasibility, stats: SearchStats) -> Verdict:
     universal_walk, existential_walk = _walks(gen, n, FreshSupply(), feas, opts)
-    existential = None
+    existential = encode.ExistentialSide(
+        gen.universal.trace_var, gen.existential and gen.existential.trace_var,
+        gen.body, opts.domain)
     unknown_seen = False
     for k in range(1, n + 1):
         utraces, u_incomplete = _materialize(universal_walk, k)
@@ -283,15 +285,11 @@ def _naive(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver
                    else _existential_traces(existential_walk, k))
         if etraces is None:
             return Inconclusive("budget")
-        existential = encode.prepare_existential(
-            gen.existential and gen.existential.trace_var, etraces, gen.body, k,
-            opts.domain, existential)
+        existential.prepare(k, etraces)
         # The negated closed encoding: some universal trace has an
         # instantiation that no existential trace matches.
         query = logic.disj(
-            logic.exists(trace.free_vars(),
-                         encode.lazy_query(trace, gen.universal.trace_var,
-                                           existential).formula)
+            logic.exists(trace.free_vars(), encode.lazy_query(trace, existential).formula)
             for trace in utraces)
         _emit_query(opts, f"naive_k{k}.smt2", query, (), f"naive k={k}")
         stats.sat_calls += 1

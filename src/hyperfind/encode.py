@@ -14,27 +14,28 @@ variables, so a model concretizes directly into a counterexample trace.
 The negation of the whole formula is the disjunction, over universal
 traces u, of `exists fv_u. lazy_query(u)`: the naive search's query.
 
-Everything in that query that depends on one existential trace alone is
-prepared once per bound k by `prepare_existential`: the trace's fresh
-variables, its path conjoined with the domain constraint, and the terms
-its memories give the body's existential variables; the checks that the
-trace can be bound in the body run there too. A trace shares its states,
-conjuncts and names with its ancestor at the bound before, so each bound's
-side is built from the previous bound's, and each of them is read and
-renamed once per search. Per observation index,
-existential traces whose memories give those variables equal terms share
-one instantiation of the body. A query then substitutes the universal
-trace's memory into the body once per index and the existential memories
-once per such class, not once per (trace, index) pair. A trace with an
-instantiation that folds to false has a block that folds to true, so the
-query never builds it. A specification with no existential quantifier
-gets one block that binds nothing, so "no match" is the negated invariant.
-A block is built by `logic.forall`, which applies the one-point rule: an
-existential variable that a conjunct of the block equates with a term free
-of the block's variables (on refinement specifications, every existential
-input equals a universal one) is replaced by that term, so a block may lose
-some or all of its binders, and a block whose body then folds to true is
-false.
+A search builds one `ExistentialSide`, which checks that the body binds
+no other trace variable and compiles the body once. Everything in a query
+that depends on one existential trace alone is prepared once per bound k
+by `ExistentialSide.prepare`: the trace's fresh variables, its path
+conjoined with the domain constraint, and the terms its memories give the
+body's existential variables; the checks that the trace can be bound in
+the body run there too. A trace shares its states, conjuncts and names
+with its ancestor at the bound before, and the side keeps what it read
+and renamed of them for the whole search, so each is read and renamed
+once per search. Per observation index, existential traces whose memories
+give those variables equal terms share one instantiation of the body. A
+query then substitutes the universal trace's memory into the body once
+per index and the existential memories once per such class, not once per
+(trace, index) pair. A trace with an instantiation that folds to false
+has a block that folds to true, so the query never builds it. A
+specification with no existential quantifier gets one block that binds
+nothing, so "no match" is the negated invariant. A block is built by
+`logic.forall`, which applies the one-point rule: an existential variable
+that a conjunct of the block equates with a term free of the block's
+variables (on refinement specifications, every existential input equals a
+universal one) is replaced by that term, so a block may lose some or all
+of its binders, and a block whose body then folds to true is false.
 
 The instances at index i depend on the universal trace only through the
 terms its memory gives the body's universal variables there, so the side
@@ -57,7 +58,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import logic, smt
-from .logic import Formula, FrozenRecord, Record, Term
+from .logic import Formula, FrozenRecord, Term
 from .symexec import Feasibility, SymTrace
 
 
@@ -124,61 +125,126 @@ class EncodedQuery(FrozenRecord):
     __slots__ = ("formula", "free_vars", "explanation")
 
 
-class ExistentialSide(Record):
-    """The existential traces of one bound, prepared for its lazy queries,
-    which read the body, the bound k and the domain from it.
+class ExistentialSide:
+    """The existential side of one search; its lazy queries read the body,
+    the bound k and the domain from it. `trace_var` is None when the
+    specification has no existential quantifier.
 
-    Per trace, `blocks` holds its fresh variables, its scope (path and
-    domain constraint) and, per observation index i, the class of its
-    memory there: `sigmas[i][c]` maps the body's existential variables to
-    the terms that every trace of class c gives them at index i, and
-    `members[i][c]` has bit t set for each trace t of that class. Names and
-    terms are renamed apart (see `_apart`). Bit t of `proved` is set when
-    trace t's path is proved satisfiable (see `symexec`).
+    `prepare` fills the side for bound k from the complete trace list. Per
+    trace, `blocks` holds its fresh variables, its scope (path and domain
+    constraint) and, per observation index i, the class of its memory
+    there: `sigmas[i][c]` maps the body's existential variables to the
+    terms that every trace of class c gives them at index i, and
+    `members[i][c]` has bit t set for each trace t of that class. Names
+    and terms are renamed apart (see `_apart`). Bit t of `proved` is set
+    when trace t's path is proved satisfiable (see `symexec`).
 
-    The side memoizes the body's instances per index i and universal images
-    at i (`instances`), so universal traces whose memories give the body
-    equal terms share them, and a query and a witness read the same ones.
+    Per bound, the side memoizes the body's instances per index i and
+    universal images at i (`instances`), so universal traces whose
+    memories give the body equal terms share them, and a query and a
+    witness read the same ones.
     """
-    # trace_var is None when the specification has no existential.
-    __slots__ = ("trace_var", "body", "k", "domain", "blocks", "sigmas", "members",
-                 "proved", "_slots", "_memo", "_in_domain", "_carried", "_instance")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        # universal trace variable -> (full name, program variable) of its slots
-        self._slots: Dict[str, List[Tuple[str, str]]] = {}
+    __slots__ = ("universal_var", "trace_var", "body", "domain", "k", "blocks",
+                 "sigmas", "members", "proved", "_universal", "_existential",
+                 "_instance", "_memo", "_in_domain", "_state_images",
+                 "_renamed_sigmas", "_renamed", "_rho")
+
+    def __init__(self, universal_var: str, trace_var: Optional[str], body: Formula,
+                 domain: Optional[Tuple[int, int]] = None):
+        slots = _body_slots(body)
+        for _, _, trace in slots:
+            if trace not in (universal_var, trace_var):
+                raise EncodingError(f"trace variable {trace!r} is not bound")
+        self.universal_var = universal_var
+        self.trace_var = trace_var
+        self.body = body
+        self.domain = domain
+        # (full name, program variable) of each side's slots
+        self._universal = _own(slots, universal_var)
+        self._existential = _own(slots, trace_var)
+        self._instance = logic.substituter(body)
+        # index i and universal images at i -> (instances, true, false)
         self._memo: Dict[tuple, Tuple[List[Formula], int, int]] = {}
         # trace -> whether its scope (path and domain) answered sat
         self._in_domain: Dict[int, bool] = {}
-        self._instance = None  # the body, compiled on the first memo miss
+        # Kept for the whole search: id of a state -> (the state, its
+        # images), images -> renamed sigma, id of a conjunct -> (the
+        # conjunct, renamed), and the renaming. An entry keeps its key's
+        # object alive, so that the id stays unique.
+        self._state_images, self._renamed_sigmas, self._renamed, self._rho = {}, {}, {}, {}
 
-    def _universal_slots(self, universal_var: str) -> List[Tuple[str, str]]:
-        own = self._slots.get(universal_var)
-        if own is None:
-            own = []
-            for name, var, trace_var in _body_slots(self.body):
-                if trace_var == universal_var:
-                    own.append((name, var))
-                elif trace_var != self.trace_var:
-                    raise EncodingError(f"trace variable {trace_var!r} is not bound")
-            self._slots[universal_var] = own
-        return own
+    def prepare(self, k: int, traces: Sequence[SymTrace]) -> None:
+        """The part of every bound-k lazy query that depends on the
+        existential traces alone, from the bound's complete trace list."""
+        self.k = k
+        self._memo.clear()
+        self._in_domain.clear()
+        if self.trace_var is None:
+            # One block with no variables, scope true (so proved) and no
+            # existential term: "no match" is the negated invariant.
+            self.blocks = (((), logic.TRUE, (0,) * k),)
+            self.sigmas, self.members, self.proved = (({},),) * k, ((1,),) * k, 1
+            return
+        state_images, renamed_sigmas = self._state_images, self._renamed_sigmas
+        renamed, rho, own = self._renamed, self._rho, self._existential
+        blocks = []
+        classes: List[Dict[Tuple[Term, ...], int]] = [{} for _ in range(k)]
+        sigmas: List[List[Dict[str, Term]]] = [[] for _ in range(k)]
+        members: List[List[int]] = [[] for _ in range(k)]
+        proved = 0
+        # The renaming is one map for every trace, so classes are formed
+        # before it, and each path conjunct, which a path shares with the
+        # paths of its prefixes, is renamed once.
+        for t, trace in enumerate(traces):
+            fv2 = _apart(trace.free_vars(), rho)
+            trace_classes = []
+            for i in range(k):
+                # `_image` raises on a trace without observation i, unless
+                # the body takes no term from it: then every entry, None's
+                # too, is ().
+                state = trace.observed[i] if i < len(trace.observed) else None
+                entry = state_images.get(id(state))
+                if entry is None:
+                    entry = state_images[id(state)] = (
+                        state,
+                        tuple([_image(trace, self.trace_var, var, i) for _, var in own]))
+                images = entry[1]
+                c = classes[i].setdefault(images, len(sigmas[i]))
+                if c == len(sigmas[i]):
+                    sigma = renamed_sigmas.get(images)
+                    if sigma is None:
+                        sigma = renamed_sigmas[images] = {
+                            name: logic.substitute(term, rho)
+                            for (name, _), term in zip(own, images)}
+                    sigmas[i].append(sigma)
+                    members[i].append(0)
+                members[i][c] |= 1 << t
+                trace_classes.append(c)
+            path = trace.path
+            conjuncts = path.args if isinstance(path, logic.And) else (path,)
+            for conjunct in conjuncts:
+                if id(conjunct) not in renamed:
+                    renamed[id(conjunct)] = (conjunct, logic.substitute(conjunct, rho))
+            scope = logic.conj([*(renamed[id(c)][1] for c in conjuncts),
+                                _domain_constraint(fv2, self.domain)])
+            blocks.append((fv2, scope, tuple(trace_classes)))
+            if trace.proved:
+                proved |= 1 << t
+        self.blocks = tuple(blocks)
+        self.sigmas = tuple(map(tuple, sigmas))
+        self.members = tuple(map(tuple, members))
+        self.proved = proved
 
-    def instances(self, universal: SymTrace, universal_var: str,
-                  i: int) -> Tuple[List[Formula], int, int]:
+    def instances(self, universal: SymTrace, i: int) -> Tuple[List[Formula], int, int]:
         """The body at index i under the universal memory and the
         existential memory of each class, with the traces (bitmasks) whose
         instance folded to true and to false."""
-        own = self._universal_slots(universal_var)
-        images = tuple([_image(universal, universal_var, var, i) for _, var in own])
-        key = (universal_var, i, images)
+        own = self._universal
+        images = tuple([_image(universal, self.universal_var, var, i) for _, var in own])
+        key = (i, images)
         entry = self._memo.get(key)
         if entry is None:
-            if self._instance is None:
-                self._instance = logic.substituter(self.body)
             # One simultaneous substitution of both sides per class.
             instance = self._instance
             universal_sigma = {name: term for (name, _), term in zip(own, images)}
@@ -193,8 +259,7 @@ class ExistentialSide(Record):
             entry = self._memo[key] = (found, true, false)
         return entry
 
-    def witness(self, universal: SymTrace, universal_var: str,
-                feasibility: Feasibility) -> Optional[int]:
+    def witness(self, universal: SymTrace, feasibility: Feasibility) -> Optional[int]:
         """The lowest existential trace that matches `universal` on every
         input, or None.
 
@@ -209,7 +274,7 @@ class ExistentialSide(Record):
         for i in range(self.k):
             if not candidates:
                 return None
-            candidates &= self.instances(universal, universal_var, i)[1]
+            candidates &= self.instances(universal, i)[1]
         while candidates:
             t = (candidates & -candidates).bit_length() - 1
             if self._scope_proved(t, feasibility):
@@ -225,83 +290,7 @@ class ExistentialSide(Record):
         return self._in_domain[t]
 
 
-def prepare_existential(trace_var: Optional[str], traces: Sequence[SymTrace],
-                        body: Formula, k: int,
-                        domain: Optional[Tuple[int, int]] = None,
-                        previous: Optional[ExistentialSide] = None) -> ExistentialSide:
-    """The part of every bound-k lazy query that depends on the existential
-    traces alone: built once per bound from the complete trace list.
-
-    `previous`, the same search's side of bound k - 1 (or None), lends its
-    images per observed state, renamed terms per image tuple, renamed path
-    conjuncts and renaming; classes and bitmasks are numbered afresh.
-
-    With no existential quantifier (`trace_var` None, no traces) the side
-    is one block with no variables, scope true (so proved) and no
-    existential term at any index, so "no match" is the negated invariant.
-    """
-    if trace_var is None:
-        return ExistentialSide(None, body, k, domain, (((), logic.TRUE, (0,) * k),),
-                               (({},),) * k, ((1,),) * k, 1)
-    # id of a state -> (the state, its images), images -> renamed sigma,
-    # id of a conjunct -> (the conjunct, renamed), and the renaming; an
-    # entry keeps its key's object alive, so that the id stays unique.
-    carried = previous._carried if previous is not None else ({}, {}, {}, {})
-    state_images, renamed_sigmas, renamed, rho = carried
-    blocks = []
-    classes: List[Dict[Tuple[Term, ...], int]] = [{} for _ in range(k)]
-    sigmas: List[List[Dict[str, Term]]] = [[] for _ in range(k)]
-    members: List[List[int]] = [[] for _ in range(k)]
-    proved = 0
-    # With no trace there is no pair to encode and nothing to check.
-    own = _own(_body_slots(body), trace_var) if traces else []
-    # The renaming is one map for every trace, so classes are formed before
-    # it, and each path conjunct, which a path shares with the paths of its
-    # prefixes, is renamed once.
-    for t, trace in enumerate(traces):
-        fv2 = _apart(trace.free_vars(), rho)
-        trace_classes = []
-        for i in range(k):
-            # `_image` raises on a trace without observation i, unless the
-            # body takes no term from it: then every entry, None's too, is ().
-            state = trace.observed[i] if i < len(trace.observed) else None
-            entry = state_images.get(id(state))
-            if entry is None:
-                entry = state_images[id(state)] = (
-                    state, tuple([_image(trace, trace_var, var, i) for _, var in own]))
-            images = entry[1]
-            c = classes[i].setdefault(images, len(sigmas[i]))
-            if c == len(sigmas[i]):
-                sigma = renamed_sigmas.get(images)
-                if sigma is None:
-                    sigma = renamed_sigmas[images] = {
-                        name: logic.substitute(term, rho)
-                        for (name, _), term in zip(own, images)}
-                sigmas[i].append(sigma)
-                members[i].append(0)
-            members[i][c] |= 1 << t
-            trace_classes.append(c)
-        path = trace.path
-        conjuncts = path.args if isinstance(path, logic.And) else (path,)
-        for conjunct in conjuncts:
-            if id(conjunct) not in renamed:
-                renamed[id(conjunct)] = (conjunct, logic.substitute(conjunct, rho))
-        scope = logic.conj([*(renamed[id(c)][1] for c in conjuncts),
-                            _domain_constraint(fv2, domain)])
-        blocks.append((fv2, scope, tuple(trace_classes)))
-        if trace.proved:
-            proved |= 1 << t
-    side = ExistentialSide(trace_var, body, k, domain, tuple(blocks),
-                           tuple(map(tuple, sigmas)), tuple(map(tuple, members)),
-                           proved)
-    side._carried = carried
-    if previous is not None:
-        side._instance = previous._instance
-    return side
-
-
-def _no_match(universal: SymTrace, universal_var: str,
-              side: ExistentialSide) -> Formula:
+def _no_match(universal: SymTrace, side: ExistentialSide) -> Formula:
     """The part "no existential trace matches `universal`": one block per
     trace, forall fv2. not(scope and body_0 and ... and body_{k-1})."""
     if not side.blocks:  # no pair to encode, nothing to check
@@ -311,7 +300,7 @@ def _no_match(universal: SymTrace, universal_var: str,
     instances = []
     folded = 0  # traces with a false part: their blocks fold to true
     for i in range(side.k):
-        found, _, false = side.instances(universal, universal_var, i)
+        found, _, false = side.instances(universal, i)
         instances.append(found)
         folded |= false
     # A true block drops out of the conjunction, so it is never built.
@@ -322,8 +311,7 @@ def _no_match(universal: SymTrace, universal_var: str,
         if not folded >> t & 1)
 
 
-def lazy_query(universal: SymTrace, universal_var: str,
-               existential: ExistentialSide) -> EncodedQuery:
+def lazy_query(universal: SymTrace, existential: ExistentialSide) -> EncodedQuery:
     """Refutation query for one universal trace.
 
     Satisfiable iff the universal trace has an instantiation that no
@@ -333,7 +321,7 @@ def lazy_query(universal: SymTrace, universal_var: str,
     """
     fv1 = universal.free_vars()
     c1 = logic.conj([universal.path, _domain_constraint(fv1, existential.domain)])
-    c2 = _no_match(universal, universal_var, existential)
+    c2 = _no_match(universal, existential)
     return EncodedQuery(
         formula=logic.conj([c1, c2]),
         free_vars=fv1,

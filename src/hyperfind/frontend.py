@@ -44,11 +44,9 @@ KEYWORDS = {
     "true", "false",
 }
 
-_PUNCT = [
-    ":=", "==", "!=", "<=", ">=", "&&", "||",
-    "{", "}", "(", ")", ";", ".", ",", "@",
-    "<", ">", "+", "-", "*", "/", "%", "!",
-]
+# Read longest match first: a two-character punctuator before one.
+_PUNCT2 = frozenset({":=", "==", "!=", "<=", ">=", "&&", "||"})
+_PUNCT1 = frozenset("{}();.,@<>+-*/%!")
 
 
 class Token(FrozenRecord):
@@ -103,14 +101,14 @@ def tokenize(source: str) -> List[Token]:
             tokens.append(Token("int", source[start:i], line, col))
             col += i - start
             continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
+        p = source[i:i + 2]
+        if p not in _PUNCT2:
+            if c not in _PUNCT1:
+                raise ParseError(f"unexpected character {c!r}", line, col)
+            p = c
+        tokens.append(Token("punct", p, line, col))
+        i += len(p)
+        col += len(p)
     tokens.append(Token("eof", "", line, col))
     return tokens
 

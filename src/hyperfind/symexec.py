@@ -9,7 +9,10 @@ from it by a fresh breadth-first search over the cached tree
 (`ObserveStream`); both sides share one walk when they range over the same
 program and observation set. A node stores only its own step and links to
 its parent, whose states it shares (the copy-on-write state sharing of
-KLEE, Cadar et al., OSDI 2008), so an extension copies no trace. Paths whose
+KLEE, Cadar et al., OSDI 2008), so an extension copies no trace: `extend`
+takes the last state and returns each child's state, whether its path was
+answered (not unknown) and its havoc's fresh name, all that a node adds to
+its parent. Paths whose
 feasibility the solver cannot settle (unknown) are kept: dropping a
 possibly feasible path could mask a counterexample.
 
@@ -304,17 +307,12 @@ class Feasibility:
 
 
 def extend(graph: ProgramGraph, last: SymState, supply: FreshSupply,
-           feasibility: Feasibility,
-           settled: Optional[List[Tuple[bool, Optional[str]]]] = None) -> List[SymState]:
-    """The states of all feasible one-step extensions of a symbolic trace
-    that ends in `last`.
-
-    When `settled` is given, one pair per extension is appended to it:
-    false when the solver left the extension's path unknown, and the fresh
-    name its havoc introduced, or None.
-    """
+           feasibility: Feasibility) -> List[Tuple[SymState, bool, Optional[str]]]:
+    """All feasible one-step extensions of a symbolic trace that ends in
+    `last`: per extension, its state, false when the solver left its path
+    unknown, and the fresh name its havoc introduced, or None."""
     mem = last.memory
-    out: List[SymState] = []
+    out: List[Tuple[SymState, bool, Optional[str]]] = []
     for dst, guard, kind, target, expr in graph.steps(last.loc):
         path, known = last.path, True
         if guard is not None:
@@ -341,9 +339,7 @@ def extend(graph: ProgramGraph, last: SymState, supply: FreshSupply,
             new_mem[target] = Var(fresh)
         else:
             new_mem = mem  # shared: see `SymState`
-        if settled is not None:
-            settled.append((known, fresh))
-        out.append(SymState(dst, path, new_mem))
+        out.append((SymState(dst, path, new_mem), known, fresh))
     return out
 
 
@@ -380,13 +376,12 @@ class Walk:
     def children(self, node: SymTrace) -> List[SymTrace]:
         kids = self.tree.get(id(node))
         if kids is None:
-            settled: List[Tuple[bool, Optional[str]]] = []
-            states = extend(self.graph, node.state, self.supply, self.feasibility, settled)
             kids = self.tree[id(node)] = [
                 SymTrace(node, state, node.observed + (state,)
                          if state.loc in self.observed else node.observed,
                          node.proved and known, fresh)
-                for state, (known, fresh) in zip(states, settled)]
+                for state, known, fresh in extend(self.graph, node.state, self.supply,
+                                                  self.feasibility)]
         return kids
 
     def stream(self, j: int) -> "ObserveStream":

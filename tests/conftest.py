@@ -238,7 +238,7 @@ def fresh_bound_search(graph, observed, n, supply, feasibility,
             incomplete = True
             continue
         extends += 1
-        for state in symexec.extend(graph, states[-1], supply, feasibility):
+        for state, _, _ in symexec.extend(graph, states[-1], supply, feasibility):
             queue.append((states + (state,), obs + (state,) if state.loc in observed else obs))
     return traces, incomplete, extends
 

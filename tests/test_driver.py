@@ -729,10 +729,10 @@ def record_decided(monkeypatch):
     decided = []
     witness = encode.ExistentialSide.witness
 
-    def recorded(side, universal, universal_var, feasibility):
-        found = witness(side, universal, universal_var, feasibility)
+    def recorded(side, universal, feasibility):
+        found = witness(side, universal, feasibility)
         if found is not None:
-            decided.append((encode.lazy_query(universal, universal_var, side),
+            decided.append((encode.lazy_query(universal, side),
                             side.blocks[found][1]))
         return found
     monkeypatch.setattr(encode.ExistentialSide, "witness", recorded)

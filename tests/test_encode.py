@@ -4,7 +4,7 @@ import os
 import pytest
 
 from hyperfind import concrete, driver, encode, frontend, logic, smt, symexec
-from hyperfind.encode import EncodingError, lazy_query, prepare_existential
+from hyperfind.encode import EncodingError, ExistentialSide, lazy_query
 from hyperfind.logic import Cmp, IntLit, Var
 from hyperfind.symexec import Feasibility, FreshSupply, SymState
 
@@ -102,9 +102,10 @@ def test_encoding_is_closed(solver_argv):
 def test_lazy_query_free_vars_are_universal_trace_vars(solver_argv):
     gen, sides = materialized("voting_buggy.hyp", 2, solver_argv)
     (univ, _), (exist, _) = sides
+    side = ExistentialSide(univ.trace_var, exist.trace_var, gen.body)
+    side.prepare(2, exist.traces)
     for trace in univ.traces:
-        query = lazy_query(trace, univ.trace_var,
-                           prepare_existential(exist.trace_var, exist.traces, gen.body, 2))
+        query = lazy_query(trace, side)
         assert query.free_vars == trace.free_vars()
         assert logic.free_vars(query.formula) <= set(query.free_vars)
 
@@ -123,9 +124,10 @@ def test_lazy_and_naive_agree_per_bound(solver_argv):
             with smt.Solver(solver_argv) as solver:
                 naive_sat = isinstance(solver.check(logic.negate(encoding)), smt.Sat)
                 lazy_sat = False
-                side = prepare_existential(exist.trace_var, exist.traces, gen.body, k)
+                side = ExistentialSide(univ.trace_var, exist.trace_var, gen.body)
+                side.prepare(k, exist.traces)
                 for trace in univ.traces:
-                    query = lazy_query(trace, univ.trace_var, side)
+                    query = lazy_query(trace, side)
                     if isinstance(solver.check(query.formula), smt.Sat):
                         lazy_sat = True
                         break
@@ -169,9 +171,10 @@ def test_prepared_side_matches_per_pair_encoding(source, bounds, domain, solver_
     for k in bounds:
         gen, sides = materialized(source, k, solver_argv)
         (univ, _), (exist, _) = sides
-        side = prepare_existential(exist.trace_var, exist.traces, gen.body, k, domain)
+        side = ExistentialSide(univ.trace_var, exist.trace_var, gen.body, domain)
+        side.prepare(k, exist.traces)
         for trace in univ.traces:
-            query = lazy_query(trace, univ.trace_var, side)
+            query = lazy_query(trace, side)
             formula, explanation, free_vars = per_pair_query(
                 trace, univ.trace_var, exist.trace_var, exist.traces, gen.body,
                 k, domain)
@@ -186,20 +189,26 @@ def test_a_side_prepared_from_the_previous_bound_equals_a_fresh_one(source, n, d
                                                                      solver_argv):
     gen = driver.generalize(frontend.load(bench_source(source)))
     opts = driver.SearchOptions(solver_argv=solver_argv)
+    args = (gen.universal.trace_var, gen.existential.trace_var, gen.body, domain)
+    side = ExistentialSide(*args)
     with smt.Solver(solver_argv) as solver:
-        _, walk = driver._walks(gen, n, FreshSupply(), Feasibility(solver), opts)
-        previous = None
+        universal_walk, walk = driver._walks(gen, n, FreshSupply(), Feasibility(solver),
+                                             opts)
         for k in range(1, n + 1):
             traces, incomplete = driver._materialize(walk, k)
             assert traces and not incomplete
-            args = (gen.existential.trace_var, traces, gen.body, k, domain)
-            side, fresh = prepare_existential(*args, previous), prepare_existential(*args)
+            side.prepare(k, traces)
+            fresh = ExistentialSide(*args)
+            fresh.prepare(k, traces)
+            assert side.k == fresh.k == k
             assert side.blocks == fresh.blocks, k  # names, scopes and classes
             for (_, _, classes), (_, _, fresh_classes) in zip(side.blocks, fresh.blocks):
                 assert ([side.sigmas[i][c] for i, c in enumerate(classes)]
                         == [fresh.sigmas[i][c] for i, c in enumerate(fresh_classes)]), k
             assert side.members == fresh.members and side.proved == fresh.proved, k
-            previous = side
+            # The previous bound's instances are not read at this one.
+            for trace in driver._materialize(universal_walk, k)[0]:
+                assert lazy_query(trace, side) == lazy_query(trace, fresh), k
 
 
 def observed_trace(*outs):
@@ -211,22 +220,21 @@ def test_prepared_side_unbound_trace_variable():
     body = logic.conj([Cmp("=", Var("out@p1"), Var("out@p2")),
                        Cmp("=", Var("out@p3"), IntLit(0))])
     with pytest.raises(EncodingError, match="^trace variable 'p3' is not bound$"):
-        side = prepare_existential("p2", [observed_trace(Var("v!1"))], body, 1)
-        lazy_query(observed_trace(Var("v!0")), "p1", side)
+        ExistentialSide("p1", "p2", body)
 
 
 def test_prepared_side_existential_trace_too_short():
     body = Cmp("=", Var("out@p1"), Var("out@p2"))
     with pytest.raises(EncodingError,
                        match="^trace bound to 'p2' has fewer than 2 observations$"):
-        prepare_existential("p2", [observed_trace(Var("v!2"))], body, 2)
+        ExistentialSide("p1", "p2", body).prepare(2, [observed_trace(Var("v!2"))])
 
 
 def test_prepared_side_existential_program_lacks_variable():
     body = Cmp("=", Var("out@p1"), Var("y@p2"))
     with pytest.raises(EncodingError,
                        match="^program bound to 'p2' has no variable 'y'$"):
-        prepare_existential("p2", [observed_trace(Var("v!1"))], body, 1)
+        ExistentialSide("p1", "p2", body).prepare(1, [observed_trace(Var("v!1"))])
 
 
 @pytest.mark.parametrize("domain", [None, (0, 1)])
@@ -234,9 +242,10 @@ def test_side_without_exists_is_the_negated_invariant(domain, solver_argv):
     # One block that binds nothing: "no match" is the negated invariant.
     for k in (1, 2, 3):
         gen, [(univ, _)] = materialized("positive_output.hyp", k, solver_argv)
-        side = prepare_existential(None, [], gen.body, k, domain)
+        side = ExistentialSide(univ.trace_var, None, gen.body, domain)
+        side.prepare(k, [])
         for trace in univ.traces:
-            query = lazy_query(trace, univ.trace_var, side)
+            query = lazy_query(trace, side)
             explanation = logic.negate(encode_invariant(gen.body, k, {univ.trace_var: trace}))
             assert query.explanation == explanation, k
             assert query.formula == logic.conj([
@@ -246,9 +255,8 @@ def test_side_without_exists_is_the_negated_invariant(domain, solver_argv):
 
 def test_side_without_exists_unbound_trace_variable():
     body = Cmp("=", Var("out@p1"), Var("out@p2"))
-    side = prepare_existential(None, [], body, 1)
     with pytest.raises(EncodingError, match="^trace variable 'p2' is not bound$"):
-        lazy_query(observed_trace(Var("v!0")), "p1", side)
+        ExistentialSide("p1", None, body)
 
 
 with open(os.path.join(BENCH_DIR, "manifest.json")) as _handle:

@@ -20,6 +20,42 @@ def test_parse_voting_source():
         "countA@p1", "countB@p1", "countA@p2", "countB@p2"}
 
 
+PUNCTUATORS = (":=", "==", "!=", "<=", ">=", "&&", "||",
+               "{", "}", "(", ")", ";", ".", ",", "@",
+               "<", ">", "+", "-", "*", "/", "%", "!")
+
+
+def tokens(source):
+    return [(t.kind, t.text, t.line, t.col) for t in frontend.tokenize(source)]
+
+
+def test_each_punctuator_is_read_as_one_token():
+    for p in PUNCTUATORS:
+        assert tokens(f"x {p}\n{p}") == [
+            ("ident", "x", 1, 1), ("punct", p, 1, 3),
+            ("punct", p, 2, 1), ("eof", "", 2, 1 + len(p))], p
+
+
+def test_punctuators_are_read_longest_match_first():
+    assert tokens("x:=y<=1") == [
+        ("ident", "x", 1, 1), ("punct", ":=", 1, 2), ("ident", "y", 1, 4),
+        ("punct", "<=", 1, 5), ("int", "1", 1, 7), ("eof", "", 1, 8)]
+    assert tokens("!!=<<") == [
+        ("punct", "!", 1, 1), ("punct", "!=", 1, 2), ("punct", "<", 1, 4),
+        ("punct", "<", 1, 5), ("eof", "", 1, 6)]
+
+
+@pytest.mark.parametrize("source, col", [
+    ("x = 1", 3), ("x =", 3), ("x : y", 3), ("x:", 2), ("=:", 1), ("a & b", 3),
+])
+def test_a_lone_character_of_a_two_character_punctuator_is_refused(source, col):
+    with pytest.raises(ParseError) as error:
+        frontend.tokenize(source)
+    bad = source[col - 1]
+    assert str(error.value) == f"line 1, column {col}: unexpected character {bad!r}"
+    assert (error.value.line, error.value.col) == (1, col)
+
+
 def test_exists_before_forall_rejected():
     source = """
     prog p { observe a; }

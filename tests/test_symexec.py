@@ -29,7 +29,8 @@ def test_extend_single_havoc_edge(feas):
     supply = FreshSupply()
     first = extend(graph, initial_state(graph), supply, feas)
     assert len(first) == 1
-    state = first[0]
+    state, known, fresh = first[0]
+    assert known and fresh == "v!0"
     assert state.loc == 1
     assert state.path == logic.TRUE
     assert state.memory["x"] == Var("v!0")
@@ -38,8 +39,8 @@ def test_extend_single_havoc_edge(feas):
 def test_extend_splits_on_guards(feas):
     graph = input_sign_graph()
     supply = FreshSupply()
-    first = extend(graph, initial_state(graph), supply, feas)
-    second = extend(graph, first[0], supply, feas)
+    (first, _, _), = extend(graph, initial_state(graph), supply, feas)
+    second = [state for state, _, _ in extend(graph, first, supply, feas)]
     assert len(second) == 2
     paths = [state.path for state in second]
     assert paths == [Cmp(">", Var("v!0"), IntLit(0)),
@@ -59,7 +60,7 @@ def test_extend_prunes_unsat_guard(feas):
     supply = FreshSupply()
     first = extend(graph, initial_state(graph), supply, feas)
     assert len(first) == 1
-    assert extend(graph, first[0], supply, feas) == []
+    assert extend(graph, first[0][0], supply, feas) == []
 
 
 def test_a_skip_child_shares_its_parents_memory_and_a_write_copies_it(feas):
@@ -72,7 +73,8 @@ def test_a_skip_child_shares_its_parents_memory_and_a_write_copies_it(feas):
         0, ("x", "y"))
     root = initial_state(graph)
     before = dict(root.memory)
-    skipped, assigned, havocked = extend(graph, root, FreshSupply(), feas)
+    skipped, assigned, havocked = [state for state, _, _ in
+                                   extend(graph, root, FreshSupply(), feas)]
     assert skipped.memory is root.memory
     assert assigned.memory is not root.memory and havocked.memory is not root.memory
     assert assigned.memory == {"x": IntLit(1), "y": IntLit(0)}
