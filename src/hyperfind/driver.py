@@ -25,9 +25,12 @@ one `symexec.Walk` per distinct side, made once per search: a memoized
 symbolic execution tree that each bound searches breadth-first afresh,
 extending only the nodes no earlier bound reached. The existential side
 uses the universal side's walk when both range over the same program and
-observation set (see `_walks`); such a walk is walked once per bound, both
-sides reading one list. Each search builds one `encode.ExistentialSide`
-and prepares it at every bound from that bound's existential traces.
+observation set (see `_walks`, the one place that decides it). Each side
+still reads each bound from its own stream of its walk: a shared walk is
+searched once per bound, and the second stream replays the list the walk
+kept of the first (`symexec.ObserveStream`). Each search builds one
+`encode.ExistentialSide` and prepares it at every bound from that bound's
+existential traces.
 """
 
 from __future__ import annotations
@@ -232,9 +235,7 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
         if etraces is None:
             return Inconclusive("budget")
         existential.prepare(k, etraces)
-        # A walk that both sides share is walked once per bound: the
-        # universal side reads the complete list the existential side made.
-        stream = etraces if universal_walk is existential_walk else universal_walk.stream(k)
+        stream = universal_walk.stream(k)
         index = 0
         for trace in stream:
             index += 1
@@ -260,7 +261,7 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
                 return _counterexample_verdict(gen, k, trace, result.model, query)
             if isinstance(result, smt.Unknown):
                 unknown_seen = True
-        if stream is not etraces and stream.incomplete:
+        if stream.incomplete:
             budget_seen = True
     if budget_seen:
         return Inconclusive("budget")
@@ -280,9 +281,7 @@ def _naive(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver
         utraces, u_incomplete = _materialize(universal_walk, k)
         if u_incomplete:
             return Inconclusive("budget")
-        # A walk that both sides share is walked once per bound.
-        etraces = (utraces if existential_walk is universal_walk
-                   else _existential_traces(existential_walk, k))
+        etraces = _existential_traces(existential_walk, k)
         if etraces is None:
             return Inconclusive("budget")
         existential.prepare(k, etraces)

@@ -145,7 +145,7 @@ class ExistentialSide:
     witness read the same ones.
     """
 
-    __slots__ = ("universal_var", "trace_var", "body", "domain", "k", "blocks",
+    __slots__ = ("universal_var", "trace_var", "domain", "k", "blocks",
                  "sigmas", "members", "proved", "_universal", "_existential",
                  "_instance", "_memo", "_in_domain", "_state_images",
                  "_renamed_sigmas", "_renamed", "_rho")
@@ -158,7 +158,6 @@ class ExistentialSide:
                 raise EncodingError(f"trace variable {trace!r} is not bound")
         self.universal_var = universal_var
         self.trace_var = trace_var
-        self.body = body
         self.domain = domain
         # (full name, program variable) of each side's slots
         self._universal = _own(slots, universal_var)

@@ -9,13 +9,13 @@ command once, as a tuple that carries `logic` nodes: `("set-logic", name)`,
 `_alive` and `close`: `_ask(command, deadline)` runs one command and
 returns its reply, which is None, the `check-sat` answer or the
 `get-value` model. The pipe to a child process prints each command
-(`command_to_smt`) and reads back only those two replies; a missed
-deadline kills the child. `InProcessSession` runs each command through
-the bundled solver's `dispatch` in this process, so no text is written or
-read, and its deadline is cooperative. Integer literals print in decimal,
-negatives as `(- n)`. `query_script` prints the same commands for
-`--emit-smt`. `Solver` is what a search talks to: one lazily started
-session, restarted once on a failure.
+(`command_to_smt`) and reads back only those two replies, with the text
+reader of `smtlib`; a missed deadline kills the child. `InProcessSession`
+runs each command through the bundled solver's `dispatch` in this
+process, so no text is written or read, and its deadline is cooperative.
+Integer literals print in decimal, negatives as `(- n)`. `query_script`
+prints the same commands for `--emit-smt`. `Solver` is what a search
+talks to: one lazily started session, restarted once on a failure.
 
 `resolve_solver` picks yices-smt2, z3, or cvc5 from PATH and falls back to
 the bundled reference solver (`hyperfind.refsolver`) so the tool works on
@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from . import logic
 from .logic import (And, BinTerm, BoolLit, Cmp, Formula, FrozenRecord, IntLit, Not, Or,
-                    Quant, Term, Var)
+                    Quant, Term, Var, set_field)
 
 DEFAULT_FEASIBILITY_TIMEOUT_MS = 5000
 DEFAULT_QUERY_TIMEOUT_MS = 60000
@@ -48,6 +48,9 @@ class SolverError(Exception):
 
 class Sat(FrozenRecord):
     __slots__ = ("model",)
+
+    def __init__(self, model: Dict[str, int]):
+        set_field(self, "model", model)
 
 
 class Unsat(FrozenRecord):
@@ -335,21 +338,18 @@ class SolverSession:
 
 def _open(text: str) -> bool:
     """Whether a reply leaves a parenthesis or a |quoted| symbol open."""
-    from . import refsolver  # the package's one SMT-LIB2 reader
-    try:
-        tokens = refsolver.tokenize_sexpr(text)  # ( in |a(| or "(" is no token
-    except refsolver.SolverInputError:  # a |quoted| symbol ends on a later line
-        return True
-    return tokens.count("(") > tokens.count(")")
+    from . import smtlib  # the package's one SMT-LIB2 reader
+    opened = smtlib.balance(text)  # ( in |a(| or "(" is no token
+    return opened is None or opened > 0
 
 
 def _parse_values(text: str) -> Dict[str, int]:
     """The model in a child's get-value reply, such as `((x 5) (y (- 3)))`."""
-    from . import refsolver  # the package's one SMT-LIB2 reader
+    from . import smtlib  # the package's one SMT-LIB2 reader
     try:
-        (entries,) = refsolver.parse_sexprs(text)
-        model = {name: refsolver.read_term(value) for name, value in entries}
-    except (refsolver.SolverInputError, TypeError, ValueError):
+        (entries,) = smtlib.parse_sexprs(text)
+        model = {name: smtlib.read_term(value) for name, value in entries}
+    except (logic.SolverInputError, TypeError, ValueError):
         raise SolverError(f"malformed get-value response: {text!r}") from None
     if not all(isinstance(value, IntLit) for value in model.values()):
         raise SolverError(f"non-integer model value in {text!r}")

@@ -6,9 +6,12 @@ tie-breaking, so shallow witnesses are found first and trace counts are
 reproducible. A search keeps each side's symbolic execution tree in one
 `Walk`, which extends each node at most once, and reads each bound's traces
 from it by a fresh breadth-first search over the cached tree
-(`ObserveStream`); both sides share one walk when they range over the same
-program and observation set. A node stores only its own step and links to
-its parent, whose states it shares (the copy-on-write state sharing of
+(`ObserveStream`). The walk owns a bound's list: it keeps the traces of the
+last bound searched to the end, and replays them to a second stream of that
+bound. So both sides share one walk when they range over the same program
+and observation set, and each reads the bound's traces from its own stream,
+though the tree is searched once. A node stores only its own step and links
+to its parent, whose states it shares (the copy-on-write state sharing of
 KLEE, Cadar et al., OSDI 2008), so an extension copies no trace: `extend`
 takes the last state and returns each child's state, whether its path was
 answered (not unknown) and its havoc's fresh name, all that a node adds to
@@ -180,6 +183,13 @@ class Facts(Record):
     """
 
     __slots__ = ("bounds", "paired", "empty", "ask")
+
+    def __init__(self, bounds: Dict[str, tuple], paired: FrozenSet[str], empty: bool,
+                 ask: bool):
+        self.bounds = bounds
+        self.paired = paired
+        self.empty = empty
+        self.ask = ask
 
 
 _NO_FACTS = Facts({}, frozenset(), False, False)
@@ -372,6 +382,9 @@ class Walk:
         init = initial_state(graph)
         self.root = SymTrace(None, init, (init,) if init.loc in observed else (), True, None)
         self.tree: Dict[int, List[SymTrace]] = {}  # id(node) -> its children
+        # (bound, its traces in order) of the last bound whose search ran to
+        # the end with no budget cut; see `ObserveStream`.
+        self.listed: Optional[Tuple[int, List[SymTrace]]] = None
 
     def children(self, node: SymTrace) -> List[SymTrace]:
         kids = self.tree.get(id(node))
@@ -403,6 +416,13 @@ class ObserveStream:
     the node budget bounds the nodes that this bound's breadth-first search
     visits, those an earlier bound already built included, a safety valve
     against graphs whose breadth explodes long before the depth budget bites.
+
+    The walk owns the list of a bound: a search that runs to the end with no
+    budget cut leaves its traces on the walk (`Walk.listed`), and a later
+    stream of that bound replays them, in the same order, visiting no node
+    and extending none; it is complete. This is how both sides of a search
+    read one walk that they share. A stream that a budget cut, or that its
+    consumer left early, leaves nothing.
     """
 
     def __init__(self, walk: Walk, n: int):
@@ -412,9 +432,13 @@ class ObserveStream:
 
     def __iter__(self) -> Iterator[SymTrace]:
         walk, n = self.walk, self.n
+        if walk.listed is not None and walk.listed[0] == n:
+            yield from walk.listed[1]
+            return
         depth_limit = (walk.step_budget if walk.step_budget is not None
                        else default_step_budget(walk.graph, n))
         created = 0
+        found: List[SymTrace] = []
         queue: deque = deque()
         nodes = [walk.root]
         while True:
@@ -424,12 +448,15 @@ class ObserveStream:
                     self.incomplete = True
                     return
                 if len(node.observed) == n:
+                    found.append(node)
                     yield node
                 elif node.depth >= depth_limit:
                     self.incomplete = True
                 else:
                     queue.append(node)
             if not queue:
+                if not self.incomplete:
+                    walk.listed = (n, found)
                 return
             nodes = walk.children(queue.popleft())
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hyperfind import concrete, driver, encode, frontend, logic, refsolver, smt, symexec
+from hyperfind import concrete, driver, encode, frontend, logic, refsolver, smt, smtlib, symexec
 from hyperfind.cli import _parse_domain, main as cli_main
 from hyperfind.driver import (
     BugFound, Inconclusive, NoBugUpTo, SearchOptions, analyze_source,
@@ -534,7 +534,7 @@ def test_cli_emit_smt(tmp_path, capsys):
     assert text.startswith("; k=1 universal-trace=1\n")
     # The bundled solver skips the comment and answers the query.
     out = io.StringIO()
-    refsolver.run(io.StringIO(text), out)
+    smtlib.run(io.StringIO(text), out)
     assert out.getvalue().splitlines()[0] == "sat"
 
     code = cli_main([fixture_path("simple_nonrefinement.hyp"), "--algorithm",
@@ -563,7 +563,7 @@ def test_cli_emit_smt_writes_decided_queries(tmp_path, capsys):
         assert re.match(rf"; k={k} universal-trace={index} decided: existential "
                         r"trace \d+ matches on every input\n", text), name
         out = io.StringIO()
-        refsolver.run(io.StringIO(text), out)
+        smtlib.run(io.StringIO(text), out)
         assert out.getvalue().splitlines()[0] == "unsat", name
 
 

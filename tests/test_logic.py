@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hyperfind import frontend, logic, smt
+from hyperfind import frontend, logic, smt, symexec
 from hyperfind.logic import (
     And, BinTerm, BoolLit, Cmp, EvalError, IntLit, Not, Quant, Var,
     eval_formula, eval_term, free_vars, substitute,
@@ -39,9 +39,17 @@ def test_records_keep_dataclass_semantics():
         assert hash(twin) == hash(record) == hash(record._values())
         assert logic.Record.__eq__(twin, record) is True
         assert repr(record) == logic.Record.__repr__(record)
-    # `smt.Sat` is built by the generic constructor.
+    # `smt.Sat` and `symexec.Facts` have their own positional constructors,
+    # and no two results share a model.
     assert smt.Sat({"x": 1}) == smt.Sat({"x": 1}) != smt.Sat({})
     assert repr(smt.Sat({"x": 1})) == "Sat(model={'x': 1})"
+    facts = symexec.Facts({"x": (0, 1, frozenset())}, frozenset(), False, True)
+    assert repr(facts) == logic.Record.__repr__(facts) == (
+        "Facts(bounds={'x': (0, 1, frozenset())}, paired=frozenset(), empty=False, ask=True)")
+    assert facts == symexec.Facts(*facts._values())
+    open_path = symexec.Facts({}, frozenset(), False, False)
+    first, second = symexec._verdict(open_path), symexec._verdict(open_path)
+    assert first == second == smt.Sat({}) and first.model is not second.model
     assert repr(BinTerm("+", Var("x"), IntLit(1))) == \
         "BinTerm(op='+', left=Var(name='x'), right=IntLit(value=1))"
     # A trace's fields are its states and observed states, read off its

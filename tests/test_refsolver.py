@@ -5,12 +5,13 @@ import time
 
 import pytest
 
-from hyperfind import logic, refsolver, smt
+from hyperfind import logic, refsolver, smt, smtlib
 from hyperfind.logic import BinTerm, Cmp, IntLit, Not, Or, Quant, Var
 from hyperfind.refsolver import (
     Eliminator, Lin, Session, Timeout, Translator, atom, eval_ground, f_and, f_or, negate,
-    node_key, parse_sexprs, read_formula, run, solve_single, subst_var,
+    node_key, solve_single, subst_var,
 )
+from hyperfind.smtlib import parse_sexprs, read_formula, run
 
 from conftest import random_formula
 
@@ -209,8 +210,8 @@ def test_parentheses_in_comments_and_quoted_symbols_do_not_end_a_command(monkeyp
     # Each line of a long command is scanned once, not the whole command
     # again at every line.
     scanned = []
-    monkeypatch.setattr(refsolver, "tokenize_sexpr",
-                        lambda text, tokenize=refsolver.tokenize_sexpr:
+    monkeypatch.setattr(smtlib, "tokenize_sexpr",
+                        lambda text, tokenize=smtlib.tokenize_sexpr:
                         scanned.append(len(text)) or tokenize(text))
     text = "(assert (and\n" + "(> 1 0) ; (\n" * 300 + "))\n(check-sat)\n"
     assert drive(text) == "sat"

@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hyperfind.smt import (
 )
 from hyperfind.symexec import Feasibility
 
-from conftest import random_formula
+from conftest import BENCH_DIR, random_formula
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +360,28 @@ def test_importing_the_bridge_does_not_import_the_bundled_solver():
     run = subprocess.run([sys.executable, "-c", code, *unwanted],
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_an_in_process_search_does_not_import_the_text_route():
+    # The bundled solver answers the search's checks in-process from command
+    # values: its SMT-LIB2 reader and loop (`smtlib`) serve only a child.
+    code = ("import sys; from hyperfind import driver, smt; "
+            "source = open(sys.argv[1]).read(); "
+            "opts = driver.SearchOptions(solver_argv=smt.BUNDLED_SOLVER); "
+            "result = driver.analyze_source(source, n=3, opts=opts); "
+            "print(result.stats.sat_calls, 'hyperfind.refsolver' in sys.modules, "
+            "'hyperfind.smtlib' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code,
+                          os.path.join(BENCH_DIR, "min_flip.hyp")],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["14", "True", "False"]
+
+
+def test_the_bundled_solver_module_runs_the_text_loop():
+    script = "(declare-const x Int)(assert (> x 2))(check-sat)(get-value (x))"
+    run = subprocess.run([sys.executable, "-m", "hyperfind.refsolver"], input=script,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout.splitlines() == ["sat", "((x 3))"]
 
 
 # 9007199254740993 = 2^53 + 1: Cooper's elimination of y enumerates that

@@ -225,6 +225,59 @@ def test_walk_restreams_a_bound_from_its_tree(feas, extend_calls):
             walk.stream(j)
 
 
+def test_walk_replays_the_bound_it_listed(feas, extend_calls, monkeypatch):
+    # A bound searched to the end is listed on the walk. A second stream of
+    # it yields the same nodes in the same order, complete, and visits no
+    # node: it asks for no children and counts none against the node budget.
+    walk = Walk(input_sign_graph(), frozenset({0}), 3, FreshSupply(), feas)
+    stream = walk.stream(2)
+    first = list(stream)
+    assert len(first) == 2 and not stream.incomplete
+    assert walk.listed == (2, first)
+    made = extend_calls[0]
+    asked = []
+    monkeypatch.setattr(walk, "children", asked.append)
+    walk.node_budget = 1
+    for _ in range(2):
+        again = walk.stream(2)
+        replayed = list(again)
+        assert len(replayed) == len(first)
+        assert all(a is b for a, b in zip(replayed, first))
+        assert not again.incomplete
+    assert extend_calls[0] == made and asked == []
+
+
+@pytest.mark.parametrize("step_budget, node_budget", [(60, None), (None, 5)])
+def test_walk_keeps_no_bound_a_budget_cut(feas, extend_calls, step_budget, node_budget):
+    # A bound that a budget cut is searched again, and is cut again.
+    prog = frontend.load(bench_source("factorial.hyp")).programs["factorial"]
+    walk = Walk(prog.graph, prog.labels["end"], 1, FreshSupply(), feas,
+                step_budget, node_budget)
+    stream = walk.stream(1)
+    first = list(stream)
+    assert stream.incomplete and walk.listed is None
+    made = extend_calls[0]
+    again = walk.stream(1)
+    assert [t.states for t in again] == [t.states for t in first]
+    assert again.incomplete and walk.listed is None
+    assert extend_calls[0] == made  # the second search reads the tree built
+
+
+def test_walk_keeps_nothing_of_an_abandoned_stream(feas):
+    # A consumer that stops early, as lazy search does on a bug, leaves no
+    # list, and the next stream of that bound searches the tree again.
+    walk = Walk(input_sign_graph(), frozenset({0}), 3, FreshSupply(), feas)
+    listed = list(walk.stream(1))
+    stream = iter(walk.stream(3))
+    next(stream)
+    stream.close()
+    assert walk.listed == (1, listed)
+    again = walk.stream(3)
+    traces = list(again)
+    assert len(traces) == 4 and not again.incomplete
+    assert walk.listed == (3, traces)
+
+
 @pytest.mark.parametrize("source, n, step_budget", [
     ("voting_correct.hyp", 3, None), ("io_loop.hyp", 3, None), ("escalating.hyp", 3, None),
     ("gni.hyp", 2, None), ("factorial.hyp", 1, 140),

@@ -42,6 +42,9 @@ def test_traced_search_measures_exploration_and_uninstalls(solver_argv):
                                            symexec.FreshSupply(),
                                            symexec.Feasibility(solver))
     assert metrics["symexec.extend_calls"] == extends > 0
+    # The universal side streams the bound that the existential side
+    # listed on the shared walk, so each side counts every trace it reads.
+    assert metrics["symexec.traces_u"] == metrics["symexec.traces_e"] > 0
 
     for owner, attributes in before.items():
         after = vars(owner)
