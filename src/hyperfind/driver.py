@@ -30,7 +30,15 @@ still reads each bound from its own stream of its walk: a shared walk is
 searched once per bound, and the second stream replays the list the walk
 kept of the first (`symexec.ObserveStream`). Each search builds one
 `encode.ExistentialSide` and prepares it at every bound from that bound's
-existential traces.
+existential traces. The side carries its work from one bound to the next:
+each existential trace's classes come from its ancestor at the bound
+before, and each universal trace's witness candidates from its ancestor's
+(see `encode`). The lazy search counts a bound's combinations from its
+existential trace count, so counting builds no block.
+
+A search that runs out of memory or is interrupted (KeyboardInterrupt)
+ends as `Inconclusive("memory" | "interrupted")`, its detail naming the
+last bound checked to the end.
 """
 
 from __future__ import annotations
@@ -109,7 +117,8 @@ class Inconclusive(Record):
     # reason: "budget" | "solver-unknown" | "solver-error" (the solver failed
     # twice in a row) | "replay-failed" (a model did not replay on the
     # program) | "recursion-limit" (a term nests deeper than Python's
-    # recursion limit)
+    # recursion limit) | "memory" (Python ran out of memory) | "interrupted"
+    # (KeyboardInterrupt, as on SIGINT)
     __slots__ = ("reason", "detail")
     _defaults = {"detail": ""}
 
@@ -120,10 +129,12 @@ Verdict = Union[BugFound, NoBugUpTo, Inconclusive]
 class SearchStats(Record):
     # combinations: (universal trace, existential trace) pairs examined;
     # sat_calls: lazy/naive queries sent to the solver; decided: lazy queries
-    # answered (unsat) without the solver
-    __slots__ = ("combinations", "sat_calls", "decided", "feasibility_calls", "wall_ms")
+    # answered (unsat) without the solver; checked: the last bound whose
+    # check ran to the end
+    __slots__ = ("combinations", "sat_calls", "decided", "feasibility_calls", "wall_ms",
+                 "checked")
     _defaults = dict(combinations=0, sat_calls=0, decided=0, feasibility_calls=0,
-                     wall_ms=0.0)
+                     wall_ms=0.0, checked=0)
 
 
 class SearchResult(Record):
@@ -178,7 +189,8 @@ def _materialize(walk: symexec.Walk, k: int):
 
 def _run(search, gen: GeneralizedSpec, n: int,
          opts: Optional[SearchOptions]) -> SearchResult:
-    """Give `search` one solver, time it, and end a failed solver in a verdict."""
+    """Give `search` one solver, time it, and end a failed solver, a
+    search out of memory and an interrupted one in a verdict."""
     if n < 1:
         raise ValueError(f"the bound on observations must be at least 1, got {n}")
     opts = opts or SearchOptions()
@@ -194,6 +206,13 @@ def _run(search, gen: GeneralizedSpec, n: int,
         # A term nested deeper than the recursion limit: the term walks
         # recurse once per nesting level.
         verdict = Inconclusive("recursion-limit", f"a term nests too deeply: {exc}")
+    except (MemoryError, KeyboardInterrupt) as exc:
+        # What was proved so far still stands: name the bounds checked.
+        reason, stopped = (("memory", "ran out of memory") if isinstance(exc, MemoryError)
+                           else ("interrupted", "was interrupted"))
+        checked = (f"bounds up to k={stats.checked} were checked to the end"
+                   if stats.checked else "no bound was checked to the end")
+        verdict = Inconclusive(reason, f"bound {stats.checked + 1} {stopped}; {checked}")
     finally:
         stats.wall_ms = (time.perf_counter() - started) * 1000.0
         solver.close()
@@ -240,7 +259,7 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
         for trace in stream:
             index += 1
             provenance = f"k={k} universal-trace={index}"
-            stats.combinations += max(1, len(existential.blocks))
+            stats.combinations += max(1, len(existential.classes))
             witness = existential.witness(trace, feas)
             if witness is not None:
                 # The query is unsat: no solver check. A dump still writes
@@ -263,6 +282,7 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
                 unknown_seen = True
         if stream.incomplete:
             budget_seen = True
+        stats.checked = k
     if budget_seen:
         return Inconclusive("budget")
     if unknown_seen:
@@ -299,6 +319,7 @@ def _naive(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver
             return BugFound(k, None)
         if isinstance(result, smt.Unknown):
             unknown_seen = True
+        stats.checked = k
     if unknown_seen:
         return Inconclusive("solver-unknown")
     return NoBugUpTo(n)
@@ -419,6 +440,8 @@ def bench(manifest_path: str, opts: Optional[SearchOptions] = None,
             last: Optional[SearchResult] = None
             for _ in range(reps):
                 last = analyze_source(source, n=n, opts=opts)
+                if isinstance(last.verdict, Inconclusive) and last.verdict.reason == "interrupted":
+                    raise KeyboardInterrupt  # the user stops the harness, not one search
                 walls.append(last.stats.wall_ms)
             label, k = verdict_name(last.verdict)
             if isinstance(last.verdict, Inconclusive):

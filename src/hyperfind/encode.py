@@ -15,27 +15,36 @@ The negation of the whole formula is the disjunction, over universal
 traces u, of `exists fv_u. lazy_query(u)`: the naive search's query.
 
 A search builds one `ExistentialSide`, which checks that the body binds
-no other trace variable and compiles the body once. Everything in a query
-that depends on one existential trace alone is prepared once per bound k
-by `ExistentialSide.prepare`: the trace's fresh variables, its path
-conjoined with the domain constraint, and the terms its memories give the
-body's existential variables; the checks that the trace can be bound in
-the body run there too. A trace shares its states, conjuncts and names
-with its ancestor at the bound before, and the side keeps what it read
-and renamed of them for the whole search, so each is read and renamed
-once per search. Per observation index, existential traces whose memories
-give those variables equal terms share one instantiation of the body. A
-query then substitutes the universal trace's memory into the body once
-per index and the existential memories once per such class, not once per
-(trace, index) pair. A trace with an instantiation that folds to false
-has a block that folds to true, so the query never builds it. A
-specification with no existential quantifier gets one block that binds
-nothing, so "no match" is the negated invariant. A block is built by
-`logic.forall`, which applies the one-point rule: an existential variable
-that a conjunct of the block equates with a term free of the block's
-variables (on refinement specifications, every existential input equals a
-universal one) is replaced by that term, so a block may lose some or all
-of its binders, and a block whose body then folds to true is false.
+no other trace variable and compiles the body once, and prepares it at
+every bound k from that bound's existential traces
+(`ExistentialSide.prepare`). Per observation index, existential traces
+whose memories give the body's existential variables equal terms form a
+class and share one instantiation of the body. A query then substitutes
+the universal trace's memory into the body once per index and the
+existential memories once per class, not once per (trace, index) pair.
+
+The side carries its work from bound k - 1 to bound k. A bound-k trace's
+parent shares its observed states with the trace's ancestor at bound
+k - 1 (`symexec.Walk.children` passes the observed tuple on until the
+next observation), so the side finds that ancestor in O(1) and takes the
+trace's classes at every index but the new one, k - 1, from it. Class
+numbers per index are search-wide and only appended to, so each class's
+terms are renamed apart once per search; the checks that a trace can be
+bound in the body run once per observed state. What only a query reads
+is built when a query needs it: the traces of each class, and each
+trace's block parts, its fresh variables and its path conjoined with the
+domain constraint, whose conjuncts, shared with the paths of its
+ancestors, are renamed once per search.
+
+A trace with an instantiation that folds to false has a block that folds
+to true, so the query never builds it. A specification with no
+existential quantifier gets one block that binds nothing, so "no match"
+is the negated invariant. A block is built by `logic.forall`, which
+applies the one-point rule: an existential variable that a conjunct of
+the block equates with a term free of the block's variables (on
+refinement specifications, every existential input equals a universal
+one) is replaced by that term, so a block may lose some or all of its
+binders, and a block whose body then folds to true is false.
 
 The instances at index i depend on the universal trace only through the
 terms its memory gives the body's universal variables there, so the side
@@ -51,6 +60,16 @@ with a domain, `path and domain` is checked once per trace, and only when
 the trace is the candidate. The side without an existential quantifier has
 scope true, so it is proved. The lazy search sends no query for a trace
 that has a witness; every query it sends is the one `lazy_query` builds.
+
+A witness is carried from bound to bound too. A universal trace's
+candidates, the proved traces whose instances all fold to true, are its
+ancestor's candidates widened to their children at bound k, kept where
+proved and where the instance at the one new index folds to true: a child
+shares its ancestor's classes at every earlier index, and the universal
+trace its ancestor's images. Every index is read only when no ancestor's
+candidates exist: at the first bound, on a side not prepared at the bound
+before, or for a trace whose ancestor was never asked (a universal bound
+cut by the budget).
 """
 
 from __future__ import annotations
@@ -130,25 +149,35 @@ class ExistentialSide:
     the bound k and the domain from it. `trace_var` is None when the
     specification has no existential quantifier.
 
-    `prepare` fills the side for bound k from the complete trace list. Per
-    trace, `blocks` holds its fresh variables, its scope (path and domain
-    constraint) and, per observation index i, the class of its memory
-    there: `sigmas[i][c]` maps the body's existential variables to the
-    terms that every trace of class c gives them at index i, and
-    `members[i][c]` has bit t set for each trace t of that class. Names
-    and terms are renamed apart (see `_apart`). Bit t of `proved` is set
-    when trace t's path is proved satisfiable (see `symexec`).
+    `prepare` fills the side for bound k from the complete trace list.
+    `classes[t]` holds trace t's class at each observation index i:
+    `sigmas[i][c]` maps the body's existential variables to the terms that
+    every trace of class c gives them at index i, and `members(i)[c]` has
+    bit t set for each trace t of that class. Bit t of `proved` is set when
+    trace t's path is proved satisfiable (see `symexec`). `block(t)` holds
+    trace t's fresh variables, its scope (path and domain constraint) and
+    its classes. Names and terms are renamed apart (see `_apart`).
+
+    Class numbers are search-wide and only appended to: on a side prepared
+    at every bound, a class at index i first appears at bound i + 1, and
+    its sigma is built once per search. A trace prepared at bound k takes its classes at the indices
+    before k - 1 from its ancestor at bound k - 1, the trace its parent
+    shares its observed states with, and reads only the one new index.
+    Members and blocks are built when a query or a witness needs them.
 
     Per bound, the side memoizes the body's instances per index i and
     universal images at i (`instances`), so universal traces whose
     memories give the body equal terms share them, and a query and a
-    witness read the same ones.
+    witness read the same ones. A universal trace's witness candidates are
+    kept for one bound, so that its descendants at the next bound start
+    from them (see `witness`).
     """
 
-    __slots__ = ("universal_var", "trace_var", "domain", "k", "blocks",
-                 "sigmas", "members", "proved", "_universal", "_existential",
-                 "_instance", "_memo", "_in_domain", "_state_images",
-                 "_renamed_sigmas", "_renamed", "_rho")
+    __slots__ = ("universal_var", "trace_var", "domain", "k", "classes", "sigmas",
+                 "proved", "_traces", "_universal", "_existential", "_instance", "_memo",
+                 "_members", "_blocks", "_in_domain", "_listed", "_children",
+                 "_candidates", "_asked", "_state_images", "_class_ids", "_renamed",
+                 "_rho")
 
     def __init__(self, universal_var: str, trace_var: Optional[str], body: Formula,
                  domain: Optional[Tuple[int, int]] = None):
@@ -163,98 +192,159 @@ class ExistentialSide:
         self._universal = _own(slots, universal_var)
         self._existential = _own(slots, trace_var)
         self._instance = logic.substituter(body)
+        self.k = 0
+        self.classes: List[Tuple[int, ...]] = []
         # index i and universal images at i -> (instances, true, false)
-        self._memo: Dict[tuple, Tuple[List[Formula], int, int]] = {}
-        # trace -> whether its scope (path and domain) answered sat
+        self._memo: Dict[tuple, Tuple[List[Optional[Formula]], int, int]] = {}
+        # index i -> members(i); trace -> block(t), or whether its scope
+        # (path and domain) answered sat
+        self._members: Dict[int, List[int]] = {}
+        self._blocks: Dict[int, tuple] = {}
         self._in_domain: Dict[int, bool] = {}
-        # Kept for the whole search: id of a state -> (the state, its
-        # images), images -> renamed sigma, id of a conjunct -> (the
-        # conjunct, renamed), and the renaming. An entry keeps its key's
-        # object alive, so that the id stays unique.
-        self._state_images, self._renamed_sigmas, self._renamed, self._rho = {}, {}, {}, {}
+        # Kept for one bound, for the next: id of each trace's observed
+        # tuple -> (the tuple, the trace), id of each universal trace's
+        # observed tuple -> (the tuple, its witness candidates); the
+        # previous bound's candidates, and the children at this bound of
+        # each trace of the previous one (None when some trace has no
+        # ancestor there). An entry keeps its key's object alive, so that
+        # the id stays unique.
+        self._listed: Dict[int, Tuple[tuple, int]] = {}
+        self._candidates: Dict[int, Tuple[tuple, Tuple[int, ...]]] = {}
+        self._asked: Dict[int, Tuple[tuple, Tuple[int, ...]]] = {}
+        self._children: Optional[List[List[int]]] = None
+        # Kept for the whole search: per index, images -> class (with
+        # `sigmas`); id of a state -> (the state, its images), id of a
+        # conjunct -> (the conjunct, renamed), and the renaming.
+        self.sigmas: List[List[Dict[str, Term]]] = []
+        self._class_ids: List[Dict[Tuple[Term, ...], int]] = []
+        self._state_images, self._renamed, self._rho = {}, {}, {}
 
     def prepare(self, k: int, traces: Sequence[SymTrace]) -> None:
         """The part of every bound-k lazy query that depends on the
         existential traces alone, from the bound's complete trace list."""
+        # The previous bound's traces are the ancestors only when it was k - 1.
+        carried = self.k == k - 1
+        ancestors, previous = (self._listed, self.classes) if carried else ({}, [])
+        self._asked = self._candidates if carried else {}
         self.k = k
+        self._candidates, self._listed = {}, {}
         self._memo.clear()
+        self._members.clear()
+        self._blocks.clear()
         self._in_domain.clear()
+        for _ in range(len(self.sigmas), k):
+            self.sigmas.append([] if self.trace_var is not None else [{}])
+            self._class_ids.append({})
         if self.trace_var is None:
             # One block with no variables, scope true (so proved) and no
             # existential term: "no match" is the negated invariant.
-            self.blocks = (((), logic.TRUE, (0,) * k),)
-            self.sigmas, self.members, self.proved = (({},),) * k, ((1,),) * k, 1
+            self._traces, self.classes, self.proved = (), [(0,) * k], 1
+            self._children = [[0]] if carried else None
             return
-        state_images, renamed_sigmas = self._state_images, self._renamed_sigmas
-        renamed, rho, own = self._renamed, self._rho, self._existential
-        blocks = []
-        classes: List[Dict[Tuple[Term, ...], int]] = [{} for _ in range(k)]
-        sigmas: List[List[Dict[str, Term]]] = [[] for _ in range(k)]
-        members: List[List[int]] = [[] for _ in range(k)]
-        proved = 0
-        # The renaming is one map for every trace, so classes are formed
-        # before it, and each path conjunct, which a path shares with the
-        # paths of its prefixes, is renamed once.
+        listed, classes, proved = self._listed, [], 0
+        children: Optional[List[List[int]]] = [[] for _ in previous]
         for t, trace in enumerate(traces):
-            fv2 = _apart(trace.free_vars(), rho)
-            trace_classes = []
-            for i in range(k):
-                # `_image` raises on a trace without observation i, unless
-                # the body takes no term from it: then every entry, None's
-                # too, is ().
-                state = trace.observed[i] if i < len(trace.observed) else None
-                entry = state_images.get(id(state))
-                if entry is None:
-                    entry = state_images[id(state)] = (
-                        state,
-                        tuple([_image(trace, self.trace_var, var, i) for _, var in own]))
-                images = entry[1]
-                c = classes[i].setdefault(images, len(sigmas[i]))
-                if c == len(sigmas[i]):
-                    sigma = renamed_sigmas.get(images)
-                    if sigma is None:
-                        sigma = renamed_sigmas[images] = {
-                            name: logic.substitute(term, rho)
-                            for (name, _), term in zip(own, images)}
-                    sigmas[i].append(sigma)
-                    members[i].append(0)
-                members[i][c] |= 1 << t
-                trace_classes.append(c)
-            path = trace.path
-            conjuncts = path.args if isinstance(path, logic.And) else (path,)
-            for conjunct in conjuncts:
-                if id(conjunct) not in renamed:
-                    renamed[id(conjunct)] = (conjunct, logic.substitute(conjunct, rho))
-            scope = logic.conj([*(renamed[id(c)][1] for c in conjuncts),
-                                _domain_constraint(fv2, self.domain)])
-            blocks.append((fv2, scope, tuple(trace_classes)))
+            observed, parent = trace.observed, trace.parent
+            ancestor = (ancestors.get(id(parent.observed))
+                        if parent is not None and len(observed) == k else None)
+            if ancestor is None:
+                classes.append(self._classes_of(trace, k))
+                children = None
+            else:
+                a = ancestor[1]
+                classes.append(previous[a] + (self._class(trace, k - 1),))
+                if children is not None:
+                    children[a].append(t)
+            listed[id(observed)] = (observed, t)
             if trace.proved:
                 proved |= 1 << t
-        self.blocks = tuple(blocks)
-        self.sigmas = tuple(map(tuple, sigmas))
-        self.members = tuple(map(tuple, members))
+        self._traces = traces
+        self.classes = classes
         self.proved = proved
+        self._children = children
 
-    def instances(self, universal: SymTrace, i: int) -> Tuple[List[Formula], int, int]:
+    def _classes_of(self, trace: SymTrace, k: int) -> Tuple[int, ...]:
+        """The trace's class at every index below k, read afresh: for a
+        trace with no ancestor at the bound before."""
+        return tuple([self._class(trace, i) for i in range(k)])
+
+    def _class(self, trace: SymTrace, i: int) -> int:
+        """The class of the trace's memory at observation i, numbered the
+        first time its images occur there."""
+        # `_image` raises on a trace without observation i, unless the body
+        # takes no term from it: then every entry, None's too, is ().
+        state = trace.observed[i] if i < len(trace.observed) else None
+        entry = self._state_images.get(id(state))
+        if entry is None:
+            entry = self._state_images[id(state)] = (
+                state,
+                tuple([_image(trace, self.trace_var, var, i) for _, var in self._existential]))
+        images = entry[1]
+        ids = self._class_ids[i]
+        c = ids.get(images)
+        if c is None:
+            rho = self._rho
+            for term in images:
+                _apart(logic.free_vars(term), rho)
+            c = ids[images] = len(self.sigmas[i])
+            self.sigmas[i].append({name: logic.substitute(term, rho)
+                                   for (name, _), term in zip(self._existential, images)})
+        return c
+
+    def members(self, i: int) -> List[int]:
+        """Per class at index i, the traces (bitmask) of that class."""
+        found = self._members.get(i)
+        if found is None:
+            found = self._members[i] = [0] * len(self.sigmas[i])
+            for t, trace_classes in enumerate(self.classes):
+                found[trace_classes[i]] |= 1 << t
+        return found
+
+    def block(self, t: int) -> Tuple[Tuple[str, ...], Formula, Tuple[int, ...]]:
+        """Trace t's fresh variables and scope, renamed apart, and its
+        classes."""
+        block = self._blocks.get(t)
+        if block is None:
+            if self.trace_var is None:
+                block = ((), logic.TRUE, self.classes[0])
+            else:
+                trace, rho, renamed = self._traces[t], self._rho, self._renamed
+                fv2 = _apart(trace.free_vars(), rho)
+                # Each path conjunct, which a path shares with the paths of
+                # its prefixes, is renamed once per search.
+                path = trace.path
+                conjuncts = path.args if isinstance(path, logic.And) else (path,)
+                for conjunct in conjuncts:
+                    if id(conjunct) not in renamed:
+                        renamed[id(conjunct)] = (conjunct, logic.substitute(conjunct, rho))
+                scope = logic.conj([*(renamed[id(c)][1] for c in conjuncts),
+                                    _domain_constraint(fv2, self.domain)])
+                block = (fv2, scope, self.classes[t])
+            self._blocks[t] = block
+        return block
+
+    def instances(self, universal: SymTrace, i: int) -> Tuple[List[Optional[Formula]], int, int]:
         """The body at index i under the universal memory and the
-        existential memory of each class, with the traces (bitmasks) whose
-        instance folded to true and to false."""
+        existential memory of each class with a trace at this bound (None
+        for the others), with the traces (bitmasks) whose instance folded to
+        true and to false."""
         own = self._universal
         images = tuple([_image(universal, self.universal_var, var, i) for _, var in own])
         key = (i, images)
         entry = self._memo.get(key)
         if entry is None:
             # One simultaneous substitution of both sides per class.
-            instance = self._instance
+            instance, members = self._instance, self.members(i)
             universal_sigma = {name: term for (name, _), term in zip(own, images)}
-            found = [instance({**sigma, **universal_sigma}) for sigma in self.sigmas[i]]
+            found = [instance({**sigma, **universal_sigma}) if traces else None
+                     for sigma, traces in zip(self.sigmas[i], members)]
             true = false = 0
             for c, instance in enumerate(found):
                 if isinstance(instance, logic.BoolLit):
                     if instance.value:
-                        true |= self.members[i][c]
+                        true |= members[c]
                     else:
-                        false |= self.members[i][c]
+                        false |= members[c]
             entry = self._memo[key] = (found, true, false)
         return entry
 
@@ -268,31 +358,53 @@ class ExistentialSide:
         unsat. With a domain, the scope is `path and domain`, which must be
         proved too: it is checked through `feasibility` once per trace, and
         only for a trace that is the candidate.
+
+        The candidates are the proved traces whose instances all fold to
+        true. A universal trace whose ancestor at the bound before was asked
+        starts from that ancestor's candidates: their children at this
+        bound share their classes at every earlier index, so only the new
+        index is read. Otherwise every index is read.
         """
-        candidates = self.proved
-        for i in range(self.k):
-            if not candidates:
-                return None
-            candidates &= self.instances(universal, i)[1]
+        k, parent = self.k, universal.parent
+        previous = (self._asked.get(id(parent.observed))
+                    if self._children is not None and parent is not None else None)
+        if previous is None:
+            candidates = self.proved
+            for i in range(k):
+                if not candidates:
+                    break
+                candidates &= self.instances(universal, i)[1]
+        else:
+            candidates, children = 0, self._children
+            for a in previous[1]:
+                for t in children[a]:
+                    candidates |= 1 << t
+            candidates &= self.proved
+            if candidates:
+                candidates &= self.instances(universal, k - 1)[1]
+        found = []
         while candidates:
-            t = (candidates & -candidates).bit_length() - 1
+            low = candidates & -candidates
+            found.append(low.bit_length() - 1)
+            candidates ^= low
+        self._candidates[id(universal.observed)] = (universal.observed, tuple(found))
+        for t in found:
             if self._scope_proved(t, feasibility):
                 return t
-            candidates &= candidates - 1
         return None
 
     def _scope_proved(self, t: int, feasibility: Feasibility) -> bool:
         if self.domain is None:
             return True
         if t not in self._in_domain:
-            self._in_domain[t] = isinstance(feasibility.check(self.blocks[t][1]), smt.Sat)
+            self._in_domain[t] = isinstance(feasibility.check(self.block(t)[1]), smt.Sat)
         return self._in_domain[t]
 
 
 def _no_match(universal: SymTrace, side: ExistentialSide) -> Formula:
     """The part "no existential trace matches `universal`": one block per
     trace, forall fv2. not(scope and body_0 and ... and body_{k-1})."""
-    if not side.blocks:  # no pair to encode, nothing to check
+    if not side.classes:  # no pair to encode, nothing to check
         return logic.TRUE
     # instances[i][c]: the body at index i under the universal memory and
     # the existential memory of class c.
@@ -303,11 +415,11 @@ def _no_match(universal: SymTrace, side: ExistentialSide) -> Formula:
         instances.append(found)
         folded |= false
     # A true block drops out of the conjunction, so it is never built.
+    blocks = (side.block(t) for t in range(len(side.classes)) if not folded >> t & 1)
     return logic.conj(
         logic.forall(fv2, logic.negate(logic.conj(
             [scope, *map(list.__getitem__, instances, trace_classes)])))
-        for t, (fv2, scope, trace_classes) in enumerate(side.blocks)
-        if not folded >> t & 1)
+        for fv2, scope, trace_classes in blocks)
 
 
 def lazy_query(universal: SymTrace, existential: ExistentialSide) -> EncodedQuery:

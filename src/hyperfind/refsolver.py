@@ -565,4 +565,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    # Under `python -m`, this module runs as `__main__`: registered under its
+    # own name too, the text route's import of it does not load it again.
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

@@ -24,9 +24,11 @@ The searches:
 
 Each record holds the verdict's repr (with the full counterexample), its
 name and bound, the search's counters (`combinations`, `sat_calls`,
-`decided`, `feasibility_calls`), the calls of `symexec.extend`, and every
-check sent to the solver: the SMT-LIB text of its formula, its wanted
-names and its answer. Pytest does not collect this file.
+`decided`, `feasibility_calls`), the calls of `symexec.extend`, the
+witness that `encode.ExistentialSide.witness` found for each decided
+query, in order, and every check sent to the solver: the SMT-LIB text of
+its formula, its wanted names and its answer. Pytest does not collect
+this file.
 """
 
 import json
@@ -63,10 +65,11 @@ def searches(inputs):
 
 def main(root):
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
-    from hyperfind import driver, smt, symexec
+    from hyperfind import driver, encode, smt, symexec
 
-    checks, extends = [], [0]
+    checks, witnesses, extends = [], [], [0]
     check, extend = smt.Solver.check, symexec.extend
+    witness = encode.ExistentialSide.witness
 
     def recorded_check(self, formula, wanted=(), timeout_ms=None):
         result = check(self, formula, wanted, timeout_ms)
@@ -77,13 +80,21 @@ def main(root):
         extends[0] += 1
         return extend(*args, **kwargs)
 
+    def recorded_witness(self, universal, feasibility):
+        found = witness(self, universal, feasibility)
+        if found is not None:
+            witnesses.append(found)
+        return found
+
     smt.Solver.check = recorded_check
     symexec.extend = counted_extend
+    encode.ExistentialSide.witness = recorded_witness
     inputs = os.path.join(root, "benchmarks")
     for label, name, n, algorithm, options in searches(inputs):
         with open(os.path.join(inputs, name), encoding="utf-8") as handle:
             source = handle.read()
         checks.clear()
+        witnesses.clear()
         extends[0] = 0
         result = driver.analyze_source(source, n=n, algorithm=algorithm,
                                        opts=driver.SearchOptions(**options))
@@ -99,6 +110,7 @@ def main(root):
             "feasibility_calls": stats.feasibility_calls,
             "extend_calls": extends[0],
             "checks": checks,
+            "witnesses": witnesses,
         }, sort_keys=True))
 
 

@@ -292,6 +292,35 @@ def test_cli_in_process_solver_exception_is_inconclusive(
     assert error.__name__ in report["detail"]
 
 
+@pytest.mark.parametrize("algorithm", ["lazy", "naive"])
+@pytest.mark.parametrize("error, reason", [(MemoryError, "memory"),
+                                           (KeyboardInterrupt, "interrupted")])
+def test_a_search_out_of_memory_or_interrupted_names_its_last_bound(
+        no_solver_on_path, monkeypatch, capsys, error, reason, algorithm):
+    # The error strikes at bound 3: in the lazy search's first witness
+    # there, in the naive search's preparation of it.
+    def at_bound_3(original, bound):
+        def failing(side, *args):
+            if bound(side, *args) == 3:
+                raise error()
+            return original(side, *args)
+        return failing
+    side = encode.ExistentialSide
+    if algorithm == "lazy":
+        monkeypatch.setattr(side, "witness", at_bound_3(side.witness, lambda s, *_: s.k))
+    else:
+        monkeypatch.setattr(side, "prepare", at_bound_3(side.prepare, lambda s, k, _: k))
+    code = cli_main([fixture_path("voting_correct.hyp"), "--max-observations", "4",
+                     "--algorithm", algorithm, "--report", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert (report["verdict"], report["reason"]) == ("inconclusive", reason)
+    assert report["detail"].startswith("bound 3 ")
+    assert report["detail"].endswith("bounds up to k=2 were checked to the end")
+
+
 def test_failed_replay_is_inconclusive(opts, monkeypatch):
     monkeypatch.setattr(concrete, "replay", lambda *args, **kwargs: "forced")
     result = run_fixture("voting_buggy.hyp", 4, opts)
@@ -608,6 +637,20 @@ def test_bench_harness_records_errors(tmp_path, capsys):
     assert not (tmp_path / "queries").exists()
 
 
+def test_an_interrupted_search_stops_the_bench_harness(tmp_path, monkeypatch):
+    # A search turns KeyboardInterrupt into a verdict; the harness, which
+    # records each instance's failure and goes on, stops on it instead.
+    def interrupted(side, universal, feasibility):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(encode.ExistentialSide, "witness", interrupted)
+    entry = {"name": "voting", "file": fixture_path("voting_correct.hyp"),
+             "max_observations": 2, "repetitions": 1}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([entry, entry]))
+    with pytest.raises(KeyboardInterrupt):
+        driver.bench(str(path))
+
+
 @pytest.mark.parametrize("field, value", [
     ("max_observations", 0), ("max_observations", -1), ("repetitions", 0), ("repetitions", -1),
 ])
@@ -733,7 +776,7 @@ def record_decided(monkeypatch):
         found = witness(side, universal, feasibility)
         if found is not None:
             decided.append((encode.lazy_query(universal, side),
-                            side.blocks[found][1]))
+                            side.block(found)[1]))
         return found
     monkeypatch.setattr(encode.ExistentialSide, "witness", recorded)
     return decided

@@ -183,32 +183,129 @@ def test_prepared_side_matches_per_pair_encoding(source, bounds, domain, solver_
             assert query.free_vars == free_vars, (source, k)
 
 
+def bounds_walked(source, n, solver_argv):
+    """The side's arguments, and per bound 1..n its universal and
+    existential traces, read as a search reads them, with the search's
+    feasibility."""
+    gen = driver.generalize(frontend.load(bench_source(source)))
+    opts = driver.SearchOptions(solver_argv=solver_argv)
+    args = (gen.universal.trace_var, gen.existential.trace_var, gen.body)
+    with smt.Solver(solver_argv) as solver:
+        feas = Feasibility(solver)
+        universal_walk, walk = driver._walks(gen, n, FreshSupply(), feas, opts)
+        for k in range(1, n + 1):
+            traces, incomplete = driver._materialize(walk, k)
+            assert traces and not incomplete
+            yield args, feas, driver._materialize(universal_walk, k)[0], traces
+
+
+def sigma_key(sigma):
+    return tuple(sorted(sigma.items()))
+
+
 @pytest.mark.parametrize("domain", [None, (0, 1)])
 @pytest.mark.parametrize("source, n", [("voting_correct.hyp", 6), ("min_flip.hyp", 3)])
 def test_a_side_prepared_from_the_previous_bound_equals_a_fresh_one(source, n, domain,
                                                                      solver_argv):
-    gen = driver.generalize(frontend.load(bench_source(source)))
-    opts = driver.SearchOptions(solver_argv=solver_argv)
-    args = (gen.universal.trace_var, gen.existential.trace_var, gen.body, domain)
-    side = ExistentialSide(*args)
-    with smt.Solver(solver_argv) as solver:
-        universal_walk, walk = driver._walks(gen, n, FreshSupply(), Feasibility(solver),
-                                             opts)
-        for k in range(1, n + 1):
-            traces, incomplete = driver._materialize(walk, k)
-            assert traces and not incomplete
-            side.prepare(k, traces)
-            fresh = ExistentialSide(*args)
-            fresh.prepare(k, traces)
-            assert side.k == fresh.k == k
-            assert side.blocks == fresh.blocks, k  # names, scopes and classes
-            for (_, _, classes), (_, _, fresh_classes) in zip(side.blocks, fresh.blocks):
-                assert ([side.sigmas[i][c] for i, c in enumerate(classes)]
-                        == [fresh.sigmas[i][c] for i, c in enumerate(fresh_classes)]), k
-            assert side.members == fresh.members and side.proved == fresh.proved, k
-            # The previous bound's instances are not read at this one.
-            for trace in driver._materialize(universal_walk, k)[0]:
-                assert lazy_query(trace, side) == lazy_query(trace, fresh), k
+    side = None
+    for k, (args, _, universal, traces) in enumerate(
+            bounds_walked(source, n, solver_argv), 1):
+        side = side or ExistentialSide(*args, domain)
+        side.prepare(k, traces)
+        fresh = ExistentialSide(*args, domain)
+        fresh.prepare(k, traces)
+        assert side.k == fresh.k == k and side.proved == fresh.proved
+        # Class numbers are the side's own, so classes compare by sigma.
+        for t in range(len(traces)):
+            (fv2, scope, classes), (fresh_fv2, fresh_scope, fresh_classes) = (
+                side.block(t), fresh.block(t))
+            assert (fv2, scope) == (fresh_fv2, fresh_scope), k
+            assert ([side.sigmas[i][c] for i, c in enumerate(classes)]
+                    == [fresh.sigmas[i][c] for i, c in enumerate(fresh_classes)]), k
+        for i in range(k):
+            assert ({sigma_key(sigma): m for sigma, m in zip(side.sigmas[i], side.members(i))
+                     if m}
+                    == {sigma_key(sigma): m for sigma, m in zip(fresh.sigmas[i],
+                                                                fresh.members(i))}), k
+        # The previous bound's instances are not read at this one.
+        for trace in universal:
+            assert lazy_query(trace, side) == lazy_query(trace, fresh), k
+
+
+class IndexRecordingSide(ExistentialSide):
+    """A side that records the indices whose instances `witness` reads."""
+    __slots__ = ("read",)
+
+    def instances(self, universal, i):
+        self.read.add(i)
+        return super().instances(universal, i)
+
+    def witness(self, universal, feasibility):
+        self.read = set()
+        return super().witness(universal, feasibility)
+
+
+@pytest.mark.parametrize("domain", [None, (0, 1)])
+@pytest.mark.parametrize("source, n", [("voting_correct.hyp", 6), ("escalating.hyp", 7),
+                                       ("io_loop.hyp", 6), ("min_flip.hyp", 4)])
+def test_a_carried_side_finds_the_witness_and_query_of_a_fresh_one(source, n, domain,
+                                                                   solver_argv):
+    # Prepared at every bound from 1, the side starts each universal trace's
+    # witness from its ancestor's candidates and reads one index; a side
+    # prepared only at k reads every index. Both find the same witness and
+    # build the same query, for every universal trace at every bound.
+    side = None
+    decided = 0
+    for k, (args, feas, universal, traces) in enumerate(
+            bounds_walked(source, n, solver_argv), 1):
+        side = side or IndexRecordingSide(*args, domain)
+        side.prepare(k, traces)
+        fresh = IndexRecordingSide(*args, domain)
+        fresh.prepare(k, traces)
+        for trace in universal:
+            found = side.witness(trace, feas)
+            assert found == fresh.witness(trace, feas), (k, trace)
+            assert side.read <= {k - 1} if k > 1 else side.read <= {0}
+            assert 0 in fresh.read or not fresh.proved
+            assert lazy_query(trace, side) == lazy_query(trace, fresh), k
+            decided += found is not None
+    assert decided or source == "min_flip.hyp"
+
+
+@pytest.mark.parametrize("source, n", [("voting_correct.hyp", 5), ("io_loop.hyp", 5)])
+def test_a_witness_without_an_asked_ancestor_reads_every_index(source, n, solver_argv):
+    # A side prepared at k without k - 1 carries nothing from the bound it
+    # last saw; a universal trace whose ancestor was never asked has no
+    # candidates to start from. Both read every index, and agree with a
+    # side prepared only at k.
+    carried = IndexRecordingSide
+    skipping, asking = None, None
+    for k, (args, feas, universal, traces) in enumerate(
+            bounds_walked(source, n, solver_argv), 1):
+        fresh = carried(*args)
+        fresh.prepare(k, traces)
+        expected = [fresh.witness(trace, feas) for trace in universal]
+        # Prepared at the odd bounds only.
+        skipping = skipping or carried(*args)
+        if k % 2:
+            skipping.prepare(k, traces)
+            for trace, witness in zip(universal, expected):
+                assert skipping.witness(trace, feas) == witness, k
+                assert 0 in skipping.read or k == 1, k
+        # Prepared at every bound, but asked only for every other universal
+        # trace at the bound before the last.
+        asking = asking or carried(*args)
+        asking.prepare(k, traces)
+        for index, (trace, witness) in enumerate(zip(universal, expected)):
+            if k == n - 1 and index % 2:
+                continue
+            assert asking.witness(trace, feas) == witness, k
+            if k == n:
+                ancestor = trace.parent.observed
+                asked = any(other.observed is ancestor for other in previous[::2])
+                assert (asking.read <= {k - 1}) if asked else 0 in asking.read, index
+        previous = universal
+    assert any(witness is not None for witness in expected)
 
 
 def observed_trace(*outs):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import hyperfind
 from hyperfind import logic, smt
 from hyperfind.logic import And, BoolLit, Cmp, IntLit, Not, Or, Quant, Var
 from hyperfind.smt import (
@@ -382,6 +383,32 @@ def test_the_bundled_solver_module_runs_the_text_loop():
     run = subprocess.run([sys.executable, "-m", "hyperfind.refsolver"], input=script,
                          capture_output=True, text=True, check=True, timeout=60)
     assert run.stdout.splitlines() == ["sat", "((x 3))"]
+
+
+def test_the_bundled_solver_module_imports_no_search():
+    # A child solver imports the package, the solver core once and the text
+    # route; the public names that the search defines stay unresolved. `-B`:
+    # the check writes no bytecode.
+    run = subprocess.run([sys.executable, "-B", "-X", "importtime", "-m", "hyperfind.refsolver"],
+                         input="(exit)\n", capture_output=True, text=True, check=True,
+                         timeout=60)
+    imported = [line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    ours = [name for name in imported if name.split(".")[0] == "hyperfind"]
+    assert ours == ["hyperfind", "hyperfind.logic", "hyperfind.smtlib"], ours
+
+
+def test_the_public_names_resolve_on_first_use():
+    code = ("import sys, hyperfind; before = 'hyperfind.driver' in sys.modules; "
+            "from hyperfind import analyze_source, ParseError; "
+            "names = [getattr(hyperfind, name).__name__ for name in hyperfind.__all__]; "
+            "print(before, analyze_source.__module__, ParseError.__module__, "
+            "names == hyperfind.__all__)")
+    run = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert run.stdout.split() == ["False", "hyperfind.driver", "hyperfind.frontend", "True"]
+    with pytest.raises(AttributeError, match="no attribute 'search'"):
+        hyperfind.search
 
 
 # 9007199254740993 = 2^53 + 1: Cooper's elimination of y enumerates that
