@@ -29,8 +29,8 @@ k - 1 (`symexec.Walk.children` passes the observed tuple on until the
 next observation), so the side finds that ancestor in O(1) and takes the
 trace's classes at every index but the new one, k - 1, from it. Class
 numbers per index are search-wide and only appended to, so each class's
-terms are renamed apart once per search; the checks that a trace can be
-bound in the body run once per observed state. What only a query reads
+terms are renamed apart once per search; a carried trace's memory is read
+only at the index it adds. What only a query reads
 is built when a query needs it: the traces of each class, and each
 trace's block parts, its fresh variables and its path conjoined with the
 domain constraint, whose conjuncts, shared with the paths of its
@@ -176,8 +176,7 @@ class ExistentialSide:
     __slots__ = ("universal_var", "trace_var", "domain", "k", "classes", "sigmas",
                  "proved", "_traces", "_universal", "_existential", "_instance", "_memo",
                  "_members", "_blocks", "_in_domain", "_listed", "_children",
-                 "_candidates", "_asked", "_state_images", "_class_ids", "_renamed",
-                 "_rho")
+                 "_candidates", "_asked", "_class_ids", "_renamed", "_rho")
 
     def __init__(self, universal_var: str, trace_var: Optional[str], body: Formula,
                  domain: Optional[Tuple[int, int]] = None):
@@ -213,11 +212,11 @@ class ExistentialSide:
         self._asked: Dict[int, Tuple[tuple, Tuple[int, ...]]] = {}
         self._children: Optional[List[List[int]]] = None
         # Kept for the whole search: per index, images -> class (with
-        # `sigmas`); id of a state -> (the state, its images), id of a
-        # conjunct -> (the conjunct, renamed), and the renaming.
+        # `sigmas`); id of a conjunct -> (the conjunct, renamed), and the
+        # renaming.
         self.sigmas: List[List[Dict[str, Term]]] = []
         self._class_ids: List[Dict[Tuple[Term, ...], int]] = []
-        self._state_images, self._renamed, self._rho = {}, {}, {}
+        self._renamed, self._rho = {}, {}
 
     def prepare(self, k: int, traces: Sequence[SymTrace]) -> None:
         """The part of every bound-k lazy query that depends on the
@@ -272,14 +271,8 @@ class ExistentialSide:
         """The class of the trace's memory at observation i, numbered the
         first time its images occur there."""
         # `_image` raises on a trace without observation i, unless the body
-        # takes no term from it: then every entry, None's too, is ().
-        state = trace.observed[i] if i < len(trace.observed) else None
-        entry = self._state_images.get(id(state))
-        if entry is None:
-            entry = self._state_images[id(state)] = (
-                state,
-                tuple([_image(trace, self.trace_var, var, i) for _, var in self._existential]))
-        images = entry[1]
+        # takes no term from it: then the images are ().
+        images = tuple([_image(trace, self.trace_var, var, i) for _, var in self._existential])
         ids = self._class_ids[i]
         c = ids.get(images)
         if c is None:
@@ -312,8 +305,7 @@ class ExistentialSide:
                 fv2 = _apart(trace.free_vars(), rho)
                 # Each path conjunct, which a path shares with the paths of
                 # its prefixes, is renamed once per search.
-                path = trace.path
-                conjuncts = path.args if isinstance(path, logic.And) else (path,)
+                conjuncts = logic.conjuncts(trace.path)
                 for conjunct in conjuncts:
                     if id(conjunct) not in renamed:
                         renamed[id(conjunct)] = (conjunct, logic.substitute(conjunct, rho))

@@ -391,6 +391,13 @@ def conj(args: Iterable[Formula]) -> Formula:
     return And(tuple(flat))
 
 
+def conjuncts(formula: Formula) -> Tuple[Formula, ...]:
+    """The conjuncts of a formula, as `conj` flattens them: none for true."""
+    if isinstance(formula, And):
+        return formula.args
+    return () if formula == TRUE else (formula,)
+
+
 def disj(args: Iterable[Formula]) -> Formula:
     flat = []
     for a in args:

@@ -35,19 +35,22 @@ each, such as the guards of a countdown loop (`n > 0`, `n - 1 > 0`, ...).
 `Feasibility` settles such a path from per-variable integer bounds and
 asks the solver only about the other shapes. It reads each conjunct in
 the bundled solver's linear normal form (`logic.comparison`), so `2x <= 5`
-bounds x by 2 and `2x = 1` is false. A child's path is its
-parent's conjuncts, the same objects, followed by its guard's, so the
-child's `Facts` are its parent's with only the guard folded in: a search
-reads each guard conjunct once, and a countdown of depth d costs d reads,
-not d * d / 2.
+bounds x by 2 and `2x = 1` is false. Each state holds its path's `Facts`
+(as KLEE's states hold their constraint sets): a child's path is its
+parent's conjuncts followed by its guard's, so its facts are its parent's
+with only the guard folded in, and a child along a true guard or no guard
+shares its parent's path and facts. A search reads each guard conjunct
+once, and a countdown of depth d costs d reads, not d * d / 2. `extend`
+asks `Feasibility.check`, which reads a path whole, only about a path that
+its facts leave open.
 
 Each node records whether its path is *proved* satisfiable: the root's
 path is true; a child extended along a true guard keeps its parent's path
 object and its parent's proof; any other child is proved when its parent
-is and `Feasibility.check` answered `Sat` for its path, from the bounds or
-from the solver. An unknown answer leaves the node and every descendant
-unproved. The lazy search decides a universal trace without the solver only
-through a proved existential path (see `encode`).
+is and its path was answered `Sat`, by its facts or by the solver. An
+unknown answer leaves the node and every descendant unproved. The lazy
+search decides a universal trace without the solver only through a proved
+existential path (see `encode`).
 """
 
 from __future__ import annotations
@@ -80,16 +83,22 @@ class SymState(FrozenRecord):
     after the state is made, so states share it: a skip step's state holds
     its parent's dict, and only an assignment or a havoc copies it. `mem`,
     the sorted (variable, term) pairs, is derived on demand; it stands for
-    the memory in the repr and equality.
+    the memory in the repr and equality. `facts` are the path's `Facts`,
+    read from the path when they are not given; they take no part in the
+    repr or equality.
     """
 
-    __slots__ = ("loc", "path", "memory")
+    __slots__ = ("loc", "path", "memory", "facts")
     _fields = ("loc", "path", "mem")
 
-    def __init__(self, loc: int, path: Formula, memory: Dict[str, Term]):
+    def __init__(self, loc: int, path: Formula, memory: Dict[str, Term],
+                 facts: Optional[Facts] = None):
         set_field(self, "loc", loc)
         set_field(self, "path", path)
         set_field(self, "memory", memory)
+        if facts is None:
+            facts = _fold(_NO_FACTS, logic.conjuncts(path))
+        set_field(self, "facts", facts)
 
     @property
     def mem(self) -> Tuple[Tuple[str, Term], ...]:
@@ -97,7 +106,8 @@ class SymState(FrozenRecord):
 
 
 def initial_state(graph: ProgramGraph) -> SymState:
-    return SymState(graph.initial, logic.TRUE, {v: logic.IntLit(0) for v in graph.variables})
+    return SymState(graph.initial, logic.TRUE, {v: logic.IntLit(0) for v in graph.variables},
+                    _NO_FACTS)
 
 
 class SymTrace(FrozenRecord):
@@ -114,7 +124,7 @@ class SymTrace(FrozenRecord):
     docstring); it takes no part in the repr or equality.
     """
 
-    __slots__ = ("parent", "state", "observed", "proved", "depth", "fresh", "_free_vars")
+    __slots__ = ("parent", "state", "observed", "proved", "depth", "fresh")
     _fields = ("states", "observed")
 
     def __init__(self, parent: Optional["SymTrace"], state: SymState,
@@ -140,19 +150,14 @@ class SymTrace(FrozenRecord):
 
     def free_vars(self) -> Tuple[str, ...]:
         """The fresh variables of the path and memories, in index order: the
-        parent's, then the node's own havoc name (each `v!N` comes from a
-        havoc on the path, and the supply only counts up). Cached per node;
-        a loop, not a recursion, fills the chain's uncached part."""
-        chain, node = [], self
-        while node is not None and getattr(node, "_free_vars", None) is None:
-            chain.append(node)
-            node = node.parent
-        names = () if node is None else node._free_vars
-        for node in reversed(chain):
+        havoc names of the chain's nodes, root first (each `v!N` comes from a
+        havoc on the path, and the supply only counts up)."""
+        names, node = [], self
+        while node is not None:
             if node.fresh is not None:
-                names += (node.fresh,)
-            set_field(node, "_free_vars", names)
-        return names
+                names.append(node.fresh)
+            node = node.parent
+        return tuple(reversed(names))
 
 
 def _read(part: Formula) -> Optional[Tuple[tuple, Dict[str, int]]]:
@@ -273,17 +278,9 @@ class Feasibility:
     al., OSDI 2008), and that `Sat` proves it as the solver's would; every
     other path is one scoped check, cut off after `timeout_ms` by the
     session's deadline. `solver_calls` counts the checks that reached the
-    solver.
-
-    A path's facts are those of the longest prefix of it that this object
-    has already read, with only the conjuncts after it folded in. Every
-    check leaves its path's facts in a memo, which lives as long as the
-    object: one search. The memo finds a prefix by the object that ends it
-    and that object's position, so a conjunct object must never end two
-    different prefixes of one length. Paths keep that rule: a child's path
-    is its parent's conjunct objects followed by its guard's, which
-    `extend` builds afresh for each node; `encode` renames the conjuncts
-    of its domain scopes the same way.
+    solver. `check` reads a path whole; `extend` folds only each guard
+    into the facts its state holds, and asks `check` only about the paths
+    those facts leave open.
     """
 
     def __init__(self, solver: smt.Solver,
@@ -291,25 +288,11 @@ class Feasibility:
         self.solver = solver
         self.timeout_ms = timeout_ms
         self.solver_calls = 0
-        # (id of a prefix's last conjunct, prefix length) -> (that
-        # conjunct, which the entry keeps alive so that its id stays
-        # unique, the prefix's facts)
-        self._facts: Dict[Tuple[int, int], Tuple[Formula, Facts]] = {}
 
     def check(self, formula: Formula) -> smt.SatResult:
         if isinstance(formula, logic.BoolLit):
             return smt.Sat({}) if formula.value else smt.Unsat()
-        parts = formula.args if isinstance(formula, logic.And) else (formula,)
-        facts, start = _NO_FACTS, 0
-        for end in range(len(parts), 0, -1):
-            known = self._facts.get((id(parts[end - 1]), end))
-            if known is not None:
-                facts, start = known[1], end
-                break
-        if start < len(parts):
-            facts = _fold(facts, parts[start:])
-            self._facts[id(parts[-1]), len(parts)] = (parts[-1], facts)
-        verdict = _verdict(facts)
+        verdict = _verdict(_fold(_NO_FACTS, logic.conjuncts(formula)))
         if verdict is not None:
             return verdict
         self.solver_calls += 1
@@ -324,7 +307,7 @@ def extend(graph: ProgramGraph, last: SymState, supply: FreshSupply,
     mem = last.memory
     out: List[Tuple[SymState, bool, Optional[str]]] = []
     for dst, guard, kind, target, expr in graph.steps(last.loc):
-        path, known = last.path, True
+        path, facts, known = last.path, last.facts, True
         if guard is not None:
             guard = guard(mem)
             if isinstance(guard, logic.BoolLit):
@@ -334,7 +317,10 @@ def extend(graph: ProgramGraph, last: SymState, supply: FreshSupply,
                 # known satisfiable when its trace was admitted.
             else:
                 path = logic.conj([path, guard])
-                verdict = feasibility.check(path)
+                facts = _fold(facts, logic.conjuncts(guard))
+                verdict = _verdict(facts)
+                if verdict is None:
+                    verdict = feasibility.check(path)
                 if isinstance(verdict, smt.Unsat):
                     continue
                 # Sat and Unknown both proceed; see module docstring.
@@ -349,7 +335,7 @@ def extend(graph: ProgramGraph, last: SymState, supply: FreshSupply,
             new_mem[target] = Var(fresh)
         else:
             new_mem = mem  # shared: see `SymState`
-        out.append((SymState(dst, path, new_mem), known, fresh))
+        out.append((SymState(dst, path, new_mem, facts), known, fresh))
     return out
 
 

@@ -256,6 +256,14 @@ def symbolic_trace(states: Sequence, observed: Sequence, proved: bool = True) ->
     return node
 
 
+def tree_nodes(walk) -> List[SymTrace]:
+    """Every node that a walk has built, root first, in breadth-first order."""
+    nodes = [walk.root]
+    for node in nodes:
+        nodes.extend(walk.tree.get(id(node), []))
+    return nodes
+
+
 def walked_free_vars(trace: SymTrace) -> Tuple[str, ...]:
     """The free variables of a trace's path and of every state's memory,
     sorted by fresh index: what `SymTrace.free_vars` reads off the chain."""

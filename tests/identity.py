@@ -1,4 +1,4 @@
-"""Fingerprint a fixed set of 56 searches, to compare two checkouts.
+"""Fingerprint a fixed set of 58 searches, to compare two checkouts.
 
 Usage:
 
@@ -20,7 +20,10 @@ The searches:
 - `factorial` n=3 and n=5 at the default step budget, lazy and naive
   (both are cut by the budget);
 - `min_flip` lazy n=4 and `io_loop` lazy n=6;
-- seven small inputs at domain (0, 1) and n=3, lazy and naive.
+- seven small inputs at domain (0, 1) and n=3, lazy and naive;
+- `voting_correct` lazy n=4 and `escalating` lazy n=5 at domain (0, 1),
+  which decide queries through a witness whose scope (path and domain)
+  is checked, some of those scopes folding to true.
 
 Each record holds the verdict's repr (with the full counterexample), its
 name and bound, the search's counters (`combinations`, `sat_calls`,
@@ -61,6 +64,8 @@ def searches(inputs):
     for name in DOMAIN_INPUTS:
         for algorithm in ("lazy", "naive"):
             yield name, f"{name}.hyp", 3, algorithm, {"domain": (0, 1)}
+    yield "voting_correct", "voting_correct.hyp", 4, "lazy", {"domain": (0, 1)}
+    yield "escalating", "escalating.hyp", 5, "lazy", {"domain": (0, 1)}
 
 
 def main(root):

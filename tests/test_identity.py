@@ -15,14 +15,14 @@ def run(*roots):
                           stderr=subprocess.PIPE, text=True, timeout=300)
 
 
-def test_identity_fingerprints_56_searches():
+def test_identity_fingerprints_58_searches():
     proc = run(ROOT)
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(records) == 56
+    assert len(records) == 58
     assert all(record["verdict"] and "checks" in record for record in records)
 
 
 def test_identity_finds_a_checkout_identical_to_itself():
     proc = run(ROOT, ROOT)
-    assert (proc.returncode, proc.stdout) == (0, "identical: 56 searches\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "identical: 58 searches\n"), proc.stderr

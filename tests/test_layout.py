@@ -17,6 +17,18 @@ ALLOWED_UNREAD = {
 }
 
 
+# Functions that key a table by `id(`, each with the reason it stays.
+ALLOWED_ID_CALLS = {
+    "Walk.children": "it keeps the tree off the nodes: a link from parent to child would make "
+                     "every node a reference cycle",
+    "ExistentialSide.prepare": "a trace's bound-(k-1) ancestor is found through the observed "
+                               "tuple its parent shares",
+    "ExistentialSide.witness": "a universal trace's bound-(k-1) ancestor is found through the "
+                               "observed tuple its parent shares",
+    "ExistentialSide.block": "each path conjunct is renamed once per search",
+}
+
+
 def _references(tree: ast.AST) -> Counter:
     """Each name the tree mentions: as a name, an attribute or an import."""
     names: Counter = Counter()
@@ -38,6 +50,17 @@ def _definitions(tree: ast.AST, prefix: str = ""):
             yield from _definitions(node, prefix + node.name + ".")
         else:
             yield from _definitions(node, prefix)
+
+
+def _own_nodes(node: ast.AST):
+    """The nodes under `node`, but not those of the functions and classes
+    defined in it."""
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield child
+            stack.extend(ast.iter_child_nodes(child))
 
 
 def _trees():
@@ -100,3 +123,18 @@ def test_every_definition_has_a_caller():
     assert unexplained == [], "defined but never named elsewhere in the package"
     assert sorted(set(ALLOWED_UNCALLED) - set(uncalled)) == [], \
         "allowlisted, but named in the package: drop it from ALLOWED_UNCALLED"
+
+
+def test_identity_keyed_tables_are_allowlisted():
+    # A table keyed by `id(obj)` must keep obj alive, or a later object can
+    # take its id; each one stays only for a reason given above.
+    callers = set()
+    for name, tree in _trees().items():
+        for qualname, node in [(name, tree), *_definitions(tree)]:
+            if any(isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                   and child.func.id == "id" for child in _own_nodes(node)):
+                callers.add(qualname)
+    assert sorted(callers - set(ALLOWED_ID_CALLS)) == [], \
+        "a table keyed by object identity: give a reason in ALLOWED_ID_CALLS, or key it by value"
+    assert sorted(set(ALLOWED_ID_CALLS) - callers) == [], \
+        "allowlisted, but calls no id(): drop it from ALLOWED_ID_CALLS"

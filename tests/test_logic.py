@@ -8,10 +8,10 @@ from hyperfind.logic import (
     And, BinTerm, BoolLit, Cmp, EvalError, IntLit, Not, Quant, Var,
     eval_formula, eval_term, free_vars, substitute,
 )
-from hyperfind.symexec import Feasibility, FreshSupply
+from hyperfind.symexec import Feasibility, FreshSupply, Walk
 
-from conftest import (BENCH_DIR, assert_equivalent, bench_source, observe, random_formula,
-                      random_term, symbolic_trace)
+from conftest import (BENCH_DIR, assert_equivalent, bench_source, random_formula,
+                      random_term, symbolic_trace, tree_nodes)
 
 
 def test_records_keep_dataclass_semantics():
@@ -226,17 +226,13 @@ def test_countdown_paths_stay_small(solver_argv):
     # Each loop pass of factorial.hyp decrements n, so the path of the k-th
     # pass holds k guards over n - 1, n - 2, ...: each is one subtraction.
     prog = frontend.load(bench_source("factorial.hyp")).programs["factorial"]
-    sizes = []
-
-    class Recorded(Feasibility):
-        def check(self, formula):
-            sizes.append(len(smt.formula_to_smt(formula)))
-            return super().check(formula)
-
     with smt.Solver(solver_argv) as solver:
-        stream = observe(prog.graph, prog.labels["end"], 1, FreshSupply(),
-                         Recorded(solver), step_budget=140)
+        walk = Walk(prog.graph, prog.labels["end"], 1, FreshSupply(), Feasibility(solver),
+                    step_budget=140)
+        stream = walk.stream(1)
         list(stream)
+    sizes = [len(smt.formula_to_smt(node.path)) for node in tree_nodes(walk)
+             if isinstance(node.path, logic.And)]
     assert stream.incomplete and len(sizes) > 60
     assert max(sizes) < 1000
 

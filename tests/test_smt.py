@@ -277,6 +277,10 @@ def feasibility_then_query(solver):
     `Feasibility` so that the caller can read its counter."""
     v0 = Var("v!0")
     feas = Feasibility(solver)
+    # A literal path is answered without the solver.
+    assert isinstance(feas.check(logic.TRUE), Sat)
+    assert isinstance(feas.check(logic.FALSE), Unsat)
+    assert feas.solver_calls == 0
     # Both paths carry a `mod` term, so `Feasibility` sends them to the
     # solver rather than deciding them from bounds.
     even = Cmp("=", logic.mod(v0, IntLit(2)), IntLit(0))

@@ -14,7 +14,7 @@ from hyperfind.symexec import (
 from conftest import (
     BENCH_DIR, all_assignments, bench_source, fresh_bound_search,
     input_sign_graph, observe, random_graph, random_observed, set_zero_graph,
-    symbolic_trace, walked_free_vars,
+    symbolic_trace, tree_nodes, walked_free_vars,
 )
 
 
@@ -294,9 +294,8 @@ def test_every_node_reads_its_trace_off_its_chain(feas, source, n, step_budget):
         walk = Walk(side.graph, side.observed, n, supply, feas, step_budget)
         for j in range(1, n + 1):
             list(walk.stream(j))
-        nodes = [walk.root]
+        nodes = tree_nodes(walk)
         for node in nodes:
-            nodes.extend(walk.tree.get(id(node), []))
             states = node.states
             assert len(states) == node.depth + 1 and states[-1] is node.state
             projected = [state for state in states if state.loc in side.observed]
@@ -319,40 +318,55 @@ class UnknownOnSecondInput:
 
 
 def test_countdown_reads_each_guard_conjunct_once(feas, monkeypatch):
-    # The k-th loop pass of factorial.hyp checks paths of k guards. Each
-    # check folds only the new guard into the facts of the parent's path:
-    # 70 reads, where reading every checked path whole would take 1,260.
+    # The k-th loop pass of factorial.hyp extends paths of k guards. Each
+    # child folds only its new guard into the facts its parent holds: 70
+    # reads, where reading every guarded path whole would take 1,260.
     prog = frontend.load(bench_source("factorial.hyp")).programs["factorial"]
-    read, reads, checked = symexec._read, [], []
+    read, reads = symexec._read, []
     monkeypatch.setattr(symexec, "_read", lambda part: reads.append(part) or read(part))
-
-    class Recorded(Feasibility):
-        def check(self, formula):
-            checked.append(formula.args if isinstance(formula, logic.And) else (formula,))
-            return super().check(formula)
-
-    walk = Walk(prog.graph, prog.labels["end"], 1, FreshSupply(), Recorded(feas.solver),
-                step_budget=140)
+    walk = Walk(prog.graph, prog.labels["end"], 1, FreshSupply(), feas, step_budget=140)
     list(walk.stream(1))
-    conjuncts = {id(part) for parts in checked for part in parts}
-    assert len(checked) > 60 and max(map(len, checked)) > 30
-    assert len(reads) == len({id(part) for part in reads}) == len(conjuncts)
-    # A child reached over a true guard keeps its parent's path object.
-    kept, nodes = 0, [walk.root]
-    for node in nodes:
+    guarded, kept = [], 0
+    for node in tree_nodes(walk):
         for child in walk.tree.get(id(node), []):
             if child.path == node.path:
-                assert child.path is node.path
+                # A child reached over a true guard keeps its parent's path
+                # object and facts.
+                assert child.path is node.path and child.state.facts is node.state.facts
                 kept += 1
-            nodes.append(child)
+            else:
+                guarded.append(logic.conjuncts(child.path))
+    conjuncts = {id(part) for parts in guarded for part in parts}
+    assert len(guarded) > 60 and max(map(len, guarded)) > 30
+    assert len(reads) == len({id(part) for part in reads}) == len(conjuncts) == 70
     assert kept > 60
 
 
-def test_walk_marks_paths_proved():
+@pytest.mark.parametrize("source", sorted(name for name in os.listdir(BENCH_DIR)
+                                          if name.endswith(".hyp")))
+def test_every_node_holds_the_facts_of_its_path(feas, source):
+    # A node's facts, folded guard by guard from its parent's, are those of
+    # its whole path read from scratch.
+    gen = driver.generalize(frontend.load(bench_source(source)))
+    sides = [side for side in (gen.universal, gen.existential) if side is not None]
+    supply = FreshSupply()
+    for side in sides:
+        walk = Walk(side.graph, side.observed, 3, supply, feas)
+        for j in (1, 2, 3):
+            list(walk.stream(j))
+        for node in tree_nodes(walk):
+            state = node.state
+            assert state.facts == symexec._fold(symexec._NO_FACTS,
+                                                logic.conjuncts(state.path)), source
+
+
+def test_walk_marks_paths_proved(monkeypatch):
     # input_sign_graph branches on each input: bound j's traces have
     # checked j - 1 guards. An unknown answer on the second input's guard
     # leaves bound 3 unproved, and bound 4 too, though its third guard
-    # answers sat.
+    # answers sat. With no verdict from the facts, every guarded path
+    # reaches the check.
+    monkeypatch.setattr(symexec, "_verdict", lambda facts: None)
     graph = input_sign_graph()
     walk = Walk(graph, frozenset({0}), 4, FreshSupply(), UnknownOnSecondInput())
     proved = {j: [trace.proved for trace in walk.stream(j)] for j in (1, 2, 3, 4)}
