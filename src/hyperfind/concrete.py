@@ -139,10 +139,11 @@ def check_at(quantifiers: Sequence[Quantifier], body: logic.Formula, k: int,
     # The body's environment at each index. Every trace of a quantifier
     # has the same names, so binding one overwrites the last one's values.
     envs: List[Dict[str, int]] = [{} for _ in range(k)]
+    holds = logic.evaluator(body)  # compiled once: it runs per tuple and index
 
     def recurse(i: int) -> bool:
         if i == len(quantifiers):
-            return all(logic.eval_formula(body, env) for env in envs)
+            return all(map(holds, envs))
         # A false instance settles a forall, a true one an exists.
         settles = quantifiers[i].kind != "forall"
         for fragments in trace_sets[i]:

@@ -258,7 +258,6 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
         index = 0
         for trace in stream:
             index += 1
-            provenance = f"k={k} universal-trace={index}"
             stats.combinations += max(1, len(existential.classes))
             witness = existential.witness(trace, feas)
             if witness is not None:
@@ -267,11 +266,12 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
                 stats.decided += 1
                 if not opts.emit_smt_dir:
                     continue
-                provenance += (f" decided: existential trace {witness + 1} "
-                               f"matches on every input")
             query = encode.lazy_query(trace, existential)
-            _emit_query(opts, f"query_k{k}_{index:04d}.smt2",
-                        query.formula, query.free_vars, provenance)
+            if opts.emit_smt_dir:
+                decided = ("" if witness is None else f" decided: existential trace "
+                           f"{witness + 1} matches on every input")
+                _emit_query(opts, f"query_k{k}_{index:04d}.smt2", query.formula,
+                            query.free_vars, f"k={k} universal-trace={index}{decided}")
             if witness is not None:
                 continue
             stats.sat_calls += 1
@@ -399,6 +399,7 @@ def report_dict(result: SearchResult) -> dict:
         out["reason"] = verdict.reason
         if verdict.detail:
             out["detail"] = verdict.detail
+        out["checked"] = result.stats.checked  # the last bound checked to the end
     return out
 
 

@@ -127,8 +127,10 @@ class _Parser:
     A statement allocates its locations and emits its edges as soon as it is
     parsed: if yields two guarded skip edges (cond first); while yields the
     loop edge before the exit edge; either declares its first block first.
-    Both branches of if/either rejoin through balanced skip edges so that
-    equal length branches stay aligned in breadth-first exploration.
+    Both branches of if/either rejoin through balanced skip edges. The
+    symbolic search's nodes end only at forks, havocs and observations, so
+    these edges no longer align its breadth-first order; they stay because
+    they shape each trace's states and the step budget.
     Program variables are implicitly declared and start at 0. They are
     recorded in first-use order: each assigned or havocked target, and the
     variables of each term after folding, so `y := x * 0;` uses no `x`.

@@ -477,6 +477,10 @@ def _one_point(vars: tuple, matrix: Formula):
 # Evaluation
 # ---------------------------------------------------------------------------
 
+_TERM_FUNS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+              "div": lambda a, b: a // b, "mod": lambda a, b: a % b}
+
+
 def eval_term(term: Term, rho: Mapping[str, int]) -> int:
     if isinstance(term, IntLit):
         return term.value
@@ -487,17 +491,9 @@ def eval_term(term: Term, rho: Mapping[str, int]) -> int:
             raise EvalError(f"unbound variable {term.name!r}") from None
     left = eval_term(term.left, rho)
     right = eval_term(term.right, rho)
-    if term.op == "+":
-        return left + right
-    if term.op == "-":
-        return left - right
-    if term.op == "*":
-        return left * right
-    if term.op == "div":
-        return left // right
-    if term.op == "mod":
-        return left % right
-    raise EvalError(f"unknown term operator {term.op!r}")
+    if term.op not in _TERM_FUNS:
+        raise EvalError(f"unknown term operator {term.op!r}")
+    return _TERM_FUNS[term.op](left, right)
 
 
 def eval_formula(formula: Formula, rho: Mapping[str, int]) -> bool:
@@ -514,6 +510,31 @@ def eval_formula(formula: Formula, rho: Mapping[str, int]) -> bool:
     if isinstance(formula, Quant):
         raise EvalError("cannot evaluate a quantified formula; use the solver")
     raise EvalError(f"unknown formula node {formula!r}")
+
+
+def evaluator(node) -> Callable[[Mapping[str, int]], object]:
+    """`node` compiled once into `f` with `f(rho)` equal to its
+    `eval_term` or `eval_formula` at rho: `substituter`'s concrete twin."""
+    kind = type(node)
+    if kind is IntLit or kind is BoolLit:
+        value = node.value
+        return lambda rho: value
+    if kind is Var:
+        name = node.name
+        return lambda rho: rho[name] if name in rho else eval_term(node, rho)
+    if kind is BinTerm or kind is Cmp:
+        fun = (_CMP_FUNS if kind is Cmp else _TERM_FUNS).get(node.op)
+        if fun is None:
+            raise EvalError(f"unknown term operator {node.op!r}")
+        left, right = evaluator(node.left), evaluator(node.right)
+        return lambda rho: fun(left(rho), right(rho))
+    if kind is Not:
+        arg = evaluator(node.arg)
+        return lambda rho: not arg(rho)
+    if kind is And or kind is Or:
+        join, parts = all if kind is And else any, [evaluator(a) for a in node.args]
+        return lambda rho: join(part(rho) for part in parts)
+    return lambda rho: eval_formula(node, rho)  # raises EvalError, as it would
 
 
 # ---------------------------------------------------------------------------

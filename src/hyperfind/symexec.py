@@ -1,28 +1,31 @@
 """Symbolic interpreter: trace extension, observed-trace streaming, and
 concretization.
 
-Exploration is breadth-first over transition depth with declaration-order
-tie-breaking, so shallow witnesses are found first and trace counts are
-reproducible. A search keeps each side's symbolic execution tree in one
-`Walk`, which extends each node at most once, and reads each bound's traces
-from it by a fresh breadth-first search over the cached tree
-(`ObserveStream`). The walk owns a bound's list: it keeps the traces of the
-last bound searched to the end, and replays them to a second stream of that
-bound. So both sides share one walk when they range over the same program
-and observation set, and each reads the bound's traces from its own stream,
-though the tree is searched once. A node stores only its own step and links
-to its parent, whose states it shares (the copy-on-write state sharing of
-KLEE, Cadar et al., OSDI 2008), so an extension copies no trace: `extend`
-takes the last state and returns each child's state, whether its path was
-answered (not unknown) and its havoc's fresh name, all that a node adds to
-its parent. Paths whose
-feasibility the solver cannot settle (unknown) are kept: dropping a
-possibly feasible path could mask a counterexample.
+A search keeps each side's symbolic execution tree in one `Walk`, which
+extends each node at most once. A node is a straight run of steps: its own
+step, then every step out of a location that is unobserved and has one
+step, unguarded and no havoc (the large-block encoding of Beyer et al.,
+FMCAD 2009), so the tree branches only where execution forks, havocs or is
+observed. Each bound's traces are read from the tree by a fresh
+breadth-first search over its nodes, with declaration-order tie-breaking
+(`ObserveStream`), so shallow witnesses are found first and trace counts
+are reproducible. The walk owns a bound's list: it keeps the traces of the
+last bound searched to the end, and replays them to a second stream of
+that bound. So both sides share one walk when they range over the same
+program and observation set, and each reads the bound's traces from its
+own stream, though the tree is searched once.
+A node links to its parent, whose states it shares (the copy-on-write
+state sharing of KLEE, Cadar et al., OSDI 2008), so an extension copies no
+trace: `extend`, called once per step, run steps too, takes the last state
+and returns each child's state, whether its path was answered (not
+unknown) and its havoc's fresh name. Paths whose feasibility the solver
+cannot settle (unknown) are kept: dropping a possibly feasible path could
+mask a counterexample.
 
 An extension does not interpret the program's syntax trees. Each graph
 compiles its out-edges once, on first use, into steps whose guard and
 assigned value are closures over a memory (`ProgramGraph.steps`,
-`logic.substituter`), so a node costs one call per guard and value. A
+`logic.substituter`), so a step costs one call per guard and value. A
 state's memory is a dict that nothing mutates: a skip step's child shares
 its parent's dict, and only an assignment or a havoc copies it. A node's
 children are kept in the walk's tree, keyed by the node's id, and not on
@@ -46,11 +49,11 @@ its facts leave open.
 
 Each node records whether its path is *proved* satisfiable: the root's
 path is true; a child extended along a true guard keeps its parent's path
-object and its parent's proof; any other child is proved when its parent
-is and its path was answered `Sat`, by its facts or by the solver. An
-unknown answer leaves the node and every descendant unproved. The lazy
-search decides a universal trace without the solver only through a proved
-existential path (see `encode`).
+object and its parent's proof, as each step of a run does; any other child
+is proved when its parent is and its path was answered `Sat`, by its facts
+or by the solver. An unknown answer leaves the node and every descendant
+unproved. The lazy search decides a universal trace without the solver
+only through a proved existential path (see `encode`).
 """
 
 from __future__ import annotations
@@ -112,29 +115,32 @@ def initial_state(graph: ProgramGraph) -> SymState:
 
 class SymTrace(FrozenRecord):
     """A symbolic trace ending at its latest observation: a node of the
-    symbolic execution tree, which stores only its own step.
+    symbolic execution tree, which stores only its own step and run.
 
-    A node holds its parent, its last state, its projection onto the
-    observation set (`observed`), its depth and the fresh name its step's
-    havoc introduced, if any. `states`, the full unprojected trace (needed
-    for replaying counterexamples), is read off the parent chain. Whenever
-    the trace is complete up to its k-th observation, the last full state
-    is the k-th observed state, so path(observed) equals path(states).
+    A node holds its parent, its run's states before its last (`run`), its
+    last state, its projection onto the observation set (`observed`), its
+    depth in transitions and the fresh name its own step's havoc
+    introduced, if any. `states`, the full unprojected trace (needed for
+    replaying counterexamples), is read off the parent chain. Whenever the
+    trace is complete up to its k-th observation, the last full state is
+    the k-th observed state, so path(observed) equals path(states).
     `proved` tells whether the path is proved satisfiable (see the module
     docstring); it takes no part in the repr or equality.
     """
 
-    __slots__ = ("parent", "state", "observed", "proved", "depth", "fresh")
+    __slots__ = ("parent", "state", "observed", "proved", "depth", "fresh", "run")
     _fields = ("states", "observed")
 
     def __init__(self, parent: Optional["SymTrace"], state: SymState,
-                 observed: Tuple[SymState, ...], proved: bool, fresh: Optional[str]):
+                 observed: Tuple[SymState, ...], proved: bool, fresh: Optional[str],
+                 run: Tuple[SymState, ...] = ()):
         set_field(self, "parent", parent)
         set_field(self, "state", state)
         set_field(self, "observed", observed)
         set_field(self, "proved", proved)
-        set_field(self, "depth", 0 if parent is None else parent.depth + 1)
+        set_field(self, "depth", 0 if parent is None else parent.depth + 1 + len(run))
         set_field(self, "fresh", fresh)
+        set_field(self, "run", run)
 
     @property
     def path(self) -> Formula:
@@ -145,6 +151,7 @@ class SymTrace(FrozenRecord):
         states, node = [], self
         while node is not None:
             states.append(node.state)
+            states.extend(reversed(node.run))
             node = node.parent
         return tuple(reversed(states))
 
@@ -346,10 +353,11 @@ class Walk:
     """A program's symbolic execution tree, shared by the bounds 1..n of a
     search.
 
-    The nodes are `SymTrace`s; the root is the initial state. `children`
-    extends a node once and keeps its children, so every bound's search
-    reads the part of the tree that an earlier bound built instead of
-    extending it again.
+    The nodes are `SymTrace`s; the root is the initial state. A node's run
+    ends at an observed location, a fork or guard, a havoc (the next node's
+    own step) or bound n's step budget. `children` extends a node once and
+    keeps its children, so every bound's search reads the part of the tree
+    that an earlier bound built instead of extending it again.
     """
 
     def __init__(self, graph: ProgramGraph, observed: FrozenSet[int], n: int,
@@ -365,6 +373,9 @@ class Walk:
         self.feasibility = feasibility
         self.step_budget = step_budget
         self.node_budget = node_budget
+        # No bound's search extends a node this deep, so no run goes deeper.
+        self.depth_limit = (step_budget if step_budget is not None
+                            else default_step_budget(graph, n))
         init = initial_state(graph)
         self.root = SymTrace(None, init, (init,) if init.loc in observed else (), True, None)
         self.tree: Dict[int, List[SymTrace]] = {}  # id(node) -> its children
@@ -376,12 +387,26 @@ class Walk:
         kids = self.tree.get(id(node))
         if kids is None:
             kids = self.tree[id(node)] = [
-                SymTrace(node, state, node.observed + (state,)
-                         if state.loc in self.observed else node.observed,
-                         node.proved and known, fresh)
+                self._child(node, state, known, fresh)
                 for state, known, fresh in extend(self.graph, node.state, self.supply,
                                                   self.feasibility)]
         return kids
+
+    def _child(self, parent: SymTrace, state: SymState, known: bool,
+               fresh: Optional[str]) -> SymTrace:
+        """The node whose own step reaches `state`, with its straight run."""
+        graph, observed, run = self.graph, self.observed, []
+        depth = parent.depth + 1
+        while depth < self.depth_limit and state.loc not in observed:
+            steps = graph.steps(state.loc)
+            if len(steps) != 1 or steps[0][1] is not None or steps[0][2] is Havoc:
+                break
+            run.append(state)
+            (state, _, _), = extend(graph, state, self.supply, self.feasibility)
+            depth += 1
+        return SymTrace(parent, state, parent.observed + (state,)
+                        if state.loc in observed else parent.observed,
+                        parent.proved and known, fresh, tuple(run))
 
     def stream(self, j: int) -> "ObserveStream":
         """Bound j's traces."""
@@ -392,16 +417,19 @@ class Walk:
 
 class ObserveStream:
     """Streaming enumeration of the observed symbolic traces with n
-    observations: a fresh breadth-first search over a `Walk`'s tree.
+    observations: a fresh breadth-first search over the nodes of a `Walk`'s
+    tree.
 
     A trace is yielded when the search visits its node, so a consumer that
-    stops early leaves its later siblings' subtrees unexplored. Iterate to
-    consume; after exhaustion, `incomplete` tells whether a budget cut off
+    stops early leaves its later siblings' subtrees unexplored; a trace
+    under a long run can come before a shallower one. Iterate to consume;
+    after exhaustion, `incomplete` tells whether a budget cut off
     unexplored extensions (the non-finitely-observable case). The step
-    budget (by default `default_step_budget(graph, n)`) bounds trace length;
-    the node budget bounds the nodes that this bound's breadth-first search
-    visits, those an earlier bound already built included, a safety valve
-    against graphs whose breadth explodes long before the depth budget bites.
+    budget (by default `default_step_budget(graph, n)`) bounds trace length
+    in transitions, and a node whose run crosses it is cut; the node budget
+    bounds the nodes that this bound's breadth-first search visits, those
+    an earlier bound already built included, a safety valve against graphs
+    whose breadth explodes long before the depth budget bites.
 
     The walk owns the list of a bound: a search that runs to the end with no
     budget cut leaves its traces on the walk (`Walk.listed`), and a later
@@ -433,7 +461,9 @@ class ObserveStream:
                 if walk.node_budget is not None and created > walk.node_budget:
                     self.incomplete = True
                     return
-                if len(node.observed) == n:
+                if node.depth > depth_limit:
+                    self.incomplete = True  # its run crossed the budget
+                elif len(node.observed) == n:
                     found.append(node)
                     yield node
                 elif node.depth >= depth_limit:

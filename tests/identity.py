@@ -9,9 +9,9 @@ With one root, the script imports `hyperfind` from `CHECKOUT_ROOT/src`
 and the inputs from `CHECKOUT_ROOT/benchmarks`, runs the searches below
 one after the other in this process, and prints one JSON object per
 search. With two, it fingerprints each root in its own subprocess and
-compares the two: it prints the first search and field that differ and
-exits 1, or says that all searches are identical and exits 0. A refactor
-that keeps every search's behaviour leaves no difference.
+compares the two: it prints every search and field that differ, with a
+count, and exits 1, or says that all searches are identical and exits 0.
+A refactor that keeps every search's behaviour leaves no difference.
 
 The searches:
 - the 15 manifest instances at their bounds, lazy and naive;
@@ -34,6 +34,7 @@ its formula, its wanted names and its answer. Pytest does not collect
 this file.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -119,9 +120,23 @@ def main(root):
         }, sort_keys=True))
 
 
+def differences(parent_prints, change_prints):
+    """Every (search, field, parent's value, change's value) in which two
+    fingerprint lists differ, in search order. A search that only one list
+    holds differs in its field "search"."""
+    found = []
+    for before, after in itertools.zip_longest(parent_prints, change_prints, fillvalue={}):
+        fields = (sorted(before.keys() | after.keys()) if before and after else ["search"])
+        for field in fields:
+            if before.get(field) != after.get(field):
+                found.append(((before or after)["search"], field,
+                              before.get(field), after.get(field)))
+    return found
+
+
 def compare(parent, change):
     """0 when the two roots' fingerprints are equal, else 1 after printing
-    the first difference."""
+    every search and field that differ."""
     prints = []
     for root in (parent, change):
         proc = subprocess.run([sys.executable, os.path.abspath(__file__), root],
@@ -129,16 +144,15 @@ def compare(parent, change):
         if proc.returncode != 0:
             sys.exit(f"fingerprinting {root} failed with exit code {proc.returncode}")
         prints.append([json.loads(line) for line in proc.stdout.splitlines()])
-    for before, after in zip(*prints):
-        if before != after:
-            field = min(key for key in before.keys() | after.keys()
-                        if before.get(key) != after.get(key))
-            print(f"search {json.dumps(before['search'])} differs in {field!r}:\n"
-                  f"  {parent}: {json.dumps(before.get(field))}\n"
-                  f"  {change}: {json.dumps(after.get(field))}")
-            return 1
-    if len(prints[0]) != len(prints[1]):
-        print(f"{parent} ran {len(prints[0])} searches, {change} {len(prints[1])}")
+    found = differences(*prints)
+    for search, field, before, after in found:
+        print(f"search {json.dumps(search)} differs in {field!r}:\n"
+              f"  {parent}: {json.dumps(before)}\n"
+              f"  {change}: {json.dumps(after)}")
+    if found:
+        searches = len({json.dumps(search) for search, _, _, _ in found})
+        print(f"{len(found)} differences in {searches} of "
+              f"{max(map(len, prints))} searches")
         return 1
     print(f"identical: {len(prints[0])} searches")
     return 0

@@ -343,6 +343,11 @@ def test_report_dict_schema(opts):
     assert set(report["stats"]) == {"combinations", "sat_calls", "decided",
                                      "feasibility_calls", "wall_ms"}
     json.dumps(report)  # must be serializable
+    # An inconclusive report names the last bound checked to the end.
+    cut = driver.report_dict(run_fixture(
+        "voting_correct.hyp", 4, SearchOptions(solver_argv=opts.solver_argv, step_budget=15)))
+    assert set(cut) == {"verdict", "k", "counterexample", "stats", "reason", "checked"}
+    assert (cut["verdict"], cut["reason"], cut["checked"]) == ("inconclusive", "budget", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +486,17 @@ def test_cli_json_report_is_default(capsys):
     assert tallies == [(0, 1), (0, 1)]
 
 
-def test_min_flip_queries_bind_no_variable(opts, monkeypatch):
+def test_min_flip_queries_bind_no_variable(opts, tmp_path):
     # Each "no match" block of min_flip pins every existential input to a
     # universal term, so the one-point rule leaves no binder; the queries
     # are still sent.
-    queries = []
-    monkeypatch.setattr(driver, "_emit_query",
-                        lambda opts, name, formula, *rest: queries.append(formula))
-    result = run_fixture("min_flip.hyp", 3, opts)
+    result = run_fixture("min_flip.hyp", 3, SearchOptions(solver_argv=opts.solver_argv,
+                                                          emit_smt_dir=str(tmp_path)))
     assert result.verdict == NoBugUpTo(3)
-    assert result.stats.sat_calls == len(queries) == 14
-    for formula in queries:
-        text = smt.formula_to_smt(formula)
+    queries = sorted(tmp_path.iterdir())
+    assert result.stats.sat_calls == len(queries) == 14 and result.stats.decided == 0
+    for query in queries:
+        text = query.read_text()
         assert "forall" not in text and "exists" not in text, text
 
 
@@ -702,7 +706,7 @@ MANIFEST_WORK = {
     ("voting-correct", "naive"): ("no-bug", 4, 4, 4, 0, 0, 136),
     ("min-flip", "lazy"): ("no-bug", 3, 84, 14, 0, 0, 138),
     ("min-flip", "naive"): ("no-bug", 3, 3, 3, 0, 0, 138),
-    ("flip-min", "lazy"): ("bug-found", 1, 2, 1, 0, 0, 17),
+    ("flip-min", "lazy"): ("bug-found", 1, 2, 1, 0, 0, 18),
     ("flip-min", "naive"): ("bug-found", 1, 1, 1, 0, 0, 18),
     ("gni", "lazy"): ("no-bug", 2, 2, 2, 0, 0, 36),
     ("gni", "naive"): ("no-bug", 2, 2, 2, 0, 0, 36),
@@ -714,17 +718,17 @@ MANIFEST_WORK = {
     ("simple-leak", "naive"): ("bug-found", 1, 1, 1, 0, 0, 13),
     ("conditional-nonrefinement", "lazy"): ("bug-found", 1, 4, 2, 0, 0, 16),
     ("conditional-nonrefinement", "naive"): ("bug-found", 1, 1, 1, 0, 0, 16),
-    ("escalating-m0", "lazy"): ("bug-found", 4, 45, 10, 9, 0, 161),
+    ("escalating-m0", "lazy"): ("bug-found", 4, 45, 10, 9, 0, 144),
     ("escalating-m0", "naive"): ("bug-found", 4, 4, 4, 0, 0, 166),
-    ("escalating-m1", "lazy"): ("bug-found", 4, 45, 10, 9, 0, 161),
+    ("escalating-m1", "lazy"): ("bug-found", 4, 45, 10, 9, 0, 144),
     ("escalating-m1", "naive"): ("bug-found", 4, 4, 4, 0, 0, 166),
-    ("escalating-m2", "lazy"): ("bug-found", 5, 133, 18, 17, 0, 337),
+    ("escalating-m2", "lazy"): ("bug-found", 5, 133, 18, 17, 0, 284),
     ("escalating-m2", "naive"): ("bug-found", 5, 5, 5, 0, 0, 350),
-    ("escalating-m5", "lazy"): ("bug-found", 5, 165, 20, 19, 0, 339),
+    ("escalating-m5", "lazy"): ("bug-found", 5, 165, 20, 19, 0, 295),
     ("escalating-m5", "naive"): ("bug-found", 5, 5, 5, 0, 0, 350),
-    ("escalating-m6", "lazy"): ("bug-found", 6, 501, 36, 35, 0, 691),
+    ("escalating-m6", "lazy"): ("bug-found", 6, 501, 36, 35, 0, 575),
     ("escalating-m6", "naive"): ("bug-found", 6, 6, 6, 0, 0, 718),
-    ("escalating", "lazy"): ("bug-found", 7, 1941, 72, 71, 0, 1399),
+    ("escalating", "lazy"): ("bug-found", 7, 1941, 72, 71, 0, 1157),
     ("escalating", "naive"): ("bug-found", 7, 7, 7, 0, 0, 1454),
 }
 

@@ -292,6 +292,26 @@ def _raw_formula(rng, names, depth=3):
     return And(parts) if kind == "and" else logic.Or(parts)
 
 
+def test_evaluator_agrees_with_the_evaluators():
+    # A compiled term or formula takes every environment to what the
+    # evaluators read from the tree, and raises where they raise.
+    rng = random.Random(31)
+    names = ["a", "b", "c"]
+    for _ in range(300):
+        phi = _raw_formula(rng, names)
+        term = _raw_term(rng, names)
+        holds, value = logic.evaluator(phi), logic.evaluator(term)
+        for _ in range(4):
+            rho = {name: rng.randint(-6, 6) for name in names}
+            assert holds(rho) is eval_formula(phi, rho)
+            assert value(rho) == eval_term(term, rho)
+    with pytest.raises(EvalError, match="'x'"):
+        logic.evaluator(logic.add(Var("x"), IntLit(1)))({"y": 0})
+    quantified = Quant("forall", ("v",), Cmp(">=", Var("v"), IntLit(0)))
+    with pytest.raises(EvalError, match="quantified"):
+        logic.evaluator(Not(quantified))({})
+
+
 def _sigmas(rng, names, images):
     """Substitutions of some of `names`, by terms over `images`, by literals
     (which fold the node down) and by nothing."""

@@ -178,6 +178,12 @@ def canonical(traces):
                   text)
 
 
+def canonical_multiset(traces):
+    """`canonical` of each trace alone, sorted: a trace list as a multiset,
+    whatever its order and whatever the order its fresh names were drawn."""
+    return sorted(canonical([trace]) for trace in traces)
+
+
 @pytest.mark.parametrize("step_budget, node_budget", [
     (None, symexec.DEFAULT_NODE_BUDGET), (5, None), (20, None),
     (None, 1), (None, 5), (None, 30),
@@ -186,7 +192,9 @@ def test_walk_matches_a_fresh_search_per_bound(feas, extend_calls, step_budget,
                                                node_budget):
     # Bound j's view of one walk over bounds 1..4 must list the traces a
     # search restarted at bound j lists, in its order, with its verdict on
-    # completeness.
+    # completeness. A node budget counts the walk's nodes, each a run of
+    # steps, so under one the restarted search is a walk made for bound j.
+    per_transition = node_budget in (None, symexec.DEFAULT_NODE_BUDGET)
     for name, graph, observed in walk_sides():
         walk = Walk(graph, observed, 4, FreshSupply(), feas, step_budget, node_budget)
         walk_extends = 0
@@ -195,16 +203,116 @@ def test_walk_matches_a_fresh_search_per_bound(feas, extend_calls, step_budget,
             stream = walk.stream(j)
             got = [(t.states, t.observed) for t in stream]
             walk_extends += extend_calls[0] - before
-            want, incomplete, fresh_extends = fresh_bound_search(
-                graph, observed, j, FreshSupply(), feas,
-                step_budget, node_budget)
+            if per_transition:
+                want, incomplete, fresh_extends = fresh_bound_search(
+                    graph, observed, j, FreshSupply(), feas, step_budget, node_budget)
+            else:
+                alone = observe(graph, observed, j, FreshSupply(), feas, step_budget,
+                                node_budget)
+                want = [(t.states, t.observed) for t in alone]
+                incomplete = alone.incomplete
             assert len(got) == len(want), (name, j)
             assert canonical(got) == canonical(want), (name, j)
             assert stream.incomplete == incomplete, (name, j)
-        if node_budget in (None, symexec.DEFAULT_NODE_BUDGET):
+        if per_transition:
             # Bound 4's tree holds the smaller bounds' trees, and the walk
             # extends each of its nodes once.
             assert walk_extends == fresh_extends, name
+
+
+def random_sides(count=40):
+    """(name, graph, observed) of random graphs from the acceptance
+    generator."""
+    rng = random.Random(131)
+    sides = []
+    for i in range(count):
+        graph = random_graph(rng, f"g{i}", ("a", "b"))
+        sides.append((graph.name, graph, random_observed(rng, graph)))
+    return sides
+
+
+# Every loop exit starts a run of five steps that ends observed, so at any
+# step budget some exit's run crosses it.
+LONG_EXIT = """
+prog p {
+  input x;
+  while (x > 0) { x := x - 1; }
+  a := 1; a := 2; a := 3; a := 4;
+  observe end;
+}
+
+forall p1 in p obs {end} . exists p2 in p obs {end} . always (a@p1 == a@p2)
+"""
+
+
+@pytest.mark.parametrize("step_budget", [None, 5, 20, 60, 140])
+def test_walk_lists_the_traces_of_a_per_transition_search(feas, step_budget):
+    # A walk's nodes are runs of steps, and a bound's traces come out
+    # breadth-first over nodes; a search that makes one node per transition
+    # lists the same traces, perhaps in another order, and cuts the same
+    # bounds short, whichever transition a run crosses the budget at. A
+    # walk over bounds 1..4 runs up to bound 4's default budget, past the
+    # smaller bounds' ones.
+    prog = frontend.load(LONG_EXIT).programs["p"]
+    long_exit = ("long_exit", prog.graph, prog.labels["end"])
+    for name, graph, observed in walk_sides() + random_sides() + [long_exit]:
+        walk = Walk(graph, observed, 4, FreshSupply(), feas, step_budget)
+        for j in range(1, 5):
+            stream = walk.stream(j)
+            got = [(t.states, t.observed) for t in stream]
+            want, incomplete, _ = fresh_bound_search(graph, observed, j, FreshSupply(),
+                                                     feas, step_budget)
+            assert canonical_multiset(got) == canonical_multiset(want), (name, j)
+            assert stream.incomplete == incomplete, (name, j)
+
+
+UNEVEN = """
+prog uneven {
+  input x;
+  either {
+    a := 1; a := a + 1; a := a + 1; a := a + 1; a := a + 1; a := a + 1; a := a + 1;
+    havoc b;
+  } or {
+    if (x > 0) { b := 1; } else { b := 2; }
+    if (x > 1) { a := 3; } else { a := 4; }
+  }
+  observe done;
+}
+
+forall p1 in uneven obs {done} .
+exists p2 in uneven obs {done} .
+always (a@p1 == a@p2 && b@p1 != b@p2 && x@p1 == x@p2)
+"""
+
+
+def test_a_long_run_lists_its_traces_before_shorter_nodes(feas, solver_argv):
+    # The first branch is one run of seven assignments, then the havoc's
+    # node: its trace is 12 transitions deep but 3 nodes deep, so it comes
+    # before the second branch's three, 10 transitions and 4 nodes deep,
+    # which a search of one node per transition lists first.
+    loaded = frontend.load(UNEVEN)
+    prog = loaded.programs["uneven"]
+    walk = Walk(prog.graph, prog.labels["done"], 1, FreshSupply(), feas)
+    traces = list(walk.stream(1))
+
+    def shown(states):
+        last = states[-1].memory
+        return len(states) - 1, str(last["a"]), str(last["b"])
+    assert [shown(t.states) for t in traces] == [
+        (12, "7", "v!1"), (10, "3", "1"), (10, "4", "1"), (10, "4", "2")]
+    want, incomplete, _ = fresh_bound_search(prog.graph, prog.labels["done"], 1,
+                                             FreshSupply(), feas)
+    assert [shown(states) for states, _ in want] == [
+        (10, "3", "1"), (10, "4", "1"), (10, "4", "2"), (12, "7", "v!1")]
+    assert not incomplete
+    # The order leaves the verdict alone: the second branch with x = 0 has
+    # no partner with another b, as the oracle finds.
+    oracle = concrete.oracle_check(loaded.quantifiers, loaded.body, 1, [0, 1])
+    assert (oracle.verdict, oracle.k) == ("violated", 1)
+    result = driver.analyze_source(UNEVEN, n=1, algorithm="lazy",
+                                   opts=driver.SearchOptions(solver_argv=solver_argv,
+                                                             domain=(0, 1)))
+    assert driver.verdict_name(result.verdict) == ("bug-found", 1)
 
 
 def test_walk_restreams_a_bound_from_its_tree(feas, extend_calls):
@@ -283,10 +391,11 @@ def test_walk_keeps_nothing_of_an_abandoned_stream(feas):
     ("gni.hyp", 2, None), ("factorial.hyp", 1, 140),
 ])
 def test_every_node_reads_its_trace_off_its_chain(feas, source, n, step_budget):
-    # A node stores its own step only. Its states, read off the chain, end
-    # in its state and project onto its observed states; its free
-    # variables, its parent's plus its own havoc's, are those of its path
-    # and memories. `gni` walks a product.
+    # A node stores its own step and the run after it, whose states are
+    # unobserved. Its states, read off the chain, end in its state and
+    # project onto its observed states; its free variables, its parent's
+    # plus its own havoc's, are those of its path and memories. `gni` walks
+    # a product.
     gen = driver.generalize(frontend.load(bench_source(source)))
     sides = [side for side in (gen.universal, gen.existential) if side is not None]
     supply = FreshSupply()
@@ -298,11 +407,12 @@ def test_every_node_reads_its_trace_off_its_chain(feas, source, n, step_budget):
         for node in nodes:
             states = node.states
             assert len(states) == node.depth + 1 and states[-1] is node.state
+            assert all(state.loc not in side.observed for state in node.run)
             projected = [state for state in states if state.loc in side.observed]
             assert len(projected) == len(node.observed)
             assert all(a is b for a, b in zip(projected, node.observed))
             assert node.free_vars() == walked_free_vars(node)
-        assert len(nodes) > 10, source
+        assert len(nodes) > 5 and any(node.run for node in nodes), source
 
 
 class UnknownOnSecondInput:
@@ -328,6 +438,11 @@ def test_countdown_reads_each_guard_conjunct_once(feas, monkeypatch):
     list(walk.stream(1))
     guarded, kept = [], 0
     for node in tree_nodes(walk):
+        # A run's steps are unguarded: each keeps the path object and facts
+        # of the state before it.
+        first, *rest = node.run + (node.state,)
+        assert all(s.path is first.path and s.facts is first.facts for s in rest)
+        kept += len(rest)
         for child in walk.tree.get(id(node), []):
             if child.path == node.path:
                 # A child reached over a true guard keeps its parent's path
