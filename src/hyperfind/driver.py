@@ -38,7 +38,9 @@ existential trace count, so counting builds no block.
 
 A search that runs out of memory or is interrupted (KeyboardInterrupt)
 ends as `Inconclusive("memory" | "interrupted")`, its detail naming the
-last bound checked to the end.
+last bound checked to the end. One that a budget cuts ends as
+`Inconclusive("budget")`, its detail naming the first cut's side, bound
+and budget.
 """
 
 from __future__ import annotations
@@ -183,8 +185,13 @@ def _walks(gen: GeneralizedSpec, n: int, supply: FreshSupply, feas: Feasibility,
 
 
 def _materialize(walk: symexec.Walk, k: int):
+    """Bound k's traces, and the budget that cut them short, or None."""
     stream = walk.stream(k)
-    return list(stream), stream.incomplete
+    return list(stream), stream.cut
+
+
+def _budget(k: int, side: str, cut: str) -> Inconclusive:
+    return Inconclusive("budget", f"bound {k} of the {side} side was cut at {cut}")
 
 
 def _run(search, gen: GeneralizedSpec, n: int,
@@ -231,14 +238,11 @@ def naive_search(gen: GeneralizedSpec, n: int,
 
 
 def _existential_traces(walk: Optional[symexec.Walk],
-                        k: int) -> Optional[List[SymTrace]]:
-    """Bound k's existential traces, none without an existential side; None
-    when a budget cut them short. The "no matching trace" part must be
+                        k: int) -> Tuple[List[SymTrace], Optional[str]]:
+    """Bound k's existential traces, none without an existential side, and
+    the budget that cut them short. The "no matching trace" part must be
     complete for any query at this or any larger bound to be trustworthy."""
-    if walk is None:
-        return []
-    etraces, incomplete = _materialize(walk, k)
-    return None if incomplete else etraces
+    return _materialize(walk, k) if walk is not None else ([], None)
 
 
 def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
@@ -247,12 +251,12 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
     existential = encode.ExistentialSide(
         gen.universal.trace_var, gen.existential and gen.existential.trace_var,
         gen.body, opts.domain)
-    budget_seen = False
+    budget: Optional[Inconclusive] = None  # the first budget cut met
     unknown_seen = False
     for k in range(1, n + 1):
-        etraces = _existential_traces(existential_walk, k)
-        if etraces is None:
-            return Inconclusive("budget")
+        etraces, cut = _existential_traces(existential_walk, k)
+        if cut is not None:
+            return budget or _budget(k, "existential", cut)
         existential.prepare(k, etraces)
         stream = universal_walk.stream(k)
         index = 0
@@ -280,11 +284,11 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
                 return _counterexample_verdict(gen, k, trace, result.model, query)
             if isinstance(result, smt.Unknown):
                 unknown_seen = True
-        if stream.incomplete:
-            budget_seen = True
+        if stream.incomplete and budget is None:
+            budget = _budget(k, "universal", stream.cut)
         stats.checked = k
-    if budget_seen:
-        return Inconclusive("budget")
+    if budget is not None:
+        return budget
     if unknown_seen:
         return Inconclusive("solver-unknown")
     return NoBugUpTo(n)
@@ -298,12 +302,12 @@ def _naive(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver
         gen.body, opts.domain)
     unknown_seen = False
     for k in range(1, n + 1):
-        utraces, u_incomplete = _materialize(universal_walk, k)
-        if u_incomplete:
-            return Inconclusive("budget")
-        etraces = _existential_traces(existential_walk, k)
-        if etraces is None:
-            return Inconclusive("budget")
+        utraces, cut = _materialize(universal_walk, k)
+        if cut is not None:
+            return _budget(k, "universal", cut)
+        etraces, cut = _existential_traces(existential_walk, k)
+        if cut is not None:
+            return _budget(k, "existential", cut)
         existential.prepare(k, etraces)
         # The negated closed encoding: some universal trace has an
         # instantiation that no existential trace matches.

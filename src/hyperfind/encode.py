@@ -23,14 +23,13 @@ class and share one instantiation of the body. A query then substitutes
 the universal trace's memory into the body once per index and the
 existential memories once per class, not once per (trace, index) pair.
 
-The side carries its work from bound k - 1 to bound k. A bound-k trace's
-parent shares its observed states with the trace's ancestor at bound
-k - 1 (`symexec.Walk.children` passes the observed tuple on until the
-next observation), so the side finds that ancestor in O(1) and takes the
-trace's classes at every index but the new one, k - 1, from it. Class
-numbers per index are search-wide and only appended to, so each class's
-terms are renamed apart once per search; a carried trace's memory is read
-only at the index it adds. What only a query reads
+The side carries its work from bound k - 1 to bound k. Each node of a
+walk has a number, and a bound-k trace names its ancestor at bound k - 1
+(`symexec.SymTrace.previous`), so the side finds the ancestor's entry by
+its number and takes the trace's classes at every index but the new one,
+k - 1, from it. Class numbers per index are search-wide and only appended
+to, so each class's terms are renamed apart once per search; a carried
+trace's memory is read only at the index it adds. What only a query reads
 is built when a query needs it: the traces of each class, and each
 trace's block parts, its fresh variables and its path conjoined with the
 domain constraint, whose conjuncts, shared with the paths of its
@@ -63,13 +62,13 @@ that has a witness; every query it sends is the one `lazy_query` builds.
 
 A witness is carried from bound to bound too. A universal trace's
 candidates, the proved traces whose instances all fold to true, are its
-ancestor's candidates widened to their children at bound k, kept where
-proved and where the instance at the one new index folds to true: a child
-shares its ancestor's classes at every earlier index, and the universal
-trace its ancestor's images. Every index is read only when no ancestor's
-candidates exist: at the first bound, on a side not prepared at the bound
-before, or for a trace whose ancestor was never asked (a universal bound
-cut by the budget).
+ancestor's candidates (found by the ancestor's number) widened to their
+children at bound k, kept where proved and where the instance at the one
+new index folds to true: a child shares its ancestor's classes at every
+earlier index, and the universal trace its ancestor's images. Every index
+is read only when no ancestor's candidates exist: at the first bound, on a
+side not prepared at the bound before, or for a trace whose ancestor was
+never asked (a universal bound cut by the budget).
 """
 
 from __future__ import annotations
@@ -160,9 +159,9 @@ class ExistentialSide:
 
     Class numbers are search-wide and only appended to: on a side prepared
     at every bound, a class at index i first appears at bound i + 1, and
-    its sigma is built once per search. A trace prepared at bound k takes its classes at the indices
-    before k - 1 from its ancestor at bound k - 1, the trace its parent
-    shares its observed states with, and reads only the one new index.
+    its sigma is built once per search. A trace prepared at bound k takes
+    its classes at the indices before k - 1 from its ancestor at bound
+    k - 1 (`SymTrace.previous`), and reads only the one new index.
     Members and blocks are built when a query or a witness needs them.
 
     Per bound, the side memoizes the body's instances per index i and
@@ -200,20 +199,17 @@ class ExistentialSide:
         self._members: Dict[int, List[int]] = {}
         self._blocks: Dict[int, tuple] = {}
         self._in_domain: Dict[int, bool] = {}
-        # Kept for one bound, for the next: id of each trace's observed
-        # tuple -> (the tuple, the trace), id of each universal trace's
-        # observed tuple -> (the tuple, its witness candidates); the
-        # previous bound's candidates, and the children at this bound of
-        # each trace of the previous one (None when some trace has no
-        # ancestor there). An entry keeps its key's object alive, so that
-        # the id stays unique.
-        self._listed: Dict[int, Tuple[tuple, int]] = {}
-        self._candidates: Dict[int, Tuple[tuple, Tuple[int, ...]]] = {}
-        self._asked: Dict[int, Tuple[tuple, Tuple[int, ...]]] = {}
+        # Kept for one bound, for the next, keyed by node number (each
+        # table holds the nodes of one walk): each trace's index, each
+        # universal trace's witness candidates; the previous bound's
+        # candidates, and the children at this bound of each trace of the
+        # previous one (None when some trace has no ancestor there).
+        self._listed: Dict[int, int] = {}
+        self._candidates: Dict[int, Tuple[int, ...]] = {}
+        self._asked: Dict[int, Tuple[int, ...]] = {}
         self._children: Optional[List[List[int]]] = None
         # Kept for the whole search: per index, images -> class (with
-        # `sigmas`); id of a conjunct -> (the conjunct, renamed), and the
-        # renaming.
+        # `sigmas`); each path conjunct renamed, and the renaming.
         self.sigmas: List[List[Dict[str, Term]]] = []
         self._class_ids: List[Dict[Tuple[Term, ...], int]] = []
         self._renamed, self._rho = {}, {}
@@ -243,18 +239,16 @@ class ExistentialSide:
         listed, classes, proved = self._listed, [], 0
         children: Optional[List[List[int]]] = [[] for _ in previous]
         for t, trace in enumerate(traces):
-            observed, parent = trace.observed, trace.parent
-            ancestor = (ancestors.get(id(parent.observed))
-                        if parent is not None and len(observed) == k else None)
-            if ancestor is None:
+            ancestor = trace.previous
+            a = None if ancestor is None else ancestors.get(ancestor.number)
+            if a is None:
                 classes.append(self._classes_of(trace, k))
                 children = None
             else:
-                a = ancestor[1]
                 classes.append(previous[a] + (self._class(trace, k - 1),))
                 if children is not None:
                     children[a].append(t)
-            listed[id(observed)] = (observed, t)
+            listed[trace.number] = t
             if trace.proved:
                 proved |= 1 << t
         self._traces = traces
@@ -307,9 +301,9 @@ class ExistentialSide:
                 # its prefixes, is renamed once per search.
                 conjuncts = logic.conjuncts(trace.path)
                 for conjunct in conjuncts:
-                    if id(conjunct) not in renamed:
-                        renamed[id(conjunct)] = (conjunct, logic.substitute(conjunct, rho))
-                scope = logic.conj([*(renamed[id(c)][1] for c in conjuncts),
+                    if conjunct not in renamed:
+                        renamed[conjunct] = logic.substitute(conjunct, rho)
+                scope = logic.conj([*(renamed[c] for c in conjuncts),
                                     _domain_constraint(fv2, self.domain)])
                 block = (fv2, scope, self.classes[t])
             self._blocks[t] = block
@@ -357,29 +351,27 @@ class ExistentialSide:
         bound share their classes at every earlier index, so only the new
         index is read. Otherwise every index is read.
         """
-        k, parent = self.k, universal.parent
-        previous = (self._asked.get(id(parent.observed))
-                    if self._children is not None and parent is not None else None)
-        if previous is None:
-            candidates = self.proved
-            for i in range(k):
-                if not candidates:
-                    break
-                candidates &= self.instances(universal, i)[1]
+        k, ancestor = self.k, universal.previous
+        asked = (self._asked.get(ancestor.number)
+                 if self._children is not None and ancestor is not None else None)
+        if asked is None:
+            candidates, indices = self.proved, range(k)
         else:
-            candidates, children = 0, self._children
-            for a in previous[1]:
-                for t in children[a]:
+            candidates, indices = 0, (k - 1,)
+            for a in asked:
+                for t in self._children[a]:
                     candidates |= 1 << t
             candidates &= self.proved
-            if candidates:
-                candidates &= self.instances(universal, k - 1)[1]
+        for i in indices:
+            if not candidates:
+                break
+            candidates &= self.instances(universal, i)[1]
         found = []
         while candidates:
             low = candidates & -candidates
             found.append(low.bit_length() - 1)
             candidates ^= low
-        self._candidates[id(universal.observed)] = (universal.observed, tuple(found))
+        self._candidates[universal.number] = tuple(found)
         for t in found:
             if self._scope_proved(t, feasibility):
                 return t

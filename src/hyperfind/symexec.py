@@ -27,11 +27,13 @@ compiles its out-edges once, on first use, into steps whose guard and
 assigned value are closures over a memory (`ProgramGraph.steps`,
 `logic.substituter`), so a step costs one call per guard and value. A
 state's memory is a dict that nothing mutates: a skip step's child shares
-its parent's dict, and only an assignment or a havoc copies it. A node's
-children are kept in the walk's tree, keyed by the node's id, and not on
-the node: a child already links to its parent, and a link back would make
-every parent and child a reference cycle, which only the cycle collector
-frees, so the search's memory would peak higher.
+its parent's dict, and only an assignment or a havoc copies it. The walk
+numbers each node as it makes it and keeps a node's children in its tree
+at that number, not on the node: a child already links to its parent, and
+a link back would make every parent and child a reference cycle, which
+only the cycle collector frees, so the search's memory would peak higher.
+A node finds its ancestor at the bound before (`SymTrace.previous`) along
+its parent links.
 
 A path is a conjunction, and most of its conjuncts bound one variable
 each, such as the guards of a countdown loop (`n > 0`, `n - 1 > 0`, ...).
@@ -86,21 +88,17 @@ class SymState(FrozenRecord):
     after the state is made, so states share it: a skip step's state holds
     its parent's dict, and only an assignment or a havoc copies it. `mem`,
     the sorted (variable, term) pairs, is derived on demand; it stands for
-    the memory in the repr and equality. `facts` are the path's `Facts`,
-    read from the path when they are not given; they take no part in the
-    repr or equality.
+    the memory in the repr and equality. `facts` are the path's `Facts`;
+    they take no part in the repr or equality.
     """
 
     __slots__ = ("loc", "path", "memory", "facts")
     _fields = ("loc", "path", "mem")
 
-    def __init__(self, loc: int, path: Formula, memory: Dict[str, Term],
-                 facts: Optional[Facts] = None):
+    def __init__(self, loc: int, path: Formula, memory: Dict[str, Term], facts: Facts):
         set_field(self, "loc", loc)
         set_field(self, "path", path)
         set_field(self, "memory", memory)
-        if facts is None:
-            facts = _fold(_NO_FACTS, logic.conjuncts(path))
         set_field(self, "facts", facts)
 
     @property
@@ -125,15 +123,16 @@ class SymTrace(FrozenRecord):
     trace is complete up to its k-th observation, the last full state is
     the k-th observed state, so path(observed) equals path(states).
     `proved` tells whether the path is proved satisfiable (see the module
-    docstring); it takes no part in the repr or equality.
+    docstring), and `number` is the node's index in its walk's tree; they
+    take no part in the repr or equality.
     """
 
-    __slots__ = ("parent", "state", "observed", "proved", "depth", "fresh", "run")
+    __slots__ = ("parent", "state", "observed", "proved", "depth", "fresh", "run", "number")
     _fields = ("states", "observed")
 
     def __init__(self, parent: Optional["SymTrace"], state: SymState,
                  observed: Tuple[SymState, ...], proved: bool, fresh: Optional[str],
-                 run: Tuple[SymState, ...] = ()):
+                 number: int, run: Tuple[SymState, ...] = ()):
         set_field(self, "parent", parent)
         set_field(self, "state", state)
         set_field(self, "observed", observed)
@@ -141,10 +140,22 @@ class SymTrace(FrozenRecord):
         set_field(self, "depth", 0 if parent is None else parent.depth + 1 + len(run))
         set_field(self, "fresh", fresh)
         set_field(self, "run", run)
+        set_field(self, "number", number)
 
     @property
     def path(self) -> Formula:
         return self.state.path
+
+    @property
+    def previous(self) -> Optional["SymTrace"]:
+        """The node of the trace's previous observation, its ancestor at
+        the bound before; None for a trace of one observation or none."""
+        count, found, node = len(self.observed) - 1, None, self.parent
+        while count > 0 and node is not None and len(node.observed) >= count:
+            if len(node.observed) == count:
+                found = node
+            node = node.parent
+        return found
 
     @property
     def states(self) -> Tuple[SymState, ...]:
@@ -357,7 +368,8 @@ class Walk:
     ends at an observed location, a fork or guard, a havoc (the next node's
     own step) or bound n's step budget. `children` extends a node once and
     keeps its children, so every bound's search reads the part of the tree
-    that an earlier bound built instead of extending it again.
+    that an earlier bound built instead of extending it again. `tree[m]`
+    holds the children of node number m, or None before it is extended.
     """
 
     def __init__(self, graph: ProgramGraph, observed: FrozenSet[int], n: int,
@@ -377,16 +389,16 @@ class Walk:
         self.depth_limit = (step_budget if step_budget is not None
                             else default_step_budget(graph, n))
         init = initial_state(graph)
-        self.root = SymTrace(None, init, (init,) if init.loc in observed else (), True, None)
-        self.tree: Dict[int, List[SymTrace]] = {}  # id(node) -> its children
+        self.tree: List[Optional[List[SymTrace]]] = [None]
+        self.root = SymTrace(None, init, (init,) if init.loc in observed else (), True, None, 0)
         # (bound, its traces in order) of the last bound whose search ran to
         # the end with no budget cut; see `ObserveStream`.
         self.listed: Optional[Tuple[int, List[SymTrace]]] = None
 
     def children(self, node: SymTrace) -> List[SymTrace]:
-        kids = self.tree.get(id(node))
+        kids = self.tree[node.number]
         if kids is None:
-            kids = self.tree[id(node)] = [
+            kids = self.tree[node.number] = [
                 self._child(node, state, known, fresh)
                 for state, known, fresh in extend(self.graph, node.state, self.supply,
                                                   self.feasibility)]
@@ -404,9 +416,10 @@ class Walk:
             run.append(state)
             (state, _, _), = extend(graph, state, self.supply, self.feasibility)
             depth += 1
+        self.tree.append(None)
         return SymTrace(parent, state, parent.observed + (state,)
                         if state.loc in observed else parent.observed,
-                        parent.proved and known, fresh, tuple(run))
+                        parent.proved and known, fresh, len(self.tree) - 1, tuple(run))
 
     def stream(self, j: int) -> "ObserveStream":
         """Bound j's traces."""
@@ -424,7 +437,8 @@ class ObserveStream:
     stops early leaves its later siblings' subtrees unexplored; a trace
     under a long run can come before a shallower one. Iterate to consume;
     after exhaustion, `incomplete` tells whether a budget cut off
-    unexplored extensions (the non-finitely-observable case). The step
+    unexplored extensions (the non-finitely-observable case), and `cut`
+    names that budget, its value and the option that sets it. The step
     budget (by default `default_step_budget(graph, n)`) bounds trace length
     in transitions, and a node whose run crosses it is cut; the node budget
     bounds the nodes that this bound's breadth-first search visits, those
@@ -442,7 +456,11 @@ class ObserveStream:
     def __init__(self, walk: Walk, n: int):
         self.walk = walk
         self.n = n
-        self.incomplete = False
+        self.cut: Optional[str] = None
+
+    @property
+    def incomplete(self) -> bool:
+        return self.cut is not None
 
     def __iter__(self) -> Iterator[SymTrace]:
         walk, n = self.walk, self.n
@@ -459,15 +477,13 @@ class ObserveStream:
             for node in nodes:
                 created += 1
                 if walk.node_budget is not None and created > walk.node_budget:
-                    self.incomplete = True
+                    self.cut = f"node budget {walk.node_budget} (SearchOptions.node_budget)"
                     return
-                if node.depth > depth_limit:
-                    self.incomplete = True  # its run crossed the budget
-                elif len(node.observed) == n:
+                if len(node.observed) == n and node.depth <= depth_limit:
                     found.append(node)
                     yield node
-                elif node.depth >= depth_limit:
-                    self.incomplete = True
+                elif node.depth >= depth_limit:  # at the budget, or its run crossed it
+                    self.cut = f"step budget {depth_limit} (--step-budget)"
                 else:
                     queue.append(node)
             if not queue:

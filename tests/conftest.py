@@ -243,6 +243,10 @@ def fresh_bound_search(graph, observed, n, supply, feasibility,
     return traces, incomplete, extends
 
 
+# The numbers of hand-built nodes: one counter, so no two nodes share one.
+NODE_NUMBERS = itertools.count()
+
+
 def symbolic_trace(states: Sequence, observed: Sequence, proved: bool = True) -> SymTrace:
     """The last node of a chain of search-tree nodes over `states`, each
     node carrying the projection `observed`. As in a walk, each node's
@@ -252,7 +256,8 @@ def symbolic_trace(states: Sequence, observed: Sequence, proved: bool = True) ->
         new = {name for _, term in state.mem for name in logic.free_vars(term)} - seen
         assert len(new) <= 1, "a step introduces at most one fresh name"
         seen |= new
-        node = SymTrace(node, state, tuple(observed), proved, new.pop() if new else None)
+        node = SymTrace(node, state, tuple(observed), proved, new.pop() if new else None,
+                        next(NODE_NUMBERS))
     return node
 
 
@@ -260,7 +265,7 @@ def tree_nodes(walk) -> List[SymTrace]:
     """Every node that a walk has built, root first, in breadth-first order."""
     nodes = [walk.root]
     for node in nodes:
-        nodes.extend(walk.tree.get(id(node), []))
+        nodes.extend(walk.tree[node.number] or [])
     return nodes
 
 

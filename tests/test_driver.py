@@ -139,6 +139,40 @@ def test_factorial_budget_inconclusive(opts):
     assert result.verdict.reason == "budget"
 
 
+@pytest.mark.parametrize("algorithm, side", [("lazy", "existential"), ("naive", "universal")])
+@pytest.mark.parametrize("args, budget", [([], 80), (["--step-budget", "15"], 15)])
+def test_a_step_budget_verdict_names_its_budget(capsys, algorithm, side, args, budget):
+    # factorial's countdown outruns the step budget at bound 1, 80 by
+    # default. The lazy search reads the existential side's traces first,
+    # the naive search the universal side's.
+    detail = f"bound 1 of the {side} side was cut at step budget {budget} (--step-budget)"
+    argv = [fixture_path("factorial.hyp"), "--max-observations", "3",
+            "--algorithm", algorithm, *args]
+    assert cli_main(argv + ["--report", "text"]) == 2
+    assert capsys.readouterr().out.startswith(f"inconclusive (budget: {detail}) (wall=")
+    assert cli_main(argv + ["--report", "json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["reason"], report["detail"], report["checked"]) == ("budget", detail, 0)
+
+
+@pytest.mark.parametrize("algorithm, checked", [("lazy", 4), ("naive", 2)])
+def test_a_node_budget_verdict_names_the_cut_it_met_first(opts, capsys, algorithm, checked):
+    # A node budget of 20 cuts gni's universal side at bounds 3 and 4. The
+    # lazy search checks bound 4 too and names the first cut; the naive
+    # search ends at it. The node budget has no flag.
+    from hyperfind.cli import _print_text_report
+    detail = ("bound 3 of the universal side was cut at node budget 20 "
+              "(SearchOptions.node_budget)")
+    result = run_fixture("gni.hyp", 4, SearchOptions(solver_argv=opts.solver_argv,
+                                                     node_budget=20), algorithm)
+    assert result.verdict == Inconclusive("budget", detail)
+    report = driver.report_dict(result)
+    assert (report["reason"], report["detail"], report["checked"]) == ("budget", detail,
+                                                                       checked)
+    _print_text_report(result)
+    assert capsys.readouterr().out.startswith(f"inconclusive (budget: {detail}) (wall=")
+
+
 def test_combinations_count_pairs(opts):
     result = run_fixture("voting_correct.hyp", 4, opts)
     # universal and existential sets both have 2^k traces at bound k
@@ -343,10 +377,12 @@ def test_report_dict_schema(opts):
     assert set(report["stats"]) == {"combinations", "sat_calls", "decided",
                                      "feasibility_calls", "wall_ms"}
     json.dumps(report)  # must be serializable
-    # An inconclusive report names the last bound checked to the end.
+    # An inconclusive report names the budget that cut it and the last bound
+    # checked to the end.
     cut = driver.report_dict(run_fixture(
         "voting_correct.hyp", 4, SearchOptions(solver_argv=opts.solver_argv, step_budget=15)))
-    assert set(cut) == {"verdict", "k", "counterexample", "stats", "reason", "checked"}
+    assert set(cut) == {"verdict", "k", "counterexample", "stats", "reason", "detail",
+                        "checked"}
     assert (cut["verdict"], cut["reason"], cut["checked"]) == ("inconclusive", "budget", 2)
 
 

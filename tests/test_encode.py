@@ -14,7 +14,7 @@ from conftest import (BENCH_DIR, QuantifiedTraces, assert_equivalent, bench_sour
 
 
 def tiny_trace(out_term, loc=0):
-    state = SymState(loc, logic.TRUE, {"out": out_term})
+    state = SymState(loc, logic.TRUE, {"out": out_term}, symexec._NO_FACTS)
     return symbolic_trace((state,), (state,))
 
 
@@ -309,7 +309,7 @@ def test_a_witness_without_an_asked_ancestor_reads_every_index(source, n, solver
 
 
 def observed_trace(*outs):
-    states = tuple(SymState(0, logic.TRUE, {"out": out}) for out in outs)
+    states = tuple(SymState(0, logic.TRUE, {"out": out}, symexec._NO_FACTS) for out in outs)
     return symbolic_trace(states, states)
 
 

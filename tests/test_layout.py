@@ -17,18 +17,6 @@ ALLOWED_UNREAD = {
 }
 
 
-# Functions that key a table by `id(`, each with the reason it stays.
-ALLOWED_ID_CALLS = {
-    "Walk.children": "it keeps the tree off the nodes: a link from parent to child would make "
-                     "every node a reference cycle",
-    "ExistentialSide.prepare": "a trace's bound-(k-1) ancestor is found through the observed "
-                               "tuple its parent shares",
-    "ExistentialSide.witness": "a universal trace's bound-(k-1) ancestor is found through the "
-                               "observed tuple its parent shares",
-    "ExistentialSide.block": "each path conjunct is renamed once per search",
-}
-
-
 def _references(tree: ast.AST) -> Counter:
     """Each name the tree mentions: as a name, an attribute or an import."""
     names: Counter = Counter()
@@ -127,14 +115,12 @@ def test_every_definition_has_a_caller():
 
 def test_identity_keyed_tables_are_allowlisted():
     # A table keyed by `id(obj)` must keep obj alive, or a later object can
-    # take its id; each one stays only for a reason given above.
+    # take its id: no function in the package calls `id(`.
     callers = set()
     for name, tree in _trees().items():
         for qualname, node in [(name, tree), *_definitions(tree)]:
             if any(isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
                    and child.func.id == "id" for child in _own_nodes(node)):
                 callers.add(qualname)
-    assert sorted(callers - set(ALLOWED_ID_CALLS)) == [], \
-        "a table keyed by object identity: give a reason in ALLOWED_ID_CALLS, or key it by value"
-    assert sorted(set(ALLOWED_ID_CALLS) - callers) == [], \
-        "allowlisted, but calls no id(): drop it from ALLOWED_ID_CALLS"
+    assert sorted(callers) == [], \
+        "a table keyed by object identity: key it by value, or by a number the package assigns"

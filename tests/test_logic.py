@@ -22,7 +22,7 @@ def test_records_keep_dataclass_semantics():
     # Equality is type-aware, unlike a tuple's; a hash is its field tuple's.
     assert IntLit(1) != BoolLit(True) and IntLit(1) == IntLit(1)
     assert hash(IntLit(3)) == hash((3,))
-    state = SymState(0, logic.TRUE, {"x": IntLit(0)})
+    state = SymState(0, logic.TRUE, {"x": IntLit(0)}, symexec._NO_FACTS)
     # One instance per class with its own methods: each agrees with the
     # generic record methods, as a dataclass's would.
     samples = [IntLit(3), Var("x"), BinTerm("+", Var("x"), IntLit(1)), BoolLit(False),
@@ -33,7 +33,7 @@ def test_records_keep_dataclass_semantics():
     for record in samples:
         # A state takes its memory as a dict, and shows it as the sorted
         # pairs `mem`.
-        twin = (SymState(state.loc, state.path, dict(state.mem)) if record is state
+        twin = (SymState(state.loc, state.path, dict(state.mem), state.facts) if record is state
                 else type(record)(*record._values()))
         assert twin == record and not twin != record
         assert hash(twin) == hash(record) == hash(record._values())

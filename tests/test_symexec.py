@@ -415,6 +415,36 @@ def test_every_node_reads_its_trace_off_its_chain(feas, source, n, step_budget):
         assert len(nodes) > 5 and any(node.run for node in nodes), source
 
 
+def test_a_node_is_numbered_and_names_its_ancestor_at_the_bound_before(feas):
+    # A node's number indexes its children in the walk's tree, and no two
+    # nodes share one. A bound-k trace's `previous` is None at bound 1;
+    # otherwise it is the node of the trace's (k-1)-th observation, a
+    # bound-(k-1) trace of the same walk, listed at that bound when its
+    # stream ran to the end.
+    for name, graph, observed in walk_sides() + random_sides(20):
+        walk = Walk(graph, observed, 4, FreshSupply(), feas)
+        bounds = {}
+        for k in range(1, 5):
+            stream = walk.stream(k)
+            bounds[k] = {trace.number: trace for trace in stream}, stream.incomplete
+        nodes = tree_nodes(walk)
+        assert sorted(node.number for node in nodes) == list(range(len(walk.tree))), name
+        by_number = {node.number: node for node in nodes}
+        for node in nodes:
+            assert all(child.parent is node for child in walk.tree[node.number] or []), name
+        for k in range(1, 5):
+            for trace in bounds[k][0].values():
+                previous = trace.previous
+                if k == 1:
+                    assert previous is None, name
+                    continue
+                assert by_number[previous.number] is previous, (name, k)
+                assert previous.observed == trace.observed[:-1], (name, k)
+                assert previous.observed[-1] is previous.state, (name, k)
+                listed, incomplete = bounds[k - 1]
+                assert incomplete or listed.get(previous.number) is previous, (name, k)
+
+
 class UnknownOnSecondInput:
     """Path feasibility on `input_sign_graph`: unknown on a guard over the
     second input (`v!1` or `v!2`, one per branch of the first), sat on any
@@ -443,7 +473,7 @@ def test_countdown_reads_each_guard_conjunct_once(feas, monkeypatch):
         first, *rest = node.run + (node.state,)
         assert all(s.path is first.path and s.facts is first.facts for s in rest)
         kept += len(rest)
-        for child in walk.tree.get(id(node), []):
+        for child in walk.tree[node.number] or []:
             if child.path == node.path:
                 # A child reached over a true guard keeps its parent's path
                 # object and facts.
