@@ -286,7 +286,8 @@ def _lazy(gen: GeneralizedSpec, n: int, opts: SearchOptions, solver: smt.Solver,
                 unknown_seen = True
         if stream.incomplete and budget is None:
             budget = _budget(k, "universal", stream.cut)
-        stats.checked = k
+        if budget is None:
+            stats.checked = k
     if budget is not None:
         return budget
     if unknown_seen:

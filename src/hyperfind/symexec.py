@@ -16,24 +16,23 @@ program and observation set, and each reads the bound's traces from its
 own stream, though the tree is searched once.
 A node links to its parent, whose states it shares (the copy-on-write
 state sharing of KLEE, Cadar et al., OSDI 2008), so an extension copies no
-trace: `extend`, called once per step, run steps too, takes the last state
-and returns each child's state, whether its path was answered (not
-unknown) and its havoc's fresh name. Paths whose feasibility the solver
-cannot settle (unknown) are kept: dropping a possibly feasible path could
-mask a counterexample.
+trace: `extend`, called once per node extended, takes its last state and
+returns each child's state, whether its path was answered (not unknown)
+and its havoc's fresh name; a child's run builds only its last state
+(`Walk`). Paths whose feasibility the solver cannot settle (unknown) are
+kept: dropping a possibly feasible path could mask a counterexample.
 
 An extension does not interpret the program's syntax trees. Each graph
 compiles its out-edges once, on first use, into steps whose guard and
 assigned value are closures over a memory (`ProgramGraph.steps`,
 `logic.substituter`), so a step costs one call per guard and value. A
-state's memory is a dict that nothing mutates: a skip step's child shares
-its parent's dict, and only an assignment or a havoc copies it. The walk
-numbers each node as it makes it and keeps a node's children in its tree
-at that number, not on the node: a child already links to its parent, and
-a link back would make every parent and child a reference cycle, which
-only the cycle collector frees, so the search's memory would peak higher.
-A node finds its ancestor at the bound before (`SymTrace.previous`) along
-its parent links.
+state's memory is a dict that nothing mutates once a state holds it
+(`SymState`). The walk numbers each node as it makes it and keeps a node's
+children in its tree at that number, not on the node: a child already
+links to its parent, and a link back would make every parent and child a
+reference cycle, which only the cycle collector frees, so the search's
+memory would peak higher. A node finds its ancestor at the bound before
+(`SymTrace.previous`) along its parent links.
 
 A path is a conjunction, and most of its conjuncts bound one variable
 each, such as the guards of a countdown loop (`n > 0`, `n - 1 > 0`, ...).
@@ -86,10 +85,10 @@ class SymState(FrozenRecord):
 
     `memory` maps each program variable to its term. It is never mutated
     after the state is made, so states share it: a skip step's state holds
-    its parent's dict, and only an assignment or a havoc copies it. `mem`,
-    the sorted (variable, term) pairs, is derived on demand; it stands for
-    the memory in the repr and equality. `facts` are the path's `Facts`;
-    they take no part in the repr or equality.
+    its parent's dict, an assignment or a havoc copies it, and a run copies
+    it once. `mem`, the sorted (variable, term) pairs, is derived on
+    demand; it stands for the memory in the repr and equality. `facts` are
+    the path's `Facts`; they take no part in the repr or equality.
     """
 
     __slots__ = ("loc", "path", "memory", "facts")
@@ -115,16 +114,17 @@ class SymTrace(FrozenRecord):
     """A symbolic trace ending at its latest observation: a node of the
     symbolic execution tree, which stores only its own step and run.
 
-    A node holds its parent, its run's states before its last (`run`), its
-    last state, its projection onto the observation set (`observed`), its
-    depth in transitions and the fresh name its own step's havoc
-    introduced, if any. `states`, the full unprojected trace (needed for
-    replaying counterexamples), is read off the parent chain. Whenever the
-    trace is complete up to its k-th observation, the last full state is
-    the k-th observed state, so path(observed) equals path(states).
-    `proved` tells whether the path is proved satisfiable (see the module
-    docstring), and `number` is the node's index in its walk's tree; they
-    take no part in the repr or equality.
+    A node holds its parent, its last state, its run as the graph, the
+    state its own step reached and the run's length (`run`, None without
+    one), its projection onto the observation set (`observed`), its depth
+    in transitions and its own step's havoc's fresh name, if any. `states`,
+    the full unprojected trace (needed for replaying counterexamples), is
+    read off the parent chain, each run stepped again. Whenever the trace
+    is complete up to its k-th observation, the last full state is the k-th
+    observed state, so path(observed) equals path(states). `proved` tells
+    whether the path is proved satisfiable (see the module docstring), and
+    `number` is the node's index in its walk's tree; they take no part in
+    the repr or equality.
     """
 
     __slots__ = ("parent", "state", "observed", "proved", "depth", "fresh", "run", "number")
@@ -132,12 +132,12 @@ class SymTrace(FrozenRecord):
 
     def __init__(self, parent: Optional["SymTrace"], state: SymState,
                  observed: Tuple[SymState, ...], proved: bool, fresh: Optional[str],
-                 number: int, run: Tuple[SymState, ...] = ()):
+                 number: int, run: Optional[Tuple[ProgramGraph, SymState, int]] = None):
         set_field(self, "parent", parent)
         set_field(self, "state", state)
         set_field(self, "observed", observed)
         set_field(self, "proved", proved)
-        set_field(self, "depth", 0 if parent is None else parent.depth + 1 + len(run))
+        set_field(self, "depth", 0 if parent is None else parent.depth + 1 + (run[2] if run else 0))
         set_field(self, "fresh", fresh)
         set_field(self, "run", run)
         set_field(self, "number", number)
@@ -162,7 +162,15 @@ class SymTrace(FrozenRecord):
         states, node = [], self
         while node is not None:
             states.append(node.state)
-            states.extend(reversed(node.run))
+            if node.run is not None:  # stepped again; its last state is the node's
+                graph, state, length = node.run
+                run = [state]
+                for _ in range(length - 1):
+                    (loc, _, kind, target, expr), = graph.steps(state.loc)
+                    state = SymState(loc, state.path, _effect(state.memory, kind, target, expr),
+                                     state.facts)
+                    run.append(state)
+                states.extend(reversed(run))
             node = node.parent
         return tuple(reversed(states))
 
@@ -344,17 +352,25 @@ def extend(graph: ProgramGraph, last: SymState, supply: FreshSupply,
                 # Sat and Unknown both proceed; see module docstring.
                 known = not isinstance(verdict, smt.Unknown)
         fresh = None
-        if kind is Assign:
-            new_mem = dict(mem)
-            new_mem[target] = expr(mem)
-        elif kind is Havoc:
+        if kind is Havoc:
             new_mem = dict(mem)
             fresh = supply.fresh()
             new_mem[target] = Var(fresh)
         else:
-            new_mem = mem  # shared: see `SymState`
+            new_mem = _effect(mem, kind, target, expr)
         out.append((SymState(dst, path, new_mem, facts), known, fresh))
     return out
+
+
+def _effect(memory: Dict[str, Term], kind: type, target: Optional[str], expr,
+            copy: bool = True) -> Dict[str, Term]:
+    """`memory` after an assign or skip step, its assignment written in a copy when `copy`."""
+    if kind is not Assign:
+        return memory
+    value = expr(memory)
+    memory = dict(memory) if copy else memory
+    memory[target] = value
+    return memory
 
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -366,10 +382,11 @@ class Walk:
 
     The nodes are `SymTrace`s; the root is the initial state. A node's run
     ends at an observed location, a fork or guard, a havoc (the next node's
-    own step) or bound n's step budget. `children` extends a node once and
-    keeps its children, so every bound's search reads the part of the tree
-    that an earlier bound built instead of extending it again. `tree[m]`
-    holds the children of node number m, or None before it is extended.
+    own step) or bound n's step budget; it is applied to one memory, and
+    only its last state is built. `children` extends a node once and keeps
+    its children, so every bound's search reads the part of the tree that
+    an earlier bound built instead of extending it again. `tree[m]` holds
+    the children of node number m, or None before it is extended.
     """
 
     def __init__(self, graph: ProgramGraph, observed: FrozenSet[int], n: int,
@@ -406,20 +423,22 @@ class Walk:
 
     def _child(self, parent: SymTrace, state: SymState, known: bool,
                fresh: Optional[str]) -> SymTrace:
-        """The node whose own step reaches `state`, with its straight run."""
-        graph, observed, run = self.graph, self.observed, []
-        depth = parent.depth + 1
-        while depth < self.depth_limit and state.loc not in observed:
-            steps = graph.steps(state.loc)
+        """The node whose own step reaches `state`, its run applied to one memory."""
+        graph, observed = self.graph, self.observed
+        loc, memory, length = state.loc, state.memory, 0
+        while parent.depth + 1 + length < self.depth_limit and loc not in observed:
+            steps = graph.steps(loc)
             if len(steps) != 1 or steps[0][1] is not None or steps[0][2] is Havoc:
                 break
-            run.append(state)
-            (state, _, _), = extend(graph, state, self.supply, self.feasibility)
-            depth += 1
+            loc, _, kind, target, expr = steps[0]
+            memory = _effect(memory, kind, target, expr, memory is state.memory)
+            length += 1
+        last = SymState(loc, state.path, memory, state.facts) if length else state
         self.tree.append(None)
-        return SymTrace(parent, state, parent.observed + (state,)
-                        if state.loc in observed else parent.observed,
-                        parent.proved and known, fresh, len(self.tree) - 1, tuple(run))
+        return SymTrace(parent, last, parent.observed + (last,)
+                        if loc in observed else parent.observed,
+                        parent.proved and known, fresh, len(self.tree) - 1,
+                        (graph, state, length) if length else None)
 
     def stream(self, j: int) -> "ObserveStream":
         """Bound j's traces."""

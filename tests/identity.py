@@ -28,10 +28,11 @@ The searches:
 Each record holds the verdict's repr (with the full counterexample), its
 name and bound, the search's counters (`combinations`, `sat_calls`,
 `decided`, `feasibility_calls`), the calls of `symexec.extend`, the
-witness that `encode.ExistentialSide.witness` found for each decided
-query, in order, and every check sent to the solver: the SMT-LIB text of
-its formula, its wanted names and its answer. Pytest does not collect
-this file.
+nodes of the search's symbolic execution trees (the sum of
+`len(walk.tree)` over the `symexec.Walk`s it made), the witness that
+`encode.ExistentialSide.witness` found for each decided query, in order,
+and every check sent to the solver: the SMT-LIB text of its formula, its
+wanted names and its answer. Pytest does not collect this file.
 """
 
 import itertools
@@ -73,9 +74,10 @@ def main(root):
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
     from hyperfind import driver, encode, smt, symexec
 
-    checks, witnesses, extends = [], [], [0]
+    checks, witnesses, extends, walks = [], [], [0], []
     check, extend = smt.Solver.check, symexec.extend
     witness = encode.ExistentialSide.witness
+    walk_init = symexec.Walk.__init__
 
     def recorded_check(self, formula, wanted=(), timeout_ms=None):
         result = check(self, formula, wanted, timeout_ms)
@@ -86,6 +88,10 @@ def main(root):
         extends[0] += 1
         return extend(*args, **kwargs)
 
+    def recorded_walk_init(self, *args, **kwargs):
+        walk_init(self, *args, **kwargs)
+        walks.append(self)
+
     def recorded_witness(self, universal, feasibility):
         found = witness(self, universal, feasibility)
         if found is not None:
@@ -95,12 +101,14 @@ def main(root):
     smt.Solver.check = recorded_check
     symexec.extend = counted_extend
     encode.ExistentialSide.witness = recorded_witness
+    symexec.Walk.__init__ = recorded_walk_init
     inputs = os.path.join(root, "benchmarks")
     for label, name, n, algorithm, options in searches(inputs):
         with open(os.path.join(inputs, name), encoding="utf-8") as handle:
             source = handle.read()
         checks.clear()
         witnesses.clear()
+        walks.clear()
         extends[0] = 0
         result = driver.analyze_source(source, n=n, algorithm=algorithm,
                                        opts=driver.SearchOptions(**options))
@@ -115,6 +123,7 @@ def main(root):
             "decided": stats.decided,
             "feasibility_calls": stats.feasibility_calls,
             "extend_calls": extends[0],
+            "nodes": sum(len(walk.tree) for walk in walks),
             "checks": checks,
             "witnesses": witnesses,
         }, sort_keys=True))

@@ -155,11 +155,12 @@ def test_a_step_budget_verdict_names_its_budget(capsys, algorithm, side, args, b
     assert (report["reason"], report["detail"], report["checked"]) == ("budget", detail, 0)
 
 
-@pytest.mark.parametrize("algorithm, checked", [("lazy", 4), ("naive", 2)])
+@pytest.mark.parametrize("algorithm, checked", [("lazy", 2), ("naive", 2)])
 def test_a_node_budget_verdict_names_the_cut_it_met_first(opts, capsys, algorithm, checked):
     # A node budget of 20 cuts gni's universal side at bounds 3 and 4. The
     # lazy search checks bound 4 too and names the first cut; the naive
-    # search ends at it. The node budget has no flag.
+    # search ends at it. Both count bound 2 as the last checked to the
+    # end. The node budget has no flag.
     from hyperfind.cli import _print_text_report
     detail = ("bound 3 of the universal side was cut at node budget 20 "
               "(SearchOptions.node_budget)")
@@ -731,41 +732,42 @@ def test_bench_escalating_detection_depths(tmp_path, opts):
 
 # The search work of every manifest instance at its bound: verdict, k,
 # combinations, queries (sent plus decided), decided, feasibility_calls and
-# `symexec.extend` calls. Queries sent is `sat_calls`; decided ones are
+# `symexec.extend` calls, one per search-tree node extended (a node's run is
+# stepped without `extend`). Queries sent is `sat_calls`; decided ones are
 # answered without the solver (lazy search only).
 # A change to exploration, encoding or the search loops that is meant to
 # leave the searches alone must leave this table alone.
 MANIFEST_WORK = {
-    ("voting-buggy", "lazy"): ("bug-found", 2, 8, 3, 2, 0, 28),
-    ("voting-buggy", "naive"): ("bug-found", 2, 2, 2, 0, 0, 28),
-    ("voting-correct", "lazy"): ("no-bug", 4, 340, 30, 30, 0, 136),
-    ("voting-correct", "naive"): ("no-bug", 4, 4, 4, 0, 0, 136),
-    ("min-flip", "lazy"): ("no-bug", 3, 84, 14, 0, 0, 138),
-    ("min-flip", "naive"): ("no-bug", 3, 3, 3, 0, 0, 138),
-    ("flip-min", "lazy"): ("bug-found", 1, 2, 1, 0, 0, 18),
-    ("flip-min", "naive"): ("bug-found", 1, 1, 1, 0, 0, 18),
-    ("gni", "lazy"): ("no-bug", 2, 2, 2, 0, 0, 36),
-    ("gni", "naive"): ("no-bug", 2, 2, 2, 0, 0, 36),
-    ("echo-leak", "lazy"): ("bug-found", 1, 1, 1, 0, 0, 19),
-    ("echo-leak", "naive"): ("bug-found", 1, 1, 1, 0, 0, 19),
-    ("simple-nonrefinement", "lazy"): ("bug-found", 1, 1, 1, 0, 0, 6),
-    ("simple-nonrefinement", "naive"): ("bug-found", 1, 1, 1, 0, 0, 6),
-    ("simple-leak", "lazy"): ("bug-found", 1, 1, 1, 0, 0, 13),
-    ("simple-leak", "naive"): ("bug-found", 1, 1, 1, 0, 0, 13),
-    ("conditional-nonrefinement", "lazy"): ("bug-found", 1, 4, 2, 0, 0, 16),
-    ("conditional-nonrefinement", "naive"): ("bug-found", 1, 1, 1, 0, 0, 16),
-    ("escalating-m0", "lazy"): ("bug-found", 4, 45, 10, 9, 0, 144),
-    ("escalating-m0", "naive"): ("bug-found", 4, 4, 4, 0, 0, 166),
-    ("escalating-m1", "lazy"): ("bug-found", 4, 45, 10, 9, 0, 144),
-    ("escalating-m1", "naive"): ("bug-found", 4, 4, 4, 0, 0, 166),
-    ("escalating-m2", "lazy"): ("bug-found", 5, 133, 18, 17, 0, 284),
-    ("escalating-m2", "naive"): ("bug-found", 5, 5, 5, 0, 0, 350),
-    ("escalating-m5", "lazy"): ("bug-found", 5, 165, 20, 19, 0, 295),
-    ("escalating-m5", "naive"): ("bug-found", 5, 5, 5, 0, 0, 350),
-    ("escalating-m6", "lazy"): ("bug-found", 6, 501, 36, 35, 0, 575),
-    ("escalating-m6", "naive"): ("bug-found", 6, 6, 6, 0, 0, 718),
-    ("escalating", "lazy"): ("bug-found", 7, 1941, 72, 71, 0, 1157),
-    ("escalating", "naive"): ("bug-found", 7, 7, 7, 0, 0, 1454),
+    ("voting-buggy", "lazy"): ("bug-found", 2, 8, 3, 2, 0, 9),
+    ("voting-buggy", "naive"): ("bug-found", 2, 2, 2, 0, 0, 9),
+    ("voting-correct", "lazy"): ("no-bug", 4, 340, 30, 30, 0, 45),
+    ("voting-correct", "naive"): ("no-bug", 4, 4, 4, 0, 0, 45),
+    ("min-flip", "lazy"): ("no-bug", 3, 84, 14, 0, 0, 54),
+    ("min-flip", "naive"): ("no-bug", 3, 3, 3, 0, 0, 54),
+    ("flip-min", "lazy"): ("bug-found", 1, 2, 1, 0, 0, 6),
+    ("flip-min", "naive"): ("bug-found", 1, 1, 1, 0, 0, 6),
+    ("gni", "lazy"): ("no-bug", 2, 2, 2, 0, 0, 20),
+    ("gni", "naive"): ("no-bug", 2, 2, 2, 0, 0, 20),
+    ("echo-leak", "lazy"): ("bug-found", 1, 1, 1, 0, 0, 11),
+    ("echo-leak", "naive"): ("bug-found", 1, 1, 1, 0, 0, 11),
+    ("simple-nonrefinement", "lazy"): ("bug-found", 1, 1, 1, 0, 0, 2),
+    ("simple-nonrefinement", "naive"): ("bug-found", 1, 1, 1, 0, 0, 2),
+    ("simple-leak", "lazy"): ("bug-found", 1, 1, 1, 0, 0, 6),
+    ("simple-leak", "naive"): ("bug-found", 1, 1, 1, 0, 0, 6),
+    ("conditional-nonrefinement", "lazy"): ("bug-found", 1, 4, 2, 0, 0, 4),
+    ("conditional-nonrefinement", "naive"): ("bug-found", 1, 1, 1, 0, 0, 4),
+    ("escalating-m0", "lazy"): ("bug-found", 4, 45, 10, 9, 0, 21),
+    ("escalating-m0", "naive"): ("bug-found", 4, 4, 4, 0, 0, 23),
+    ("escalating-m1", "lazy"): ("bug-found", 4, 45, 10, 9, 0, 21),
+    ("escalating-m1", "naive"): ("bug-found", 4, 4, 4, 0, 0, 23),
+    ("escalating-m2", "lazy"): ("bug-found", 5, 133, 18, 17, 0, 41),
+    ("escalating-m2", "naive"): ("bug-found", 5, 5, 5, 0, 0, 47),
+    ("escalating-m5", "lazy"): ("bug-found", 5, 165, 20, 19, 0, 42),
+    ("escalating-m5", "naive"): ("bug-found", 5, 5, 5, 0, 0, 47),
+    ("escalating-m6", "lazy"): ("bug-found", 6, 501, 36, 35, 0, 82),
+    ("escalating-m6", "naive"): ("bug-found", 6, 6, 6, 0, 0, 95),
+    ("escalating", "lazy"): ("bug-found", 7, 1941, 72, 71, 0, 164),
+    ("escalating", "naive"): ("bug-found", 7, 7, 7, 0, 0, 191),
 }
 
 
@@ -796,7 +798,7 @@ def test_countdown_paths_never_reach_the_solver(solver_argv, extend_calls, algor
     result = analyze_source(bench_source("factorial.hyp"), n=1, algorithm=algorithm, opts=opts)
     assert driver.verdict_name(result.verdict) == ("inconclusive", None)
     assert result.stats.feasibility_calls == 0
-    assert extend_calls[0] == 175
+    assert extend_calls[0] == 36
 
 
 # Lazy searches that decide queries without the solver: the manifest's at

@@ -215,9 +215,12 @@ def test_walk_matches_a_fresh_search_per_bound(feas, extend_calls, step_budget,
             assert canonical(got) == canonical(want), (name, j)
             assert stream.incomplete == incomplete, (name, j)
         if per_transition:
-            # Bound 4's tree holds the smaller bounds' trees, and the walk
-            # extends each of its nodes once.
-            assert walk_extends == fresh_extends, name
+            # Bound 4's tree holds the smaller bounds' trees. The walk
+            # extends each of its nodes once and steps each run without
+            # `extend`: between them, the transitions the search extends.
+            assert walk_extends == sum(kids is not None for kids in walk.tree), name
+            run_steps = sum(node.run[2] for node in tree_nodes(walk) if node.run is not None)
+            assert walk_extends + run_steps == fresh_extends, name
 
 
 def random_sides(count=40):
@@ -244,6 +247,20 @@ prog p {
 forall p1 in p obs {end} . exists p2 in p obs {end} . always (a@p1 == a@p2)
 """
 
+# Two unobserved, unguarded cycles, one beside the observation and one
+# after it: each is a run that only the step budget ends, mid-cycle.
+SPIN = """
+prog spin {
+  input x;
+  either { loop { x := x + 1; a := a + x; } } or { a := x; }
+  observe seen;
+  skip;
+  loop { a := a + 1; x := x + a; }
+}
+
+forall p1 in spin obs {seen} . exists p2 in spin obs {seen} . always (a@p1 == a@p2)
+"""
+
 
 @pytest.mark.parametrize("step_budget", [None, 5, 20, 60, 140])
 def test_walk_lists_the_traces_of_a_per_transition_search(feas, step_budget):
@@ -252,10 +269,14 @@ def test_walk_lists_the_traces_of_a_per_transition_search(feas, step_budget):
     # lists the same traces, perhaps in another order, and cuts the same
     # bounds short, whichever transition a run crosses the budget at. A
     # walk over bounds 1..4 runs up to bound 4's default budget, past the
-    # smaller bounds' ones.
+    # smaller bounds' ones. A node's run, stepped again when its states
+    # are read, is the states that `extend` makes step by step, also where
+    # the budget cut it.
     prog = frontend.load(LONG_EXIT).programs["p"]
     long_exit = ("long_exit", prog.graph, prog.labels["end"])
-    for name, graph, observed in walk_sides() + random_sides() + [long_exit]:
+    prog = frontend.load(SPIN).programs["spin"]
+    spin = ("spin", prog.graph, prog.labels["seen"])
+    for name, graph, observed in walk_sides() + random_sides() + [long_exit, spin]:
         walk = Walk(graph, observed, 4, FreshSupply(), feas, step_budget)
         for j in range(1, 5):
             stream = walk.stream(j)
@@ -264,6 +285,13 @@ def test_walk_lists_the_traces_of_a_per_transition_search(feas, step_budget):
                                                      feas, step_budget)
             assert canonical_multiset(got) == canonical_multiset(want), (name, j)
             assert stream.incomplete == incomplete, (name, j)
+        for node in tree_nodes(walk):
+            if node.run is not None:
+                stepped = [node.run[1]]
+                for _ in range(node.run[2]):
+                    (state, _, _), = extend(graph, stepped[-1], FreshSupply(), feas)
+                    stepped.append(state)
+                assert node.states[-len(stepped):] == tuple(stepped), name
 
 
 UNEVEN = """
@@ -391,11 +419,12 @@ def test_walk_keeps_nothing_of_an_abandoned_stream(feas):
     ("gni.hyp", 2, None), ("factorial.hyp", 1, 140),
 ])
 def test_every_node_reads_its_trace_off_its_chain(feas, source, n, step_budget):
-    # A node stores its own step and the run after it, whose states are
-    # unobserved. Its states, read off the chain, end in its state and
-    # project onto its observed states; its free variables, its parent's
-    # plus its own havoc's, are those of its path and memories. `gni` walks
-    # a product.
+    # A node stores the state its own step reached and the length of the
+    # run after it, whose states, stepped again when the node's states are
+    # read, are unobserved. Its states, read off the chain, end in its
+    # state and project onto its observed states; its free variables, its
+    # parent's plus its own havoc's, are those of its path and memories.
+    # `gni` walks a product.
     gen = driver.generalize(frontend.load(bench_source(source)))
     sides = [side for side in (gen.universal, gen.existential) if side is not None]
     supply = FreshSupply()
@@ -407,12 +436,42 @@ def test_every_node_reads_its_trace_off_its_chain(feas, source, n, step_budget):
         for node in nodes:
             states = node.states
             assert len(states) == node.depth + 1 and states[-1] is node.state
-            assert all(state.loc not in side.observed for state in node.run)
+            if node.run is not None:
+                run = states[node.parent.depth + 1:-1]
+                assert len(run) == node.run[2] and run[0] is node.run[1]
+                assert all(state.loc not in side.observed for state in run)
             projected = [state for state in states if state.loc in side.observed]
             assert len(projected) == len(node.observed)
             assert all(a is b for a, b in zip(projected, node.observed))
             assert node.free_vars() == walked_free_vars(node)
-        assert len(nodes) > 5 and any(node.run for node in nodes), source
+        assert len(nodes) > 5 and any(node.run is not None for node in nodes), source
+
+
+def test_a_walk_builds_at_most_two_states_per_node(feas, monkeypatch):
+    # A node's own step builds its state in `extend`, and a run builds one
+    # more, its last, on one memory copied at the run's first assignment:
+    # no parent's memory changes when its children's runs are applied.
+    built, init = [0], symexec.SymState.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+    monkeypatch.setattr(symexec.SymState, "__init__", counted)
+    for name, graph, observed in walk_sides():
+        built[0] = 0
+        walk = Walk(graph, observed, 3, FreshSupply(), feas)
+
+        def children(node, make=walk.children, name=name):
+            memory = dict(node.state.memory)
+            kids = make(node)
+            assert node.state.memory == memory, name
+            return kids
+        monkeypatch.setattr(walk, "children", children)
+        for j in range(1, 4):
+            list(walk.stream(j))
+        nodes = tree_nodes(walk)
+        runs = sum(node.run is not None for node in nodes)
+        assert built[0] == len(nodes) + runs <= 2 * len(nodes), name
 
 
 def test_a_node_is_numbered_and_names_its_ancestor_at_the_bound_before(feas):
@@ -469,8 +528,8 @@ def test_countdown_reads_each_guard_conjunct_once(feas, monkeypatch):
     guarded, kept = [], 0
     for node in tree_nodes(walk):
         # A run's steps are unguarded: each keeps the path object and facts
-        # of the state before it.
-        first, *rest = node.run + (node.state,)
+        # of the state before it, also when stepped again.
+        first, *rest = node.states[node.parent.depth + 1:] if node.parent else (node.state,)
         assert all(s.path is first.path and s.facts is first.facts for s in rest)
         kept += len(rest)
         for child in walk.tree[node.number] or []:

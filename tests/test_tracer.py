@@ -35,13 +35,15 @@ def test_traced_search_measures_exploration_and_uninstalls(solver_argv):
 
     # Both quantifiers range over one program, so the search walks one
     # tree and extends each of its nodes with fewer than 3 observations
-    # once: as often as a fresh bound-3 search does.
+    # once: as often as a walk over bounds 1..3 extends a node.
     side = driver.generalize(frontend.load(source)).universal
     with smt.Solver(solver_argv) as solver:
-        _, _, extends = fresh_bound_search(side.graph, side.observed, 3,
-                                           symexec.FreshSupply(),
-                                           symexec.Feasibility(solver))
-    assert metrics["symexec.extend_calls"] == extends > 0
+        walk = symexec.Walk(side.graph, side.observed, 3, symexec.FreshSupply(),
+                            symexec.Feasibility(solver))
+        for j in (1, 2, 3):
+            list(walk.stream(j))
+    extended = sum(kids is not None for kids in walk.tree)
+    assert metrics["symexec.extend_calls"] == extended > 0
     # The universal side streams the bound that the existential side
     # listed on the shared walk, so each side counts every trace it reads.
     assert metrics["symexec.traces_u"] == metrics["symexec.traces_e"] > 0
